@@ -47,36 +47,17 @@ let frechet_full_test =
   Test.make ~name:"fig3: frechet-128-full"
     (Staged.stage (fun () -> ignore (Abg_distance.Frechet.distance a b)))
 
-(* The scoring inner loop before and after the hot-path overhaul. The
-   "interp" variant replicates the seed implementation: rebuild the env
-   and interpret the handler AST for every record. The compiled variant
-   is the production path: segment prepared once, handler compiled once,
+(* The scoring inner loop: segment prepared once, handler compiled once,
    then one closure call per record. *)
-let replay_tests =
+let replay_test =
   lazy
-    (let segments = Runs.segments_for "reno" in
-     let seg = List.hd segments in
-     let records = seg.Abg_trace.Segmentation.records in
-     let n = Array.length records in
+    (let seg = List.hd (Runs.segments_for "reno") in
      let handler = Option.get (Abg_core.Fine_tuned.find_fine_tuned "reno") in
      let prepared = Abg_core.Replay.prepare seg in
      let compiled = Abg_core.Replay.compile handler in
-     let interp () =
-       let out = Array.make n 0.0 in
-       let cwnd = ref (Abg_trace.Record.observed_cwnd records.(0)) in
-       let env = Abg_dsl.Env.copy Abg_dsl.Env.example in
-       for i = 0 to n - 1 do
-         Abg_trace.Record.load_env env records.(i) ~cwnd:!cwnd;
-         cwnd := Float.min 1e12 (Abg_dsl.Eval.handler handler env);
-         out.(i) <- !cwnd
-       done;
-       out
-     in
-     ( Test.make ~name:"table2: replay-segment"
-         (Staged.stage (fun () ->
-              ignore (Abg_core.Replay.synthesize_prepared prepared compiled))),
-       Test.make ~name:"table2: replay-segment-interp"
-         (Staged.stage (fun () -> ignore (interp ()))) ))
+     Test.make ~name:"table2: replay-segment"
+       (Staged.stage (fun () ->
+            ignore (Abg_core.Replay.synthesize_prepared prepared compiled))))
 
 (* Bucket-style scoring: a pool of mostly-losing candidates folded with a
    best-so-far incumbent. With cutoffs, losers abandon their replay sum
@@ -109,9 +90,8 @@ let bucket_score_tests =
        Test.make ~name:"refine: bucket-score-full"
          (Staged.stage (fun () -> ignore (fold false ()))) ))
 
-(* Persistent pool vs. the seed's spawn-per-call chunking, same workload:
-   the difference is domain spawn/join overhead per map call. *)
-let pool_tests =
+(* One map over the persistent pool: the per-call dispatch overhead. *)
+let pool_test =
   lazy
     (let pool = Abg_parallel.Pool.create ~size:1 () in
      let xs = Array.init 16 (fun i -> i) in
@@ -122,31 +102,9 @@ let pool_tests =
        done;
        !acc
      in
-     let spawning () =
-       (* The seed implementation: spawn one domain per chunk, join all. *)
-       let n = Array.length xs in
-       let out = Array.make n 0.0 in
-       let workers = 2 in
-       let chunk = (n + workers - 1) / workers in
-       let run lo hi () =
-         for i = lo to hi do
-           out.(i) <- f xs.(i)
-         done
-       in
-       let handles =
-         List.init workers (fun w ->
-             let lo = w * chunk in
-             let hi = Stdlib.min (lo + chunk - 1) (n - 1) in
-             if lo > hi then None else Some (Domain.spawn (run lo hi)))
-       in
-       List.iter (function Some d -> Domain.join d | None -> ()) handles;
-       out
-     in
-     ( Test.make ~name:"refine: pool-map-persistent"
-         (Staged.stage (fun () ->
-              ignore (Abg_parallel.Pool.map ~pool ~num_domains:2 f xs))),
-       Test.make ~name:"refine: pool-map-spawning"
-         (Staged.stage (fun () -> ignore (spawning ()))) ))
+     Test.make ~name:"refine: pool-map-persistent"
+       (Staged.stage (fun () ->
+            ignore (Abg_parallel.Pool.map ~pool ~num_domains:2 f xs))))
 
 (* The reno space holds ~4k canonical sketches and the incremental
    enumerator now clears them faster than the measurement quota: when the
@@ -443,52 +401,20 @@ let measure test =
     results;
   !rows
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_json path rows =
-  let oc = open_out path in
-  output_string oc "{\n";
-  List.iteri
-    (fun i (name, est) ->
-      Printf.fprintf oc "  \"%s\": %.1f%s\n" (json_escape name) est
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "}\n";
-  close_out oc
-
 (* Run metadata alongside the flat estimate map: what machine and
    configuration produced the numbers, plus the telemetry snapshot of
    the setup phase (trace collection, segment prep) so the workload
    behind the estimates is auditable. BENCH_micro.json itself stays a
    flat name -> ns/run map for cross-PR comparability. *)
 let write_meta path =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"abagnale-bench-meta/1\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"word_size\": %d,\n\
-    \  \"recommended_domains\": %d,\n\
-    \  \"quota_s\": 0.5,\n\
-    \  \"limit\": 200,\n\
-    \  \"telemetry_during_measurement\": \"disabled\",\n\
-    \  \"setup_telemetry\": %s}\n"
-    (json_escape Sys.ocaml_version)
-    Sys.word_size
-    (Domain.recommended_domain_count ())
-    (Abg_obs.Report.to_json (Abg_obs.Obs.snapshot ()));
-  close_out oc
+  Runs.write_meta path
+    Abg_util.Json.
+      [
+        ("quota_s", Num 0.5);
+        ("limit", Num 200.);
+        ("telemetry_during_measurement", Str "disabled");
+        ("setup_telemetry", Abg_obs.Report.document (Abg_obs.Obs.snapshot ()));
+      ]
 
 (* One genetic-search generation step at the CI smoke population size:
    ranking, tournament selection, crossover, and mutation for pop 8 —
@@ -512,14 +438,12 @@ let fuzz_generation_test =
 
 let run () =
   Runs.heading "Micro-benchmarks (Bechamel, monotonic clock)";
-  let replay_compiled, replay_interp = Lazy.force replay_tests in
   let bucket_cutoff, bucket_full = Lazy.force bucket_score_tests in
-  let pool_persistent, pool_spawning = Lazy.force pool_tests in
   let store_write, store_read = Lazy.force batch_store_tests in
   let tests =
     [ dtw_test; dtw_cutoff_test; euclidean_test; frechet_test;
-      frechet_full_test; replay_compiled; replay_interp; bucket_cutoff;
-      bucket_full; pool_persistent; pool_spawning; Lazy.force enumerate_test;
+      frechet_full_test; Lazy.force replay_test; bucket_cutoff; bucket_full;
+      Lazy.force pool_test; Lazy.force enumerate_test;
       Lazy.force solve_assumptions_test;
       absint_prune_test; Lazy.force canonical_intern_test;
       Lazy.force relint_guard_check_test; Lazy.force equiv_handler_pair_test;
@@ -542,7 +466,7 @@ let run () =
       ~finally:(fun () -> Abg_obs.Obs.set_enabled true)
       (fun () -> List.concat_map measure tests)
   in
-  write_json "BENCH_micro.json" rows;
+  Runs.write_estimates "BENCH_micro.json" rows;
   Printf.printf
     "[micro: wrote %d estimates to BENCH_micro.json, run metadata to \
      BENCH_micro.meta.json]\n"

@@ -81,3 +81,27 @@ let timed name f =
   let r = f () in
   Printf.printf "[%s: %.1fs]\n%!" name (Unix.gettimeofday () -. t0);
   r
+
+(* -- BENCH_*.json output -- *)
+
+let write_json path json =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Abg_util.Json.to_string_indented json ^ "\n"))
+
+(* The flat name -> ns/run estimate map that bench/gate.ml reads. *)
+let write_estimates path rows =
+  write_json path
+    (Abg_util.Json.Obj (List.map (fun (name, est) -> (name, Abg_util.Json.Num est)) rows))
+
+(* Run metadata: the machine that produced the estimates, then [fields]. *)
+let write_meta path fields =
+  let open Abg_util.Json in
+  write_json path
+    (Obj
+       ([
+          ("schema", Str "abagnale-bench-meta/1");
+          ("ocaml", Str Sys.ocaml_version);
+          ("word_size", Num (float_of_int Sys.word_size));
+          ("recommended_domains", Num (float_of_int (Domain.recommended_domain_count ())));
+        ]
+       @ fields))

@@ -51,36 +51,6 @@ let sync_request fd lines line_buf ~request ~stop_line =
   done;
   Option.get !found
 
-let write_json path rows =
-  let oc = open_out path in
-  output_string oc "{\n";
-  List.iteri
-    (fun i (name, est) ->
-      Printf.fprintf oc "  \"%s\": %.1f%s\n" name est
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "}\n";
-  close_out oc
-
-let write_meta path ~sessions ~obs_lines =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"abagnale-bench-meta/1\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"word_size\": %d,\n\
-    \  \"recommended_domains\": %d,\n\
-    \  \"sessions\": %d,\n\
-    \  \"obs_lines\": %d,\n\
-    \  \"classify_concurrency\": 1,\n\
-    \  \"endpoint\": \"unix\",\n\
-    \  \"telemetry_during_measurement\": \"enabled\"\n\
-     }\n"
-    Sys.ocaml_version Sys.word_size
-    (Domain.recommended_domain_count ())
-    sessions obs_lines;
-  close_out oc
-
 let run () =
   Runs.heading
     (Printf.sprintf "Serve load (%d concurrent flows, one daemon)"
@@ -233,9 +203,16 @@ let run () =
       ("serve: drain-session-ns", drain_s *. 1e9 /. float_of_int sessions_target);
     ]
   in
-  write_json "BENCH_serve.json" rows;
-  write_meta "BENCH_serve.meta.json" ~sessions:sessions_target
-    ~obs_lines:!obs_lines;
+  Runs.write_estimates "BENCH_serve.json" rows;
+  Runs.write_meta "BENCH_serve.meta.json"
+    Abg_util.Json.
+      [
+        ("sessions", Num (float_of_int sessions_target));
+        ("obs_lines", Num (float_of_int !obs_lines));
+        ("classify_concurrency", Num 1.);
+        ("endpoint", Str "unix");
+        ("telemetry_during_measurement", Str "enabled");
+      ];
   Printf.printf
     "[serve: wrote %d estimates to BENCH_serve.json, run metadata to \
      BENCH_serve.meta.json]\n\n"

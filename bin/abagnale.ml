@@ -21,8 +21,36 @@
    telemetry recording (the reports then contain only zeros). *)
 
 open Cmdliner
+open Abg_util
 
-let load_traces paths = List.map Abg_trace.Io.load paths
+(* Every user-facing failure: one stderr line, exit 1. *)
+let die fmt =
+  Printf.kfprintf
+    (fun oc ->
+      output_char oc '\n';
+      exit 1)
+    stderr fmt
+
+let find_cca name =
+  match Abg_cca.Registry.find name with
+  | Some ctor -> ctor
+  | None -> die "unknown CCA %s; try `abagnale list'" name
+
+let find_dsl name =
+  match Abg_dsl.Catalog.find name with
+  | Some dsl -> dsl
+  | None -> die "unknown DSL %s" name
+
+(* A corrupt trace file is an input error, not a crash: name the file
+   and the parser's reason (which carries the line number). *)
+let load_traces paths =
+  List.map
+    (fun path ->
+      try Abg_trace.Io.load path
+      with Invalid_argument msg | Failure msg | Sys_error msg ->
+        if String.starts_with ~prefix:path msg then die "%s" msg
+        else die "%s: %s" path msg)
+    paths
 
 (* -- shared arguments -- *)
 
@@ -64,54 +92,50 @@ let telemetry_arg =
   in
   Arg.(value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE" ~doc)
 
-(* Run a subcommand body, then flush the telemetry report if requested.
-   An early [exit] skips the report — a truncated run has no meaningful
+(* A subcommand whose term yields its body. With [~telemetry] it also
+   takes --telemetry FILE and flushes the report once the body returns;
+   an early [exit] skips the report — a truncated run has no meaningful
    counters to gate on. *)
-let with_telemetry path f =
-  let result = f () in
-  Option.iter Abg_obs.Report.write path;
-  result
+let command ?(telemetry = false) name ~doc body =
+  let run =
+    if telemetry then
+      Term.(
+        const (fun path body ->
+            body ();
+            Option.iter Abg_obs.Report.write path)
+        $ telemetry_arg $ body)
+    else Term.(const (fun body -> body ()) $ body)
+  in
+  Cmd.v (Cmd.info name ~doc) run
 
 (* -- collect -- *)
 
-let collect cca_name scenarios duration output_dir telemetry =
-  with_telemetry telemetry @@ fun () ->
-  match Abg_cca.Registry.find cca_name with
-  | None ->
-      Printf.eprintf "unknown CCA %s; try `abagnale list'\n" cca_name;
-      exit 1
-  | Some ctor ->
-      if not (Sys.file_exists output_dir) then Sys.mkdir output_dir 0o755;
-      let traces =
-        Abg_trace.Trace.collect_suite ~duration ~n:scenarios ~name:cca_name ctor
+let collect cca_name scenarios duration output_dir () =
+  let ctor = find_cca cca_name in
+  if not (Sys.file_exists output_dir) then Sys.mkdir output_dir 0o755;
+  let traces =
+    Abg_trace.Trace.collect_suite ~duration ~n:scenarios ~name:cca_name ctor
+  in
+  List.iteri
+    (fun i trace ->
+      let path =
+        Filename.concat output_dir (Printf.sprintf "%s-%d.trace" cca_name i)
       in
-      List.iteri
-        (fun i trace ->
-          let path =
-            Filename.concat output_dir
-              (Printf.sprintf "%s-%d.trace" cca_name i)
-          in
-          Abg_trace.Io.save path trace;
-          Printf.printf "%s: %d records, %d losses (%s)\n" path
-            (Abg_trace.Trace.length trace)
-            (Array.length trace.Abg_trace.Trace.loss_times)
-            trace.Abg_trace.Trace.scenario)
-        traces
+      Abg_trace.Io.save path trace;
+      Printf.printf "%s: %d records, %d losses (%s)\n" path
+        (Abg_trace.Trace.length trace)
+        (Array.length trace.Abg_trace.Trace.loss_times)
+        trace.Abg_trace.Trace.scenario)
+    traces
 
 let collect_cmd =
-  let info =
-    Cmd.info "collect"
-      ~doc:"Simulate a CCA on the testbed grid and save its traces"
-  in
-  Cmd.v info
-    Term.(
-      const collect $ cca_arg $ scenarios_arg $ duration_arg $ output_dir_arg
-      $ telemetry_arg)
+  command ~telemetry:true "collect"
+    ~doc:"Simulate a CCA on the testbed grid and save its traces"
+    Term.(const collect $ cca_arg $ scenarios_arg $ duration_arg $ output_dir_arg)
 
 (* -- classify -- *)
 
-let classify telemetry trace_files =
-  with_telemetry telemetry @@ fun () ->
+let classify trace_files () =
   let traces = load_traces trace_files in
   let verdict = Abg_classifier.Gordon.classify traces in
   Printf.printf "gordon: %s\n" (Abg_classifier.Gordon.verdict_to_string verdict);
@@ -127,8 +151,8 @@ let classify telemetry trace_files =
   Printf.printf "suggested sub-DSL: %s\n" dsl.Abg_dsl.Catalog.name
 
 let classify_cmd =
-  let info = Cmd.info "classify" ~doc:"Classify the CCA behind saved traces" in
-  Cmd.v info Term.(const classify $ telemetry_arg $ trace_files_arg)
+  command ~telemetry:true "classify" ~doc:"Classify the CCA behind saved traces"
+    Term.(const classify $ trace_files_arg)
 
 (* -- synth -- *)
 
@@ -202,18 +226,8 @@ let print_synth_summary (outcome : Abg_core.Synthesis.outcome) =
     st.Abg_sat.Solver.learnts_total st.Abg_sat.Solver.learnts_live
     st.Abg_sat.Solver.db_reductions
 
-let synth dsl_name verbose seed cca scenarios duration telemetry trace_files =
-  with_telemetry telemetry @@ fun () ->
-  let dsl =
-    Option.map
-      (fun name ->
-        match Abg_dsl.Catalog.find name with
-        | Some d -> d
-        | None ->
-            Printf.eprintf "unknown DSL %s\n" name;
-            exit 1)
-      dsl_name
-  in
+let synth dsl_name verbose seed cca scenarios duration trace_files () =
+  let dsl = Option.map find_dsl dsl_name in
   let config =
     {
       Abg_core.Refinement.default_config with
@@ -223,21 +237,12 @@ let synth dsl_name verbose seed cca scenarios duration telemetry trace_files =
   in
   let outcome =
     match (cca, trace_files) with
-    | Some _, _ :: _ ->
-        Printf.eprintf "give trace files or --cca, not both\n";
-        exit 1
+    | Some _, _ :: _ -> die "give trace files or --cca, not both"
     | None, [] ->
-        Printf.eprintf
-          "give trace files or --cca (see `abagnale collect' / `abagnale list')\n";
-        exit 1
-    | Some cca_name, [] -> (
-        match Abg_cca.Registry.find cca_name with
-        | None ->
-            Printf.eprintf "unknown CCA %s; try `abagnale list'\n" cca_name;
-            exit 1
-        | Some ctor ->
-            Abg_core.Synthesis.collect_and_run ~config ?dsl ~scenarios
-              ~duration ~name:cca_name ctor)
+        die "give trace files or --cca (see `abagnale collect' / `abagnale list')"
+    | Some cca_name, [] ->
+        Abg_core.Synthesis.collect_and_run ~config ?dsl ~scenarios ~duration
+          ~name:cca_name (find_cca cca_name)
     | None, files ->
         let traces = load_traces files in
         let name =
@@ -248,20 +253,15 @@ let synth dsl_name verbose seed cca scenarios duration telemetry trace_files =
         Abg_core.Abagnale.synthesize ~config ?dsl ~name traces
   in
   match outcome with
-  | None ->
-      Printf.eprintf "no candidate handler survived scoring\n";
-      exit 1
+  | None -> die "no candidate handler survived scoring"
   | Some outcome -> print_synth_summary outcome
 
 let synth_cmd =
-  let info =
-    Cmd.info "synth"
-      ~doc:"Reverse-engineer a cwnd-ack handler expression from traces"
-  in
-  Cmd.v info
+  command ~telemetry:true "synth"
+    ~doc:"Reverse-engineer a cwnd-ack handler expression from traces"
     Term.(
       const synth $ dsl_arg $ verbose_arg $ seed_arg $ synth_cca_arg
-      $ scenarios_arg $ duration_arg $ telemetry_arg $ synth_traces_arg)
+      $ scenarios_arg $ duration_arg $ synth_traces_arg)
 
 (* -- distance -- *)
 
@@ -276,12 +276,9 @@ let distance_files_arg =
   let doc = "Trace files to score against." in
   Arg.(non_empty & pos_right 0 file [] & info [] ~docv:"TRACE" ~doc)
 
-let distance handler_name telemetry trace_files =
-  with_telemetry telemetry @@ fun () ->
+let distance handler_name trace_files () =
   match Abg_core.Fine_tuned.find_fine_tuned handler_name with
-  | None ->
-      Printf.eprintf "no fine-tuned handler named %s\n" handler_name;
-      exit 1
+  | None -> die "no fine-tuned handler named %s" handler_name
   | Some handler ->
       let traces = load_traces trace_files in
       Printf.printf "handler:  %s\n" (Abg_dsl.Pretty.num handler);
@@ -289,11 +286,9 @@ let distance handler_name telemetry trace_files =
         (Abg_core.Abagnale.handler_distance ~handler traces)
 
 let distance_cmd =
-  let info =
-    Cmd.info "distance" ~doc:"Score a known handler expression against traces"
-  in
-  Cmd.v info
-    Term.(const distance $ handler_arg $ telemetry_arg $ distance_files_arg)
+  command ~telemetry:true "distance"
+    ~doc:"Score a known handler expression against traces"
+    Term.(const distance $ handler_arg $ distance_files_arg)
 
 (* -- lint -- *)
 
@@ -320,38 +315,6 @@ let lint_format_arg =
     value
     & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
     & info [ "format" ] ~docv:"FORMAT" ~doc)
-
-(* Hand-rolled JSON emission: no JSON library in the dependency set, and
-   the output must be byte-stable for the CI diff. Non-finite interval
-   endpoints (JSON has no Infinity/NaN literals) are emitted as the
-   strings "inf"/"-inf"; finite floats use %.17g (round-trip exact). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float v =
-  if Float.is_nan v then "\"nan\""
-  else if v = Float.infinity then "\"inf\""
-  else if v = Float.neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
-
-let json_witness = function
-  | None -> "null"
-  | Some (w : Abg_util.Interval.t) ->
-      Printf.sprintf "{\"lo\": %s, \"hi\": %s, \"nan\": %b}"
-        (json_float w.Abg_util.Interval.lo)
-        (json_float w.Abg_util.Interval.hi)
-        w.Abg_util.Interval.nan
 
 (* Shared handler-name resolution for lint and simplify. *)
 let resolve_handlers names =
@@ -382,17 +345,12 @@ let resolve_handlers names =
                   || n = "fine-tuned/" ^ name)
                 catalog
             in
-            if found = [] then begin
-              Printf.eprintf "no handler named %s; try `abagnale list'\n"
-                name;
-              exit 1
-            end;
+            if found = [] then die "no handler named %s; try `abagnale list'" name;
             found
           end)
         names
 
-let lint strict format telemetry names =
-  with_telemetry telemetry @@ fun () ->
+let lint strict format names () =
   let targets = resolve_handlers names in
   let errors = ref 0 and warnings = ref 0 in
   let linted = List.map (fun (name, handler) ->
@@ -424,22 +382,31 @@ let lint strict format telemetry names =
       Printf.printf "%d handler(s) linted: %d error(s), %d warning(s)\n"
         (List.length targets) !errors !warnings
   | `Json ->
+      (* The line layout is lint's own (CI diffs it byte for byte); every
+         string and number in it comes from the codec. *)
+      let str v = Json.to_string (Json.Str v) in
+      let num v = Json.to_string (Json.Num v) in
+      let witness = function
+        | None -> "null"
+        | Some (w : Abg_util.Interval.t) ->
+            Printf.sprintf "{\"lo\": %s, \"hi\": %s, \"nan\": %b}"
+              (num w.Abg_util.Interval.lo) (num w.Abg_util.Interval.hi)
+              w.Abg_util.Interval.nan
+      in
       let diag_json (d : Abg_analysis.Lint.diag) =
         Printf.sprintf
-          "      {\"rule\": \"%s\", \"severity\": \"%s\", \"span\": \
-           \"%s\", \"message\": \"%s\", \"witness\": %s}"
-          (json_escape d.Abg_analysis.Lint.rule)
-          (Abg_analysis.Lint.severity_name d.Abg_analysis.Lint.severity)
-          (json_escape (Abg_dsl.Pretty.num d.Abg_analysis.Lint.expr))
-          (json_escape d.Abg_analysis.Lint.message)
-          (json_witness d.Abg_analysis.Lint.witness)
+          "      {\"rule\": %s, \"severity\": %s, \"span\": %s, \"message\": \
+           %s, \"witness\": %s}"
+          (str d.Abg_analysis.Lint.rule)
+          (str (Abg_analysis.Lint.severity_name d.Abg_analysis.Lint.severity))
+          (str (Abg_dsl.Pretty.num d.Abg_analysis.Lint.expr))
+          (str d.Abg_analysis.Lint.message)
+          (witness d.Abg_analysis.Lint.witness)
       in
       let handler_json (name, handler, diags) =
-        Printf.sprintf
-          "  {\"handler\": \"%s\", \"expr\": \"%s\", \"diagnostics\": \
-           [%s]}"
-          (json_escape name)
-          (json_escape (Abg_dsl.Pretty.num handler))
+        Printf.sprintf "  {\"handler\": %s, \"expr\": %s, \"diagnostics\": [%s]}"
+          (str name)
+          (str (Abg_dsl.Pretty.num handler))
           (match diags with
           | [] -> ""
           | diags ->
@@ -452,18 +419,12 @@ let lint strict format telemetry names =
   if strict && !errors > 0 then exit 1
 
 let lint_cmd =
-  let info =
-    Cmd.info "lint"
-      ~doc:
-        "Run the static-analysis diagnostics over handler expressions \
-         (rule id, expression, reason, interval witness), including the \
-         relational rules (vacuous-guard, guard-implied, \
-         branch-equivalent)"
-  in
-  Cmd.v info
-    Term.(
-      const lint $ strict_arg $ lint_format_arg $ telemetry_arg
-      $ lint_names_arg)
+  command ~telemetry:true "lint"
+    ~doc:
+      "Run the static-analysis diagnostics over handler expressions (rule \
+       id, expression, reason, interval witness), including the relational \
+       rules (vacuous-guard, guard-implied, branch-equivalent)"
+    Term.(const lint $ strict_arg $ lint_format_arg $ lint_names_arg)
 
 (* -- simplify -- *)
 
@@ -477,8 +438,7 @@ let simplify_validate_arg =
   in
   Arg.(value & flag & info [ "validate" ] ~doc)
 
-let simplify_cmd_fn validate telemetry names =
-  with_telemetry telemetry @@ fun () ->
+let simplify_cmd_fn validate names () =
   let targets = resolve_handlers names in
   let rel = Abg_analysis.Relint.default () in
   let failures = ref 0 in
@@ -520,44 +480,31 @@ let simplify_cmd_fn validate telemetry names =
   if !failures > 0 then exit 1
 
 let simplify_cmd =
-  let info =
-    Cmd.info "simplify"
-      ~doc:
-        "Simplify handler expressions under the sound relational oracle \
-         (each cancellation's side condition proven on the signal zone), \
-         optionally with per-rewrite translation validation (--validate)"
-  in
-  Cmd.v info
-    Term.(
-      const simplify_cmd_fn $ simplify_validate_arg $ telemetry_arg
-      $ lint_names_arg)
+  command ~telemetry:true "simplify"
+    ~doc:
+      "Simplify handler expressions under the sound relational oracle (each \
+       cancellation's side condition proven on the signal zone), optionally \
+       with per-rewrite translation validation (--validate)"
+    Term.(const simplify_cmd_fn $ simplify_validate_arg $ lint_names_arg)
 
 (* -- telemetry -- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let telemetry_diff baseline_path current_path =
-  let baseline = read_file baseline_path and current = read_file current_path in
+let telemetry_diff baseline_path current_path () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let baseline = read baseline_path and current = read current_path in
   match Abg_obs.Report.diff_counters ~baseline ~current with
-  | exception Abg_obs.Report.Parse_error msg ->
-      Printf.eprintf "telemetry diff: %s\n" msg;
-      exit 1
+  | exception Json.Malformed msg -> die "telemetry diff: %s" msg
   | [] ->
       let n =
-        List.length (Abg_obs.Report.counters_of_json (Abg_obs.Report.parse current))
+        List.length (Abg_obs.Report.counters_of_json (Json.parse current))
       in
       Printf.printf "counters agree (%d counters)\n" n
   | drifts ->
       List.iter
         (fun d -> Printf.printf "%s\n" (Abg_obs.Report.pp_drift d))
         drifts;
-      Printf.eprintf "telemetry diff: %d counter(s) drifted from baseline\n"
-        (List.length drifts);
-      exit 1
+      die "telemetry diff: %d counter(s) drifted from baseline"
+        (List.length drifts)
 
 let telemetry_diff_cmd =
   let baseline_arg =
@@ -572,19 +519,15 @@ let telemetry_diff_cmd =
       & pos 1 (some file) None
       & info [] ~docv:"CURRENT" ~doc:"Telemetry report to check (JSON).")
   in
-  let info =
-    Cmd.info "diff"
-      ~doc:
-        "Compare the deterministic counter sections of two telemetry \
-         reports; exit 1 on any drift (the CI telemetry gate)"
-  in
-  Cmd.v info Term.(const telemetry_diff $ baseline_arg $ current_arg)
+  command "diff"
+    ~doc:
+      "Compare the deterministic counter sections of two telemetry reports; \
+       exit 1 on any drift (the CI telemetry gate)"
+    Term.(const telemetry_diff $ baseline_arg $ current_arg)
 
-let telemetry_show path =
-  match Abg_obs.Report.(counters_of_json (parse (read_file path))) with
-  | exception Abg_obs.Report.Parse_error msg ->
-      Printf.eprintf "telemetry show: %s\n" msg;
-      exit 1
+let telemetry_show path () =
+  match Abg_obs.Report.counters_of_json (Json.of_file path) with
+  | exception Json.Malformed msg -> die "telemetry show: %s" msg
   | counters ->
       List.iter (fun (name, n) -> Printf.printf "%-40s %d\n" name n) counters
 
@@ -595,17 +538,14 @@ let telemetry_show_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"REPORT" ~doc:"Telemetry report (JSON).")
   in
-  let info =
-    Cmd.info "show" ~doc:"Print the deterministic counters of a report"
-  in
-  Cmd.v info Term.(const telemetry_show $ file_arg)
+  command "show" ~doc:"Print the deterministic counters of a report"
+    Term.(const telemetry_show $ file_arg)
 
 let telemetry_cmd =
-  let info =
-    Cmd.info "telemetry"
-      ~doc:"Inspect and diff machine-readable telemetry reports"
-  in
-  Cmd.group info [ telemetry_diff_cmd; telemetry_show_cmd ]
+  Cmd.group
+    (Cmd.info "telemetry"
+       ~doc:"Inspect and diff machine-readable telemetry reports")
+    [ telemetry_diff_cmd; telemetry_show_cmd ]
 
 (* -- batch -- *)
 
@@ -710,49 +650,62 @@ let domains_arg =
   let doc = "Domain-pool participation cap for this run." in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
-let batch_settings ~retries ~timeout ~shard ~worker ~max_jobs ~domains
-    ~flush_window ~checkpoint_every ~seed ~verbose =
-  {
-    Abg_batch.Runner.default_settings with
-    Abg_batch.Runner.retries;
-    timeout_s = Option.value ~default:infinity timeout;
-    shard;
-    worker;
-    max_jobs;
-    num_domains = domains;
-    flush_window_s = flush_window;
-    checkpoint_every;
-    refinement = { Abg_core.Refinement.default_config with seed };
-    verbose;
-  }
+(* The execution knobs, parsed once per command into Runner.settings.
+   [~batch] adds the flags only `batch run/resume' take, [~worker] the
+   --worker flag and [~seed] the --seed flag; a flag a command lacks
+   keeps its default. *)
+let settings_term ~batch ~worker ~seed =
+  let d = Abg_batch.Runner.default_settings in
+  let only present arg default = if present then arg else Term.const default in
+  let make retries timeout shard worker max_jobs num_domains flush_window_s
+      checkpoint_every seed verbose =
+    {
+      d with
+      Abg_batch.Runner.retries;
+      timeout_s = Option.value ~default:infinity timeout;
+      shard;
+      worker;
+      max_jobs;
+      num_domains;
+      flush_window_s;
+      checkpoint_every;
+      refinement = { d.Abg_batch.Runner.refinement with Abg_core.Refinement.seed };
+      verbose;
+    }
+  in
+  Term.(
+    const make $ retries_arg
+    $ only batch timeout_arg None
+    $ only batch shard_arg None
+    $ only worker worker_arg None
+    $ only batch max_jobs_arg None
+    $ domains_arg
+    $ only batch flush_window_arg d.Abg_batch.Runner.flush_window_s
+    $ only batch checkpoint_every_arg d.Abg_batch.Runner.checkpoint_every
+    $ only seed seed_arg d.Abg_batch.Runner.refinement.Abg_core.Refinement.seed
+    $ verbose_arg)
 
 (* Re-invoke this binary as `batch resume DIR --worker i/n`, forwarding
    the knobs that shape execution. Respawn-on-kill is sound because
    resume is: a respawned worker skips everything its journal settled. *)
-let run_workers ~dir ~workers ~retries ~timeout ~max_jobs ~domains
-    ~flush_window ~checkpoint_every ~seed ~verbose =
-  if workers < 1 then begin
-    Printf.eprintf "--workers must be >= 1\n";
-    exit 1
-  end;
-  let opt_arg flag fmt = function
-    | None -> []
-    | Some v -> [ flag; fmt v ]
-  in
+let run_workers ~dir ~workers (s : Abg_batch.Runner.settings) =
+  if workers < 1 then die "--workers must be >= 1";
+  let opt_arg flag fmt = function None -> [] | Some v -> [ flag; fmt v ] in
   let base =
-    [ "batch"; "resume"; dir; "--retries"; string_of_int retries ]
-    @ opt_arg "--timeout" string_of_float timeout
-    @ opt_arg "--max-jobs" string_of_int max_jobs
-    @ opt_arg "--domains" string_of_int domains
+    [ "batch"; "resume"; dir; "--retries"; string_of_int s.retries ]
+    @ (if s.timeout_s < infinity then [ "--timeout"; string_of_float s.timeout_s ]
+       else [])
+    @ opt_arg "--max-jobs" string_of_int s.max_jobs
+    @ opt_arg "--domains" string_of_int s.num_domains
     @ [
         "--flush-window";
-        string_of_float flush_window;
+        string_of_float s.flush_window_s;
         "--checkpoint-every";
-        string_of_int checkpoint_every;
+        string_of_int s.checkpoint_every;
         "--seed";
-        string_of_int seed;
+        string_of_int s.refinement.Abg_core.Refinement.seed;
       ]
-    @ (if verbose then [ "--verbose" ] else [])
+    @ if s.verbose then [ "--verbose" ] else []
   in
   let argv i =
     Array.of_list
@@ -803,27 +756,17 @@ let print_batch_summary verbose (summary : Abg_batch.Runner.summary) =
       summary.Abg_batch.Runner.counters;
   if quarantined <> [] then exit 2
 
-let batch_run dir kinds ccas scenarios duration ack_jitter seeds retries
-    timeout shard workers max_jobs domains flush_window checkpoint_every seed
-    verbose telemetry =
-  with_telemetry telemetry @@ fun () ->
+let batch_run dir kinds ccas scenarios duration ack_jitter seeds settings
+    workers () =
   let kinds =
     List.map
       (fun token ->
         match Abg_batch.Job.kind_of_token token with
         | Ok kind -> kind
-        | Error msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 1)
+        | Error msg -> die "%s" msg)
       kinds
   in
-  List.iter
-    (fun cca ->
-      if Abg_cca.Registry.find cca = None then begin
-        Printf.eprintf "unknown CCA %s; try `abagnale list'\n" cca;
-        exit 1
-      end)
-    ccas;
+  List.iter (fun cca -> ignore (find_cca cca : Abg_cca.Cca_sig.constructor)) ccas;
   let jobs =
     Abg_batch.Job.expand
       { Abg_batch.Job.kinds; ccas; scenarios; duration; ack_jitter; seeds }
@@ -833,93 +776,67 @@ let batch_run dir kinds ccas scenarios duration ack_jitter seeds retries
   | Some workers ->
       (* Coordinator mode: persist the grid, then fan execution out to
          supervised child processes. *)
-      if shard <> None then begin
-        Printf.eprintf "--workers and --shard are exclusive\n";
-        exit 1
-      end;
+      if settings.Abg_batch.Runner.shard <> None then
+        die "--workers and --shard are exclusive";
       Abg_batch.Runner.init ~dir jobs;
-      run_workers ~dir ~workers ~retries ~timeout ~max_jobs ~domains
-        ~flush_window ~checkpoint_every ~seed ~verbose
+      run_workers ~dir ~workers settings
   | None ->
-      let settings =
-        batch_settings ~retries ~timeout ~shard ~worker:None ~max_jobs
-          ~domains ~flush_window ~checkpoint_every ~seed ~verbose
-      in
-      print_batch_summary verbose (Abg_batch.Runner.run ~dir ~settings jobs)
+      print_batch_summary settings.Abg_batch.Runner.verbose
+        (Abg_batch.Runner.run ~dir ~settings jobs)
 
 let batch_run_cmd =
-  let info =
-    Cmd.info "run"
-      ~doc:
-        "Expand an experiment grid (kinds x ccas x seeds over the testbed \
-         scenarios) into a run directory and execute it, in-process or \
-         across supervised --workers"
-  in
-  Cmd.v info
+  command ~telemetry:true "run"
+    ~doc:
+      "Expand an experiment grid (kinds x ccas x seeds over the testbed \
+       scenarios) into a run directory and execute it, in-process or across \
+       supervised --workers"
     Term.(
       const batch_run $ batch_dir_arg $ kinds_arg $ ccas_arg $ scenarios_arg
-      $ duration_arg $ ack_jitter_arg $ seeds_arg $ retries_arg $ timeout_arg
-      $ shard_arg $ workers_arg $ max_jobs_arg $ domains_arg
-      $ flush_window_arg $ checkpoint_every_arg $ seed_arg $ verbose_arg
-      $ telemetry_arg)
+      $ duration_arg $ ack_jitter_arg $ seeds_arg
+      $ settings_term ~batch:true ~worker:false ~seed:true
+      $ workers_arg)
 
-let batch_resume dir retries timeout shard worker workers max_jobs domains
-    flush_window checkpoint_every seed verbose telemetry =
-  with_telemetry telemetry @@ fun () ->
+let batch_resume dir settings workers () =
   match workers with
   | Some workers ->
-      if shard <> None || worker <> None then begin
-        Printf.eprintf "--workers is exclusive with --shard/--worker\n";
-        exit 1
-      end;
-      run_workers ~dir ~workers ~retries ~timeout ~max_jobs ~domains
-        ~flush_window ~checkpoint_every ~seed ~verbose
+      if settings.Abg_batch.Runner.shard <> None || settings.worker <> None then
+        die "--workers is exclusive with --shard/--worker";
+      run_workers ~dir ~workers settings
   | None ->
-      let settings =
-        batch_settings ~retries ~timeout ~shard ~worker ~max_jobs ~domains
-          ~flush_window ~checkpoint_every ~seed ~verbose
-      in
-      print_batch_summary verbose (Abg_batch.Runner.resume ~dir ~settings ())
+      print_batch_summary settings.verbose
+        (Abg_batch.Runner.resume ~dir ~settings ())
 
 let batch_resume_cmd =
-  let info =
-    Cmd.info "resume"
-      ~doc:
-        "Replay a run directory's journals and execute every job without a \
-         terminal record (crash recovery; idempotent)"
-  in
-  Cmd.v info
+  command ~telemetry:true "resume"
+    ~doc:
+      "Replay a run directory's journals and execute every job without a \
+       terminal record (crash recovery; idempotent)"
     Term.(
-      const batch_resume $ batch_dir_arg $ retries_arg $ timeout_arg
-      $ shard_arg $ worker_arg $ workers_arg $ max_jobs_arg $ domains_arg
-      $ flush_window_arg $ checkpoint_every_arg $ seed_arg $ verbose_arg
-      $ telemetry_arg)
+      const batch_resume $ batch_dir_arg
+      $ settings_term ~batch:true ~worker:true ~seed:true
+      $ workers_arg)
 
-let batch_status verify dir =
+let batch_status verify dir () =
   print_string (Abg_batch.Report.status ~verify dir)
 
 let batch_status_cmd =
-  let info =
-    Cmd.info "status"
-      ~doc:
-        "Summarize a run directory's progress (checkpointed fast path; \
-         --verify replays and re-hashes everything)"
-  in
-  Cmd.v info Term.(const batch_status $ verify_arg $ batch_dir_arg)
+  command "status"
+    ~doc:
+      "Summarize a run directory's progress (checkpointed fast path; \
+       --verify replays and re-hashes everything)"
+    Term.(const batch_status $ verify_arg $ batch_dir_arg)
 
-let batch_report verify dir =
+let batch_report verify dir () =
   print_string (Abg_batch.Report.render ~verify dir)
 
 let batch_report_cmd =
-  let info =
-    Cmd.info "report"
-      ~doc:
-        "Render the deterministic Table-2-style report of a run directory \
-         (a pure function of its grid, journals, and store)"
-  in
-  Cmd.v info Term.(const batch_report $ verify_arg $ batch_dir_arg)
+  command "report"
+    ~doc:
+      "Render the deterministic Table-2-style report of a run directory (a \
+       pure function of its grid, journals, and store)"
+    Term.(const batch_report $ verify_arg $ batch_dir_arg)
 
-let batch_gc dir =
+let batch_gc dir () =
   let stats = Abg_batch.Runner.gc ~dir in
   Printf.printf
     "gc: %d live blob(s) kept, %d swept, %d tmp file(s) swept, %d pack(s) \
@@ -929,38 +846,32 @@ let batch_gc dir =
     stats.Abg_batch.Store.dirs_pruned
 
 let batch_gc_cmd =
-  let info =
-    Cmd.info "gc"
-      ~doc:
-        "Offline store maintenance: verify and fold pack files into the \
-         loose blob tree, sweep blobs no journal references, prune empty \
-         directories (must not run concurrently with an executing run)"
-  in
-  Cmd.v info Term.(const batch_gc $ batch_dir_arg)
+  command "gc"
+    ~doc:
+      "Offline store maintenance: verify and fold pack files into the loose \
+       blob tree, sweep blobs no journal references, prune empty directories \
+       (must not run concurrently with an executing run)"
+    Term.(const batch_gc $ batch_dir_arg)
 
-let batch_compact dir =
+let batch_compact dir () =
   Abg_batch.Runner.compact ~dir;
   Printf.printf "compacted %d journal(s)\n"
     (List.length (Abg_batch.Runner.journal_paths ~dir))
 
 let batch_compact_cmd =
-  let info =
-    Cmd.info "compact"
-      ~doc:
-        "Rewrite each journal as a single checkpoint record covering its \
-         settled outcome set (offline; crash-safe via temp-fsync-rename)"
-  in
-  Cmd.v info Term.(const batch_compact $ batch_dir_arg)
+  command "compact"
+    ~doc:
+      "Rewrite each journal as a single checkpoint record covering its \
+       settled outcome set (offline; crash-safe via temp-fsync-rename)"
+    Term.(const batch_compact $ batch_dir_arg)
 
 let batch_cmd =
-  let info =
-    Cmd.info "batch"
-      ~doc:
-        "Crash-safe batch experiment orchestration: expand a grid, run it \
-         with retries and quarantine, resume after a kill, shard across \
-         supervised worker processes, garbage-collect, and report"
-  in
-  Cmd.group info
+  Cmd.group
+    (Cmd.info "batch"
+       ~doc:
+         "Crash-safe batch experiment orchestration: expand a grid, run it \
+          with retries and quarantine, resume after a kill, shard across \
+          supervised worker processes, garbage-collect, and report")
     [
       batch_run_cmd;
       batch_resume_cmd;
@@ -979,23 +890,13 @@ let batch_cmd =
    ci/sketch-fingerprint.txt: any encoding change that grows, shrinks or
    shifts the enumerable space fails the gate, while pure search-order
    or performance changes pass. *)
-let fingerprint dsl_name cap =
-  let dsl =
-    match Abg_dsl.Catalog.find dsl_name with
-    | Some d -> d
-    | None ->
-        Printf.eprintf "unknown DSL %s\n" dsl_name;
-        exit 1
-  in
+let fingerprint dsl_name cap () =
+  let dsl = find_dsl dsl_name in
   let enc = Abg_enum.Encode.create dsl in
   let rec go acc n =
-    if n >= cap then begin
-      Printf.eprintf
-        "fingerprint: cap of %d sketches reached before exhaustion; raise \
-         --cap\n"
-        cap;
-      exit 1
-    end
+    if n >= cap then
+      die "fingerprint: cap of %d sketches reached before exhaustion; raise --cap"
+        cap
     else
       match Abg_enum.Encode.next enc with
       | Some sk -> go (Abg_dsl.Pretty.to_string sk :: acc) (n + 1)
@@ -1015,13 +916,11 @@ let fingerprint_cap_arg =
   Arg.(value & opt int 100_000 & info [ "cap" ] ~doc)
 
 let fingerprint_cmd =
-  let info =
-    Cmd.info "fingerprint"
-      ~doc:
-        "Exhaustively enumerate a sub-DSL and print `name count digest' of \
-         the canonical sketch set (the CI completeness gate)"
-  in
-  Cmd.v info Term.(const fingerprint $ fingerprint_dsl_arg $ fingerprint_cap_arg)
+  command "fingerprint"
+    ~doc:
+      "Exhaustively enumerate a sub-DSL and print `name count digest' of the \
+       canonical sketch set (the CI completeness gate)"
+    Term.(const fingerprint $ fingerprint_dsl_arg $ fingerprint_cap_arg)
 
 (* -- serve / stream -- *)
 
@@ -1057,8 +956,7 @@ let endpoint_of socket tcp =
   | Some port -> Abg_serve.Daemon.Tcp port
   | None -> Abg_serve.Daemon.Unix_socket socket
 
-let serve socket tcp window max_sessions no_escalate telemetry =
-  with_telemetry telemetry @@ fun () ->
+let serve socket tcp window max_sessions no_escalate () =
   let escalate =
     if no_escalate then None
     else
@@ -1089,56 +987,47 @@ let serve socket tcp window max_sessions no_escalate telemetry =
   Abg_serve.Daemon.run ~config ()
 
 let serve_cmd =
-  let info =
-    Cmd.info "serve"
-      ~doc:"Run the online classifier daemon (SIGTERM drains cleanly)"
-  in
-  Cmd.v info
+  command ~telemetry:true "serve"
+    ~doc:"Run the online classifier daemon (SIGTERM drains cleanly)"
     Term.(
       const serve $ socket_arg $ tcp_arg $ window_arg $ max_sessions_arg
-      $ no_escalate_arg $ telemetry_arg)
+      $ no_escalate_arg)
 
 let json_arg =
   let doc = "Print verdicts as a JSON array instead of raw reply lines." in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-let stream socket tcp json trace_files telemetry =
-  with_telemetry telemetry @@ fun () ->
+let stream socket tcp json trace_files () =
   let flows =
     List.mapi
-      (fun i path ->
+      (fun i (path, trace) ->
         let base = Filename.remove_extension (Filename.basename path) in
-        (Printf.sprintf "s%d-%s" i base, Abg_trace.Io.load path))
-      trace_files
+        (Printf.sprintf "s%d-%s" i base, trace))
+      (List.combine trace_files (load_traces trace_files))
   in
   let lines = Abg_serve.Client.stream (endpoint_of socket tcp) flows in
   if json then begin
     let rows =
       Abg_serve.Client.verdicts lines
       |> List.map (fun (sid, window, distance, verdict) ->
-             Abg_batch.Jsonx.Obj
+             Json.Obj
                [
-                 ("sid", Abg_batch.Jsonx.Str sid);
-                 ("window", Abg_batch.Jsonx.Num (float_of_int window));
-                 ("distance", Abg_batch.Jsonx.hex distance);
-                 ("verdict", Abg_batch.Jsonx.Str verdict);
+                 ("sid", Json.Str sid);
+                 ("window", Json.Num (float_of_int window));
+                 ("distance", Json.hex distance);
+                 ("verdict", Json.Str verdict);
                ])
     in
-    print_endline (Abg_batch.Jsonx.to_string (Abg_batch.Jsonx.List rows))
+    print_endline (Json.to_string (Json.List rows))
   end
   else List.iter print_endline lines
 
 let stream_cmd =
-  let info =
-    Cmd.info "stream"
-      ~doc:
-        "Stream trace files to a running serve daemon as concurrent \
-         sessions and report the verdicts"
-  in
-  Cmd.v info
-    Term.(
-      const stream $ socket_arg $ tcp_arg $ json_arg $ trace_files_arg
-      $ telemetry_arg)
+  command ~telemetry:true "stream"
+    ~doc:
+      "Stream trace files to a running serve daemon as concurrent sessions \
+       and report the verdicts"
+    Term.(const stream $ socket_arg $ tcp_arg $ json_arg $ trace_files_arg)
 
 (* -- fuzz -- *)
 
@@ -1163,7 +1052,7 @@ type fuzz_spec = {
 }
 
 let fuzz_spec_to_json s =
-  let open Abg_batch.Jsonx in
+  let open Json in
   let p = s.fz_params in
   Obj
     [
@@ -1184,7 +1073,7 @@ let fuzz_spec_to_json s =
     ]
 
 let fuzz_spec_of_json json =
-  let open Abg_batch.Jsonx in
+  let open Json in
   let ctx = "fuzz" in
   let fitness_token = str ~ctx (member ~ctx "fitness" json) in
   let fz_fitness =
@@ -1215,35 +1104,16 @@ let fuzz_spec_of_json json =
     fz_synth_duration = hex_float (member ~ctx "synth_duration" json);
   }
 
-let rec fuzz_mkdir_p path =
-  if not (Sys.file_exists path) then begin
-    fuzz_mkdir_p (Filename.dirname path);
-    try Sys.mkdir path 0o755 with Sys_error _ when Sys.file_exists path -> ()
-  end
-
 let write_fuzz_spec dir spec =
-  fuzz_mkdir_p dir;
-  let path = fuzz_spec_path dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (Abg_batch.Jsonx.to_string (fuzz_spec_to_json spec));
-  output_string oc "\n";
-  close_out oc;
-  Sys.rename tmp path
+  Abg_batch.Durable.replace (fuzz_spec_path dir)
+    (Json.to_string (fuzz_spec_to_json spec) ^ "\n")
 
 let read_fuzz_spec dir =
   let path = fuzz_spec_path dir in
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "%s: no fuzz run here (missing fuzz.json)\n" dir;
-    exit 1
-  end;
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  fuzz_spec_of_json (Abg_batch.Jsonx.parse content)
+  if not (Sys.file_exists path) then
+    die "%s: no fuzz run here (missing fuzz.json)" dir;
+  try fuzz_spec_of_json (Json.of_file path)
+  with Json.Malformed msg -> die "%s: %s" path msg
 
 (* The scenario impairment seed is the search seed: one --seed pins the
    entire run. *)
@@ -1266,13 +1136,11 @@ let fuzz_champion_config spec genome =
    initializing the generation grid first and fanning out `batch resume
    GENDIR --worker i/n` children — each generation directory is a
    perfectly ordinary batch run). *)
-let fuzz_drive ~dir ~settings ~workers ~retries ~timeout ~domains
-    ~flush_window ~checkpoint_every ~verbose spec =
+let fuzz_drive ~dir ~settings ~workers spec =
   let bspec = fuzz_batch_spec spec in
   Abg_fuzz.Search.run ~params:spec.fz_params ~evaluate:(fun ~gen genomes ->
-      (match workers with
-      | None -> ()
-      | Some w ->
+      Option.iter
+        (fun w ->
           let gdir = Abg_batch.Fuzz_batch.gen_dir dir gen in
           if not (Sys.file_exists (Abg_batch.Runner.grid_path gdir)) then begin
             let jobs =
@@ -1282,9 +1150,8 @@ let fuzz_drive ~dir ~settings ~workers ~retries ~timeout ~domains
             in
             Abg_batch.Runner.init ~dir:gdir jobs
           end;
-          run_workers ~dir:gdir ~workers:w ~retries ~timeout ~max_jobs:None
-            ~domains ~flush_window ~checkpoint_every
-            ~seed:spec.fz_params.Abg_fuzz.Search.seed ~verbose);
+          run_workers ~dir:gdir ~workers:w settings)
+        workers;
       Abg_batch.Fuzz_batch.evaluate ~dir ~settings bspec ~gen genomes)
 
 let fuzz_gene_table genome =
@@ -1320,11 +1187,6 @@ let fuzz_grid_baseline spec =
    synthesis trace suite and re-run synthesis — the loop the paper's
    pipeline closes with adversarially mined scenarios. *)
 let fuzz_refine spec champion_cfg =
-  let ctor =
-    match Abg_cca.Registry.find spec.fz_cca with
-    | Some c -> c
-    | None -> failwith ("unknown CCA " ^ spec.fz_cca)
-  in
   let configs =
     Abg_netsim.Config.testbed_grid ~duration:spec.fz_synth_duration
       ~n:spec.fz_synth_scenarios ()
@@ -1336,10 +1198,11 @@ let fuzz_refine spec champion_cfg =
       Abg_core.Refinement.seed = spec.fz_params.Abg_fuzz.Search.seed;
     }
   in
-  Abg_core.Synthesis.run_configs ~config ~configs ~name:spec.fz_cca ctor
+  Abg_core.Synthesis.run_configs ~config ~configs ~name:spec.fz_cca
+    (find_cca spec.fz_cca)
 
 let fuzz_report_doc spec (result : Abg_fuzz.Search.result) =
-  let open Abg_batch.Jsonx in
+  let open Json in
   let champion_cfg = fuzz_champion_config spec result.Abg_fuzz.Search.champion in
   let generations =
     List.map
@@ -1416,7 +1279,7 @@ let fuzz_report_doc spec (result : Abg_fuzz.Search.result) =
     @ extras)
 
 let fuzz_render_text spec (result : Abg_fuzz.Search.result) doc =
-  let open Abg_batch.Jsonx in
+  let open Json in
   let buf = Buffer.create 2048 in
   let p = spec.fz_params in
   Buffer.add_string buf
@@ -1532,73 +1395,54 @@ let fuzz_json_arg =
   let doc = "Print the report as canonical JSON (what CI pins)." in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-let fuzz_settings ~retries ~domains ~seed ~verbose =
-  batch_settings ~retries ~timeout:None ~shard:None ~worker:None
-    ~max_jobs:None ~domains ~flush_window:0.0 ~checkpoint_every:1024 ~seed
-    ~verbose
-
-let fuzz_finish ~dir ~settings ~workers ~retries ~domains ~verbose ~json spec
-    =
-  let result =
-    fuzz_drive ~dir ~settings ~workers ~retries ~timeout:None ~domains
-      ~flush_window:0.0 ~checkpoint_every:1024 ~verbose spec
-  in
+let fuzz_finish ~dir ~settings ~workers ~json spec =
+  let result = fuzz_drive ~dir ~settings ~workers spec in
   let doc = fuzz_report_doc spec result in
-  if json then print_endline (Abg_batch.Jsonx.to_string doc)
+  if json then print_endline (Json.to_string doc)
   else print_string (fuzz_render_text spec result doc)
 
 let fuzz_run dir fitness cca cca_b generations pop duration synth_scenarios
-    synth_duration seed retries domains workers json verbose telemetry =
-  with_telemetry telemetry @@ fun () ->
+    synth_duration settings workers json () =
+  let refinement = settings.Abg_batch.Runner.refinement in
+  let seed = refinement.Abg_core.Refinement.seed in
   let fz_fitness =
     match Abg_fuzz.Fitness.kind_of_name fitness with
     | Some k -> k
     | None ->
-        Printf.eprintf
-          "unknown fitness %s (want divergence, counterexample, or \
-           throughput)\n"
-          fitness;
-        exit 1
+        die
+          "unknown fitness %s (want divergence, counterexample, or throughput)"
+          fitness
   in
   List.iter
-    (fun c ->
-      if Abg_cca.Registry.find c = None then begin
-        Printf.eprintf "unknown CCA %s; try `abagnale list'\n" c;
-        exit 1
-      end)
+    (fun c -> ignore (find_cca c : Abg_cca.Cca_sig.constructor))
     (cca
     :: (match fz_fitness with
        | Abg_fuzz.Fitness.Divergence -> [ cca_b ]
        | _ -> []));
-  if Sys.file_exists (fuzz_spec_path dir) then begin
-    Printf.eprintf "%s already contains a fuzz run; use `fuzz resume'\n" dir;
-    exit 1
-  end;
-  let settings = fuzz_settings ~retries ~domains ~seed ~verbose in
+  if Sys.file_exists (fuzz_spec_path dir) then
+    die "%s already contains a fuzz run; use `fuzz resume'" dir;
   (* The counterexample target is synthesized up front and frozen into
      the spec: every generation attacks the same handler. *)
   let fz_handler =
     match fz_fitness with
     | Abg_fuzz.Fitness.Counterexample -> (
-        let ctor = Option.get (Abg_cca.Registry.find cca) in
-        let config =
-          { Abg_core.Refinement.default_config with Abg_core.Refinement.seed }
-        in
         let configs =
           Abg_netsim.Config.testbed_grid ~duration:synth_duration
             ~n:synth_scenarios ()
         in
-        match Abg_core.Synthesis.run_configs ~config ~configs ~name:cca ctor with
+        match
+          Abg_core.Synthesis.run_configs ~config:refinement ~configs ~name:cca
+            (find_cca cca)
+        with
         | Some o ->
             Printf.eprintf "synthesized %s target: %s (distance %.3f)\n%!" cca
               o.Abg_core.Synthesis.pretty o.Abg_core.Synthesis.distance;
             Some (Abg_fuzz.Codec.encode_num o.Abg_core.Synthesis.handler)
         | None ->
-            Printf.eprintf
+            die
               "counterexample fuzzing needs a synthesized handler, but \
-               synthesis found none for %s\n"
-              cca;
-            exit 1)
+               synthesis found none for %s"
+              cca)
     | _ -> None
   in
   let spec =
@@ -1623,70 +1467,68 @@ let fuzz_run dir fitness cca cca_b generations pop duration synth_scenarios
     }
   in
   write_fuzz_spec dir spec;
-  fuzz_finish ~dir ~settings ~workers ~retries ~domains ~verbose ~json spec
+  fuzz_finish ~dir ~settings ~workers ~json spec
 
 let fuzz_run_cmd =
-  let info =
-    Cmd.info "run"
-      ~doc:
-        "Start a seeded adversarial scenario search: evolve extended \
-         netsim scenarios against a fitness function, evaluating each \
-         generation as batch jobs under DIR/gen-NNNN"
-  in
-  Cmd.v info
+  command ~telemetry:true "run"
+    ~doc:
+      "Start a seeded adversarial scenario search: evolve extended netsim \
+       scenarios against a fitness function, evaluating each generation as \
+       batch jobs under DIR/gen-NNNN"
     Term.(
       const fuzz_run $ batch_dir_arg $ fuzz_fitness_arg $ fuzz_cca_arg
       $ fuzz_cca_b_arg $ fuzz_generations_arg $ fuzz_pop_arg
       $ fuzz_duration_arg $ fuzz_synth_scenarios_arg $ fuzz_synth_duration_arg
-      $ seed_arg $ retries_arg $ domains_arg $ workers_arg $ fuzz_json_arg
-      $ verbose_arg $ telemetry_arg)
+      $ settings_term ~batch:false ~worker:false ~seed:true
+      $ workers_arg $ fuzz_json_arg)
 
-let fuzz_resume dir retries domains workers json verbose telemetry =
-  with_telemetry telemetry @@ fun () ->
+(* The search seed lives in the spec, so resuming takes no --seed. *)
+let fuzz_resume dir settings workers json () =
   let spec = read_fuzz_spec dir in
   let settings =
-    fuzz_settings ~retries ~domains ~seed:spec.fz_params.Abg_fuzz.Search.seed
-      ~verbose
+    {
+      settings with
+      Abg_batch.Runner.refinement =
+        {
+          settings.Abg_batch.Runner.refinement with
+          Abg_core.Refinement.seed = spec.fz_params.Abg_fuzz.Search.seed;
+        };
+    }
   in
-  fuzz_finish ~dir ~settings ~workers ~retries ~domains ~verbose ~json spec
+  fuzz_finish ~dir ~settings ~workers ~json spec
+
+(* `fuzz resume' and `fuzz report' are one command under two names. *)
+let fuzz_resume_term =
+  Term.(
+    const fuzz_resume $ batch_dir_arg
+    $ settings_term ~batch:false ~worker:false ~seed:false
+    $ workers_arg $ fuzz_json_arg)
 
 let fuzz_resume_cmd =
-  let info =
-    Cmd.info "resume"
-      ~doc:
-        "Re-drive a fuzz run from its spec: populations re-derive from \
-         the seed, settled evaluations replay from the generation \
-         journals, and only missing work executes (idempotent)"
-  in
-  Cmd.v info
-    Term.(
-      const fuzz_resume $ batch_dir_arg $ retries_arg $ domains_arg
-      $ workers_arg $ fuzz_json_arg $ verbose_arg $ telemetry_arg)
+  command ~telemetry:true "resume"
+    ~doc:
+      "Re-drive a fuzz run from its spec: populations re-derive from the \
+       seed, settled evaluations replay from the generation journals, and \
+       only missing work executes (idempotent)"
+    fuzz_resume_term
 
 let fuzz_report_cmd =
-  let info =
-    Cmd.info "report"
-      ~doc:
-        "Render the deterministic fuzz report (per-generation best/mean, \
-         champion genome and scenario, grid-baseline comparison or \
-         counterexample refinement); completes any unfinished \
-         evaluations first, so it equals the report of an uninterrupted \
-         run byte for byte"
-  in
-  Cmd.v info
-    Term.(
-      const fuzz_resume $ batch_dir_arg $ retries_arg $ domains_arg
-      $ workers_arg $ fuzz_json_arg $ verbose_arg $ telemetry_arg)
+  command ~telemetry:true "report"
+    ~doc:
+      "Render the deterministic fuzz report (per-generation best/mean, \
+       champion genome and scenario, grid-baseline comparison or \
+       counterexample refinement); completes any unfinished evaluations \
+       first, so it equals the report of an uninterrupted run byte for byte"
+    fuzz_resume_term
 
 let fuzz_cmd =
-  let info =
-    Cmd.info "fuzz"
-      ~doc:
-        "Adversarial scenario search: a seeded genetic fuzzer over the \
-         extended netsim scenario space (cross-traffic, bandwidth steps, \
-         outages, reordering, RED), with batch-backed generations"
-  in
-  Cmd.group info [ fuzz_run_cmd; fuzz_resume_cmd; fuzz_report_cmd ]
+  Cmd.group
+    (Cmd.info "fuzz"
+       ~doc:
+         "Adversarial scenario search: a seeded genetic fuzzer over the \
+          extended netsim scenario space (cross-traffic, bandwidth steps, \
+          outages, reordering, RED), with batch-backed generations")
+    [ fuzz_run_cmd; fuzz_resume_cmd; fuzz_report_cmd ]
 
 (* -- list -- *)
 
@@ -1700,8 +1542,7 @@ let list_all () =
        (List.map (fun d -> d.Abg_dsl.Catalog.name) Abg_dsl.Catalog.all))
 
 let list_cmd =
-  let info = Cmd.info "list" ~doc:"List available CCAs and sub-DSLs" in
-  Cmd.v info Term.(const list_all $ const ())
+  command "list" ~doc:"List available CCAs and sub-DSLs" (Term.const list_all)
 
 let main_cmd =
   let doc = "reverse-engineer congestion control algorithm behavior" in

@@ -19,6 +19,8 @@ type spec = {
   scenario_seed : int;  (** impairment seed shared by every scenario *)
 }
 
+open Abg_util
+
 let ( / ) = Filename.concat
 
 let gen_dir dir gen = dir / Printf.sprintf "gen-%04d" gen
@@ -70,10 +72,10 @@ let evaluate ~dir ~settings (spec : spec) ~gen genomes =
     (fun (e : Journal.entry) ->
       match (e.Journal.status, e.Journal.result) with
       | Journal.Ok, Some blob -> (
-          match Jsonx.parse (Store.get store blob) with
+          match Json.parse (Store.get store blob) with
           | doc -> (
-              match Jsonx.member_opt "value" doc with
-              | Some v -> Hashtbl.replace values e.Journal.job (Jsonx.hex_float v)
+              match Json.member_opt "value" doc with
+              | Some v -> Hashtbl.replace values e.Journal.job (Json.hex_float v)
               | None -> ())
           | exception _ -> ())
       | _ -> Hashtbl.replace values e.Journal.job failed_fitness)

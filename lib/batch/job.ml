@@ -1,6 +1,8 @@
 (* Job specs: serializable descriptions of every experiment in the
    evaluation grid. See job.mli. *)
 
+open Abg_util
+
 type kind =
   | Collect
   | Synthesize of { dsl : string option }
@@ -102,96 +104,96 @@ let to_json job =
     match job.kind with
     | Collect | Classify -> []
     | Synthesize { dsl } ->
-        [ ("dsl", match dsl with None -> Jsonx.Null | Some d -> Jsonx.Str d) ]
+        [ ("dsl", match dsl with None -> Json.Null | Some d -> Json.Str d) ]
     | Noise { stddev; keep } ->
-        [ ("stddev", Jsonx.hex stddev); ("keep", Jsonx.hex keep) ]
+        [ ("stddev", Json.hex stddev); ("keep", Json.hex keep) ]
     | Probe { fail_attempts; sleep_ms } ->
         [
-          ("fail_attempts", Jsonx.Num (float_of_int fail_attempts));
-          ("sleep_ms", Jsonx.Num (float_of_int sleep_ms));
+          ("fail_attempts", Json.Num (float_of_int fail_attempts));
+          ("sleep_ms", Json.Num (float_of_int sleep_ms));
         ]
     | Fuzz_eval { fitness; cca_b; handler; genome } ->
         [
-          ("fitness", Jsonx.Str fitness);
-          ("cca_b", match cca_b with None -> Jsonx.Null | Some c -> Jsonx.Str c);
-          ("fn", match handler with None -> Jsonx.Null | Some h -> Jsonx.Str h);
-          ("genome", Jsonx.Str genome);
+          ("fitness", Json.Str fitness);
+          ("cca_b", match cca_b with None -> Json.Null | Some c -> Json.Str c);
+          ("fn", match handler with None -> Json.Null | Some h -> Json.Str h);
+          ("genome", Json.Str genome);
         ]
   in
-  Jsonx.Obj
+  Json.Obj
     ([
-       ("schema", Jsonx.Str "abagnale-job/1");
-       ("kind", Jsonx.Str (kind_name job.kind));
+       ("schema", Json.Str "abagnale-job/1");
+       ("kind", Json.Str (kind_name job.kind));
      ]
     @ kind_fields
     @ [
-        ("cca", Jsonx.Str job.cca);
-        ("seed", Jsonx.Num (float_of_int job.seed));
+        ("cca", Json.Str job.cca);
+        ("seed", Json.Num (float_of_int job.seed));
         ("configs",
-         Jsonx.List
+         Json.List
            (List.map
-              (fun cfg -> Jsonx.Str (Abg_netsim.Config.digest cfg))
+              (fun cfg -> Json.Str (Abg_netsim.Config.digest cfg))
               job.configs));
       ])
 
 let of_json json =
   let ctx = "job" in
   let kind =
-    match Jsonx.str ~ctx (Jsonx.member ~ctx "kind" json) with
+    match Json.str ~ctx (Json.member ~ctx "kind" json) with
     | "collect" -> Collect
     | "classify" -> Classify
     | "synth" ->
         Synthesize
           {
             dsl =
-              (match Jsonx.member ~ctx "dsl" json with
-              | Jsonx.Null -> None
-              | j -> Some (Jsonx.str ~ctx:"job.dsl" j));
+              (match Json.member ~ctx "dsl" json with
+              | Json.Null -> None
+              | j -> Some (Json.str ~ctx:"job.dsl" j));
           }
     | "noise" ->
         Noise
           {
-            stddev = Jsonx.hex_float (Jsonx.member ~ctx "stddev" json);
-            keep = Jsonx.hex_float (Jsonx.member ~ctx "keep" json);
+            stddev = Json.hex_float (Json.member ~ctx "stddev" json);
+            keep = Json.hex_float (Json.member ~ctx "keep" json);
           }
     | "probe" ->
         Probe
           {
             fail_attempts =
-              Jsonx.int ~ctx (Jsonx.member ~ctx "fail_attempts" json);
-            sleep_ms = Jsonx.int ~ctx (Jsonx.member ~ctx "sleep_ms" json);
+              Json.int ~ctx (Json.member ~ctx "fail_attempts" json);
+            sleep_ms = Json.int ~ctx (Json.member ~ctx "sleep_ms" json);
           }
     | "fuzz" ->
         Fuzz_eval
           {
-            fitness = Jsonx.str ~ctx (Jsonx.member ~ctx "fitness" json);
+            fitness = Json.str ~ctx (Json.member ~ctx "fitness" json);
             cca_b =
-              (match Jsonx.member ~ctx "cca_b" json with
-              | Jsonx.Null -> None
-              | j -> Some (Jsonx.str ~ctx:"job.cca_b" j));
+              (match Json.member ~ctx "cca_b" json with
+              | Json.Null -> None
+              | j -> Some (Json.str ~ctx:"job.cca_b" j));
             handler =
-              (match Jsonx.member ~ctx "fn" json with
-              | Jsonx.Null -> None
-              | j -> Some (Jsonx.str ~ctx:"job.fn" j));
-            genome = Jsonx.str ~ctx:"job.genome" (Jsonx.member ~ctx "genome" json);
+              (match Json.member ~ctx "fn" json with
+              | Json.Null -> None
+              | j -> Some (Json.str ~ctx:"job.fn" j));
+            genome = Json.str ~ctx:"job.genome" (Json.member ~ctx "genome" json);
           }
-    | other -> raise (Jsonx.Malformed ("job: unknown kind " ^ other))
+    | other -> raise (Json.Malformed ("job: unknown kind " ^ other))
   in
   let configs =
-    Jsonx.list ~ctx (Jsonx.member ~ctx "configs" json)
+    Json.list ~ctx (Json.member ~ctx "configs" json)
     |> List.map (fun j ->
-           let s = Jsonx.str ~ctx:"job.configs" j in
+           let s = Json.str ~ctx:"job.configs" j in
            match Abg_netsim.Config.of_digest s with
            | Some cfg -> cfg
-           | None -> raise (Jsonx.Malformed ("job: bad config digest " ^ s)))
+           | None -> raise (Json.Malformed ("job: bad config digest " ^ s)))
   in
   {
     kind;
-    cca = Jsonx.str ~ctx:"job.cca" (Jsonx.member ~ctx "cca" json);
-    seed = Jsonx.int ~ctx:"job.seed" (Jsonx.member ~ctx "seed" json);
+    cca = Json.str ~ctx:"job.cca" (Json.member ~ctx "cca" json);
+    seed = Json.int ~ctx:"job.seed" (Json.member ~ctx "seed" json);
     configs;
   }
 
-let digest job = Digest.to_hex (Digest.string (Jsonx.to_string (to_json job)))
+let digest job = Digest.to_hex (Digest.string (Json.to_string (to_json job)))
 
 let compare_canonical a b = String.compare (digest a) (digest b)

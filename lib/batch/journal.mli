@@ -1,7 +1,7 @@
 (** Append-only, fsync'd journal of job completions, with checkpoints.
 
     One line per terminal job outcome, in canonical JSON
-    ({!Jsonx.to_string}), flushed and fsync'd before {!append} (or
+    ({!Abg_util.Json.to_string}), flushed and fsync'd before {!append} (or
     {!append_batch}, which pays one write and one fsync for a whole
     batch — the group-commit primitive) returns — after a crash the
     journal holds every completion that was acknowledged, plus at most
@@ -43,7 +43,7 @@ val entry_to_line : entry -> string
 (** Canonical one-line rendering (no newline). *)
 
 val entry_of_line : string -> entry
-(** Raises {!Jsonx.Malformed} on anything but a canonical line. *)
+(** Raises {!Abg_util.Json.Malformed} on anything but a canonical line. *)
 
 type t
 
@@ -76,7 +76,7 @@ val replay : string -> entry list
     an empty journal; a torn final line (crash mid-append) is
     discarded, as is an invalid final checkpoint record; a malformed
     {e interior} line — outcome or checkpoint — raises
-    {!Jsonx.Malformed}: that is corruption, not a crash artifact. *)
+    {!Abg_util.Json.Malformed}: that is corruption, not a crash artifact. *)
 
 val replay_checkpointed : string -> entry list
 (** Same outcome set as {!replay}, but O(outstanding): scan backwards

@@ -1,98 +1,1 @@
-(* Canonical JSON writer over the parsed representation of
-   Abg_obs.Report (which also supplies the reader). See jsonx.mli for
-   the determinism contract. *)
-
-type t = Abg_obs.Report.json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of t list
-  | Obj of (string * t) list
-
-exception Malformed of string
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Exact integers (the common case: counts, seeds) print as integers so
-   the output is stable and readable; everything else gets %.17g, which
-   round-trips any finite double. *)
-let num_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%d" (int_of_float f)
-  else Printf.sprintf "%.17g" f
-
-let to_string json =
-  let buf = Buffer.create 256 in
-  let rec emit = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f -> Buffer.add_string buf (num_to_string f)
-    | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-    | List items ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
-            emit item)
-          items;
-        Buffer.add_char buf ']'
-    | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            emit (Str k);
-            Buffer.add_char buf ':';
-            emit v)
-          fields;
-        Buffer.add_char buf '}'
-  in
-  emit json;
-  Buffer.contents buf
-
-let parse = Abg_obs.Report.parse
-
-let hex f = Str (Printf.sprintf "%h" f)
-
-let hex_float = function
-  | Str s -> (
-      try float_of_string s
-      with Failure _ -> raise (Malformed ("not a hex float: " ^ s)))
-  | _ -> raise (Malformed "hex float field is not a string")
-
-let member_opt = Abg_obs.Report.member
-
-let member ~ctx key json =
-  match member_opt key json with
-  | Some v -> v
-  | None -> raise (Malformed (ctx ^ ": missing field " ^ key))
-
-let str ~ctx = function
-  | Str s -> s
-  | _ -> raise (Malformed (ctx ^ ": expected string"))
-
-let int ~ctx = function
-  | Num f when Float.is_integer f -> int_of_float f
-  | _ -> raise (Malformed (ctx ^ ": expected integer"))
-
-let list ~ctx = function
-  | List items -> items
-  | _ -> raise (Malformed (ctx ^ ": expected list"))
+include Abg_util.Json

@@ -19,6 +19,8 @@
    complete after any crash. A torn pack tail (kill mid-append) simply
    ends the scan: the torn record's blob was never acknowledged. *)
 
+open Abg_util
+
 type pack_record = { offset : int; bytes : int }
 
 type t = {
@@ -40,7 +42,7 @@ type t = {
 exception Corrupt of string
 
 let schema = "abagnale-store/2"
-let manifest_content = "{\"schema\":\"" ^ schema ^ "\"}\n"
+let manifest_content = Json.to_string (Json.Obj [ ("schema", Json.Str schema) ]) ^ "\n"
 
 (* Skipped-verification reads and GC sweeps depend on CLI flags and
    crash history, not on workload alone — volatile, like the other
@@ -52,54 +54,13 @@ let obs_gc_swept = Abg_obs.Obs.Counter.make ~volatile:true "batch.gc_swept"
 
 let ( / ) = Filename.concat
 
-let mkdir_p path =
-  let rec go path =
-    if not (Sys.file_exists path) then begin
-      go (Filename.dirname path);
-      try Sys.mkdir path 0o755
-      with Sys_error _ when Sys.file_exists path -> ()
-    end
-  in
-  go path
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Unsynced write — for loose copies whose durable twin is a fsync'd
    pack record. A kill mid-write leaves a short file, which the next
    open's size check catches and rewrites. *)
 let write_file path content =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc content)
-
-(* Durable write: all bytes down, fsync'd, before the caller renames the
-   file into its content-addressed slot. *)
-let write_file_sync path content =
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let n = String.length content in
-      let written = Unix.write_substring fd content 0 n in
-      if written <> n then failwith "Store: short write";
-      Unix.fsync fd)
-
-(* Make a rename durable: fsync the containing directory so the new
-   directory entry itself survives a crash. *)
-let fsync_dir path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+  Out_channel.with_open_bin path (fun oc -> output_string oc content)
 
 let fsync_path path =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
@@ -142,10 +103,10 @@ let scan_pack path ~f =
           (try
              while pos_in ic < total do
                let header = input_line ic in
-               let json = Jsonx.parse header in
+               let json = Json.parse header in
                let ctx = "pack" in
-               let digest = Jsonx.str ~ctx (Jsonx.member ~ctx "blob" json) in
-               let bytes = Jsonx.int ~ctx (Jsonx.member ~ctx "bytes" json) in
+               let digest = Json.str ~ctx (Json.member ~ctx "blob" json) in
+               let bytes = Json.int ~ctx (Json.member ~ctx "bytes" json) in
                if bytes < 0 || String.length digest <> 32 then raise Exit;
                let content_pos = pos_in ic in
                if content_pos + bytes + 1 > total then raise Exit;
@@ -155,8 +116,7 @@ let scan_pack path ~f =
                valid := pos_in ic
              done
            with
-          | End_of_file | Exit | Jsonx.Malformed _ | Failure _ -> ()
-          | Abg_obs.Report.Parse_error _ -> ());
+          | End_of_file | Exit | Json.Malformed _ | Failure _ -> ());
           !valid)
 
 (* -- open-time recovery -- *)
@@ -175,7 +135,7 @@ let materialize t digest content =
   let tmp = next_tmp t in
   write_file tmp content;
   let path = blob_path t digest in
-  mkdir_p (Filename.dirname path);
+  Durable.mkdir_p (Filename.dirname path);
   Sys.rename tmp path
 
 (* Re-materialize every pack-covered blob whose loose copy is missing
@@ -253,7 +213,7 @@ let open_own_pack t =
   t.pack_len <- valid
 
 let open_ ?(deferred = false) root =
-  mkdir_p root;
+  Durable.mkdir_p root;
   let t =
     {
       root;
@@ -267,9 +227,9 @@ let open_ ?(deferred = false) root =
       pack_len = 0;
     }
   in
-  mkdir_p (blobs_dir t);
-  mkdir_p (tmp_dir t);
-  mkdir_p (pack_dir t);
+  Durable.mkdir_p (blobs_dir t);
+  Durable.mkdir_p (tmp_dir t);
+  Durable.mkdir_p (pack_dir t);
   recover_packs t;
   ignore (sweep_tmp t);
   let manifest = manifest_path root in
@@ -281,12 +241,10 @@ let open_ ?(deferred = false) root =
            (Printf.sprintf "store manifest mismatch at %s: %S" manifest
               (String.trim found)))
   end
-  else begin
-    let tmp = tmp_dir t / Printf.sprintf "manifest.%d" (Unix.getpid ()) in
-    write_file_sync tmp manifest_content;
-    Sys.rename tmp manifest;
-    fsync_dir root
-  end;
+  else
+    Durable.replace
+      ~tmp:(tmp_dir t / Printf.sprintf "manifest.%d" (Unix.getpid ()))
+      manifest manifest_content;
   if deferred then open_own_pack t;
   t
 
@@ -296,15 +254,9 @@ let dir t = t.root
 
 let put_immediate t digest content =
   let path = blob_path t digest in
-  if not (Sys.file_exists path) then begin
-    let tmp = next_tmp t in
-    write_file_sync tmp content;
-    mkdir_p (Filename.dirname path);
-    (* Concurrent puts of the same content race benignly: both rename
-       identical bytes onto the same path, and rename is atomic. *)
-    Sys.rename tmp path;
-    fsync_dir (Filename.dirname path)
-  end
+  (* Concurrent puts of the same content race benignly: both rename
+     identical bytes onto the same path, and rename is atomic. *)
+  if not (Sys.file_exists path) then Durable.replace ~tmp:(next_tmp t) path content
 
 let put t content =
   let digest = digest_hex content in
@@ -341,8 +293,13 @@ let flush_staged t =
               List.map
                 (fun (digest, content) ->
                   let header =
-                    Printf.sprintf "{\"blob\":\"%s\",\"bytes\":%d}\n" digest
-                      (String.length content)
+                    Json.to_string
+                      (Json.Obj
+                         [
+                           ("blob", Json.Str digest);
+                           ("bytes", Json.Num (float_of_int (String.length content)));
+                         ])
+                    ^ "\n"
                   in
                   let offset =
                     t.pack_len + Buffer.length buf + String.length header
@@ -479,7 +436,7 @@ let fold_pack t path =
          in
          if not valid then materialize t digest content;
          fsync_path loose;
-         fsync_dir (Filename.dirname loose)));
+         Durable.fsync_dir (Filename.dirname loose)));
   Sys.remove path
 
 let gc t ~live =
@@ -495,7 +452,7 @@ let gc t ~live =
             incr packs_folded
           end)
         names);
-  if !packs_folded > 0 then fsync_dir (pack_dir t);
+  if !packs_folded > 0 then Durable.fsync_dir (pack_dir t);
   let kept = ref 0 and swept = ref 0 and dirs_pruned = ref 0 in
   let subs = try Sys.readdir (blobs_dir t) with Sys_error _ -> [||] in
   Array.iter
@@ -519,7 +476,7 @@ let gc t ~live =
           incr dirs_pruned
       | _ -> ())
     subs;
-  if !swept > 0 || !dirs_pruned > 0 then fsync_dir (blobs_dir t);
+  if !swept > 0 || !dirs_pruned > 0 then Durable.fsync_dir (blobs_dir t);
   (* Offline contract: no concurrent writers, so every tmp leftover is
      garbage regardless of whose pid it carries. *)
   let tmp_swept = sweep_tmp ~all:true t in

@@ -6,10 +6,9 @@
     [Online] hoists the per-reference work to construction time: each
     reference trace's observed-CWND series is resampled and normalized
     once ({!Abg_distance.Metric.prepare}), and a query window is then
-    scored straight out of its ring buffer with
-    {!Abg_distance.Metric.compute_prepared_window} through one reused
-    scratch buffer, so steady-state classification allocates almost
-    nothing. A fixed cutoff lets hopeless references abandon early,
+    resampled once into a reused scratch buffer and scored against every
+    reference with {!Abg_distance.Metric.compute_resampled}, so
+    steady-state classification allocates almost nothing. A fixed cutoff lets hopeless references abandon early,
     bounding worst-case query latency.
 
     Verdicts are a pure function of the window contents — reference

@@ -81,9 +81,7 @@ type result = {
           run's own (single, persistent) enumerator. Per-instance
           accounting, so the field is exact even when several refinement
           runs execute concurrently (batch jobs) or telemetry is
-          disabled. With symmetry breaking on, the ["duplicate"] entry
-          stays at zero: commutative duplicates are excluded inside the
-          encoding rather than enumerated and folded. *)
+          disabled. *)
   prune_rate : float;
       (** fraction of decoded sketches pruned before simulation *)
   solver : Abg_sat.Solver.stats;

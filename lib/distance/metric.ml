@@ -113,43 +113,12 @@ let dispatch ?cutoff { kind; length; reference; env_lo; env_hi; _ } candidate'
 let compute_prepared ?cutoff ({ length; scale; _ } as prepared) ~candidate =
   dispatch ?cutoff prepared (Series.prepare_candidate ~length ~scale candidate)
 
-(** [compute_prepared_window ?cutoff ?scratch ?scale prepared ~get ~len]
-    is {!compute_prepared} for a candidate read through an accessor — the
-    serving layer's windowed kernel, scoring a per-flow sliding window
-    directly out of its ring buffer ([get i] is the i-th value of the
-    window, oldest first). [scratch] (length [prepared.length]) is
-    overwritten with the resampled candidate and reused across calls, so
-    steady-state scoring allocates nothing.
-
-    [scale] overrides the truth-derived candidate scale (default
-    [prepared.scale]). Synthesis scoring must keep the default — a
-    candidate shrinking its error by inflating its output is the exact
-    gaming the shared scale prevents — but classification of a {e
-    measured} flow window is shape matching between different scenarios,
-    where the query self-normalizes (pass [1 /. window_mean]) to be
-    comparable against a unit-mean reference.
-
-    Same early-abandon contract as {!compute_prepared}: with [?cutoff]
-    the result is [infinity] once the distance provably exceeds it,
-    exact at or below. With the default scale, bit-identical to
-    [compute_prepared prepared ~candidate:(Array.init len get)]. *)
-let compute_prepared_window ?cutoff ?scratch ?scale prepared ~get ~len =
-  let dst =
-    match scratch with
-    | Some a when Array.length a = prepared.length -> a
-    | Some _ | None -> Array.make prepared.length 0.0
-  in
-  let scale = Option.value ~default:prepared.scale scale in
-  Series.prepare_candidate_into ~get ~len ~scale dst;
-  dispatch ?cutoff prepared dst
-
 (** [compute_resampled ?cutoff prepared ~candidate] scores a candidate
     that is {e already} in the prepared space — resampled to
     [prepared.length] and scaled (e.g. by {!Series.prepare_candidate_into}).
     The serving layer's scoring loop compares one query window against
     hundreds of same-length references; resampling once and dispatching
-    here, instead of calling {!compute_prepared_window} per reference,
-    removes the redundant per-reference resample. Raises
+    here removes a redundant per-reference resample. Raises
     [Invalid_argument] on a length mismatch — a misprepared candidate
     would otherwise score garbage silently. *)
 let compute_resampled ?cutoff prepared ~candidate =

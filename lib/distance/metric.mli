@@ -35,27 +35,6 @@ val compute_prepared :
     [cutoff] abandons early with [infinity] once the distance provably
     (strictly) exceeds it; results at or below the cutoff are exact. *)
 
-val compute_prepared_window :
-  ?cutoff:float ->
-  ?scratch:float array ->
-  ?scale:float ->
-  prepared ->
-  get:(int -> float) ->
-  len:int ->
-  float
-(** [compute_prepared_window prepared ~get ~len] is {!compute_prepared}
-    for a candidate read through an accessor ([get i], [i] in
-    [0 .. len-1], oldest first) — the windowed kernel for scoring a
-    sliding window straight out of its ring buffer. [scratch] (length =
-    the prepared length) is overwritten and reusable across calls, making
-    steady-state scoring allocation-free. [scale] overrides the
-    truth-derived candidate scale: synthesis scoring must keep the
-    default (anti-gaming), but classification of a measured flow window
-    passes its own [1 /. mean] to shape-match a unit-mean reference.
-    Same [?cutoff] early-abandon contract; with the default scale,
-    bit-identical to materializing the window and calling
-    {!compute_prepared}. *)
-
 val compute_resampled :
   ?cutoff:float -> prepared -> candidate:float array -> float
 (** [compute_resampled prepared ~candidate] scores a candidate already in

@@ -26,24 +26,25 @@
     enumeration: buckets are selected purely via assumptions, and each
     bucket's blocking clauses live in a retractable {!Abg_sat.Solver}
     clause group so {!retire_bucket} can reclaim them when the
-    refinement loop drops the bucket. Post-decode, five pruning stages
+    refinement loop drops the bucket. Post-decode, four pruning stages
     run before a sketch is handed to the scorer, each
     blocking-and-skipping the model: arithmetic simplifiability (§4.1's
     sympy filter), the interval-domain dead-on-arrival rules of
     {!Abg_analysis.Absint} (window provably <= 0 or non-finite,
     provably-zero denominators, guards constant over the whole input
-    box), commutative-duplicate detection via {!Abg_analysis.Canonical}
-    (retained as a safety net even though the in-encoding symmetry
-    breaking should leave it idle), relational dead-guard detection via
-    {!Abg_analysis.Relint} (guards decided by the zone domain — the
-    cross-signal relations of §5.6 — either outright or under the
-    assumptions of enclosing guards), and semantic subsumption (one
-    representative per {!Abg_analysis.Equiv.rnorm} relational
-    normal-form class, so sketches that differ only in provably-dead
-    structure are never scored twice). The relational stages touch only
-    sketches containing a conditional, so an Ite-free DSL (reno)
-    enumerates bit-identically with them on. Returned sketches are in
-    canonical form; per-reason counters are surfaced via
+    box), relational dead-guard detection via {!Abg_analysis.Relint}
+    (guards decided by the zone domain — the cross-signal relations of
+    §5.6 — either outright or under the assumptions of enclosing
+    guards), and semantic subsumption (one representative per
+    {!Abg_analysis.Equiv.rnorm} relational normal-form class, so
+    sketches that differ only in provably-dead structure are never
+    scored twice). Subsumption keys every returned sketch, so it also
+    catches any sketch returned before: a commutative duplicate (only
+    possible with symmetry breaking off) or a re-decode after
+    {!retire_bucket}. The relational stages touch only sketches
+    containing a conditional, so an Ite-free DSL (reno) enumerates
+    bit-identically with them on. Returned sketches are in
+    {!Abg_analysis.Canonical} form; per-reason counters are surfaced via
     {!prune_stats}. *)
 
 open Abg_dsl
@@ -68,15 +69,12 @@ type t = {
       (** interval box: physical signal ranges, hole = the constant pool *)
   rel : Abg_analysis.Relint.t;
       (** the zone over the same box, for the relational prune stages *)
-  seen : Abg_analysis.Canonical.Tbl.t;
-      (** canonical forms already returned, for commutative dedup *)
   sem : Abg_analysis.Canonical.Tbl.t;
       (** relational normal forms of every returned sketch, for
-          semantic-subsumption dedup; never fed back into [seen] *)
+          semantic-subsumption dedup *)
   dead : int array;  (** per-{!Abg_analysis.Absint.reason} prune counts *)
   mutable enumerated : int;
   mutable blocked_simplifiable : int;
-  mutable blocked_duplicate : int;
   mutable blocked_vacuous : int;
   mutable blocked_implied : int;
   mutable blocked_subsumed : int;
@@ -102,7 +100,6 @@ let obs_returned = Abg_obs.Obs.Counter.make "enum.returned"
 let obs_sat = Abg_obs.Obs.Counter.make "enum.sat.sat"
 let obs_unsat = Abg_obs.Obs.Counter.make "enum.sat.unsat"
 let obs_simplifiable = Abg_obs.Obs.Counter.make "enum.pruned.simplifiable"
-let obs_duplicate = Abg_obs.Obs.Counter.make "enum.pruned.duplicate"
 
 let obs_vacuous =
   Abg_obs.Obs.Counter.make "enum.pruned.vacuous-guard"
@@ -120,24 +117,6 @@ let obs_dead =
          Abg_obs.Obs.Counter.make
            ("enum.pruned." ^ Abg_analysis.Absint.reason_name r))
        Abg_analysis.Absint.all_reasons)
-
-(** Process-wide per-reason prune counters from the telemetry layer, in
-    the {!prune_stats} reporting order. All zeros while telemetry is
-    disabled. Run-level statistics subtract a snapshot taken at the start
-    of the run. *)
-let global_prune_stats () =
-  ("simplifiable", Abg_obs.Obs.Counter.value obs_simplifiable)
-  :: List.mapi
-       (fun i r ->
-         (Abg_analysis.Absint.reason_name r, Abg_obs.Obs.Counter.value obs_dead.(i)))
-       Abg_analysis.Absint.all_reasons
-  @ [ ("duplicate", Abg_obs.Obs.Counter.value obs_duplicate);
-      ("vacuous-guard", Abg_obs.Obs.Counter.value obs_vacuous);
-      ("guard-implied", Abg_obs.Obs.Counter.value obs_implied);
-      ("equiv-subsumed", Abg_obs.Obs.Counter.value obs_subsumed) ]
-
-(** Process-wide count of sketches returned by {!next} (telemetry). *)
-let global_returned () = Abg_obs.Obs.Counter.value obs_returned
 
 let find_comp_index components c =
   let rec go i =
@@ -316,11 +295,10 @@ let create ?(symmetry = true) (dsl : Catalog.t) =
       used_op; symmetry; bucket_groups = Hashtbl.create 16;
       box = Abg_analysis.Absint.box_for dsl;
       rel = Abg_analysis.Relint.for_dsl dsl;
-      seen = Abg_analysis.Canonical.Tbl.create ();
       sem = Abg_analysis.Canonical.Tbl.create ();
       dead = Array.make (List.length Abg_analysis.Absint.all_reasons) 0;
-      enumerated = 0; blocked_simplifiable = 0; blocked_duplicate = 0;
-      blocked_vacuous = 0; blocked_implied = 0; blocked_subsumed = 0;
+      enumerated = 0; blocked_simplifiable = 0; blocked_vacuous = 0;
+      blocked_implied = 0; blocked_subsumed = 0;
     }
   in
   let unit_index u = unit_index_in unit_domain u in
@@ -673,8 +651,8 @@ let assumptions_for_bucket enc ops =
     enc.used_op
 
 let skipped enc =
-  enc.blocked_simplifiable + enc.blocked_duplicate + enc.blocked_vacuous
-  + enc.blocked_implied + enc.blocked_subsumed
+  enc.blocked_simplifiable + enc.blocked_vacuous + enc.blocked_implied
+  + enc.blocked_subsumed
   + Array.fold_left ( + ) 0 enc.dead
 
 (* The relational prune stages only ever fire on conditionals; every
@@ -760,11 +738,9 @@ let bucket_context enc bucket =
 
 (** [next ?bucket enc] returns the next not-yet-enumerated sketch
     (optionally restricted to an operator bucket) in canonical form, or
-    [None] when the (sub)space is exhausted. Three pruning stages block
-    and skip models before they reach the simulator: the §4.1
-    simplifiability filter, the interval-domain dead-on-arrival rules,
-    and the commutative-duplicate safety net (idle while the in-encoding
-    symmetry breaking is on).
+    [None] when the (sub)space is exhausted. The pruning stages (see the
+    module comment) block and skip models before they reach the
+    simulator.
 
     One persistent solver serves every bucket: switching buckets costs
     only a different assumption list, and a bucket's blocking clauses are
@@ -794,61 +770,51 @@ let rec next ?bucket enc =
             enc.dead.(i) <- enc.dead.(i) + 1;
             Abg_obs.Obs.Counter.incr obs_dead.(i);
             next ?bucket enc
-        | None ->
+        | None -> (
             let canonical = Abg_analysis.Canonical.normalize sketch in
-            let _id, fresh = Abg_analysis.Canonical.Tbl.intern enc.seen canonical in
-            if not fresh then begin
-              enc.blocked_duplicate <- enc.blocked_duplicate + 1;
-              Abg_obs.Obs.Counter.incr obs_duplicate;
-              next ?bucket enc
-            end
-            else begin
-              match
-                if has_ite canonical then
-                  relationally_dead enc.box enc.rel canonical
-                else None
-              with
-              | Some `Vacuous ->
-                  enc.blocked_vacuous <- enc.blocked_vacuous + 1;
-                  Abg_obs.Obs.Counter.incr obs_vacuous;
+            match
+              if has_ite canonical then
+                relationally_dead enc.box enc.rel canonical
+              else None
+            with
+            | Some `Vacuous ->
+                enc.blocked_vacuous <- enc.blocked_vacuous + 1;
+                Abg_obs.Obs.Counter.incr obs_vacuous;
+                next ?bucket enc
+            | Some `Implied ->
+                enc.blocked_implied <- enc.blocked_implied + 1;
+                Abg_obs.Obs.Counter.incr obs_implied;
+                next ?bucket enc
+            | None ->
+                (* Semantic subsumption: one representative per
+                   relational-normal-form class. Conditional-free
+                   sketches are their own normal form, so on an Ite-free
+                   DSL with symmetry breaking on this stage never
+                   fires. *)
+                let key =
+                  if has_ite canonical then
+                    Abg_analysis.Canonical.normalize
+                      (Abg_analysis.Equiv.rnorm enc.rel canonical)
+                  else canonical
+                in
+                let _id, fresh = Abg_analysis.Canonical.Tbl.intern enc.sem key in
+                if not fresh then begin
+                  enc.blocked_subsumed <- enc.blocked_subsumed + 1;
+                  Abg_obs.Obs.Counter.incr obs_subsumed;
                   next ?bucket enc
-              | Some `Implied ->
-                  enc.blocked_implied <- enc.blocked_implied + 1;
-                  Abg_obs.Obs.Counter.incr obs_implied;
-                  next ?bucket enc
-              | None ->
-                  (* Semantic subsumption: one representative per
-                     relational-normal-form class. Conditional-free
-                     sketches are their own normal form, so [sem] mirrors
-                     [seen] exactly on an Ite-free DSL and this stage
-                     never fires there. *)
-                  let key =
-                    if has_ite canonical then
-                      Abg_analysis.Canonical.normalize
-                        (Abg_analysis.Equiv.rnorm enc.rel canonical)
-                    else canonical
-                  in
-                  let _id, fresh_sem =
-                    Abg_analysis.Canonical.Tbl.intern enc.sem key
-                  in
-                  if not fresh_sem then begin
-                    enc.blocked_subsumed <- enc.blocked_subsumed + 1;
-                    Abg_obs.Obs.Counter.incr obs_subsumed;
-                    next ?bucket enc
-                  end
-                  else begin
-                    enc.enumerated <- enc.enumerated + 1;
-                    Abg_obs.Obs.Counter.incr obs_returned;
-                    Some canonical
-                  end
-            end
+                end
+                else begin
+                  enc.enumerated <- enc.enumerated + 1;
+                  Abg_obs.Obs.Counter.incr obs_returned;
+                  Some canonical
+                end)
       end
 
 (** [retire_bucket enc ops] retracts the bucket's blocking clauses (the
     refinement loop calls it when a bucket is dropped from the keep set,
     reclaiming solver memory). Re-enumerating a retired bucket starts a
     fresh group: previously returned sketches are re-decoded but caught
-    by the canonical seen-table, so none is returned twice. *)
+    by the subsumption table, so none is returned twice. *)
 let retire_bucket enc ops =
   let key = bucket_key ops in
   match Hashtbl.find_opt enc.bucket_groups key with
@@ -861,27 +827,23 @@ let retire_bucket enc ops =
     does the bucket still contain an unenumerated model? No decoding, no
     blocking; the micro-benchmark behind [sat-solve-assumptions]. *)
 let check_bucket enc ops =
-  let assumptions, _group = bucket_context enc ops in
+  let assumptions, _group = bucket_context enc (Some ops) in
   match Abg_sat.Solver.solve ~assumptions enc.solver with
   | Abg_sat.Solver.Sat _ -> true
   | Abg_sat.Solver.Unsat -> false
-
-(* Reuse [bucket_context] with an option for check_bucket's signature. *)
-let check_bucket enc ops = check_bucket enc (Some ops)
 
 (** Enumeration statistics: (returned, rejected-as-simplifiable). *)
 let stats enc = (enc.enumerated, enc.blocked_simplifiable)
 
 (** Per-reason prune counters, in reporting order: the §4.1
-    simplifiability filter, each {!Abg_analysis.Absint.reason}, and
-    commutative duplicates. *)
+    simplifiability filter, each {!Abg_analysis.Absint.reason}, then the
+    relational stages. *)
 let prune_stats enc =
   ("simplifiable", enc.blocked_simplifiable)
   :: List.mapi
        (fun i r -> (Abg_analysis.Absint.reason_name r, enc.dead.(i)))
        Abg_analysis.Absint.all_reasons
-  @ [ ("duplicate", enc.blocked_duplicate);
-      ("vacuous-guard", enc.blocked_vacuous);
+  @ [ ("vacuous-guard", enc.blocked_vacuous);
       ("guard-implied", enc.blocked_implied);
       ("equiv-subsumed", enc.blocked_subsumed) ]
 

@@ -9,24 +9,25 @@
     encoded directly as propositional constraints (a lex-leader circuit
     over the operand subtrees of commutative operators; constant holes
     and unused-slot assignments are pinned too), so the solver never
-    produces a model the canonicalizer would fold — the ["duplicate"]
-    prune counter stays at zero with symmetry breaking on.
+    produces a model the canonicalizer would fold.
 
     One persistent solver serves the whole enumeration: buckets are
     selected purely via assumptions, and each bucket's blocking clauses
     live in a retractable {!Abg_sat.Solver} clause group
     (see {!retire_bucket}).
 
-    Five pruning stages run post-decode, each blocking-and-skipping the
+    Four pruning stages run post-decode, each blocking-and-skipping the
     model: the §4.1 simplifiability filter, the interval-domain
-    dead-on-arrival rules of {!Abg_analysis.Absint}, commutative-duplicate
-    detection via {!Abg_analysis.Canonical} (retained as a safety net),
-    relational dead-guard detection via {!Abg_analysis.Relint}
+    dead-on-arrival rules of {!Abg_analysis.Absint}, relational
+    dead-guard detection via {!Abg_analysis.Relint}
     (["vacuous-guard"]/["guard-implied"]), and semantic subsumption via
     {!Abg_analysis.Equiv.rnorm} (["equiv-subsumed"]: one scored
-    representative per relational normal-form class). The relational
-    stages only touch sketches containing a conditional, so an Ite-free
-    DSL (reno) enumerates bit-identically with them on. *)
+    representative per relational normal-form class). Subsumption keys
+    every returned sketch, so it also catches a sketch returned before —
+    a commutative duplicate when symmetry breaking is off, or a re-decode
+    after {!retire_bucket}. The relational stages only touch sketches
+    containing a conditional, so an Ite-free DSL (reno) enumerates
+    bit-identically with them on. *)
 
 open Abg_dsl
 
@@ -61,8 +62,8 @@ val retire_bucket : t -> Buckets.bucket -> unit
 (** Retract the bucket's blocking clauses (called when the refinement
     loop drops a bucket from the keep set, reclaiming solver memory).
     Re-enumerating a retired bucket starts a fresh group: previously
-    returned sketches are re-decoded but caught by the canonical
-    seen-table, so none is returned twice. No-op on unknown buckets. *)
+    returned sketches are re-decoded but caught by the subsumption
+    table, so none is returned twice. No-op on unknown buckets. *)
 
 val check_bucket : t -> Buckets.bucket -> bool
 (** One solve under the bucket's assumptions — does the bucket still
@@ -73,19 +74,8 @@ val stats : t -> int * int
 
 val prune_stats : t -> (string * int) list
 (** Per-reason prune counters, in reporting order: ["simplifiable"], each
-    {!Abg_analysis.Absint.reason_name}, ["duplicate"], then the
-    relational stages ["vacuous-guard"], ["guard-implied"],
+    {!Abg_analysis.Absint.reason_name}, then the relational stages ["vacuous-guard"], ["guard-implied"],
     ["equiv-subsumed"]. *)
-
-val global_prune_stats : unit -> (string * int) list
-(** Process-wide prune counters from the telemetry layer ({!Abg_obs.Obs}),
-    same names and order as {!prune_stats}, summed over every enumerator
-    ever driven in this process. All zeros while telemetry is disabled;
-    run-level aggregation (e.g. [Refinement.result.pruned]) subtracts a
-    snapshot taken at the start of the run. *)
-
-val global_returned : unit -> int
-(** Process-wide count of sketches returned by {!next} (telemetry). *)
 
 val skipped : t -> int
 (** Total decoded-but-pruned sketches (the sum of {!prune_stats}). *)

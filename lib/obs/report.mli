@@ -1,35 +1,24 @@
 (** Machine-readable telemetry reports: stable JSON serialization of an
     {!Obs.snapshot} (sorted keys; the ["counters"] section is
-    byte-identical across runs for a fixed seed), a minimal JSON reader,
-    and the counter diff the CI telemetry gate runs. *)
+    byte-identical across runs for a fixed seed) and the counter diff
+    the CI telemetry gate runs. *)
 
 val schema : string
 (** Schema tag written into every document. *)
 
-val to_json : Obs.snapshot -> string
-(** Serialize a snapshot: ["schema"], ["counters"] (deterministic),
+val document : Obs.snapshot -> Abg_util.Json.t
+(** A snapshot as a document: ["schema"], ["counters"] (deterministic),
     ["volatile"], ["gauges"], ["histograms"], ["floatcells"]. *)
+
+val to_json : Obs.snapshot -> string
+(** {!document} in the indented layout, with a trailing newline. *)
 
 val write : string -> unit
 (** [write path] serializes a fresh {!Obs.snapshot} to [path]. *)
 
-(** Parsed JSON (reader side). *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-val parse : string -> json
-val member : string -> json -> json option
-
-val counters_of_json : json -> (string * int) list
+val counters_of_json : Abg_util.Json.t -> (string * int) list
 (** The ["counters"] section of a telemetry document, in document order.
-    Raises {!Parse_error} if absent or non-integer. *)
+    Raises {!Abg_util.Json.Malformed} if absent or non-integer. *)
 
 (** One difference between two counter sections. *)
 type drift =
@@ -41,7 +30,8 @@ val pp_drift : drift -> string
 
 val diff_counters : baseline:string -> current:string -> drift list
 (** Compare the deterministic counter sections of two telemetry documents
-    (raw JSON strings); [[]] means exact agreement. *)
+    (raw JSON strings); [[]] means exact agreement. Raises
+    {!Abg_util.Json.Malformed} on an unreadable document. *)
 
 val find_counter : Obs.snapshot -> string -> int
 (** Value of one deterministic counter in a snapshot, 0 when absent. *)

@@ -163,6 +163,48 @@ let test_job_kind_tokens () =
       | Ok _ -> Alcotest.fail ("accepted " ^ bad))
     [ "nonsense"; "noise:x:y"; "probe:1"; "noise:0.1" ]
 
+(* Job digests name journal lines and store keys, so the canonical
+   bytes they hash must never move silently. Pinned per kind; kill and
+   resume tests cannot catch this, since both sides share one build. *)
+let test_job_digest_pinned () =
+  let configs = Abg_netsim.Config.testbed_grid ~duration:3.0 ~n:1 () in
+  let job kind cca seed configs = { Job.kind; cca; seed; configs } in
+  List.iter
+    (fun (expected, j) ->
+      Alcotest.(check string) (Job.describe j) expected (Job.digest j))
+    [
+      ("19f105c5a99117a6bea77d2501a1b8ed", job Job.Collect "reno" 42 configs);
+      ( "91a08f3efcce3a42ec25ad511b6c4d7f",
+        job (Job.Synthesize { dsl = Some "reno" }) "cubic" 7 configs );
+      ("133bd237fb14cf9ef3da75c1b87f0fea", job Job.Classify "vegas" 42 configs);
+      ( "89e2870a7aa5624dae22178d97914a77",
+        job (Job.Noise { stddev = 0.1; keep = 0.5 }) "reno" 3 configs );
+      ( "a13fef39ea0b1f81239971eeba377fdf",
+        job (Job.Probe { fail_attempts = 1; sleep_ms = 0 }) "reno" 5 [] );
+      ( "60ba4bdea373098e5dceb2b937f2a2a2",
+        job
+          (Job.Fuzz_eval
+             {
+               fitness = "divergence";
+               cca_b = Some "cubic";
+               handler = None;
+               genome = "g0";
+             })
+          "reno" 7 configs );
+    ]
+
+(* -- Durable -- *)
+
+let test_durable_replace () =
+  let dir = Filename.concat (fresh_dir ()) "nested" in
+  let path = Filename.concat dir "doc.json" in
+  Abg_batch.Durable.replace path "first\n";
+  Abg_batch.Durable.replace path "second\n";
+  Alcotest.(check string) "content replaced" "second\n"
+    (In_channel.with_open_bin path In_channel.input_all);
+  Alcotest.(check (list string)) "no temp file left" [ "doc.json" ]
+    (Array.to_list (Sys.readdir dir))
+
 (* -- Store -- *)
 
 let test_store_put_get () =
@@ -357,7 +399,7 @@ let test_journal_interior_corruption_raises () =
   let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
   write_file path "garbage, not json\n{\"also\":\"bad\"}\n";
   match Journal.replay path with
-  | exception Abg_batch.Jsonx.Malformed _ -> ()
+  | exception Abg_util.Json.Malformed _ -> ()
   | _ -> Alcotest.fail "expected Malformed"
 
 (* -- Journal checkpoints -- *)
@@ -469,7 +511,7 @@ let test_journal_interior_checkpoint_corruption_raises () =
   append_raw path (Journal.entry_to_line (mk_entry 50) ^ "\n");
   (* Not in final position, so not a crash artifact: corruption. *)
   match Journal.replay path with
-  | exception Abg_batch.Jsonx.Malformed _ -> ()
+  | exception Abg_util.Json.Malformed _ -> ()
   | _ -> Alcotest.fail "expected Malformed"
 
 let test_journal_compact () =
@@ -925,7 +967,10 @@ let suites =
         Alcotest.test_case "expand rejects empty" `Quick
           test_job_expand_rejects_empty;
         Alcotest.test_case "kind tokens" `Quick test_job_kind_tokens;
+        Alcotest.test_case "digest pinned" `Quick test_job_digest_pinned;
       ] );
+    ( "batch.durable",
+      [ Alcotest.test_case "replace" `Quick test_durable_replace ] );
     ( "batch.store",
       [
         Alcotest.test_case "put/get" `Quick test_store_put_get;

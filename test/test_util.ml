@@ -349,6 +349,96 @@ let test_pool_exception_reraised () =
   Alcotest.(check (array int)) "usable after failure" (Array.map succ xs)
     (Abg_parallel.Pool.map ~num_domains:2 succ xs)
 
+(* -- Json -- *)
+
+(* Structural equality, except that numbers compare by bit pattern so a
+   lost sign on -0.0 counts as a round-trip failure. *)
+let rec json_equal (a : Json.t) (b : Json.t) =
+  match (a, b) with
+  | Num x, Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | List xs, List ys -> List.equal json_equal xs ys
+  | Obj xs, Obj ys ->
+      List.equal (fun (k, v) (k', v') -> k = k' && json_equal v v') xs ys
+  | _ -> a = b
+
+(* Every byte 0x00-0xff in strings (random ones, plus one string holding
+   all 256), integers up to 2^53, non-integer and subnormal floats,
+   -0.0, and nested and empty containers. *)
+let arb_json =
+  let open QCheck.Gen in
+  let str =
+    frequency
+      [ (9, string_size ~gen:char (0 -- 12)); (1, return (String.init 256 Char.chr)) ]
+  in
+  let num =
+    frequency
+      [
+        (3, map float_of_int (int_range (-(1 lsl 53)) (1 lsl 53)));
+        (3, map (fun f -> if Float.is_finite f then f else 0.5) float);
+        (1, oneofl [ -0.0; 0.1; 4.9e-324; 1e17; -1.5e300 ]);
+      ]
+  in
+  let json =
+    sized
+    @@ fix (fun self n ->
+           let scalar =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun f -> Json.Num f) num;
+                 map (fun s -> Json.Str s) str;
+               ]
+           in
+           if n <= 0 then scalar
+           else
+             frequency
+               [
+                 (2, scalar);
+                 (1, map (fun l -> Json.List l) (list_size (0 -- 4) (self (n / 3))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (0 -- 4) (pair str (self (n / 3)))) );
+               ])
+  in
+  QCheck.make ~print:Json.to_string json
+
+let prop_json_compact_roundtrip =
+  QCheck.Test.make ~name:"json compact round-trip" ~count:300 arb_json
+    (fun v -> json_equal (Json.parse (Json.to_string v)) v)
+
+let prop_json_indented_roundtrip =
+  QCheck.Test.make ~name:"json indented round-trip" ~count:300 arb_json
+    (fun v -> json_equal (Json.parse (Json.to_string_indented v)) v)
+
+let test_json_number_rule () =
+  List.iter
+    (fun (f, expected) ->
+      Alcotest.(check string) expected expected (Json.to_string (Json.Num f)))
+    [
+      (3.0, "3"); (-0.0, "-0"); (0.1, "0.10000000000000001"); (1e17, "1e+17");
+      (infinity, "\"inf\""); (neg_infinity, "\"-inf\""); (nan, "\"nan\"");
+    ]
+
+let test_json_layouts () =
+  let v =
+    Json.Obj
+      [ ("a", Json.List [ Json.Num 1.0; Json.Str "x\n\001" ]); ("b", Json.Obj []) ]
+  in
+  Alcotest.(check string) "compact" {|{"a":[1,"x\n\u0001"],"b":{}}|} (Json.to_string v);
+  Alcotest.(check string) "indented"
+    "{\n  \"a\": [\n    1,\n    \"x\\n\\u0001\"\n  ],\n  \"b\": {}\n}"
+    (Json.to_string_indented v)
+
+let test_json_malformed () =
+  List.iter
+    (fun doc ->
+      match Json.parse doc with
+      | exception Json.Malformed _ -> ()
+      | _ -> Alcotest.failf "accepted %S" doc)
+    [ ""; "{"; "[1,]"; "\"open"; "tru"; "{\"k\" 1}"; "1 2" ]
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let pool_suite =
@@ -423,5 +513,12 @@ let suites =
         Alcotest.test_case "lin_grid" `Quick test_floatx_lin_grid;
       ]
       @ qcheck [ prop_fmod_range ] );
+    ( "util.json",
+      [
+        Alcotest.test_case "number rule" `Quick test_json_number_rule;
+        Alcotest.test_case "layouts" `Quick test_json_layouts;
+        Alcotest.test_case "malformed" `Quick test_json_malformed;
+      ]
+      @ qcheck [ prop_json_compact_roundtrip; prop_json_indented_roundtrip ] );
     pool_suite;
   ]
