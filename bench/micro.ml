@@ -215,48 +215,42 @@ let simulate_test =
          let cca = Abg_cca.Reno.create ~mss:1448.0 () in
          ignore (Abg_netsim.Sim.run cfg cca)))
 
-(* Whole-suite collection over the parallel pool, cache bypassed so the
-   measurement is the simulate+derive cost, not a store lookup. *)
+(* Whole-suite collection over the parallel pool, bypassing the trace
+   store so the measurement is the simulate+derive cost, not a lookup. *)
 let collect_suite_test =
   let ctor = Option.get (Abg_cca.Registry.find "reno") in
+  let grid = Abg_netsim.Config.testbed_grid ~duration:1.0 ~n:4 () in
   Test.make ~name:"table3: collect-suite-grid"
     (Staged.stage (fun () ->
          ignore
-           (Abg_trace.Trace.collect_suite ~duration:1.0 ~cache:false ~n:4
-              ~name:"reno" ctor)))
+           (Abg_parallel.Pool.map_list
+              (fun cfg -> Abg_trace.Trace.collect cfg ~name:"reno" ctor)
+              grid)))
 
 (* Batch-orchestrator storage primitives: what a run pays per artifact
-   (durable blob write, verified read) and per resume (journal replay).
-   The write benchmark stores a fresh payload every iteration — the
-   content-addressed fast path for an existing digest would otherwise
-   turn the measurement into a Sys.file_exists probe. *)
-let batch_store_tests =
+   read (verified) and per blob write (amortized over a flush window). *)
+let batch_store_read_test =
   lazy
     (let root =
        Filename.concat
          (Filename.get_temp_dir_name ())
          (Printf.sprintf "abagnale-bench-store.%d" (Unix.getpid ()))
      in
-     let store = Abg_batch.Store.open_ root in
+     let store = Abg_batch.Store.open_ ~deferred:true root in
      let payload = String.init 4096 (fun i -> Char.chr (32 + (i mod 95))) in
-     let counter = ref 0 in
      let read_digest = Abg_batch.Store.put store payload in
-     ( Test.make ~name:"batch: store-blob-write-4k"
-         (Staged.stage (fun () ->
-              incr counter;
-              ignore
-                (Abg_batch.Store.put store
-                   (string_of_int !counter ^ payload)))),
-       Test.make ~name:"batch: store-blob-read-4k"
-         (Staged.stage (fun () ->
-              ignore (Abg_batch.Store.get store read_digest))) ))
+     Abg_batch.Store.close store;
+     Test.make ~name:"batch: store-blob-read-4k"
+       (Staged.stage (fun () ->
+            ignore (Abg_batch.Store.get store read_digest))))
 
-(* The group-commit write path: the same fresh 4k payload, but staged in
-   a deferred store whose pack flush (one append write + one fsync)
-   lands every 64 puts — the store half of a 64-entry flush window. 63
-   runs stage in memory, the 64th pays the flush, so the estimate is the
-   honest amortized per-blob durability cost to hold against
-   store-blob-write-4k's fsync-per-blob baseline. *)
+(* The group-commit write path: a fresh 4k payload every iteration (the
+   content-addressed fast path for an existing digest would otherwise
+   turn the measurement into a lookup), staged in a writer whose pack
+   flush (one append write + one fsync) lands every 64 puts — the store
+   half of a 64-entry flush window. 63 runs stage in memory, the 64th
+   pays the flush, so the estimate is the honest amortized per-blob
+   durability cost. *)
 let batch_store_amortized_test =
   lazy
     (let root =
@@ -439,7 +433,6 @@ let fuzz_generation_test =
 let run () =
   Runs.heading "Micro-benchmarks (Bechamel, monotonic clock)";
   let bucket_cutoff, bucket_full = Lazy.force bucket_score_tests in
-  let store_write, store_read = Lazy.force batch_store_tests in
   let tests =
     [ dtw_test; dtw_cutoff_test; euclidean_test; frechet_test;
       frechet_full_test; Lazy.force replay_test; bucket_cutoff; bucket_full;
@@ -448,8 +441,8 @@ let run () =
       absint_prune_test; Lazy.force canonical_intern_test;
       Lazy.force relint_guard_check_test; Lazy.force equiv_handler_pair_test;
       simulate_test;
-      collect_suite_test; Lazy.force classify_features_test; store_write;
-      store_read; Lazy.force batch_store_amortized_test;
+      collect_suite_test; Lazy.force classify_features_test;
+      Lazy.force batch_store_read_test; Lazy.force batch_store_amortized_test;
       Lazy.force batch_journal_append_amortized_test;
       Lazy.force batch_journal_replay_test;
       Lazy.force batch_journal_replay_100k_test;

@@ -605,14 +605,6 @@ let workers_arg =
   in
   Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
 
-let worker_arg =
-  let doc =
-    "Run as coordinator worker $(docv): slice I of N (index modulo N), \
-     journaling into journal.wIofN.jsonl of a shared run directory. \
-     Spawned by --workers; exclusive with --shard."
-  in
-  Arg.(value & opt (some shard_conv) None & info [ "worker" ] ~docv:"I/N" ~doc)
-
 let flush_window_arg =
   let doc =
     "Group-commit linger in seconds: how long a flush leader waits for \
@@ -651,20 +643,18 @@ let domains_arg =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 
 (* The execution knobs, parsed once per command into Runner.settings.
-   [~batch] adds the flags only `batch run/resume' take, [~worker] the
-   --worker flag and [~seed] the --seed flag; a flag a command lacks
-   keeps its default. *)
-let settings_term ~batch ~worker ~seed =
+   [~batch] adds the flags only `batch run/resume' take and [~seed] the
+   --seed flag; a flag a command lacks keeps its default. *)
+let settings_term ~batch ~seed =
   let d = Abg_batch.Runner.default_settings in
   let only present arg default = if present then arg else Term.const default in
-  let make retries timeout shard worker max_jobs num_domains flush_window_s
+  let make retries timeout shard max_jobs num_domains flush_window_s
       checkpoint_every seed verbose =
     {
       d with
       Abg_batch.Runner.retries;
       timeout_s = Option.value ~default:infinity timeout;
       shard;
-      worker;
       max_jobs;
       num_domains;
       flush_window_s;
@@ -677,7 +667,6 @@ let settings_term ~batch ~worker ~seed =
     const make $ retries_arg
     $ only batch timeout_arg None
     $ only batch shard_arg None
-    $ only worker worker_arg None
     $ only batch max_jobs_arg None
     $ domains_arg
     $ only batch flush_window_arg d.Abg_batch.Runner.flush_window_s
@@ -685,7 +674,7 @@ let settings_term ~batch ~worker ~seed =
     $ only seed seed_arg d.Abg_batch.Runner.refinement.Abg_core.Refinement.seed
     $ verbose_arg)
 
-(* Re-invoke this binary as `batch resume DIR --worker i/n`, forwarding
+(* Re-invoke this binary as `batch resume DIR --shard i/n`, forwarding
    the knobs that shape execution. Respawn-on-kill is sound because
    resume is: a respawned worker skips everything its journal settled. *)
 let run_workers ~dir ~workers (s : Abg_batch.Runner.settings) =
@@ -710,7 +699,7 @@ let run_workers ~dir ~workers (s : Abg_batch.Runner.settings) =
   let argv i =
     Array.of_list
       ((Sys.executable_name :: base)
-      @ [ "--worker"; Printf.sprintf "%d/%d" i workers ])
+      @ [ "--shard"; Printf.sprintf "%d/%d" i workers ])
   in
   let outcome = Abg_batch.Coordinator.supervise ~argv ~workers () in
   List.iter
@@ -793,14 +782,14 @@ let batch_run_cmd =
     Term.(
       const batch_run $ batch_dir_arg $ kinds_arg $ ccas_arg $ scenarios_arg
       $ duration_arg $ ack_jitter_arg $ seeds_arg
-      $ settings_term ~batch:true ~worker:false ~seed:true
+      $ settings_term ~batch:true ~seed:true
       $ workers_arg)
 
 let batch_resume dir settings workers () =
   match workers with
   | Some workers ->
-      if settings.Abg_batch.Runner.shard <> None || settings.worker <> None then
-        die "--workers is exclusive with --shard/--worker";
+      if settings.Abg_batch.Runner.shard <> None then
+        die "--workers and --shard are exclusive";
       run_workers ~dir ~workers settings
   | None ->
       print_batch_summary settings.verbose
@@ -813,7 +802,7 @@ let batch_resume_cmd =
        terminal record (crash recovery; idempotent)"
     Term.(
       const batch_resume $ batch_dir_arg
-      $ settings_term ~batch:true ~worker:true ~seed:true
+      $ settings_term ~batch:true ~seed:true
       $ workers_arg)
 
 let batch_status verify dir () =
@@ -977,7 +966,6 @@ let serve socket tcp window max_sessions no_escalate () =
     {
       Abg_serve.Daemon.endpoint = endpoint_of socket tcp;
       engine = { Abg_serve.Engine.window; max_sessions; escalate };
-      max_connections = Abg_serve.Daemon.default_config.max_connections;
       log =
         (fun line ->
           print_endline line;
@@ -1134,7 +1122,7 @@ let fuzz_champion_config spec genome =
 (* Drive the whole search. Settled generations replay from their
    journals; missing ones execute (in-process, or across --workers by
    initializing the generation grid first and fanning out `batch resume
-   GENDIR --worker i/n` children — each generation directory is a
+   GENDIR --shard i/n` children — each generation directory is a
    perfectly ordinary batch run). *)
 let fuzz_drive ~dir ~settings ~workers spec =
   let bspec = fuzz_batch_spec spec in
@@ -1479,7 +1467,7 @@ let fuzz_run_cmd =
       const fuzz_run $ batch_dir_arg $ fuzz_fitness_arg $ fuzz_cca_arg
       $ fuzz_cca_b_arg $ fuzz_generations_arg $ fuzz_pop_arg
       $ fuzz_duration_arg $ fuzz_synth_scenarios_arg $ fuzz_synth_duration_arg
-      $ settings_term ~batch:false ~worker:false ~seed:true
+      $ settings_term ~batch:false ~seed:true
       $ workers_arg $ fuzz_json_arg)
 
 (* The search seed lives in the spec, so resuming takes no --seed. *)
@@ -1501,7 +1489,7 @@ let fuzz_resume dir settings workers json () =
 let fuzz_resume_term =
   Term.(
     const fuzz_resume $ batch_dir_arg
-    $ settings_term ~batch:false ~worker:false ~seed:false
+    $ settings_term ~batch:false ~seed:false
     $ workers_arg $ fuzz_json_arg)
 
 let fuzz_resume_cmd =

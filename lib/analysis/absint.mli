@@ -17,15 +17,6 @@ type box = {
   signal : Signal.t -> Interval.t;
 }
 
-val signal_interval : Signal.t -> Interval.t
-(** {!Abg_dsl.Signal.range} as an interval. *)
-
-val cwnd_interval : Interval.t
-(** [[1, 1e12]]: the replay clamp above, a conservative floor below. *)
-
-val pool_interval : float array -> Interval.t
-(** Hull of a concretization pool. *)
-
 val default_box : ?hole:Interval.t -> unit -> box
 (** Physical signal ranges and the cwnd clamp; [hole] defaults to all
     finite floats (sound for any pool). *)
@@ -39,9 +30,6 @@ val num : box -> Expr.num -> Interval.t
 
 val boolean : box -> Expr.boolean -> Interval.verdict
 (** Three-valued abstract truth of a guard over the whole box. *)
-
-val facts : box -> Simplify.facts
-(** The interval-fact oracle for [Simplify.simplify ~facts]. *)
 
 val simplify : box -> Expr.num -> Expr.num
 (** [Simplify.simplify] with this box's guard oracle plugged in. *)

@@ -330,4 +330,3 @@ let rec oracle t : Simplify.oracle =
   }
 
 let simplify t e = Simplify.simplify ~oracle:(oracle t) e
-let is_simplifiable t e = Simplify.is_simplifiable ~oracle:(oracle t) e

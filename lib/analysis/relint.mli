@@ -48,9 +48,6 @@ val num : t -> Expr.num -> Interval.t
 (** Derived interval (holes allowed); differences of environment
     variables are intersected with the zone bounds. *)
 
-val diff : t -> Expr.num -> Expr.num -> Interval.t
-(** Refined interval of [a - b] (the comparison residual). *)
-
 val boolean : t -> Expr.boolean -> Interval.verdict
 (** Three-valued truth over the zone; strictly more precise than
     {!Absint.boolean} on relational guards, identical elsewhere. *)
@@ -76,9 +73,6 @@ val sample_env : t -> Rng.t -> Env.t
     interval bounds and the rtt ordering invariant (log-uniform across
     wide positive ranges). *)
 
-val facts : t -> Simplify.facts
-(** Relational guard oracle for [Simplify.simplify ~facts]. *)
-
 val oracle : t -> Simplify.oracle
 (** The sound rewrite oracle: subterm bounds from the zone, branch
     rewrites under the dominating guard's assumption. With this oracle,
@@ -88,5 +82,3 @@ val oracle : t -> Simplify.oracle
 
 val simplify : t -> Expr.num -> Expr.num
 (** [Simplify.simplify] under {!oracle} — sound simplification. *)
-
-val is_simplifiable : t -> Expr.num -> bool

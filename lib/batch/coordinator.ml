@@ -32,8 +32,12 @@ let rec wait_any () =
   | pid, status -> (pid, status)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_any ()
 
-let supervise ?(max_respawns = 10) ?(respawn_backoff_s = 0.2) ~argv ~workers ()
-    =
+(* Respawns per worker before it is abandoned, and the linear backoff
+   step between them. *)
+let max_respawns = 10
+let respawn_backoff_s = 0.2
+
+let supervise ~argv ~workers () =
   if workers < 1 then invalid_arg "Coordinator.supervise: workers < 1";
   let live = Hashtbl.create workers in
   let quarantined = ref false in
@@ -62,8 +66,7 @@ let supervise ?(max_respawns = 10) ?(respawn_backoff_s = 0.2) ~argv ~workers ()
                 "[batch] worker %d %s; respawning (attempt %d/%d)\n%!"
                 slot.worker (describe_status status) slot.spawned max_respawns;
               incr respawns;
-              if respawn_backoff_s > 0. then
-                Unix.sleepf (respawn_backoff_s *. float_of_int slot.spawned);
+              Unix.sleepf (respawn_backoff_s *. float_of_int slot.spawned);
               slot.spawned <- slot.spawned + 1;
               Hashtbl.replace live (spawn (argv slot.worker)) slot
             end)

@@ -16,20 +16,14 @@ type outcome = {
   quarantined : bool;  (** some worker exited 2 (quarantines present) *)
   respawns : int;  (** total respawns across all workers *)
   failed : (int * string) list;
-      (** workers abandoned after [max_respawns], with a description of
+      (** workers abandoned after 10 respawns, with a description of
           their last death *)
 }
 
-val supervise :
-  ?max_respawns:int ->
-  ?respawn_backoff_s:float ->
-  argv:(int -> string array) ->
-  workers:int ->
-  unit ->
-  outcome
+val supervise : argv:(int -> string array) -> workers:int -> unit -> outcome
 (** Spawn workers [0 .. workers-1] with [argv i] (element 0 is the
     program path) and wait for all of them to retire. A worker killed
     by a signal or exiting with a code other than 0/2 is respawned —
-    after a linear backoff — up to [max_respawns] times (default 10,
-    backoff 0.2s); beyond that it is abandoned and reported in
-    [failed]. Respawns are logged to stderr. *)
+    after a linear backoff of 0.2s per earlier spawn — up to 10 times;
+    beyond that it is abandoned and reported in [failed]. Respawns are
+    logged to stderr. *)

@@ -10,7 +10,6 @@ type t = {
   store : Store.t;
   journal : Journal.t;
   window_s : float;
-  max_batch : int;
   checkpoint_every : int;
   m : Mutex.t;
   flushed_cond : Condition.t;
@@ -29,14 +28,15 @@ type t = {
   mutable since : int;
 }
 
-let create ?(window_s = 0.) ?(max_batch = 256) ?(checkpoint_every = 1024)
-    ~store ~journal ~initial () =
-  if max_batch < 1 then invalid_arg "Group_commit.create: max_batch < 1";
+(* Most entries one flush carries. *)
+let max_batch = 256
+
+let create ?(window_s = 0.) ?(checkpoint_every = 1024) ~store ~journal
+    ~initial () =
   {
     store;
     journal;
     window_s;
-    max_batch;
     checkpoint_every;
     m = Mutex.create ();
     flushed_cond = Condition.create ();
@@ -71,13 +71,13 @@ let write_checkpoint t =
    max_batch of the oldest pending entries, flushes with the lock
    released, then publishes the new flushed ticket. *)
 let flush_as_leader t =
-  if t.window_s > 0. && List.length t.pending < t.max_batch then begin
+  if t.window_s > 0. && List.length t.pending < max_batch then begin
     (* Linger with the lock released so more completions can queue. *)
     Mutex.unlock t.m;
     Unix.sleepf t.window_s;
     Mutex.lock t.m
   end;
-  let batch, rest = take t.max_batch (List.rev t.pending) in
+  let batch, rest = take max_batch (List.rev t.pending) in
   t.pending <- List.rev rest;
   let batch_len = List.length batch in
   let batch_hi = t.flushed + batch_len in

@@ -17,7 +17,7 @@
     disk if the blobs it references are already durable, so a crash at
     any instant leaves the journal describing only retrievable results.
 
-    The flush window is bounded in both dimensions: at most [max_batch]
+    The flush window is bounded in both dimensions: at most 256
     entries per flush, and an optional [window_s] linger lets
     concurrent completions coalesce before the leader flushes (zero —
     the default — flushes whatever has queued by the time the leader
@@ -34,7 +34,6 @@ type t
 
 val create :
   ?window_s:float ->
-  ?max_batch:int ->
   ?checkpoint_every:int ->
   store:Store.t ->
   journal:Journal.t ->
@@ -44,7 +43,7 @@ val create :
 (** [initial] is the journal file's already-settled outcome set (from
     replay at resume) — needed so checkpoint records snapshot the whole
     file, not just this session's entries. Defaults: [window_s = 0.],
-    [max_batch = 256], [checkpoint_every = 1024]. *)
+    [checkpoint_every = 1024]. *)
 
 val commit : t -> Journal.entry -> unit
 (** Enqueue and block until a flush covering this entry returns. Safe

@@ -7,11 +7,9 @@ type settings = {
   backoff_s : float;
   timeout_s : float;
   shard : (int * int) option;
-  worker : (int * int) option;
   max_jobs : int option;
   num_domains : int option;
   flush_window_s : float;
-  flush_max_batch : int;
   checkpoint_every : int;
   refinement : Abg_core.Refinement.config;
   verbose : bool;
@@ -23,11 +21,9 @@ let default_settings =
     backoff_s = 0.05;
     timeout_s = infinity;
     shard = None;
-    worker = None;
     max_jobs = None;
     num_domains = None;
     flush_window_s = 0.;
-    flush_max_batch = 256;
     checkpoint_every = 1024;
     refinement = Abg_core.Refinement.default_config;
     verbose = false;
@@ -67,10 +63,11 @@ let ( / ) = Filename.concat
 let grid_path dir = dir / "grid.json"
 let store_path dir = dir / "store"
 
-(* Each coordinator worker journals into its own file so workers never
-   contend on one fd; every reader merges the whole family. *)
-let journal_path ?worker dir =
-  match worker with
+(* Each shard journals into its own file, so coordinator workers sharing
+   one directory never contend on one fd and shards run apart merge by
+   copying; every reader merges the whole family. *)
+let journal_path ?shard dir =
+  match shard with
   | None -> dir / "journal.jsonl"
   | Some (i, n) -> dir / Printf.sprintf "journal.w%dof%d.jsonl" i n
 
@@ -422,10 +419,6 @@ let rec take k = function
   | rest -> ([], rest)
 
 let execute ~dir ~settings =
-  (match (settings.shard, settings.worker) with
-  | Some _, Some _ ->
-      invalid_arg "Runner.execute: --shard and --worker are exclusive"
-  | _ -> ());
   let jobs = jobs_of_dir ~dir in
   (* Resume skips anything settled by *any* journal in the family —
      including lines a crashed run persisted but never acknowledged:
@@ -441,9 +434,9 @@ let execute ~dir ~settings =
   let store = Store.open_ ~deferred:true (store_path dir) in
   let mine =
     let keyed = List.map (fun j -> (Job.digest j, j)) jobs in
-    match (settings.shard, settings.worker) with
-    | Some (i, n), _ | _, Some (i, n) -> shard_select ~i ~n keyed
-    | None, None -> keyed
+    match settings.shard with
+    | Some (i, n) -> shard_select ~i ~n keyed
+    | None -> keyed
   in
   let pending =
     List.filter (fun (d, _) -> not (Hashtbl.mem settled d)) mine
@@ -456,11 +449,10 @@ let execute ~dir ~settings =
   in
   log settings "[batch] %d job(s) pending, %d already journaled\n%!"
     (List.length pending) skipped;
-  let my_journal = journal_path ?worker:settings.worker dir in
+  let my_journal = journal_path ?shard:settings.shard dir in
   let journal = Journal.open_ my_journal in
   let commit =
     Group_commit.create ~window_s:settings.flush_window_s
-      ~max_batch:settings.flush_max_batch
       ~checkpoint_every:settings.checkpoint_every ~store ~journal
       ~initial:(Journal.replay_checkpointed my_journal)
       ()

@@ -4,8 +4,8 @@
     A batch run lives in a directory:
     {v
       DIR/grid.json              expanded job list (written once by run)
-      DIR/journal.jsonl          completion journal (single-process runs)
-      DIR/journal.wIofN.jsonl    per-worker journals (coordinator runs)
+      DIR/journal.jsonl          completion journal (unsharded runs)
+      DIR/journal.wIofN.jsonl    per-shard journals ([--shard I/N] runs)
       DIR/store/                 content-addressed artifact store
     v}
 
@@ -34,27 +34,23 @@
     supervising process's job — SIGKILL plus [resume] is the supported
     path, and is exactly what the CI smoke job exercises).
 
-    Two ways to partition the canonical job order by index modulo [n]:
-    [--shard i/n] journals into its own run {e directory} (manual
-    fan-out across machines), while [worker = (i, n)] — what the
-    {!Coordinator} passes to the children it spawns — shares one run
-    directory, writing [journal.wIofN.jsonl] alongside its siblings'
-    journals and sharing their store. All readers ({!resume} skipping,
-    {!Report}) merge the whole journal family. *)
+    [shard = (i, n)] runs only the jobs at index [≡ i (mod n)] of the
+    canonical order and journals into [journal.wIofN.jsonl]. The
+    {!Coordinator}'s children are shards sharing one run directory and
+    its store; shards run in separate directories (manual fan-out
+    across machines) merge by copying their journals and loose blobs
+    into one. All readers ({!resume} skipping, {!Report}) merge the
+    whole journal family. *)
 
 type settings = {
   retries : int;  (** extra attempts after the first (default 2) *)
   backoff_s : float;  (** base backoff, doubled per retry (default 0.05) *)
   timeout_s : float;  (** per-attempt wall-clock limit (default: none) *)
   shard : (int * int) option;  (** [(i, n)], 0-based shard index *)
-  worker : (int * int) option;
-      (** coordinator worker slice [(i, n)] — same partition as [shard]
-          but sharing the run directory; exclusive with [shard] *)
   max_jobs : int option;  (** stop after this many completions (smoke) *)
   num_domains : int option;  (** pool participation cap *)
   flush_window_s : float;
       (** group-commit linger before the leader flushes (default 0) *)
-  flush_max_batch : int;  (** max entries per flush (default 256) *)
   checkpoint_every : int;
       (** journal lines between checkpoint records, before geometric
           spacing widens it (default 1024) *)
@@ -99,8 +95,7 @@ val store_path : string -> string
 
 val journal_paths : dir:string -> string list
 (** Every journal in the run directory ([journal*.jsonl]), sorted —
-    one for a single-process run, one per worker after a coordinator
-    run. *)
+    one for an unsharded run, one per shard after a coordinator run. *)
 
 val settled_entries : ?verify:bool -> string -> Journal.entry list
 (** The merged settled outcome set across the journal family. Default

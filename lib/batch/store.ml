@@ -11,7 +11,7 @@
 
      {"blob":"<digest>","bytes":N}\n<N content bytes>\n
 
-   Deferred puts stage in memory; [flush_staged] appends the whole
+   A writer's puts stage in memory; [flush_staged] appends the whole
    batch to the pack with one write and one fsync — that fsync is the
    durability point for every blob in the batch. Loose copies are
    materialized (unsynced) at [close], and [open_] re-materializes any
@@ -28,7 +28,7 @@ type t = {
   deferred : bool;
   mutable counter : int;
   m : Mutex.t;
-  (* Deferred-mode state, all under [m]: blobs staged since the last
+  (* Writer state, all under [m]: blobs staged since the last
      flush (insertion order), a digest->content view of them for reads,
      and a digest->pack-extent index of records this process flushed
      but has not yet materialized. *)
@@ -248,84 +248,71 @@ let open_ ?(deferred = false) root =
   if deferred then open_own_pack t;
   t
 
-let dir t = t.root
-
 (* -- writes -- *)
 
-let put_immediate t digest content =
-  let path = blob_path t digest in
-  (* Concurrent puts of the same content race benignly: both rename
-     identical bytes onto the same path, and rename is atomic. *)
-  if not (Sys.file_exists path) then Durable.replace ~tmp:(next_tmp t) path content
-
 let put t content =
+  if not t.deferred then invalid_arg "Store.put: store opened as a reader";
   let digest = digest_hex content in
-  if t.deferred then begin
-    Mutex.lock t.m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.m)
-      (fun () ->
-        if
-          (not (Hashtbl.mem t.staged_tbl digest))
-          && (not (Hashtbl.mem t.packed digest))
-          && not (Sys.file_exists (blob_path t digest))
-        then begin
-          Hashtbl.add t.staged_tbl digest content;
-          t.staged <- (digest, content) :: t.staged
-        end)
-  end
-  else put_immediate t digest content;
+  Mutex.lock t.m;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.m)
+    (fun () ->
+      if
+        (not (Hashtbl.mem t.staged_tbl digest))
+        && (not (Hashtbl.mem t.packed digest))
+        && not (Sys.file_exists (blob_path t digest))
+      then begin
+        Hashtbl.add t.staged_tbl digest content;
+        t.staged <- (digest, content) :: t.staged
+      end);
   digest
 
 let flush_staged t =
-  if not t.deferred then 0
-  else begin
-    Mutex.lock t.m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.m)
-      (fun () ->
-        match (t.staged, t.pack_fd) with
-        | [], _ | _, None -> 0
-        | staged, Some fd ->
-            let batch = List.rev staged in
-            let buf = Buffer.create 4096 in
-            let extents =
-              List.map
-                (fun (digest, content) ->
-                  let header =
-                    Json.to_string
-                      (Json.Obj
-                         [
-                           ("blob", Json.Str digest);
-                           ("bytes", Json.Num (float_of_int (String.length content)));
-                         ])
-                    ^ "\n"
-                  in
-                  let offset =
-                    t.pack_len + Buffer.length buf + String.length header
-                  in
-                  Buffer.add_string buf header;
-                  Buffer.add_string buf content;
-                  Buffer.add_char buf '\n';
-                  (digest, { offset; bytes = String.length content }))
-                batch
-            in
-            let payload = Buffer.contents buf in
-            let n = String.length payload in
-            let written = Unix.write_substring fd payload 0 n in
-            if written <> n then failwith "Store.flush_staged: short write";
-            Unix.fsync fd;
-            (* Durability point: every blob in the batch is now covered
-               by its pack record. Content can leave memory. *)
-            t.pack_len <- t.pack_len + n;
-            List.iter
-              (fun (digest, extent) ->
-                Hashtbl.replace t.packed digest extent;
-                Hashtbl.remove t.staged_tbl digest)
-              extents;
-            t.staged <- [];
-            List.length batch)
-  end
+  Mutex.lock t.m;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.m)
+    (fun () ->
+      match (t.staged, t.pack_fd) with
+      | [], _ | _, None -> 0
+      | staged, Some fd ->
+          let batch = List.rev staged in
+          let buf = Buffer.create 4096 in
+          let extents =
+            List.map
+              (fun (digest, content) ->
+                let header =
+                  Json.to_string
+                    (Json.Obj
+                       [
+                         ("blob", Json.Str digest);
+                         ("bytes", Json.Num (float_of_int (String.length content)));
+                       ])
+                  ^ "\n"
+                in
+                let offset =
+                  t.pack_len + Buffer.length buf + String.length header
+                in
+                Buffer.add_string buf header;
+                Buffer.add_string buf content;
+                Buffer.add_char buf '\n';
+                (digest, { offset; bytes = String.length content }))
+              batch
+          in
+          let payload = Buffer.contents buf in
+          let n = String.length payload in
+          let written = Unix.write_substring fd payload 0 n in
+          if written <> n then failwith "Store.flush_staged: short write";
+          Unix.fsync fd;
+          (* Durability point: every blob in the batch is now covered
+             by its pack record. Content can leave memory. *)
+          t.pack_len <- t.pack_len + n;
+          List.iter
+            (fun (digest, extent) ->
+              Hashtbl.replace t.packed digest extent;
+              Hashtbl.remove t.staged_tbl digest)
+            extents;
+          t.staged <- [];
+          List.length batch)
 
 let close t =
   ignore (flush_staged t);
@@ -354,7 +341,7 @@ let read_packed path { offset; bytes } =
       seek_in ic offset;
       really_input_string ic bytes)
 
-(* Deferred blobs not yet loose: staged content lives in memory, flushed
+(* A writer's blobs not yet loose: staged content lives in memory, flushed
    content in this process's own pack. *)
 let read_unmaterialized t digest =
   Mutex.lock t.m;
@@ -392,13 +379,10 @@ let get_unverified t digest =
 let mem t digest =
   Sys.file_exists (blob_path t digest)
   ||
-  (t.deferred
-  &&
   (Mutex.lock t.m;
    Fun.protect
      ~finally:(fun () -> Mutex.unlock t.m)
-     (fun () ->
-       Hashtbl.mem t.staged_tbl digest || Hashtbl.mem t.packed digest)))
+     (fun () -> Hashtbl.mem t.staged_tbl digest || Hashtbl.mem t.packed digest))
 
 let list t =
   let subs = try Sys.readdir (blobs_dir t) with Sys_error _ -> [||] in

@@ -3,31 +3,29 @@
 
     Blobs — serialized traces, feature vectors, per-job result JSON —
     are keyed by the MD5 hex digest of their content and live under
-    [DIR/blobs/<d0d1>/<digest>] ("loose" blobs). Two write paths:
+    [DIR/blobs/<d0d1>/<digest>] ("loose" blobs). A store is opened
+    either as a {e writer} ([open_ ~deferred:true], what a batch run's
+    executor uses) or as a {e reader} (the default: init, report, gc,
+    fuzz evaluation). Only a writer may {!put}.
 
-    {b Immediate} (the default): content goes to a unique file under
-    [DIR/tmp/], is fsync'd, then renamed into place — a crash at any
-    instant leaves either no blob or a complete one, never a torn one.
-    One blob, two fsyncs.
+    A writer's {!put} only buffers the content; {!flush_staged} appends
+    every buffered blob to this process's {e pack file}
+    ([DIR/pack/<pid>.pack]) with a single write and a single fsync — the
+    whole batch becomes durable at the amortized cost of one fsync.
+    Loose copies are materialized (without fsync) by {!close}, and
+    {!open_} re-materializes any loose blob a pack covers that is
+    missing or the wrong size, so a run killed at any instant still
+    presents the complete blob set after reopen. The pack is the durable
+    copy until {!gc} verifies and fsyncs the loose blobs and folds the
+    packs away; until then a store directory may hold both, at the cost
+    of disk, never of correctness.
 
-    {b Deferred} ([open_ ~deferred:true]): {!put} only buffers the
-    content and {!flush_staged} appends every buffered blob to this
-    process's {e pack file} ([DIR/pack/<pid>.pack]) with a single write
-    and a single fsync — the whole batch becomes durable at the
-    amortized cost of one fsync. Loose copies are materialized (without
-    fsync) by {!close}, and {!open_} re-materializes any loose blob a
-    pack covers that is missing or the wrong size, so a run killed at
-    any instant still presents the complete blob set after reopen. The
-    pack is the durable copy until {!gc} verifies and fsyncs the loose
-    blobs and folds the packs away; until then a store directory may
-    hold both, at the cost of disk, never of correctness.
-
-    Re-putting existing content is a no-op in both modes (same digest,
-    same bytes), which is what makes a resumed run's store
-    byte-identical to an uninterrupted one. A versioned manifest
-    ([DIR/manifest.json]) is written on first open and checked
-    afterwards; {!get} re-hashes content and raises {!Corrupt} on
-    mismatch, so disk rot is detected at read time. *)
+    Re-putting existing content is a no-op (same digest, same bytes),
+    which is what makes a resumed run's store byte-identical to an
+    uninterrupted one. A versioned manifest ([DIR/manifest.json]) is
+    written on first open and checked afterwards; {!get} re-hashes
+    content and raises {!Corrupt} on mismatch, so disk rot is detected
+    at read time. *)
 
 type t
 
@@ -40,31 +38,28 @@ val open_ : ?deferred:bool -> string -> t
     Recovers loose blobs from any pack files left by crashed or
     unfinished runs, and sweeps [tmp/] leftovers whose writing process
     is dead; raises {!Corrupt} if an existing manifest carries a
-    different schema. [~deferred:true] selects the group-commit write
-    path described above. *)
-
-val dir : t -> string
+    different schema. [~deferred:true] opens a writer, described above;
+    without it the store is a reader. *)
 
 val digest_hex : string -> string
 (** The content digest {!put} would assign (MD5 hex). *)
 
 val put : t -> string -> string
-(** [put t content] stores a blob, returning its digest. Atomic and
-    durable in immediate mode; in deferred mode the blob is only
-    buffered until the next {!flush_staged} covers it. Idempotent for
-    existing content. Safe from concurrent domains. *)
+(** [put t content] stores a blob, returning its digest. The blob is
+    only buffered until the next {!flush_staged} covers it. Idempotent
+    for existing content. Safe from concurrent domains. Raises
+    [Invalid_argument] on a reader. *)
 
 val flush_staged : t -> int
 (** Make every blob buffered since the last flush durable: one pack
-    append, one fsync. Returns the number of blobs flushed (0 in
-    immediate mode or when nothing is staged). Safe from concurrent
+    append, one fsync. Returns the number of blobs flushed (0 on a
+    reader or when nothing is staged). Safe from concurrent
     domains; concurrent {!put}s simply land in the next flush. *)
 
 val close : t -> unit
 (** Flush anything staged, then materialize loose copies of every blob
-    this process's pack covers. Idempotent; a no-op for immediate-mode
-    stores. The pack file is kept — it is the fsync'd copy until {!gc}
-    folds it. *)
+    this process's pack covers. Idempotent; a no-op for readers. The
+    pack file is kept — it is the fsync'd copy until {!gc} folds it. *)
 
 val get : t -> string -> string
 (** [get t digest] reads a blob back, verifying its content hash.

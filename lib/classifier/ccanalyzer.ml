@@ -12,19 +12,8 @@ type result = {
   closest : (string * float) list;  (** all known CCAs, closest first *)
 }
 
-let reference_traces = lazy (
-  List.filter_map
-    (fun name ->
-      match Abg_cca.Registry.find name with
-      | None -> None
-      | Some ctor ->
-          let traces =
-            Abg_parallel.Pool.map_list
-              (fun cfg -> Abg_trace.Trace.collect_cached cfg ~name ctor)
-              (Gordon.reference_scenarios ())
-          in
-          Some (name, traces))
-    ("cdg" :: "nv" :: Gordon.known_set))
+let reference_traces =
+  lazy (Gordon.reference_suites ("cdg" :: "nv" :: Gordon.known_set) Fun.id)
 
 let trace_distance a b =
   let _, va = Abg_trace.Trace.observed_series a in
@@ -32,8 +21,8 @@ let trace_distance a b =
   if Array.length va = 0 || Array.length vb = 0 then infinity
   else Abg_distance.Metric.compute Abg_distance.Metric.Dtw ~truth:va ~candidate:vb
 
-(* Mean distance between a query suite and one reference suite, pairing
-   scenario-wise when possible. *)
+(* Mean distance between a query suite and one reference suite: every
+   query trace against every reference trace, not paired by scenario. *)
 let suite_distance queries references =
   let ds =
     List.concat_map

@@ -36,20 +36,30 @@ let reference_scenarios () =
     Abg_netsim.Config.make ~bandwidth_mbps:15.0 ~rtt_ms:75.0 ~duration:15.0
       ~ack_jitter:0.001 ~seed:204 () ]
 
-(* Reference feature vectors are deterministic; computed once per run. *)
-let references = lazy (
+(** [reference_suites names f] pairs each registered CCA in [names]
+    with [f] of its traces on {!reference_scenarios}, simulated once per
+    process through the trace store — the reference side of both offline
+    classifiers and of {!Online}. [f] runs on each suite before the next
+    is simulated: Gordon reduces each suite to a feature vector as it
+    goes, and reducing only after every simulation raises peak RSS. *)
+let reference_suites names f =
   List.filter_map
     (fun name ->
-      match Abg_cca.Registry.find name with
-      | None -> None
-      | Some ctor ->
-          let traces =
-            Abg_parallel.Pool.map_list
-              (fun cfg -> Abg_trace.Trace.collect_cached cfg ~name ctor)
-              (reference_scenarios ())
-          in
-          Some (name, Features.to_vector (Features.extract traces)))
-    known_set)
+      Option.map
+        (fun ctor ->
+          ( name,
+            f
+              (Abg_parallel.Pool.map_list
+                 (fun cfg -> Abg_trace.Trace.collect_cached cfg ~name ctor)
+                 (reference_scenarios ())) ))
+        (Abg_cca.Registry.find name))
+    names
+
+(* Reference feature vectors are deterministic; computed once per run. *)
+let references =
+  lazy
+    (reference_suites known_set (fun traces ->
+         Features.to_vector (Features.extract traces)))
 
 let vector_distance a b =
   let acc = ref 0.0 in

@@ -72,8 +72,7 @@ let reference_windows ~window values =
     comparable spans. The result holds a mutable scratch buffer, so each
     [t] must be scored from one domain at a time — the serve event loop
     owns one. *)
-let create ?(metric = Abg_distance.Metric.default)
-    ?(length = Abg_distance.Series.default_length) ?(window = 512) () =
+let create ?(window = 512) () =
   let refs =
     Lazy.force Ccanalyzer.reference_traces
     |> List.map (fun (name, traces) ->
@@ -83,14 +82,15 @@ let create ?(metric = Abg_distance.Metric.default)
                     let _, v = Abg_trace.Trace.observed_series tr in
                     reference_windows ~window v)
              |> List.map (fun w ->
-                    Abg_distance.Metric.prepare ~length metric ~truth:w)
+                    Abg_distance.Metric.prepare Abg_distance.Metric.default
+                      ~truth:w)
              |> Array.of_list
            in
            (name, prepared))
     |> List.filter (fun (_, ps) -> Array.length ps > 0)
     |> Array.of_list
   in
-  { refs; scratch = Array.make length 0.0 }
+  { refs; scratch = Array.make Abg_distance.Series.default_length 0.0 }
 
 (* A measured window self-normalizes to unit mean before scoring, so a
    flow's absolute bandwidth cannot dominate the shape comparison

@@ -13,10 +13,6 @@ val all : kind list
 val name : kind -> string
 val of_name : string -> kind option
 
-val dtw_band : int -> int
-(** [dtw_band length] — the Sakoe–Chiba band used for series of the given
-    length (10%, minimum 2). *)
-
 type prepared
 (** A ground-truth series resampled and normalized once, plus the metric
     and scale needed to score candidates against it. Immutable — safe to

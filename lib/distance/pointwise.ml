@@ -3,7 +3,7 @@
     Both compare series position-by-position (no temporal alignment), so
     they are cheap but sensitive to phase shifts — the weakness Figure 3
     quantifies against DTW. Series must have equal lengths (use
-    {!Series.prepare}).
+    {!Series.prepare_truth}).
 
     [?cutoff] abandons early once the partial sum already proves the
     distance (strictly) exceeds the cutoff, returning [infinity]; results

@@ -25,14 +25,6 @@ let resample ~length xs =
     Abg_util.Resample.linear ~times ~values:xs ~n:length
   end
 
-(** [normalize ~reference xs] scales both series by the reference mean. *)
-let normalize ~reference xs =
-  let n = Array.length reference in
-  assert (n > 0);
-  let mean = Array.fold_left ( +. ) 0.0 reference /. float_of_int n in
-  let scale = if mean > 1e-9 then 1.0 /. mean else 1.0 in
-  (Array.map (fun v -> v *. scale) reference, Array.map (fun v -> v *. scale) xs)
-
 (** [prepare_truth ?length truth] resamples and normalizes the
     ground-truth series once, returning [(reference, scale)] where
     [scale] is the multiplier candidates must be scaled by to live in the
@@ -70,10 +62,3 @@ let prepare_candidate_into ~get ~len ~scale dst =
       dst.(i) <- dst.(i) *. scale
     done
   end
-
-(** [prepare ?length ~truth ~candidate ()] resamples both value series to
-    [length] points and normalizes by the truth's mean, returning
-    [(truth', candidate')]. *)
-let prepare ?(length = default_length) ~truth ~candidate () =
-  let reference, scale = prepare_truth ~length truth in
-  (reference, prepare_candidate ~length ~scale candidate)

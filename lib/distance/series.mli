@@ -7,15 +7,6 @@
 val default_length : int
 (** Points per prepared series (128). *)
 
-val resample : length:int -> float array -> float array
-(** [resample ~length xs] — [xs] linearly interpolated to [length]
-    points (a copy when already that length, zeros when empty). *)
-
-val normalize :
-  reference:float array -> float array -> float array * float array
-(** [normalize ~reference xs] scales both series by the reference's mean;
-    returns [(reference', xs')]. *)
-
 val prepare_truth : ?length:int -> float array -> float array * float
 (** [prepare_truth truth] resamples and normalizes the ground-truth
     series, returning [(reference, scale)]. [scale] is the multiplier a
@@ -36,13 +27,3 @@ val prepare_candidate_into :
     allocation — the windowed variant for scoring a ring buffer.
     Bit-identical to [prepare_candidate ~length:(Array.length dst) ~scale
     (Array.init len get)]. *)
-
-val prepare :
-  ?length:int ->
-  truth:float array ->
-  candidate:float array ->
-  unit ->
-  float array * float array
-(** [prepare ~truth ~candidate ()] resamples both value series to
-    [length] points (index-based linear interpolation) and normalizes by
-    the truth's mean. Equivalent to {!prepare_truth} + {!prepare_candidate}. *)

@@ -129,4 +129,3 @@ let all = [ reno; cubic; delay; vegas; delay_7; delay_11; vegas_11 ]
 let find name = List.find_opt (fun d -> String.equal d.name name) all
 
 let operators dsl = List.filter Component.is_operator dsl.components
-let leaves dsl = List.filter (fun c -> not (Component.is_operator c)) dsl.components

@@ -35,4 +35,3 @@ val vegas_11 : t
 val all : t list
 val find : string -> t option
 val operators : t -> Component.t list
-val leaves : t -> Component.t list

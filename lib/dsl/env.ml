@@ -52,5 +52,3 @@ let example =
     delay_gradient = 0.0;
     wmax = 20000.0;
   }
-
-let with_cwnd env cwnd = { env with cwnd }

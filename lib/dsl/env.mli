@@ -24,5 +24,3 @@ val signal : t -> Signal.t -> float
 val example : t
 (** A neutral environment for smoke-testing expressions: 1448-byte MSS on
     a 50 ms, ~10 Mbit/s path. *)
-
-val with_cwnd : t -> float -> t

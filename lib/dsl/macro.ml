@@ -43,4 +43,3 @@ let eval (env : Env.t) = function
 
 let equal (a : t) b = a = b
 let compare (a : t) b = Stdlib.compare a b
-let pp fmt m = Format.pp_print_string fmt (name m)

@@ -17,4 +17,3 @@ val unit_of : t -> Abg_util.Units.t
 val eval : Env.t -> t -> float
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

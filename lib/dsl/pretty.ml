@@ -49,5 +49,3 @@ and boolean = function
 
 let num e = num_prec 0 e
 let to_string = num
-let pp fmt e = Format.pp_print_string fmt (num e)
-let pp_bool fmt b = Format.pp_print_string fmt (boolean b)

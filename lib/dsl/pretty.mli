@@ -8,5 +8,3 @@ val to_string : Expr.num -> string
 (** Alias of {!num}. *)
 
 val boolean : Expr.boolean -> string
-val pp : Format.formatter -> Expr.num -> unit
-val pp_bool : Format.formatter -> Expr.boolean -> unit

@@ -72,4 +72,3 @@ let range = function
 
 let equal (a : t) b = a = b
 let compare (a : t) b = Stdlib.compare a b
-let pp fmt s = Format.pp_print_string fmt (name s)

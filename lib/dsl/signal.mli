@@ -28,4 +28,3 @@ val range : t -> float * float
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

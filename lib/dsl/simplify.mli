@@ -13,7 +13,7 @@
 
 type facts = Expr.boolean -> [ `True | `False | `Unknown ]
 (** A guard oracle: [`True]/[`False] assert the guard is constant over
-    every environment of interest (see [Abg_analysis.Absint.facts]). *)
+    every environment of interest (see [Abg_analysis.Absint.simplify]). *)
 
 val no_facts : facts
 (** The trivial oracle: every guard is [`Unknown]. *)

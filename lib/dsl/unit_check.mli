@@ -8,16 +8,10 @@ val constant_units : Abg_util.Units.t list
 (** Units a bare (non-zero) constant may carry: scalar, seconds, or
     per-second. Zero is fully unit-polymorphic. *)
 
-val possible : ?limit:int -> Expr.num -> Abg_util.Units.t list
-(** The set of units the expression can denote, bottom-up, with constants
-    ranging over {!constant_units}. [limit] bounds the absolute exponent
-    (default 3). *)
-
-val bool_consistent : ?limit:int -> Expr.boolean -> bool
-(** Order comparisons need a shared unit on both sides; the modular
-    predicate is exempt (the paper's own BBR result compares
-    [CWND % 2.7]). *)
-
 val check : ?limit:int -> Expr.num -> expected:Abg_util.Units.t -> bool
-(** Can the expression denote a quantity in [expected]? The pipeline uses
-    [expected = Units.bytes] for cwnd-ack handlers. *)
+(** Can the expression denote a quantity in [expected]? Units are
+    computed bottom-up with constants ranging over {!constant_units};
+    order comparisons need a shared unit on both sides, the modular
+    predicate is exempt (the paper's own BBR result compares
+    [CWND % 2.7]). [limit] bounds the absolute exponent (default 3).
+    The pipeline uses [expected = Units.bytes] for cwnd-ack handlers. *)

@@ -44,10 +44,6 @@ let all (dsl : Catalog.t) =
   done;
   List.rev !subsets
 
-(** Human-readable bucket label, e.g. "{+,*,?:,<}". *)
-let to_string bucket =
-  "{" ^ String.concat "," (List.map Component.name bucket) ^ "}"
-
 (** [of_sketch sketch] — the bucket a sketch belongs to. *)
 let of_sketch sketch = Abg_dsl.Sketch.operator_set sketch
 

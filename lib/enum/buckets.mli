@@ -13,9 +13,6 @@ val all : Catalog.t -> bucket list
     conditional and vice versa. Raises [Invalid_argument] beyond 20
     operators (the power set stops being enumerable). *)
 
-val to_string : bucket -> string
-(** Human-readable label, e.g. ["{+,*,?:,<}"]. *)
-
 val of_sketch : Expr.num -> bucket
 (** The bucket a sketch belongs to. *)
 

@@ -53,11 +53,6 @@ val next_raw : ?bucket:Buckets.bucket -> t -> Expr.num option
     the encoding's pruning quality (with symmetry breaking on, the raw
     stream already contains no commutative duplicates). *)
 
-val assumptions_for_bucket : t -> Buckets.bucket -> int list
-(** Solver assumptions pinning the §4.4 bucket discriminator: the sketch
-    uses exactly the given operator set. (Blocking-group selectors are
-    managed internally by {!next}; these are just the [used_op] pins.) *)
-
 val retire_bucket : t -> Buckets.bucket -> unit
 (** Retract the bucket's blocking clauses (called when the refinement
     loop drops a bucket from the keep set, reclaiming solver memory).

@@ -26,8 +26,6 @@ let kind_of_name = function
   | "throughput" -> Some Throughput
   | _ -> None
 
-let all = [ Divergence; Counterexample; Throughput ]
-
 (** The per-evaluation inputs beyond the scenario itself. [cca] is the
     flow under test; [cca_b] names the second flow of a divergence pair;
     [handler] is the synthesized handler a counterexample search attacks. *)

@@ -8,7 +8,6 @@ type kind =
 
 val kind_name : kind -> string
 val kind_of_name : string -> kind option
-val all : kind list
 
 type spec = {
   kind : kind;

@@ -142,6 +142,3 @@ let decode s =
 
 (** Stable 32-hex identity of a genome — what CI pins. *)
 let fingerprint t = Digest.to_hex (Digest.string (encode t))
-
-let describe ~duration ~seed t =
-  Abg_netsim.Config.describe (to_config ~duration ~seed t)

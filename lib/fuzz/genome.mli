@@ -34,5 +34,3 @@ val decode : string -> t option
 
 val fingerprint : t -> string
 (** 32-hex stable identity — what CI pins for the champion. *)
-
-val describe : duration:float -> seed:int -> t -> string

@@ -56,36 +56,15 @@ let rec at_most_one s lits =
     at_most_one s commanders
   end
 
-let at_least_one s lits = Solver.add_clause s lits
-
 let exactly_one s lits =
-  at_least_one s lits;
+  Solver.add_clause s lits;
   at_most_one s lits
 
 (** [implies s a b] — a -> b. *)
 let implies s a b = Solver.add_clause s [ -a; b ]
 
-(** [implies_all s a bs] — a -> b for every b. *)
-let implies_all s a bs = List.iter (implies s a) bs
-
 (** [implies_clause s a bs] — a -> (b1 \/ ... \/ bn). *)
 let implies_clause s a bs = Solver.add_clause s (-a :: bs)
-
-(** [define_and s bs] returns a fresh literal equivalent to the
-    conjunction of [bs] (Tseitin). *)
-let define_and s bs =
-  let x = Solver.new_var s in
-  List.iter (fun b -> Solver.add_clause s [ -x; b ]) bs;
-  Solver.add_clause s (x :: List.map (fun b -> -b) bs);
-  x
-
-(** [define_or s bs] returns a fresh literal equivalent to the disjunction
-    of [bs] (Tseitin). *)
-let define_or s bs =
-  let x = Solver.new_var s in
-  List.iter (fun b -> Solver.add_clause s [ x; -b ]) bs;
-  Solver.add_clause s (-x :: bs);
-  x
 
 (** [at_most_k s lits k] — sequential-counter encoding (Sinz 2005):
     auxiliary registers r_{i,j} meaning "at least j of the first i+1

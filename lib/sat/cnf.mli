@@ -13,23 +13,13 @@ val pairwise_at_most_one : Solver.t -> int list -> unit
 (** The plain O(n^2) pairwise encoding, regardless of list length —
     the differential baseline for {!at_most_one}. *)
 
-val at_least_one : Solver.t -> int list -> unit
 val exactly_one : Solver.t -> int list -> unit
 
 val implies : Solver.t -> int -> int -> unit
 (** [implies s a b] — a -> b. *)
 
-val implies_all : Solver.t -> int -> int list -> unit
-(** [implies_all s a bs] — a -> b for every b. *)
-
 val implies_clause : Solver.t -> int -> int list -> unit
 (** [implies_clause s a bs] — a -> (b1 \/ ... \/ bn). *)
-
-val define_and : Solver.t -> int list -> int
-(** Fresh literal equivalent to the conjunction (Tseitin). *)
-
-val define_or : Solver.t -> int list -> int
-(** Fresh literal equivalent to the disjunction (Tseitin). *)
 
 val at_most_k : Solver.t -> int list -> int -> unit
 (** Sequential-counter cardinality constraint (Sinz 2005), O(n*k)

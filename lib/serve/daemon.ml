@@ -41,9 +41,6 @@ let endpoint_to_string = function
 type config = {
   endpoint : endpoint;
   engine : Engine.config;
-  max_connections : int;
-      (* stay far under the select FD_SETSIZE ceiling; sessions
-         multiplex, so this does not bound concurrent flows *)
   log : string -> unit;  (* daemon log lines (drain verdicts, summary) *)
 }
 
@@ -51,9 +48,12 @@ let default_config =
   {
     endpoint = Unix_socket "abagnale.sock";
     engine = Engine.default_config;
-    max_connections = 256;
     log = print_endline;
   }
+
+(* Stay far under the select FD_SETSIZE ceiling; sessions multiplex, so
+   this does not bound concurrent flows. *)
+let max_connections = 256
 
 (* One client connection: an incremental line framer for input and a
    byte buffer for output. [out_pos] tracks how much of [out] the socket
@@ -179,7 +179,7 @@ let run ?(config = default_config) () =
   let accept_one () =
     match Unix.accept listener with
     | fd, _ ->
-        if Hashtbl.length conns >= config.max_connections then begin
+        if Hashtbl.length conns >= max_connections then begin
           Abg_obs.Obs.Counter.incr obs_refused;
           (try
              ignore

@@ -106,7 +106,7 @@ let observe t sid payload =
   match find t sid with
   | Error msg -> error t ~sid msg
   | Ok s -> (
-      match Abg_trace.Io.Stream.push s.stream payload with
+      match Abg_trace.Io.Stream.step s.stream payload with
       | None ->
           Abg_obs.Obs.Counter.incr obs_meta;
           []

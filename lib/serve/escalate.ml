@@ -36,11 +36,6 @@ let create ?pool ?(max_pending = 64) runner =
 
 type outcome = Submitted | Duplicate | Dropped
 
-let outcome_to_string = function
-  | Submitted -> "submitted"
-  | Duplicate -> "duplicate"
-  | Dropped -> "dropped"
-
 (** [submit t ~sid trace] queues background synthesis of [trace] unless
     an identical trace was already escalated ([Duplicate]) or the
     pending budget is exhausted ([Dropped]). Runs on the caller only

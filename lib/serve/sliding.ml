@@ -44,9 +44,7 @@ let create ~capacity =
     losses = Queue.create ();
   }
 
-let capacity t = t.capacity
 let length t = Stdlib.min t.total t.capacity
-let total t = t.total
 
 (** [get t i] is the window's [i]-th record, oldest first
     ([0 <= i < length t]). *)
@@ -86,7 +84,7 @@ let loss_times t =
   Array.of_seq (Seq.map snd (Queue.to_seq t.losses))
 
 (** [to_trace t] materializes the current window as a trace — what
-    classification-by-features and escalation-to-synthesis consume. *)
+    escalation to synthesis consumes. *)
 let to_trace ?(cca_name = "unknown") ?(scenario = "live") t =
   let len = length t in
   {
@@ -96,9 +94,3 @@ let to_trace ?(cca_name = "unknown") ?(scenario = "live") t =
     records = Array.init len (fun i -> get t i);
     loss_times = loss_times t;
   }
-
-(** [features t] — batch feature extraction over the materialized
-    window; bit-identical to [Features.extract] on {!to_trace}'s result
-    because it {e is} that call. The O(window) cost is paid only on
-    classification queries, never per observation. *)
-let features t = Abg_classifier.Features.extract [ to_trace t ]

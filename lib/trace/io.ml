@@ -10,7 +10,8 @@
 
     The reader is liberal in what it accepts: CRLF line endings and
     blank (or whitespace-only) lines anywhere in the file are tolerated;
-    malformed data lines are rejected with their 1-based line number. *)
+    a malformed data or [# losses:] line is rejected with its 1-based
+    line number. *)
 
 let header = "# abagnale-trace v1"
 
@@ -53,18 +54,6 @@ let record_of_line ?lineno line =
       }
   | _ -> malformed ()
 
-let write_channel oc (trace : Trace.t) =
-  output_string oc (header ^ "\n");
-  Printf.fprintf oc "# cca: %s\n" trace.Trace.cca_name;
-  Printf.fprintf oc "# scenario: %s\n" trace.Trace.scenario;
-  Printf.fprintf oc "# losses: %s\n"
-    (String.concat ","
-       (Array.to_list (Array.map float_to_string trace.Trace.loss_times)));
-  Printf.fprintf oc "# columns: %s\n" (String.concat "\t" columns);
-  Array.iter
-    (fun r -> output_string oc (record_to_line r ^ "\n"))
-    trace.Trace.records
-
 (** [to_string trace] is the serialized file content as one string (what
     {!save} writes) — the batch store's blob payload for traces. *)
 let to_string trace =
@@ -86,76 +75,13 @@ let to_string trace =
   Buffer.contents buf
 
 let save path trace =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel oc trace)
-
-let parse_meta lines key =
-  let prefix = "# " ^ key ^ ": " in
-  List.find_map
-    (fun (_, line) ->
-      if String.length line >= String.length prefix
-         && String.sub line 0 (String.length prefix) = prefix
-      then Some (String.sub line (String.length prefix)
-                   (String.length line - String.length prefix))
-      else None)
-    lines
+  Out_channel.with_open_text path (fun oc -> output_string oc (to_string trace))
 
 (* Strip one trailing CR: files written on (or piped through) Windows
    tooling arrive with CRLF endings, and the payload is identical. *)
 let strip_cr line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-
-let parse_lines lines =
-  let meta, data =
-    List.partition
-      (fun (_, l) -> String.length l > 0 && l.[0] = '#')
-      lines
-  in
-  let cca_name = Option.value ~default:"unknown" (parse_meta meta "cca") in
-  let scenario = Option.value ~default:"unknown" (parse_meta meta "scenario") in
-  let loss_times =
-    match parse_meta meta "losses" with
-    | None | Some "" -> [||]
-    | Some s ->
-        String.split_on_char ',' s |> List.map float_of_string |> Array.of_list
-  in
-  let records =
-    data
-    |> List.filter (fun (_, l) -> String.trim l <> "")
-    |> List.map (fun (lineno, l) -> record_of_line ~lineno l)
-    |> Array.of_list
-  in
-  {
-    Trace.cca_name;
-    scenario;
-    config = Abg_netsim.Config.default;
-    records;
-    loss_times;
-  }
-
-let read_channel ic =
-  let lines = ref [] in
-  let lineno = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       lines := (!lineno, strip_cr line) :: !lines
-     done
-   with End_of_file -> ());
-  parse_lines (List.rev !lines)
-
-(** [of_string s] parses serialized trace content ({!to_string}'s
-    inverse). Line numbers in errors are 1-based positions in [s]. *)
-let of_string s =
-  String.split_on_char '\n' s
-  |> List.mapi (fun i l -> (i + 1, strip_cr l))
-  |> parse_lines
-
-let load path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
 
 (** Incremental newline framing for the serving layer: socket reads
     arrive as arbitrary chunks, and a logical line may span several of
@@ -197,69 +123,116 @@ module Lines = struct
   let pending t = Buffer.length t.buf > 0
 end
 
-(** Incremental trace parsing: the serving layer's per-session reader.
-    A [Stream.t] accepts trace-format lines one at a time — exactly the
-    lines {!load} would read from a file, so a client can forward a
-    trace file verbatim — and parses data lines eagerly, so malformed
+(** Incremental trace parsing, the one trace reader: {!of_string},
+    {!load} and the serving layer's sessions all feed it lines. A
+    [Stream.t] accepts trace-format lines one at a time — exactly the
+    lines {!load} reads from a file, so a client can forward a trace
+    file verbatim — and parses each line as it arrives, so malformed
     input is rejected at arrival with its 1-based position in the
-    session's stream (the error the daemon echoes back). Meta comments
-    accumulate and {!Stream.to_trace} materializes everything received
-    so far, which is what escalation hands to synthesis. *)
+    stream (the error the daemon echoes back). The first value of each
+    meta comment ([# cca:], [# scenario:], [# losses:]) is kept. *)
 module Stream = struct
   type t = {
-    mutable lineno : int;  (* 1-based count of lines pushed *)
-    mutable meta : (int * string) list;  (* comment lines, newest first *)
-    mutable rev_records : Record.t list;  (* newest first *)
-    mutable count : int;
+    mutable lineno : int;  (* 1-based count of lines seen *)
+    mutable cca_name : string option;
+    mutable scenario : string option;
+    mutable loss_times : float array option;
+    mutable rev_records : Record.t list;  (* pushed records, newest first *)
   }
 
-  let create () = { lineno = 0; meta = []; rev_records = []; count = 0 }
+  let create () =
+    {
+      lineno = 0;
+      cca_name = None;
+      scenario = None;
+      loss_times = None;
+      rev_records = [];
+    }
 
-  (** [push t line] consumes one logical line (CR tolerated). Returns
-      the parsed record for data lines, [None] for comments and blanks.
-      Raises [Invalid_argument] with the line's 1-based stream position
-      for malformed data. *)
-  let push t line =
-    t.lineno <- t.lineno + 1;
-    let line = strip_cr line in
-    if String.length line > 0 && line.[0] = '#' then begin
-      t.meta <- (t.lineno, line) :: t.meta;
-      None
-    end
-    else if String.trim line = "" then None
-    else begin
-      let r = record_of_line ~lineno:t.lineno line in
-      t.rev_records <- r :: t.rev_records;
-      t.count <- t.count + 1;
-      Some r
-    end
+  let meta_value key line =
+    let prefix = "# " ^ key ^ ": " in
+    if String.starts_with ~prefix line then
+      Some
+        (String.sub line (String.length prefix)
+           (String.length line - String.length prefix))
+    else None
 
-  let count t = t.count
-
-  (** Claimed CCA name from a [# cca:] comment, if one has arrived. *)
-  let cca_name t = parse_meta (List.rev t.meta) "cca"
-
-  (** [to_trace t] is the trace streamed so far — same result as parsing
-      the pushed lines with {!of_string}. *)
-  let to_trace t =
-    let meta = List.rev t.meta in
-    let cca_name = Option.value ~default:"unknown" (parse_meta meta "cca") in
-    let scenario =
-      Option.value ~default:"unknown" (parse_meta meta "scenario")
-    in
-    let loss_times =
-      match parse_meta meta "losses" with
-      | None | Some "" -> [||]
-      | Some s ->
+  let losses_of ~lineno line = function
+    | "" -> [||]
+    | s -> (
+        try
           String.split_on_char ',' s
           |> List.map float_of_string
           |> Array.of_list
-    in
+        with Failure _ ->
+          invalid_arg
+            (Printf.sprintf "Io.Stream: line %d: malformed losses: %s" lineno
+               line))
+
+  let first key line = function
+    | Some _ as v -> v
+    | None -> meta_value key line
+
+  (** [step t line] consumes one logical line (CR tolerated) without
+      keeping its record: a long-lived session's memory stays O(1) in
+      the lines it has seen. Returns the parsed record for data lines,
+      [None] for comments and blanks. Raises [Invalid_argument] with the
+      line's 1-based stream position for a malformed data or
+      [# losses:] line. *)
+  let step t line =
+    t.lineno <- t.lineno + 1;
+    let line = strip_cr line in
+    if String.length line > 0 && line.[0] = '#' then begin
+      t.cca_name <- first "cca" line t.cca_name;
+      t.scenario <- first "scenario" line t.scenario;
+      if t.loss_times = None then
+        t.loss_times <-
+          Option.map
+            (losses_of ~lineno:t.lineno line)
+            (meta_value "losses" line);
+      None
+    end
+    else if String.trim line = "" then None
+    else Some (record_of_line ~lineno:t.lineno line)
+
+  (** [push t line] is {!step} that also keeps the record for
+      {!to_trace}. *)
+  let push t line =
+    let r = step t line in
+    Option.iter (fun r -> t.rev_records <- r :: t.rev_records) r;
+    r
+
+  (** Claimed CCA name from a [# cca:] comment, if one has arrived. *)
+  let cca_name t = t.cca_name
+
+  (** [to_trace t] is the trace of every line {!push}ed so far. *)
+  let to_trace t =
     {
-      Trace.cca_name;
-      scenario;
+      Trace.cca_name = Option.value ~default:"unknown" t.cca_name;
+      scenario = Option.value ~default:"unknown" t.scenario;
       config = Abg_netsim.Config.default;
       records = Array.of_list (List.rev t.rev_records);
-      loss_times;
+      loss_times = Option.value ~default:[||] t.loss_times;
     }
 end
+
+(** [of_string s] parses serialized trace content ({!to_string}'s
+    inverse). Line numbers in errors are 1-based positions in [s]. *)
+let of_string s =
+  let stream = Stream.create () in
+  List.iter
+    (fun line -> ignore (Stream.push stream line))
+    (String.split_on_char '\n' s);
+  Stream.to_trace stream
+
+let load path =
+  In_channel.with_open_text path (fun ic ->
+      let stream = Stream.create () in
+      let rec go () =
+        match In_channel.input_line ic with
+        | Some line ->
+            ignore (Stream.push stream line);
+            go ()
+        | None -> Stream.to_trace stream
+      in
+      go ())

@@ -195,25 +195,24 @@ let store_clear () =
   Abg_obs.Obs.Counter.reset store_misses;
   Abg_obs.Obs.Gauge.set store_size 0.0
 
-(** [collect_configs ?cache ~name constructor configs] collects one trace
-    per explicit scenario config, in parallel over the domain pool and
-    keyed by the process-wide trace store (unless [~cache:false]). Each
-    config carries its own RNG seed, so the result is bit-identical to a
-    sequential pass regardless of scheduling. This is the batch
-    orchestrator's entry point: a job spec names its exact
-    {!Config.t} list, and identical configs across jobs share one
-    simulation through the store. *)
-let collect_configs ?(cache = true) ~name constructor configs =
+(** [collect_configs ~name constructor configs] collects one trace per
+    explicit scenario config, in parallel over the domain pool and keyed
+    by the process-wide trace store. Each config carries its own RNG
+    seed, so the result is bit-identical to a sequential pass regardless
+    of scheduling. This is the batch orchestrator's entry point: a job
+    spec names its exact {!Config.t} list, and identical configs across
+    jobs share one simulation through the store. *)
+let collect_configs ~name constructor configs =
   Abg_obs.Obs.span "collect-suite" @@ fun () ->
-  let grab = if cache then collect_cached else collect in
-  Abg_parallel.Pool.map_list (fun cfg -> grab cfg ~name constructor) configs
+  Abg_parallel.Pool.map_list
+    (fun cfg -> collect_cached cfg ~name constructor)
+    configs
 
-(** [collect_suite ?duration ?ack_jitter ?cache ~n ~name constructor]
-    collects traces for a diverse scenario grid (§3.2's RTT x bandwidth
-    ranges) — {!collect_configs} over {!Config.testbed_grid}. *)
-let collect_suite ?(duration = 30.0) ?ack_jitter ?(cache = true) ~n ~name
-    constructor =
-  collect_configs ~cache ~name constructor
+(** [collect_suite ?duration ?ack_jitter ~n ~name constructor] collects
+    traces for a diverse scenario grid (§3.2's RTT x bandwidth ranges) —
+    {!collect_configs} over {!Config.testbed_grid}. *)
+let collect_suite ?(duration = 30.0) ?ack_jitter ~n ~name constructor =
+  collect_configs ~name constructor
     (Config.testbed_grid ~duration ?ack_jitter ~n ())
 
 (** Observed (visible) CWND series and its timestamps. *)

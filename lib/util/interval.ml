@@ -177,5 +177,3 @@ let mod_eq a b =
 
 let pp ppf i =
   Fmt.pf ppf "[%g, %g]%s" i.lo i.hi (if i.nan then " or NaN" else "")
-
-let to_string i = Fmt.str "%a" pp i

@@ -25,18 +25,12 @@ val top : t
 val contains : t -> float -> bool
 (** Membership; [contains i nan] is the NaN flag. *)
 
-val contains_zero : t -> bool
-
 val has_inf : t -> bool
 (** Whether either endpoint is infinite. *)
 
 val join : t -> t -> t
 (** Least upper bound (interval hull, NaN flags or-ed). *)
 
-val with_nan : t -> t
-(** Same bounds with the NaN flag forced on. *)
-
-val neg : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
@@ -66,4 +60,3 @@ val mod_eq : t -> t -> verdict
 (** Abstract counterpart of the evaluator's tolerant [a % b = 0]. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

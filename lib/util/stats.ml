@@ -1,41 +1,25 @@
-(** Streaming and batch descriptive statistics.
+(** Descriptive statistics.
 
     The classifier features (slope constancy, convexity, pulse counting) and
     the evaluation harness both need robust summary statistics; everything
     here is numerically careful (Welford updates, sorted-copy quantiles). *)
 
-type accumulator = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable minimum : float;
-  mutable maximum : float;
-}
-
-let accumulator () =
-  { n = 0; mean = 0.0; m2 = 0.0; minimum = infinity; maximum = neg_infinity }
+type accumulator = { mutable n : int; mutable mean : float; mutable m2 : float }
 
 (* Welford's online update: numerically stable single-pass variance. *)
 let add acc x =
   acc.n <- acc.n + 1;
   let delta = x -. acc.mean in
   acc.mean <- acc.mean +. (delta /. float_of_int acc.n);
-  acc.m2 <- acc.m2 +. (delta *. (x -. acc.mean));
-  if x < acc.minimum then acc.minimum <- x;
-  if x > acc.maximum then acc.maximum <- x
+  acc.m2 <- acc.m2 +. (delta *. (x -. acc.mean))
 
-let count acc = acc.n
 let mean_of acc = if acc.n = 0 then nan else acc.mean
 
 let variance_of acc =
   if acc.n < 2 then 0.0 else acc.m2 /. float_of_int (acc.n - 1)
 
-let stddev_of acc = sqrt (variance_of acc)
-let min_of acc = acc.minimum
-let max_of acc = acc.maximum
-
 let of_array xs =
-  let acc = accumulator () in
+  let acc = { n = 0; mean = 0.0; m2 = 0.0 } in
   Array.iter (add acc) xs;
   acc
 
@@ -43,7 +27,7 @@ let of_array xs =
 let mean xs = mean_of (of_array xs)
 
 let variance xs = variance_of (of_array xs)
-let stddev xs = stddev_of (of_array xs)
+let stddev xs = sqrt (variance xs)
 
 (* In-place quickselect (Hoare partition, median-of-3 pivot): after
    [select a k], [a.(k)] holds the k-th order statistic and everything

@@ -1,22 +1,12 @@
-(** Streaming and batch descriptive statistics (numerically careful:
-    Welford updates, sorted-copy quantiles). *)
-
-type accumulator
-
-val accumulator : unit -> accumulator
-val add : accumulator -> float -> unit
-val count : accumulator -> int
-val mean_of : accumulator -> float
-val variance_of : accumulator -> float
-(** Sample variance (n-1 denominator); 0 below two samples. *)
-
-val stddev_of : accumulator -> float
-val min_of : accumulator -> float
-val max_of : accumulator -> float
-val of_array : float array -> accumulator
+(** Descriptive statistics (numerically careful: Welford updates,
+    sorted-copy quantiles). *)
 
 val mean : float array -> float
+(** Welford running mean; [nan] on empty input. *)
+
 val variance : float array -> float
+(** Sample variance (n-1 denominator); 0 below two samples. *)
+
 val stddev : float array -> float
 
 val quantile : float array -> float -> float

@@ -41,8 +41,6 @@ let to_string u =
   | [] -> "1"
   | parts -> String.concat "*" parts
 
-let pp fmt u = Format.pp_print_string fmt (to_string u)
-
 (** All units reachable by combining DSL signals within a bounded expression
     depth; used as the finite domain of the enumeration encoding. The bound
     [limit] caps the absolute exponent value. *)
@@ -54,7 +52,3 @@ let domain ~limit =
     done
   done;
   List.rev !acc
-
-let index_in_domain ~limit u =
-  if abs u.bytes > limit || abs u.seconds > limit then None
-  else Some (((u.bytes + limit) * ((2 * limit) + 1)) + (u.seconds + limit))

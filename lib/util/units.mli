@@ -21,10 +21,7 @@ val cbrt : t -> t option
 (** [Some] when every exponent is divisible by 3. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val domain : limit:int -> t list
 (** All units with absolute exponents up to [limit] — the finite domain of
     the SAT encoding. *)
-
-val index_in_domain : limit:int -> t -> int option

@@ -21,7 +21,8 @@ let test_interval_basics () =
   Alcotest.(check bool) "contains" true (I.contains i 2.0);
   Alcotest.(check bool) "below" false (I.contains i 0.5);
   Alcotest.(check bool) "nan off" false (I.contains i Float.nan);
-  Alcotest.(check bool) "nan on" true (I.contains (I.with_nan i) Float.nan);
+  Alcotest.(check bool) "nan on" true
+    (I.contains (I.v ~nan:true 1.0 3.0) Float.nan);
   Alcotest.(check bool) "flipped rejected" true
     (try
        ignore (I.v 2.0 1.0);
@@ -52,9 +53,9 @@ let test_interval_verdicts () =
     (I.lt (I.v 0.0 2.0) (I.v 1.0 3.0) = I.Unknown);
   (* NaN comparisons are false, so possible NaN blocks True but not False. *)
   Alcotest.(check bool) "nan blocks true" true
-    (I.lt (I.with_nan (I.v 0.0 1.0)) (I.v 2.0 3.0) = I.Unknown);
+    (I.lt (I.v ~nan:true 0.0 1.0) (I.v 2.0 3.0) = I.Unknown);
   Alcotest.(check bool) "nan keeps false" true
-    (I.lt (I.with_nan (I.v 2.0 3.0)) (I.v 0.0 1.0) = I.False);
+    (I.lt (I.v ~nan:true 2.0 3.0) (I.v 0.0 1.0) = I.False);
   Alcotest.(check bool) "mod_eq zero numerator" true
     (I.mod_eq (I.const 0.0) (I.const 2.0) = I.True);
   Alcotest.(check bool) "mod_eq tiny divisor" true

@@ -208,7 +208,8 @@ let test_durable_replace () =
 (* -- Store -- *)
 
 let test_store_put_get () =
-  let store = Store.open_ (Filename.concat (fresh_dir ()) "store") in
+  let root = Filename.concat (fresh_dir ()) "store" in
+  let store = Store.open_ ~deferred:true root in
   let d1 = Store.put store "hello" in
   let d2 = Store.put store "hello" in
   Alcotest.(check string) "idempotent" d1 d2;
@@ -219,9 +220,13 @@ let test_store_put_get () =
   Alcotest.(check bool) "not mem" false
     (Store.mem store (Store.digest_hex "other"));
   let d3 = Store.put store "world" in
+  Store.close store;
   Alcotest.(check (list string)) "list sorted"
     (List.sort String.compare [ d1; d3 ])
-    (Store.list store)
+    (Store.list store);
+  match Store.put (Store.open_ root) "reader" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "put on a reader must be refused"
 
 let test_store_get_missing () =
   let store = Store.open_ (Filename.concat (fresh_dir ()) "store") in
@@ -231,8 +236,9 @@ let test_store_get_missing () =
 
 let test_store_detects_corruption () =
   let root = Filename.concat (fresh_dir ()) "store" in
-  let store = Store.open_ root in
+  let store = Store.open_ ~deferred:true root in
   let d = Store.put store "payload" in
+  Store.close store;
   let path =
     Filename.concat (Filename.concat (Filename.concat root "blobs")
                        (String.sub d 0 2)) d
@@ -804,22 +810,30 @@ let test_runner_timeout_quarantines () =
       Alcotest.(check int) "attempt budget honored" 2 attempts
   | _ -> Alcotest.fail "expected a quarantined timeout"
 
+let merged_settled_lines dir =
+  Runner.settled_entries ~verify:true dir
+  |> List.map Journal.entry_to_line
+  |> List.sort String.compare
+
+let copy_file src dst =
+  In_channel.with_open_bin src In_channel.input_all |> write_file dst
+
 let test_runner_shard_union_equals_whole () =
   let jobs =
     List.map (fun seed -> probe_job ~seed "reno") [ 1; 2; 3; 4; 5 ]
   in
   let whole = fresh_dir () in
   ignore (Runner.run ~dir:whole ~settings:quiet_settings jobs);
-  let shard_lines i =
+  let shard_run i =
     let dir = fresh_dir () in
     ignore
       (Runner.run ~dir
          ~settings:{ quiet_settings with Runner.shard = Some (i, 2) }
          jobs);
-    (settled_lines dir, store_blobs dir)
+    (dir, merged_settled_lines dir, store_blobs dir)
   in
-  let lines0, blobs0 = shard_lines 0 in
-  let lines1, blobs1 = shard_lines 1 in
+  let dir0, lines0, blobs0 = shard_run 0 in
+  let dir1, lines1, blobs1 = shard_run 1 in
   (* Disjoint... *)
   List.iter
     (fun l -> Alcotest.(check bool) "shards disjoint" false (List.mem l lines1))
@@ -832,7 +846,26 @@ let test_runner_shard_union_equals_whole () =
     List.sort_uniq (fun (d, _) (d', _) -> String.compare d d') (a @ b)
   in
   Alcotest.(check (list (pair string string))) "store union = whole"
-    (store_blobs whole) (merge blobs0 blobs1)
+    (store_blobs whole) (merge blobs0 blobs1);
+  (* Shards run apart merge by copying shard 1's journals and loose blobs
+     into shard 0's directory: each shard journals under its own name, so
+     nothing is overwritten and the report is the unsharded one. *)
+  List.iter
+    (fun path ->
+      copy_file path (Filename.concat dir0 (Filename.basename path)))
+    (Runner.journal_paths ~dir:dir1);
+  let blobs dir = Filename.concat (Filename.concat dir "store") "blobs" in
+  Array.iter
+    (fun sub ->
+      let src = Filename.concat (blobs dir1) sub
+      and dst = Filename.concat (blobs dir0) sub in
+      if not (Sys.file_exists dst) then Sys.mkdir dst 0o755;
+      Array.iter
+        (fun d -> copy_file (Filename.concat src d) (Filename.concat dst d))
+        (Sys.readdir src))
+    (Sys.readdir (blobs dir1));
+  Alcotest.(check string) "copied shards report = whole"
+    (Report.render whole) (Report.render dir0)
 
 let test_runner_shard_select () =
   let xs = [ 0; 1; 2; 3; 4; 5; 6 ] in
@@ -859,11 +892,6 @@ let test_runner_grid_persists_canonically () =
     (List.sort String.compare (List.map Job.digest jobs))
     (List.map Job.digest loaded)
 
-let merged_settled_lines dir =
-  Runner.settled_entries ~verify:true dir
-  |> List.map Journal.entry_to_line
-  |> List.sort String.compare
-
 let test_runner_worker_journals_merge () =
   (* Two coordinator workers sharing one run directory must together
      reproduce the single-process run byte-for-byte: journal outcome
@@ -877,7 +905,7 @@ let test_runner_worker_journals_merge () =
     (fun i ->
       ignore
         (Runner.resume ~dir
-           ~settings:{ quiet_settings with Runner.worker = Some (i, 2) }
+           ~settings:{ quiet_settings with Runner.shard = Some (i, 2) }
            ()))
     [ 0; 1 ];
   Alcotest.(check (list string)) "two worker journals"
@@ -895,18 +923,6 @@ let test_runner_worker_journals_merge () =
     (List.length idle.Runner.completions);
   Alcotest.(check int) "all skipped" (List.length jobs) idle.Runner.skipped
 
-let test_runner_worker_excludes_shard () =
-  let dir = fresh_dir () in
-  Runner.init ~dir [ probe_job ~seed:1 "reno" ];
-  match
-    Runner.resume ~dir
-      ~settings:
-        { quiet_settings with Runner.worker = Some (0, 2); shard = Some (0, 2) }
-      ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
-
 let test_runner_gc_keeps_live_sweeps_orphans () =
   let dir = fresh_dir () in
   ignore (Runner.run ~dir ~settings:quiet_settings smoke_jobs);
@@ -917,8 +933,9 @@ let test_runner_gc_keeps_live_sweeps_orphans () =
   Alcotest.(check (list (pair string string))) "store unchanged"
     before_blobs (store_blobs dir);
   (* Plant an orphan — a blob no journaled result references. *)
-  let store = Store.open_ (Filename.concat dir "store") in
+  let store = Store.open_ ~deferred:true (Filename.concat dir "store") in
   let orphan = Store.put store "orphaned by a superseded run" in
+  Store.close store;
   let stats = Runner.gc ~dir in
   Alcotest.(check int) "orphan swept" 1 stats.Store.swept;
   Alcotest.(check bool) "orphan gone" false (Store.mem store orphan);
@@ -1028,8 +1045,6 @@ let suites =
           test_runner_grid_persists_canonically;
         Alcotest.test_case "worker journals merge" `Quick
           test_runner_worker_journals_merge;
-        Alcotest.test_case "worker excludes shard" `Quick
-          test_runner_worker_excludes_shard;
         Alcotest.test_case "gc keeps live" `Quick
           test_runner_gc_keeps_live_sweeps_orphans;
         Alcotest.test_case "compact then resume" `Quick

@@ -59,14 +59,16 @@ let test_frechet_constant_offset () =
 let test_series_prepare_normalizes () =
   let truth = [| 10.0; 10.0; 10.0; 10.0 |] in
   let cand = [| 20.0; 20.0; 20.0; 20.0 |] in
-  let t', c' = Abg_distance.Series.prepare ~length:4 ~truth ~candidate:cand () in
+  let t', scale = Abg_distance.Series.prepare_truth ~length:4 truth in
+  let c' = Abg_distance.Series.prepare_candidate ~length:4 ~scale cand in
   check_close "truth scaled to 1" 1.0 t'.(0);
   check_close "candidate scaled by truth mean" 2.0 c'.(0)
 
 let test_series_prepare_resamples () =
   let truth = Array.init 100 float_of_int in
   let cand = Array.init 17 float_of_int in
-  let t', c' = Abg_distance.Series.prepare ~length:32 ~truth ~candidate:cand () in
+  let t', scale = Abg_distance.Series.prepare_truth ~length:32 truth in
+  let c' = Abg_distance.Series.prepare_candidate ~length:32 ~scale cand in
   Alcotest.(check int) "truth length" 32 (Array.length t');
   Alcotest.(check int) "candidate length" 32 (Array.length c')
 

@@ -165,28 +165,6 @@ let test_at_most_k_slack () =
   Cnf.at_most_k s vs 5;
   Alcotest.(check int) "unconstrained" 8 (count_models s vs)
 
-let test_define_and () =
-  let s = Solver.create () in
-  let a = Solver.new_var s and b = Solver.new_var s in
-  let x = Cnf.define_and s [ a; b ] in
-  (match Solver.solve ~assumptions:[ a; b ] s with
-  | Solver.Sat m -> Alcotest.(check bool) "and true" true m.(x)
-  | Solver.Unsat -> Alcotest.fail "sat expected");
-  match Solver.solve ~assumptions:[ a; -b ] s with
-  | Solver.Sat m -> Alcotest.(check bool) "and false" false m.(x)
-  | Solver.Unsat -> Alcotest.fail "sat expected"
-
-let test_define_or () =
-  let s = Solver.create () in
-  let a = Solver.new_var s and b = Solver.new_var s in
-  let x = Cnf.define_or s [ a; b ] in
-  (match Solver.solve ~assumptions:[ -a; b ] s with
-  | Solver.Sat m -> Alcotest.(check bool) "or true" true m.(x)
-  | Solver.Unsat -> Alcotest.fail "sat expected");
-  match Solver.solve ~assumptions:[ -a; -b ] s with
-  | Solver.Sat m -> Alcotest.(check bool) "or false" false m.(x)
-  | Solver.Unsat -> Alcotest.fail "sat expected"
-
 let test_implies () =
   let s = Solver.create () in
   let a = Solver.new_var s and b = Solver.new_var s in
@@ -508,8 +486,6 @@ let suites =
         Alcotest.test_case "at_most_k counts" `Quick test_at_most_k;
         Alcotest.test_case "at_most_k zero" `Quick test_at_most_k_zero;
         Alcotest.test_case "at_most_k slack" `Quick test_at_most_k_slack;
-        Alcotest.test_case "define_and" `Quick test_define_and;
-        Alcotest.test_case "define_or" `Quick test_define_or;
         Alcotest.test_case "implies" `Quick test_implies;
         Alcotest.test_case "lex gadgets" `Quick test_lex_gadgets;
       ]

@@ -283,6 +283,39 @@ let test_engine_obs_error_has_position () =
         (String.contains reply '2')
   | other -> Alcotest.failf "unexpected replies: %s" (String.concat "|" other)
 
+let test_engine_session_memory_bounded () =
+  (* A long-lived flow's session holds its sliding window, not its
+     history: once the window is full, another 100k records leave live
+     memory within one window's footprint. *)
+  let engine = Abg_serve.Engine.create () in
+  let window = Abg_serve.Engine.default_config.Abg_serve.Engine.window in
+  ignore (Abg_serve.Engine.handle_line engine "open a");
+  let obs i =
+    let v = 1e4 +. float_of_int (i mod 7) in
+    let r = record ~time:(0.01 *. float_of_int i) v in
+    ignore
+      (Abg_serve.Engine.handle_line engine
+         ("obs a " ^ Abg_trace.Io.record_to_line r))
+  in
+  for i = 0 to window - 1 do
+    obs i
+  done;
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  for i = window to window + 99_999 do
+    obs i
+  done;
+  Gc.full_major ();
+  let grown = (Gc.stat ()).Gc.live_words - before in
+  let footprint =
+    window * Obj.reachable_words (Obj.repr (record ~time:0.0 1.0))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew by %d, one window is %d" grown footprint)
+    true (grown < footprint);
+  Alcotest.(check int) "session still open" 1
+    (Abg_serve.Engine.session_count engine)
+
 let test_engine_short_window_unknown () =
   let engine = Abg_serve.Engine.create () in
   ignore (Abg_serve.Engine.handle_line engine "open a");
@@ -491,6 +524,8 @@ let suites =
           test_engine_obs_error_has_position;
         Alcotest.test_case "short window is Unknown" `Quick
           test_engine_short_window_unknown;
+        Alcotest.test_case "session memory bounded" `Slow
+          test_engine_session_memory_bounded;
         Alcotest.test_case "verdicts deterministic" `Slow
           test_engine_verdicts_deterministic;
         Alcotest.test_case "drain in sorted sid order" `Quick

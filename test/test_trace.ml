@@ -229,14 +229,12 @@ let test_store_parallel_matches_sequential () =
     sequential parallel
 
 let test_store_uncached_is_fresh () =
-  let a =
-    Abg_trace.Trace.collect_suite ~duration:2.0 ~n:2 ~cache:false ~name:"reno"
-      reno_ctor
+  let uncached () =
+    Abg_netsim.Config.testbed_grid ~duration:2.0 ~n:2 ()
+    |> List.map (fun cfg -> Abg_trace.Trace.collect cfg ~name:"reno" reno_ctor)
   in
-  let b =
-    Abg_trace.Trace.collect_suite ~duration:2.0 ~n:2 ~cache:false ~name:"reno"
-      reno_ctor
-  in
+  let a = uncached () in
+  let b = uncached () in
   List.iter2
     (fun x y ->
       Alcotest.(check bool) "fresh traces" true (x != y);
@@ -290,6 +288,28 @@ let test_io_malformed_carries_lineno () =
   Alcotest.check_raises "line number in error"
     (Invalid_argument "Io.record_of_line: line 6: malformed line: bogus record")
     (fun () -> ignore (Abg_trace.Io.of_string content))
+
+let test_io_malformed_losses_carries_lineno () =
+  (* A bad [# losses:] line is reported with its line, like a bad record,
+     and errors surface in file order: an earlier bad record wins. *)
+  let bad_losses = "# abagnale-trace v1\n# cca: reno\n# losses: abc\n" in
+  let losses_error =
+    Invalid_argument "Io.Stream: line 3: malformed losses: # losses: abc"
+  in
+  Alcotest.check_raises "of_string" losses_error (fun () ->
+      ignore (Abg_trace.Io.of_string bad_losses));
+  let path = Filename.temp_file "abagnale" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bad_losses);
+      Alcotest.check_raises "load" losses_error (fun () ->
+          ignore (Abg_trace.Io.load path)));
+  Alcotest.check_raises "first malformed line in file order"
+    (Invalid_argument "Io.record_of_line: line 2: malformed line: bogus")
+    (fun () ->
+      ignore
+        (Abg_trace.Io.of_string "# abagnale-trace v1\nbogus\n# losses: abc\n"))
 
 let test_io_string_roundtrip () =
   let t = Lazy.force trace in
@@ -421,6 +441,8 @@ let suites =
         Alcotest.test_case "malformed" `Quick test_io_malformed_rejected;
         Alcotest.test_case "malformed lineno" `Quick
           test_io_malformed_carries_lineno;
+        Alcotest.test_case "malformed losses lineno" `Quick
+          test_io_malformed_losses_carries_lineno;
         Alcotest.test_case "string roundtrip" `Quick test_io_string_roundtrip;
         Alcotest.test_case "crlf + blank lines" `Quick
           test_io_tolerates_crlf_and_blank_lines;
