@@ -368,6 +368,29 @@ let classify_features_test =
        (Staged.stage (fun () ->
             ignore (Abg_classifier.Features.extract traces))))
 
+(* The two kernels of a batch collect+classify job besides simulation,
+   on one job's suite (two 6 s Reno traces): serializing a trace into
+   its store blob, and CCAnalyzer classification with the references
+   already built, as in every classify job after a process's first. *)
+let batch_suite =
+  lazy
+    (Abg_trace.Trace.collect_suite ~duration:6.0 ~n:2 ~name:"reno"
+       (Option.get (Abg_cca.Registry.find "reno")))
+
+let trace_to_string_test =
+  lazy
+    (let trace = List.nth (Lazy.force batch_suite) 1 in
+     Test.make ~name:"trace: to-string"
+       (Staged.stage (fun () -> ignore (Abg_trace.Io.to_string trace))))
+
+let ccanalyzer_classify_test =
+  lazy
+    (let traces = Lazy.force batch_suite in
+     ignore (Abg_classifier.Ccanalyzer.classify traces);
+     Test.make ~name:"table3: ccanalyzer-classify"
+       (Staged.stage (fun () ->
+            ignore (Abg_classifier.Ccanalyzer.classify traces))))
+
 let benchmark test =
   let instances = [ Instance.monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
@@ -442,6 +465,7 @@ let run () =
       Lazy.force relint_guard_check_test; Lazy.force equiv_handler_pair_test;
       simulate_test;
       collect_suite_test; Lazy.force classify_features_test;
+      Lazy.force trace_to_string_test; Lazy.force ccanalyzer_classify_test;
       Lazy.force batch_store_read_test; Lazy.force batch_store_amortized_test;
       Lazy.force batch_journal_append_amortized_test;
       Lazy.force batch_journal_replay_test;

@@ -12,35 +12,65 @@ type result = {
   closest : (string * float) list;  (** all known CCAs, closest first *)
 }
 
-let reference_traces =
-  lazy (Gordon.reference_suites ("cdg" :: "nv" :: Gordon.known_set) Fun.id)
+type reference = {
+  traces : Abg_trace.Trace.t list;  (** the suite {!Online} windows *)
+  resampled : float array option list;
+      (** each trace's observed-CWND series resampled to
+          {!Abg_distance.Series.default_length}; [None] for an empty
+          trace *)
+}
 
-let trace_distance a b =
-  let _, va = Abg_trace.Trace.observed_series a in
-  let _, vb = Abg_trace.Trace.observed_series b in
-  if Array.length va = 0 || Array.length vb = 0 then infinity
-  else Abg_distance.Metric.compute Abg_distance.Metric.Dtw ~truth:va ~candidate:vb
-
-(* Mean distance between a query suite and one reference suite: every
-   query trace against every reference trace, not paired by scenario. *)
-let suite_distance queries references =
-  let ds =
-    List.concat_map
-      (fun q -> List.map (fun r -> trace_distance q r) references)
-      queries
-  in
-  match ds with
-  | [] -> infinity
-  | _ -> List.fold_left ( +. ) 0.0 ds /. float_of_int (List.length ds)
+(* Every known CCA's reference suite, simulated and resampled once per
+   process: [classify] scores each query against the same references,
+   so their side of the DTW is prepared here, not once per pair. *)
+let references =
+  Abg_parallel.Once.make (fun () ->
+      Gordon.reference_suites ("cdg" :: "nv" :: Gordon.known_set)
+        (fun traces ->
+          let resample tr =
+            match Abg_trace.Trace.observed_series tr with
+            | _, [||] -> None
+            | _, v ->
+                Some
+                  (Abg_distance.Series.resample
+                     ~length:Abg_distance.Series.default_length v)
+          in
+          { traces; resampled = List.map resample traces }))
 
 let match_threshold = 4.0
 
-(** [classify traces] ranks every known CCA by DTW distance to the query
-    suite. *)
+(** [classify traces] ranks every known CCA by the mean DTW distance
+    over every (query trace, reference trace) pair, each query as the
+    truth side; a pair with an empty trace is infinitely far. *)
 let classify traces =
+  let queries =
+    List.map
+      (fun tr ->
+        match Abg_trace.Trace.observed_series tr with
+        | _, [||] -> None
+        | _, v ->
+            Some (Abg_distance.Metric.prepare Abg_distance.Metric.Dtw ~truth:v))
+      traces
+  in
+  let pair q r =
+    match (q, r) with
+    | Some q, Some r -> Abg_distance.Metric.compute_prepared q ~candidate:r
+    | _ -> infinity
+  in
+  let mean_distance refs =
+    match (queries, refs) with
+    | [], _ | _, [] -> infinity
+    | _ ->
+        let sum =
+          List.fold_left
+            (fun acc q -> List.fold_left (fun acc r -> acc +. pair q r) acc refs)
+            0.0 queries
+        in
+        sum /. float_of_int (List.length queries * List.length refs)
+  in
   let ranked =
-    Lazy.force reference_traces
-    |> List.map (fun (name, refs) -> (name, suite_distance traces refs))
+    Abg_parallel.Once.get references
+    |> List.map (fun (name, r) -> (name, mean_distance r.resampled))
     |> List.sort (fun (_, a) (_, b) -> compare a b)
   in
   let verdict =

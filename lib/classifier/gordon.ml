@@ -57,9 +57,9 @@ let reference_suites names f =
 
 (* Reference feature vectors are deterministic; computed once per run. *)
 let references =
-  lazy
-    (reference_suites known_set (fun traces ->
-         Features.to_vector (Features.extract traces)))
+  Abg_parallel.Once.make (fun () ->
+      reference_suites known_set (fun traces ->
+          Features.to_vector (Features.extract traces)))
 
 let vector_distance a b =
   let acc = ref 0.0 in
@@ -73,7 +73,7 @@ let vector_distance a b =
     traces, closest first. *)
 let rank traces =
   let query = Features.to_vector (Features.extract traces) in
-  Lazy.force references
+  Abg_parallel.Once.get references
   |> List.map (fun (name, v) -> (name, vector_distance query v))
   |> List.sort (fun (_, a) (_, b) -> compare a b)
 

@@ -1,10 +1,8 @@
 (** Online CCA classification for the serving layer.
 
-    The offline classifier ({!Ccanalyzer}) re-prepares the reference
-    side of every DTW comparison on each query; a long-lived daemon
-    scoring thousands of flow windows per second cannot afford that.
+    A long-lived daemon scores thousands of flow windows per second, so
     [Online] hoists the per-reference work to construction time: each
-    reference trace's observed-CWND series is resampled and normalized
+    reference window's observed-CWND series is resampled and normalized
     once ({!Abg_distance.Metric.prepare}), and a query window is then
     resampled once into a reused scratch buffer and scored against every
     reference with {!Abg_distance.Metric.compute_resampled}, so
@@ -66,18 +64,18 @@ let reference_windows ~window values =
   end
 
 (** [create ()] prepares windowed references from the
-    {!Ccanalyzer.reference_traces} set (simulating the traces on first
-    use; cached process-wide). [window] must match the serving layer's
+    {!Ccanalyzer.references} traces (simulating them on first use;
+    cached process-wide). [window] must match the serving layer's
     sliding-window capacity so reference and query windows cover
     comparable spans. The result holds a mutable scratch buffer, so each
     [t] must be scored from one domain at a time — the serve event loop
     owns one. *)
 let create ?(window = 512) () =
   let refs =
-    Lazy.force Ccanalyzer.reference_traces
-    |> List.map (fun (name, traces) ->
+    Abg_parallel.Once.get Ccanalyzer.references
+    |> List.map (fun (name, (r : Ccanalyzer.reference)) ->
            let prepared =
-             traces
+             r.traces
              |> List.concat_map (fun tr ->
                     let _, v = Abg_trace.Trace.observed_series tr in
                     reference_windows ~window v)

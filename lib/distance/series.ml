@@ -14,16 +14,22 @@
 
 let default_length = 128
 
+(* Index-based linear interpolation of [get 0 .. get (len-1)] onto
+   [Array.length dst] points, which handles both up- and down-sampling;
+   an equal length copies and an empty input gives zeros. *)
+let resample_into ~get ~len dst =
+  let n = Array.length dst in
+  if len = n then
+    for i = 0 to n - 1 do
+      dst.(i) <- get i
+    done
+  else if len = 0 then Array.fill dst 0 n 0.0
+  else Abg_util.Resample.linear_fn_into ~time:float_of_int ~value:get ~len ~dst
+
 let resample ~length xs =
-  let n = Array.length xs in
-  if n = length then Array.copy xs
-  else if n = 0 then Array.make length 0.0
-  else begin
-    (* Index-based linear interpolation handles both up- and
-       down-sampling. *)
-    let times = Array.init n float_of_int in
-    Abg_util.Resample.linear ~times ~values:xs ~n:length
-  end
+  let dst = Array.make length 0.0 in
+  resample_into ~get:(Array.get xs) ~len:(Array.length xs) dst;
+  dst
 
 (** [prepare_truth ?length truth] resamples and normalizes the
     ground-truth series once, returning [(reference, scale)] where
@@ -35,30 +41,23 @@ let prepare_truth ?(length = default_length) truth =
   assert (n > 0);
   let mean = Array.fold_left ( +. ) 0.0 reference /. float_of_int n in
   let scale = if mean > 1e-9 then 1.0 /. mean else 1.0 in
-  (Array.map (fun v -> v *. scale) reference, scale)
-
-(** [prepare_candidate ?length ~scale candidate] resamples a candidate
-    series and scales it by a truth-derived [scale]. *)
-let prepare_candidate ?(length = default_length) ~scale candidate =
-  Array.map (fun v -> v *. scale) (resample ~length candidate)
+  Array.map_inplace (fun v -> v *. scale) reference;
+  (reference, scale)
 
 (** [prepare_candidate_into ~get ~len ~scale dst] is {!prepare_candidate}
     reading the candidate through an accessor ([get i], [i] in
     [0 .. len-1]) and writing into [dst] (whose length is the prepared
     length) — the windowed, zero-allocation variant the serving layer
     uses to score a sliding window's ring buffer without materializing
-    it. Bit-identical to [prepare_candidate ~length:(Array.length dst)
-    ~scale (Array.init len get)]. *)
+    it. *)
 let prepare_candidate_into ~get ~len ~scale dst =
-  let n = Array.length dst in
-  if len = n then
-    for i = 0 to n - 1 do
-      dst.(i) <- get i *. scale
-    done
-  else if len = 0 then Array.fill dst 0 n 0.0
-  else begin
-    Abg_util.Resample.linear_fn_into ~time:float_of_int ~value:get ~len ~dst;
-    for i = 0 to n - 1 do
-      dst.(i) <- dst.(i) *. scale
-    done
-  end
+  resample_into ~get ~len dst;
+  Array.map_inplace (fun v -> v *. scale) dst
+
+(** [prepare_candidate ?length ~scale candidate] resamples a candidate
+    series and scales it by a truth-derived [scale]. *)
+let prepare_candidate ?(length = default_length) ~scale candidate =
+  let dst = Array.make length 0.0 in
+  prepare_candidate_into ~get:(Array.get candidate)
+    ~len:(Array.length candidate) ~scale dst;
+  dst

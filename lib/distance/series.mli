@@ -7,6 +7,12 @@
 val default_length : int
 (** Points per prepared series (128). *)
 
+val resample : length:int -> float array -> float array
+(** [resample ~length xs] interpolates [xs] linearly by index onto
+    [length] points (a copy when [xs] already has [length], zeros when
+    it is empty): the resampling {!prepare_truth} and
+    {!prepare_candidate} do before they scale. *)
+
 val prepare_truth : ?length:int -> float array -> float array * float
 (** [prepare_truth truth] resamples and normalizes the ground-truth
     series, returning [(reference, scale)]. [scale] is the multiplier a
@@ -24,6 +30,5 @@ val prepare_candidate_into :
 (** [prepare_candidate_into ~get ~len ~scale dst] is {!prepare_candidate}
     reading the candidate through [get] (indices [0 .. len-1]) and
     writing into [dst] (length = prepared length) with no intermediate
-    allocation — the windowed variant for scoring a ring buffer.
-    Bit-identical to [prepare_candidate ~length:(Array.length dst) ~scale
-    (Array.init len get)]. *)
+    allocation — the windowed variant for scoring a ring buffer, and the
+    one path {!prepare_candidate} runs. *)

@@ -219,7 +219,7 @@ let run_job t ~active ~n ~body =
   while Atomic.get job.left > 0 do
     Condition.wait t.done_cv t.m
   done;
-  if t.job == Some job then t.job <- None;
+  (match t.job with Some j when j == job -> t.job <- None | _ -> ());
   Mutex.unlock t.m;
   match job.exn with Some e -> raise e | None -> ()
 

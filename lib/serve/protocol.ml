@@ -80,5 +80,6 @@ let err ?sid msg =
   Printf.sprintf "err %s %s" (Option.value ~default:"-" sid) msg
 
 let verdict ~sid ~window ~distance v =
-  Printf.sprintf "verdict %s %d %.17g %s" sid window distance
+  Printf.sprintf "verdict %s %d %s %s" sid window
+    (Abg_util.G17.to_string distance)
     (Abg_classifier.Gordon.verdict_to_string v)

@@ -3,10 +3,11 @@
     The format is intentionally trivial so traces can be produced or
     consumed by external tools (tcpdump post-processors, plotting
     scripts). One record per line, columns in the order of
-    {!Record.t}. Floats are written with ["%.17g"], enough digits that
-    save/load round-trips every finite value exactly (and [nan]/[inf]
-    literally) — the batch artifact store serializes traces through this
-    path and its determinism contract needs byte-stable content.
+    {!Record.t}. Floats are written as ["%.17g"] by the exact writer
+    {!Abg_util.G17}, enough digits that save/load round-trips every
+    finite value exactly (and [nan]/[inf] literally) — the batch
+    artifact store serializes traces through this path and its
+    determinism contract needs byte-stable content.
 
     The reader is liberal in what it accepts: CRLF line endings and
     blank (or whitespace-only) lines anywhere in the file are tolerated;
@@ -20,14 +21,30 @@ let columns =
     "ack_rate"; "rtt_gradient"; "delay_gradient"; "time_since_loss"; "wmax";
     "mss" ]
 
-let float_to_string = Printf.sprintf "%.17g"
+(* One record's tab-separated fields, without the newline. *)
+let add_record buf (r : Record.t) =
+  let field x =
+    Abg_util.G17.add buf x;
+    Buffer.add_char buf '\t'
+  in
+  field r.Record.time;
+  field r.cwnd;
+  field r.in_flight;
+  field r.acked_bytes;
+  field r.rtt;
+  field r.min_rtt;
+  field r.max_rtt;
+  field r.ack_rate;
+  field r.rtt_gradient;
+  field r.delay_gradient;
+  field r.time_since_loss;
+  field r.wmax;
+  Abg_util.G17.add buf r.mss
 
-let record_to_line (r : Record.t) =
-  String.concat "\t"
-    (List.map float_to_string
-       [ r.Record.time; r.cwnd; r.in_flight; r.acked_bytes; r.rtt; r.min_rtt;
-         r.max_rtt; r.ack_rate; r.rtt_gradient; r.delay_gradient;
-         r.time_since_loss; r.wmax; r.mss ])
+let record_to_line r =
+  let buf = Buffer.create 256 in
+  add_record buf r;
+  Buffer.contents buf
 
 (* [?lineno] is the 1-based source line for error reporting ({!load}
    threads it); without it the message carries only the offending line. *)
@@ -54,24 +71,37 @@ let record_of_line ?lineno line =
       }
   | _ -> malformed ()
 
+(* Buffer bytes reserved per record and per loss time: a record line of
+   a collected trace runs about 205 bytes, so one allocation usually
+   holds the whole file. *)
+let record_bytes = 224
+let loss_bytes = 20
+
 (** [to_string trace] is the serialized file content as one string (what
     {!save} writes) — the batch store's blob payload for traces. *)
 let to_string trace =
-  let buf = Buffer.create 4096 in
-  let record r =
-    Buffer.add_string buf (record_to_line r);
-    Buffer.add_char buf '\n'
+  let buf =
+    Buffer.create
+      (512
+      + (record_bytes * Array.length trace.Trace.records)
+      + (loss_bytes * Array.length trace.Trace.loss_times))
   in
   Buffer.add_string buf (header ^ "\n");
   Buffer.add_string buf (Printf.sprintf "# cca: %s\n" trace.Trace.cca_name);
   Buffer.add_string buf (Printf.sprintf "# scenario: %s\n" trace.Trace.scenario);
+  Buffer.add_string buf "# losses: ";
+  Array.iteri
+    (fun i t ->
+      if i > 0 then Buffer.add_char buf ',';
+      Abg_util.G17.add buf t)
+    trace.Trace.loss_times;
   Buffer.add_string buf
-    (Printf.sprintf "# losses: %s\n"
-       (String.concat ","
-          (Array.to_list (Array.map float_to_string trace.Trace.loss_times))));
-  Buffer.add_string buf
-    (Printf.sprintf "# columns: %s\n" (String.concat "\t" columns));
-  Array.iter record trace.Trace.records;
+    (Printf.sprintf "\n# columns: %s\n" (String.concat "\t" columns));
+  Array.iter
+    (fun r ->
+      add_record buf r;
+      Buffer.add_char buf '\n')
+    trace.Trace.records;
   Buffer.contents buf
 
 let save path trace =

@@ -27,11 +27,11 @@ let add_quoted buf s =
     s;
   Buffer.add_char buf '"'
 
-let number f =
-  if Float.is_finite f then Printf.sprintf "%.17g" f
-  else if Float.is_nan f then "\"nan\""
-  else if f > 0.0 then "\"inf\""
-  else "\"-inf\""
+let add_number buf f =
+  if Float.is_finite f then G17.add buf f
+  else if Float.is_nan f then Buffer.add_string buf "\"nan\""
+  else if f > 0.0 then Buffer.add_string buf "\"inf\""
+  else Buffer.add_string buf "\"-inf\""
 
 (* [pretty] puts each member or element on its own line, indented two
    spaces per level; otherwise nothing separates tokens but ',' and ':'. *)
@@ -40,7 +40,7 @@ let render ~pretty json =
   let rec emit pad = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f -> Buffer.add_string buf (number f)
+    | Num f -> add_number buf f
     | Str s -> add_quoted buf s
     | List [] -> Buffer.add_string buf "[]"
     | Obj [] -> Buffer.add_string buf "{}"

@@ -5,7 +5,7 @@
 
     Output is a pure function of the value: object keys keep the
     caller's order, and there is one escaper and one number rule.
-    Finite numbers print as [%.17g] (integers below 1e17 come out as
+    Finite numbers print as [%.17g] ({!G17}; integers below 1e17 come out as
     plain integers, and every finite double round-trips); non-finite
     ones print as the strings ["inf"], ["-inf"] and ["nan"], since JSON
     has no literal for them. Values that must stay bit-exact even

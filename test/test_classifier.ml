@@ -181,6 +181,82 @@ let test_ccanalyzer_ranks_all () =
   | Some (a, b) -> Alcotest.(check bool) "two distinct" true (a <> b)
   | None -> Alcotest.fail "expected two closest"
 
+(* Classifies on two domains at once force the shared reference set
+   together (these run before any other test builds it): both domains
+   must get it, and the results must equal a sequential pass. *)
+let on_two_domains f =
+  let suites = Array.map traces [| "reno"; "bbr"; "vegas"; "student4" |] in
+  let pool = Abg_parallel.Pool.create ~size:1 () in
+  let concurrent =
+    Fun.protect
+      ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
+      (fun () -> Abg_parallel.Pool.map ~pool ~num_domains:2 f suites)
+  in
+  (concurrent, Array.map f suites)
+
+let test_gordon_concurrent () =
+  let concurrent, sequential = on_two_domains Abg_classifier.Gordon.classify in
+  Alcotest.(check (array string)) "verdicts"
+    (Array.map Abg_classifier.Gordon.verdict_to_string sequential)
+    (Array.map Abg_classifier.Gordon.verdict_to_string concurrent)
+
+let same_closest what expected got =
+  Alcotest.(check (list string)) (what ^ " order") (List.map fst expected)
+    (List.map fst got);
+  List.iter2
+    (fun (name, a) (_, b) ->
+      Alcotest.(check int64) (what ^ " " ^ name)
+        (Int64.bits_of_float a) (Int64.bits_of_float b))
+    expected got
+
+let test_ccanalyzer_concurrent () =
+  let concurrent, sequential =
+    on_two_domains Abg_classifier.Ccanalyzer.classify
+  in
+  Array.iter2
+    (fun (s : Abg_classifier.Ccanalyzer.result) c ->
+      same_closest "concurrent" s.closest c.Abg_classifier.Ccanalyzer.closest)
+    sequential concurrent
+
+(* CCAnalyzer's distance before references were prepared once: every
+   (query, reference) pair re-derived and resampled both series. *)
+let reference_trace_distance a b =
+  let _, va = Abg_trace.Trace.observed_series a in
+  let _, vb = Abg_trace.Trace.observed_series b in
+  if Array.length va = 0 || Array.length vb = 0 then infinity
+  else
+    Abg_distance.Metric.compute Abg_distance.Metric.Dtw ~truth:va ~candidate:vb
+
+let reference_suite_distance queries references =
+  let ds =
+    List.concat_map
+      (fun q -> List.map (fun r -> reference_trace_distance q r) references)
+      queries
+  in
+  match ds with
+  | [] -> infinity
+  | _ -> List.fold_left ( +. ) 0.0 ds /. float_of_int (List.length ds)
+
+let test_ccanalyzer_matches_per_pair_path () =
+  let references =
+    Abg_parallel.Once.get Abg_classifier.Ccanalyzer.references
+  in
+  let empty =
+    { (List.hd (traces "reno")) with Abg_trace.Trace.records = [||] }
+  in
+  List.iter
+    (fun (what, suite) ->
+      let expected =
+        references
+        |> List.map (fun (name, (r : Abg_classifier.Ccanalyzer.reference)) ->
+               (name, reference_suite_distance suite r.traces))
+        |> List.sort (fun (_, a) (_, b) -> compare a b)
+      in
+      same_closest what expected
+        (Abg_classifier.Ccanalyzer.classify suite).closest)
+    [ ("reno", traces "reno"); ("vegas", traces "vegas");
+      ("bbr + empty trace", traces "bbr" @ [ empty ]) ]
+
 let test_dsl_hint_families () =
   let open Abg_classifier in
   Alcotest.(check string) "reno family" "reno"
@@ -208,12 +284,19 @@ let suites =
       ] );
     ( "classifier.gordon",
       [
+        Alcotest.test_case "concurrent classify" `Quick test_gordon_concurrent;
         Alcotest.test_case "rank shape" `Quick test_gordon_rank_nonempty;
         Alcotest.test_case "self identification" `Slow test_gordon_self_identification;
         Alcotest.test_case "verdict strings" `Quick test_gordon_verdict_to_string;
       ] );
     ( "classifier.ccanalyzer",
-      [ Alcotest.test_case "ranks all" `Slow test_ccanalyzer_ranks_all ] );
+      [
+        Alcotest.test_case "concurrent classify" `Quick
+          test_ccanalyzer_concurrent;
+        Alcotest.test_case "ranks all" `Slow test_ccanalyzer_ranks_all;
+        Alcotest.test_case "= per-pair path" `Quick
+          test_ccanalyzer_matches_per_pair_path;
+      ] );
     ( "classifier.dsl_hint",
       [ Alcotest.test_case "family mapping" `Quick test_dsl_hint_families ] );
   ]

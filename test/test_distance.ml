@@ -232,6 +232,72 @@ let test_metric_cutoff_exact_below () =
            ~candidate:cand))
     Abg_distance.Metric.all
 
+(* The resampling Series did before it read through accessors: an
+   index array for {!Abg_util.Resample.linear}, a copy at equal length,
+   zeros for an empty input; candidates then scaled into a second array. *)
+let reference_resample ~length xs =
+  let n = Array.length xs in
+  if n = length then Array.copy xs
+  else if n = 0 then Array.make length 0.0
+  else
+    Abg_util.Resample.linear ~times:(Array.init n float_of_int) ~values:xs
+      ~n:length
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Target lengths with inputs of length 0, 1, equal to the target,
+   below it and above it; values include the non-finite ones. *)
+let arb_resample_case =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (8, float_range (-1e6) 1e6);
+        (1, oneofl [ nan; infinity; neg_infinity; -0.0; 5e-324 ]) ]
+  in
+  let case =
+    int_range 1 160 >>= fun length ->
+    let n =
+      oneof
+        [ return 0; return 1; return length; int_range 2 (max 2 (length - 1));
+          int_range (length + 1) (3 * length) ]
+    in
+    map3
+      (fun xs scale length -> (length, xs, scale))
+      (n >>= fun n -> array_size (return n) value)
+      (float_range 1e-3 10.0) (return length)
+  in
+  QCheck.make
+    ~print:(fun (length, xs, scale) ->
+      Printf.sprintf "length %d, scale %h, %d values" length scale
+        (Array.length xs))
+    case
+
+let prop_series_resample_is_linear =
+  QCheck.Test.make ~name:"Series resample = Resample.linear" ~count:500
+    arb_resample_case (fun (length, xs, scale) ->
+      let expected = reference_resample ~length xs in
+      let dst = Array.make length 0.0 in
+      Abg_distance.Series.prepare_candidate_into ~get:(Array.get xs)
+        ~len:(Array.length xs) ~scale dst;
+      let scaled = Array.map (fun v -> v *. scale) expected in
+      let truth, truth_scale = Abg_distance.Series.prepare_truth ~length xs in
+      let mean =
+        Array.fold_left ( +. ) 0.0 expected /. float_of_int length
+      in
+      let expected_scale = if mean > 1e-9 then 1.0 /. mean else 1.0 in
+      same_bits expected (Abg_distance.Series.resample ~length xs)
+      && Int64.equal
+           (Int64.bits_of_float expected_scale)
+           (Int64.bits_of_float truth_scale)
+      && same_bits (Array.map (fun v -> v *. expected_scale) expected) truth
+      && same_bits scaled
+           (Abg_distance.Series.prepare_candidate ~length ~scale xs)
+      && same_bits scaled dst)
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -279,5 +345,6 @@ let suites =
         Alcotest.test_case "orders candidates" `Quick test_metric_orders_candidates;
         Alcotest.test_case "prepared = compute" `Quick test_metric_prepared_matches_compute;
         Alcotest.test_case "cutoff exact below" `Quick test_metric_cutoff_exact_below;
-      ] );
+      ]
+      @ qcheck [ prop_series_resample_is_linear ] );
   ]

@@ -374,6 +374,59 @@ let prop_io_record_line_roundtrip =
       let line = Abg_trace.Io.record_to_line r in
       Abg_trace.Io.record_to_line (Abg_trace.Io.record_of_line line) = line)
 
+(* The trace writer before the exact %.17g writer: Printf per float,
+   joined per record. Io.to_string must keep producing its bytes. *)
+let reference_to_string (trace : Abg_trace.Trace.t) =
+  let f = Printf.sprintf "%.17g" in
+  let line (r : Abg_trace.Record.t) =
+    String.concat "\t"
+      (List.map f
+         [ r.time; r.cwnd; r.in_flight; r.acked_bytes; r.rtt; r.min_rtt;
+           r.max_rtt; r.ack_rate; r.rtt_gradient; r.delay_gradient;
+           r.time_since_loss; r.wmax; r.mss ])
+  in
+  String.concat ""
+    ([ Abg_trace.Io.header ^ "\n";
+       Printf.sprintf "# cca: %s\n" trace.cca_name;
+       Printf.sprintf "# scenario: %s\n" trace.scenario;
+       Printf.sprintf "# losses: %s\n"
+         (String.concat "," (Array.to_list (Array.map f trace.loss_times)));
+       Printf.sprintf "# columns: %s\n"
+         (String.concat "\t" Abg_trace.Io.columns) ]
+    @ List.map (fun r -> line r ^ "\n") (Array.to_list trace.records))
+
+let test_io_to_string_matches_printf () =
+  let collected name =
+    let cfg =
+      Abg_netsim.Config.make ~duration:4.0 ~bandwidth_mbps:10.0 ~rtt_ms:30.0 ()
+    in
+    Abg_trace.Trace.collect cfg ~name
+      (Option.get (Abg_cca.Registry.find name))
+  in
+  let special =
+    let fields =
+      [| nan; infinity; neg_infinity; -0.0; 0.0; 4.9e-324; 2.2250738585072009e-308;
+         -1e-300; 1e300; 0.1; -1234567890123456.75; 9007199254740993.0; 1e17 |]
+    in
+    let n = Array.length fields in
+    let records =
+      Array.init n (fun i ->
+          let f k = fields.((i + k) mod n) in
+          { Abg_trace.Record.time = f 0; cwnd = f 1; in_flight = f 2;
+            acked_bytes = f 3; rtt = f 4; min_rtt = f 5; max_rtt = f 6;
+            ack_rate = f 7; rtt_gradient = f 8; delay_gradient = f 9;
+            time_since_loss = f 10; wmax = f 11; mss = f 12 })
+    in
+    { (Lazy.force trace) with
+      Abg_trace.Trace.records; loss_times = Array.sub fields 0 6 }
+  in
+  List.iter
+    (fun (what, t) ->
+      Alcotest.(check string) what (reference_to_string t)
+        (Abg_trace.Io.to_string t))
+    [ ("reno", collected "reno"); ("cubic", collected "cubic");
+      ("bbr", collected "bbr"); ("nan, inf, -0, subnormal fields", special) ]
+
 (* -- Noise identity properties -- *)
 
 let test_noise_zero_stddev_is_identity () =
@@ -444,6 +497,8 @@ let suites =
         Alcotest.test_case "malformed losses lineno" `Quick
           test_io_malformed_losses_carries_lineno;
         Alcotest.test_case "string roundtrip" `Quick test_io_string_roundtrip;
+        Alcotest.test_case "to_string = Printf writer" `Quick
+          test_io_to_string_matches_printf;
         Alcotest.test_case "crlf + blank lines" `Quick
           test_io_tolerates_crlf_and_blank_lines;
       ]

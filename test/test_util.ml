@@ -354,6 +354,131 @@ let test_pool_exception_reraised () =
   Alcotest.(check (array int)) "usable after failure" (Array.map succ xs)
     (Abg_parallel.Pool.map ~num_domains:2 succ xs)
 
+(* A finished job is dropped from the pool: nothing the mapped function
+   captured stays reachable once [map] returns. *)
+let test_pool_releases_finished_job () =
+  let pool = Abg_parallel.Pool.create ~size:1 () in
+  Fun.protect ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
+  @@ fun () ->
+  let captured = Weak.create 1 in
+  let run () =
+    let table = Array.make 1000 1 in
+    Weak.set captured 0 (Some table);
+    ignore
+      (Abg_parallel.Pool.map ~pool ~num_domains:2
+         (fun x -> x + table.(x mod 1000))
+         (Array.init 64 Fun.id))
+  in
+  (Sys.opaque_identity run) ();
+  Gc.full_major ();
+  Alcotest.(check bool) "captured array freed" false (Weak.check captured 0)
+
+(* -- Once -- *)
+
+let test_once_two_domains () =
+  let builds = Atomic.make 0 and building = Atomic.make false in
+  let once =
+    Abg_parallel.Once.make (fun () ->
+        Atomic.incr builds;
+        Atomic.set building true;
+        Unix.sleepf 0.05;
+        ref 42)
+  in
+  let other = Domain.spawn (fun () -> Abg_parallel.Once.get once) in
+  while not (Atomic.get building) do
+    Domain.cpu_relax ()
+  done;
+  let mine = Abg_parallel.Once.get once in
+  let theirs = Domain.join other in
+  Alcotest.(check int) "built once" 1 (Atomic.get builds);
+  Alcotest.(check bool) "same value" true (mine == theirs);
+  Alcotest.(check int) "value" 42 !mine
+
+let test_once_retries_failed_build () =
+  let attempts = ref 0 in
+  let once =
+    Abg_parallel.Once.make (fun () ->
+        incr attempts;
+        if !attempts = 1 then failwith "first build fails";
+        !attempts)
+  in
+  Alcotest.check_raises "failure reaches the caller"
+    (Failure "first build fails") (fun () ->
+      ignore (Abg_parallel.Once.get once));
+  Alcotest.(check int) "next call builds" 2 (Abg_parallel.Once.get once);
+  Alcotest.(check int) "then kept" 2 (Abg_parallel.Once.get once)
+
+(* -- G17 -- *)
+
+(* Float inputs where a %.17g writer can go wrong: every bit pattern
+   (subnormals, nan payloads, ±inf, ±0), integers around ±2^53, powers
+   of ten and their neighbours, values half-way between two 17-digit
+   decimals, and magnitudes across the whole exact range. *)
+let arb_g17_float =
+  let open QCheck.Gen in
+  let bits = map Int64.float_of_bits ui64 in
+  let signed g = map2 (fun neg x -> if neg then -.x else x) bool g in
+  let around_2_53 =
+    map (fun k -> 9007199254740992.0 +. float_of_int k) (-2000 -- 2000)
+  in
+  let power_of_ten =
+    map2
+      (fun p steps ->
+        let x = ref (float_of_string (Printf.sprintf "1e%d" p)) in
+        let step = if steps < 0 then Float.pred else Float.succ in
+        for _ = 1 to abs steps do
+          x := step !x
+        done;
+        !x)
+      (-12 -- 18) (-3 -- 3)
+  in
+  (* k + j / 2^(s+1) with j odd: at s fraction digits past the 17th
+     significant digit this is an exact tie. *)
+  let half_way =
+    map3
+      (fun s k j ->
+        let den = Float.ldexp 1.0 (s + 1) in
+        let lo = 10.0 ** float_of_int (16 - s) in
+        let hi = Float.min (10.0 *. lo) (Float.ldexp 1.0 53 /. den) in
+        Float.floor (lo +. (k *. (hi -. lo)))
+        +. (float_of_int ((2 * j) + 1) /. den))
+      (1 -- 12) (float_bound_exclusive 1.0) (0 -- 1000)
+  in
+  let any_magnitude =
+    map2 (fun m e -> Float.ldexp (1.0 +. m) e) (float_bound_exclusive 1.0)
+      (-40 -- 60)
+  in
+  QCheck.make ~print:(Printf.sprintf "%h")
+    (frequency
+       [
+         (4, bits);
+         (1, signed around_2_53);
+         (1, signed power_of_ten);
+         (1, signed half_way);
+         (3, signed any_magnitude);
+         ( 1,
+           oneofl
+             [ 0.0; -0.0; nan; -.nan; infinity; neg_infinity; 1234567890123456.25;
+               1234567890123456.75; 4.9e-324; 1e17; 1e-10 ] );
+       ])
+
+let prop_g17_is_printf =
+  QCheck.Test.make ~name:"G17 = Printf %.17g" ~count:200_000 arb_g17_float
+    (fun x -> G17.to_string x = Printf.sprintf "%.17g" x)
+
+let test_g17_examples () =
+  List.iter
+    (fun (x, expected) ->
+      Alcotest.(check string) expected expected (G17.to_string x))
+    [
+      (0.0, "0"); (-0.0, "-0"); (3.0, "3"); (0.1, "0.10000000000000001");
+      (1e16, "10000000000000000"); (1e17, "1e+17"); (1.5e-5, "1.5e-05");
+      (2.5e-7, "2.4999999999999999e-07"); (0.00012345, "0.00012344999999999999");
+      (123456.789, "123456.789"); (1234567890123456.25, "1234567890123456.2");
+      (1234567890123456.75, "1234567890123456.8"); (-2.5, "-2.5"); (nan, "nan");
+      (neg_infinity, "-inf");
+    ]
+
 (* -- Json -- *)
 
 (* Structural equality, except that numbers compare by bit pattern so a
@@ -456,6 +581,11 @@ let pool_suite =
       Alcotest.test_case "map_list" `Quick test_pool_map_list;
       Alcotest.test_case "explicit pool reuse" `Quick test_pool_explicit_reuse;
       Alcotest.test_case "exception re-raise" `Quick test_pool_exception_reraised;
+      Alcotest.test_case "finished job released" `Quick
+        test_pool_releases_finished_job;
+      Alcotest.test_case "once across two domains" `Quick test_once_two_domains;
+      Alcotest.test_case "once retries a failed build" `Quick
+        test_once_retries_failed_build;
     ] )
 
 let suites =
@@ -518,6 +648,9 @@ let suites =
         Alcotest.test_case "lin_grid" `Quick test_floatx_lin_grid;
       ]
       @ qcheck [ prop_fmod_range ] );
+    ( "util.g17",
+      [ Alcotest.test_case "examples" `Quick test_g17_examples ]
+      @ qcheck [ prop_g17_is_printf ] );
     ( "util.json",
       [
         Alcotest.test_case "number rule" `Quick test_json_number_rule;
