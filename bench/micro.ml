@@ -215,6 +215,27 @@ let simulate_test =
          let cca = Abg_cca.Reno.create ~mss:1448.0 () in
          ignore (Abg_netsim.Sim.run cfg cca)))
 
+(* The extended-scenario kernel the fuzzer runs: ACK jitter (a normal
+   draw per ACK), one on-off cross flow and reordering, so every event
+   lane and the RNG sit on the measured path. *)
+let simulate_extended_test =
+  Test.make ~name:"netsim: simulate-6s-extended"
+    (Staged.stage (fun () ->
+         let cfg =
+           {
+             (Abg_netsim.Config.make ~duration:6.0 ~bandwidth_mbps:10.0
+                ~rtt_ms:50.0 ~ack_jitter:0.001 ~seed:7 ())
+             with
+             Abg_netsim.Config.cross =
+               [ Abg_netsim.Config.On_off
+                   { rate_bps = 3e6; on_s = 0.5; off_s = 0.5 } ];
+             reorder_prob = 0.01;
+             reorder_delay = 0.004;
+           }
+         in
+         let cca = Abg_cca.Reno.create ~mss:1448.0 () in
+         ignore (Abg_netsim.Sim.run cfg cca)))
+
 (* Whole-suite collection over the parallel pool, bypassing the trace
    store so the measurement is the simulate+derive cost, not a lookup. *)
 let collect_suite_test =
@@ -463,7 +484,7 @@ let run () =
       Lazy.force solve_assumptions_test;
       absint_prune_test; Lazy.force canonical_intern_test;
       Lazy.force relint_guard_check_test; Lazy.force equiv_handler_pair_test;
-      simulate_test;
+      simulate_test; simulate_extended_test;
       collect_suite_test; Lazy.force classify_features_test;
       Lazy.force trace_to_string_test; Lazy.force ccanalyzer_classify_test;
       Lazy.force batch_store_read_test; Lazy.force batch_store_amortized_test;

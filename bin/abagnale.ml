@@ -785,7 +785,15 @@ let batch_run_cmd =
       $ settings_term ~batch:true ~seed:true
       $ workers_arg)
 
+(* A missing or corrupt run directory is an input error, not a crash:
+   each of these messages names the file and the reason. *)
+let on_run_dir f =
+  try f ()
+  with Sys_error msg | Json.Malformed msg | Abg_batch.Store.Corrupt msg ->
+    die "%s" msg
+
 let batch_resume dir settings workers () =
+  on_run_dir @@ fun () ->
   match workers with
   | Some workers ->
       if settings.Abg_batch.Runner.shard <> None then
@@ -806,7 +814,7 @@ let batch_resume_cmd =
       $ workers_arg)
 
 let batch_status verify dir () =
-  print_string (Abg_batch.Report.status ~verify dir)
+  on_run_dir (fun () -> print_string (Abg_batch.Report.status ~verify dir))
 
 let batch_status_cmd =
   command "status"
@@ -816,7 +824,7 @@ let batch_status_cmd =
     Term.(const batch_status $ verify_arg $ batch_dir_arg)
 
 let batch_report verify dir () =
-  print_string (Abg_batch.Report.render ~verify dir)
+  on_run_dir (fun () -> print_string (Abg_batch.Report.render ~verify dir))
 
 let batch_report_cmd =
   command "report"

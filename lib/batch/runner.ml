@@ -83,9 +83,16 @@ let journal_paths ~dir =
       |> List.sort String.compare
       |> List.map (fun n -> dir / n)
 
+(* Prefix a parse error with the file it came from, so a corrupt run
+   directory surfaces as one message naming the path and the reason. *)
+let naming path f =
+  try f () with Json.Malformed msg -> raise (Json.Malformed (path ^ ": " ^ msg))
+
 let settled_entries ?(verify = false) dir =
   let replay = if verify then Journal.replay else Journal.replay_checkpointed in
-  List.concat_map replay (journal_paths ~dir)
+  List.concat_map
+    (fun path -> naming path (fun () -> replay path))
+    (journal_paths ~dir)
 
 (* -- job bodies -- *)
 
@@ -400,11 +407,13 @@ let init ~dir jobs =
   Durable.replace path (Json.to_string doc ^ "\n")
 
 let jobs_of_dir ~dir =
-  Json.of_file (grid_path dir)
-  |> Json.member ~ctx:"grid" "jobs"
-  |> Json.list ~ctx:"grid.jobs"
-  |> List.map Job.of_json
-  |> List.sort Job.compare_canonical
+  let path = grid_path dir in
+  naming path (fun () ->
+      Json.of_file path
+      |> Json.member ~ctx:"grid" "jobs"
+      |> Json.list ~ctx:"grid.jobs"
+      |> List.map Job.of_json
+      |> List.sort Job.compare_canonical)
 
 let shard_select ~i ~n xs =
   if n <= 0 || i < 0 || i >= n then

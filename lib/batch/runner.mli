@@ -100,14 +100,18 @@ val journal_paths : dir:string -> string list
 val settled_entries : ?verify:bool -> string -> Journal.entry list
 (** The merged settled outcome set across the journal family. Default
     is the fast checkpointed read ({!Journal.replay_checkpointed});
-    [~verify:true] parses full history ({!Journal.replay}). *)
+    [~verify:true] parses full history ({!Journal.replay}). A corrupt
+    journal raises [Json.Malformed] with a message that starts with its
+    path. *)
 
 val init : dir:string -> Job.t list -> unit
 (** Create a run directory and persist the grid. Raises
     [Invalid_argument] if the directory already holds a run. *)
 
 val jobs_of_dir : dir:string -> Job.t list
-(** The persisted grid, in canonical order. *)
+(** The persisted grid, in canonical order. Raises [Sys_error] when
+    [dir] holds no grid and [Json.Malformed], with a message that starts
+    with the grid's path, when it is corrupt. *)
 
 val run : dir:string -> settings:settings -> Job.t list -> summary
 (** {!init} then execute. *)

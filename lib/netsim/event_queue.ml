@@ -1,153 +1,137 @@
-(** Binary min-heap event queue for the discrete-event simulator.
+(** Event queue for the discrete-event simulator: a merge of FIFO lanes.
 
-    Ordered by (time, sequence-of-insertion) so simultaneous events pop in
-    insertion order, which keeps runs deterministic. Since (time, id) is a
-    total order, the pop sequence is exactly the sorted order of pushes —
-    independent of the heap's internal layout.
+    Every event stream the simulator emits is already in time order (see
+    the lane list in sim.ml), so the queue keeps one FIFO ring per stream
+    instead of a heap. A push appends to its lane's ring; {!pop} takes the
+    earliest lane head by (time, insertion id). Ids are global across
+    lanes, so simultaneous events pop in insertion order and the pop
+    sequence is exactly the sorted order of pushes by (time, id), the
+    order a binary heap keyed the same way produces. A push whose time
+    falls below its lane's newest entry would break that, and raises
+    [Invalid_argument].
 
-    The heap is laid out as parallel unboxed arrays — [times] and [aux]
-    are flat float arrays, [ids] and [payloads] int/value arrays — instead
-    of an array of boxed [(float * int * 'a)] tuples. Sift compares touch
-    only the float and int arrays (no pointer chasing), pushes store into
-    preallocated slots, and {!pop} returns the payload directly with the
-    popped time available through {!popped_time} — so with an immediate
-    payload type the entire push/pop cycle allocates nothing. The [aux]
-    channel carries one caller-defined float per event (the simulator uses
-    it for ACK send timestamps), keeping float data out of the payload.
+    Each ring is laid out as parallel unboxed arrays: [times] and [aux]
+    are flat float arrays, [ids] and [payloads] int arrays. {!pop} returns
+    the int payload directly; the popped time, aux float and lane are
+    readable through {!popped_time}, {!popped_aux} and {!popped_lane}.
+    The [aux] channel carries one caller-defined float per event (the
+    simulator uses it for ACK send timestamps). *)
 
-    [pushed]/[peak] counters are maintained for observability; the
-    simulator surfaces them in its run statistics. *)
-
-type 'a t = {
+type lane = {
   mutable times : float array;
   mutable aux : float array;
   mutable ids : int array;
-  mutable payloads : 'a array;
-  mutable size : int;
-  mutable next_id : int;
-  dummy : 'a;  (* fills vacated payload slots so the heap never retains them *)
-  popped : float array;  (* [| time; aux |] of the most recent pop *)
-  mutable pushed : int;
-  mutable peak : int;
+  mutable payloads : int array;
+  mutable head : int;  (* slot of the oldest entry *)
+  mutable len : int;
 }
 
-let create ~dummy () =
+type t = {
+  lanes : lane array;
+  mutable next_id : int;
+  mutable size : int;
+  mutable peak : int;
+  popped : float array;  (* [| time; aux |] of the most recent pop *)
+  mutable popped_lane : int;
+}
+
+(* Ring capacities stay powers of two so a slot index is a mask. *)
+let initial_capacity = 16
+
+let make_lane () =
   {
-    times = Array.make 64 0.0;
-    aux = Array.make 64 0.0;
-    ids = Array.make 64 0;
-    payloads = Array.make 64 dummy;
-    size = 0;
+    times = Array.make initial_capacity 0.0;
+    aux = Array.make initial_capacity 0.0;
+    ids = Array.make initial_capacity 0;
+    payloads = Array.make initial_capacity 0;
+    head = 0;
+    len = 0;
+  }
+
+(** [create ~lanes] is an empty queue with lanes [0 .. lanes - 1]. *)
+let create ~lanes =
+  {
+    lanes = Array.init lanes (fun _ -> make_lane ());
     next_id = 0;
-    dummy;
-    popped = [| nan; nan |];
-    pushed = 0;
+    size = 0;
     peak = 0;
+    popped = [| nan; nan |];
+    popped_lane = -1;
   }
 
 let is_empty q = q.size = 0
-let length q = q.size
 
-(** Total pushes over the queue's lifetime. *)
-let events_pushed q = q.pushed
+(** High-water mark of the number of queued events. *)
+let peak q = q.peak
 
-(** High-water mark of the heap size. *)
-let heap_peak q = q.peak
+(* Double a full ring, unrolling it so the oldest entry lands in slot 0. *)
+let grow l =
+  let cap = Array.length l.times in
+  let unroll a fill =
+    let b = Array.make (2 * cap) fill in
+    let first = cap - l.head in
+    Array.blit a l.head b 0 first;
+    Array.blit a 0 b first l.head;
+    b
+  in
+  l.times <- unroll l.times 0.0;
+  l.aux <- unroll l.aux 0.0;
+  l.ids <- unroll l.ids 0;
+  l.payloads <- unroll l.payloads 0;
+  l.head <- 0
 
-let grow q =
-  let cap = Array.length q.times in
-  let times = Array.make (2 * cap) 0.0 in
-  Array.blit q.times 0 times 0 cap;
-  q.times <- times;
-  let aux = Array.make (2 * cap) 0.0 in
-  Array.blit q.aux 0 aux 0 cap;
-  q.aux <- aux;
-  let ids = Array.make (2 * cap) 0 in
-  Array.blit q.ids 0 ids 0 cap;
-  q.ids <- ids;
-  let payloads = Array.make (2 * cap) q.dummy in
-  Array.blit q.payloads 0 payloads 0 cap;
-  q.payloads <- payloads
-
-(* before i j: does slot i order strictly before slot j? Indices come
-   from the sift loops, which keep them below [size] <= capacity, so the
-   bounds checks are elided. *)
-let before q i j =
-  let ti = Array.unsafe_get q.times i and tj = Array.unsafe_get q.times j in
-  ti < tj
-  || (ti = tj && Array.unsafe_get q.ids i < Array.unsafe_get q.ids j)
-
-let swap q i j =
-  let t = Array.unsafe_get q.times i in
-  Array.unsafe_set q.times i (Array.unsafe_get q.times j);
-  Array.unsafe_set q.times j t;
-  let x = Array.unsafe_get q.aux i in
-  Array.unsafe_set q.aux i (Array.unsafe_get q.aux j);
-  Array.unsafe_set q.aux j x;
-  let d = Array.unsafe_get q.ids i in
-  Array.unsafe_set q.ids i (Array.unsafe_get q.ids j);
-  Array.unsafe_set q.ids j d;
-  let p = Array.unsafe_get q.payloads i in
-  Array.unsafe_set q.payloads i (Array.unsafe_get q.payloads j);
-  Array.unsafe_set q.payloads j p
-
-(** [push q ~time ~aux payload] inserts an event. [aux] is an arbitrary
-    float riding along with the payload (pass 0.0 when unused). *)
-let push q ~time ~aux payload =
-  if q.size = Array.length q.times then grow q;
-  let i = ref q.size in
-  q.times.(!i) <- time;
-  q.aux.(!i) <- aux;
-  q.ids.(!i) <- q.next_id;
-  q.payloads.(!i) <- payload;
+(** [push q ~lane ~time ~aux payload] appends an event to [lane]. [aux] is
+    an arbitrary float riding along with the payload (pass 0.0 when
+    unused). Raises [Invalid_argument] if [time] is below the time of the
+    lane's newest queued event. *)
+let push q ~lane ~time ~aux payload =
+  let l = q.lanes.(lane) in
+  let mask = Array.length l.times - 1 in
+  if l.len > 0 && time < l.times.((l.head + l.len - 1) land mask) then
+    invalid_arg "Event_queue.push: time below the lane's newest event";
+  if l.len = mask + 1 then grow l;
+  let i = (l.head + l.len) land (Array.length l.times - 1) in
+  l.times.(i) <- time;
+  l.aux.(i) <- aux;
+  l.ids.(i) <- q.next_id;
+  l.payloads.(i) <- payload;
+  l.len <- l.len + 1;
   q.next_id <- q.next_id + 1;
   q.size <- q.size + 1;
-  q.pushed <- q.pushed + 1;
-  if q.size > q.peak then q.peak <- q.size;
-  (* Sift up. *)
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if before q !i parent then begin
-      swap q !i parent;
-      i := parent
-    end
-    else continue := false
-  done
+  if q.size > q.peak then q.peak <- q.size
+
+(* Does lane [a]'s head order strictly before lane [b]'s? Both non-empty. *)
+let before a b =
+  let ta = a.times.(a.head) and tb = b.times.(b.head) in
+  ta < tb || (ta = tb && a.ids.(a.head) < b.ids.(b.head))
 
 (** [pop q] removes and returns the payload of the earliest event; its
-    time and aux value are readable through {!popped_time}/{!popped_aux}
-    until the next pop. The queue must be non-empty (check {!is_empty}).
-    Allocation-free for immediate payload types. *)
+    time, aux value and lane are readable through {!popped_time},
+    {!popped_aux} and {!popped_lane} until the next pop. Raises
+    [Invalid_argument] on an empty queue. Allocates nothing. *)
 let pop q =
-  q.popped.(0) <- q.times.(0);
-  q.popped.(1) <- q.aux.(0);
-  let payload = q.payloads.(0) in
-  let last = q.size - 1 in
-  q.size <- last;
-  q.times.(0) <- q.times.(last);
-  q.aux.(0) <- q.aux.(last);
-  q.ids.(0) <- q.ids.(last);
-  q.payloads.(0) <- q.payloads.(last);
-  q.payloads.(last) <- q.dummy;
-  (* Sift down. *)
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < q.size && before q l !smallest then smallest := l;
-    if r < q.size && before q r !smallest then smallest := r;
-    if !smallest <> !i then begin
-      swap q !smallest !i;
-      i := !smallest
-    end
-    else continue := false
+  let lanes = q.lanes in
+  let best = ref (-1) in
+  for k = 0 to Array.length lanes - 1 do
+    let l = lanes.(k) in
+    if l.len > 0 && (!best < 0 || before l lanes.(!best)) then best := k
   done;
-  payload
+  if !best < 0 then invalid_arg "Event_queue.pop: empty queue";
+  let l = lanes.(!best) in
+  let i = l.head in
+  q.popped.(0) <- l.times.(i);
+  q.popped.(1) <- l.aux.(i);
+  q.popped_lane <- !best;
+  l.head <- (i + 1) land (Array.length l.times - 1);
+  l.len <- l.len - 1;
+  q.size <- q.size - 1;
+  l.payloads.(i)
 
 (** Time of the most recently popped event. *)
 let popped_time q = q.popped.(0)
 
 (** Aux value of the most recently popped event. *)
 let popped_aux q = q.popped.(1)
+
+(** Lane of the most recently popped event. *)
+let popped_lane q = q.popped_lane

@@ -14,11 +14,16 @@
     with fixed-size packets, backlog divided by serialization time is the
     queue length. This is exact for DropTail FIFO.
 
-    The event loop is allocation-free: events are packed into a single
-    immediate int (a 2-bit tag plus the integer argument), the one float
-    an event carries — the ACK-triggering segment's send time — rides in
-    the queue's unboxed aux channel, and the per-ACK observation record is
-    a flat float record allocated once per run and mutated in place. *)
+    Every event stream the simulator emits is already in time order, so
+    the event queue merges one FIFO lane per stream (see the lane list
+    below) instead of sifting a heap. The floats the loop writes live in
+    one all-float record, stored unboxed, and the per-ACK observation
+    record is allocated once per run and mutated in place. What the loop
+    still allocates, about 13 minor words per event on Reno's reference
+    scenarios (release profile), is the boxing of floats that cross calls
+    the compiler does not inline: the CCA closures' [~now ~acked ~rtt]
+    arguments and [cwnd ()] results, and event times handed to
+    {!Event_queue.push}. *)
 
 open Abg_util
 
@@ -44,39 +49,32 @@ type observer = {
 
 let null_observer = { on_ack_obs = ignore; on_loss_obs = (fun ~time:_ -> ()) }
 
-(* Events are packed into one immediate int: the low two bits are the
-   tag, the rest the argument. An ACK arrival's argument carries the
-   cumulative point and the Karn sample-validity bit (false when the
-   triggering segment was ever retransmitted: such RTT samples are
-   ambiguous and discarded); its send timestamp travels in the event
-   queue's unboxed aux float channel. A delivery's argument carries the
-   sequence number and a "late" bit marking a packet already reordered
-   once (so it cannot be re-held forever). *)
-let tag_deliver = 0 (* arg = (seq lsl 1) lor late *)
-let tag_ack = 1 (* arg = (cum lsl 1) lor sample_ok; aux = sent_at *)
-let tag_rto = 2 (* arg unused; the timer state lives on the simulator *)
-let tag_cross = 3 (* arg = cross-flow index; next packet of that flow *)
+(* Event lanes. Each holds one stream the simulator emits in time order,
+   so a push never lands below its lane's newest event:
+   - deliveries leave the link at departure + one_way, and each departure
+     lies past [link_free], which only grows (transmissions, cross
+     packets and outages all push it forward);
+   - held-back deliveries re-arrive at now + reorder_delay, and [now]
+     only grows;
+   - ACKs arrive no earlier than [last_ack_arrival], which forces the ACK
+     path FIFO;
+   - the RTO timer and each cross flow keep at most one event queued.
+   An ACK's payload carries the cumulative point and the Karn
+   sample-validity bit (false when the triggering segment was ever
+   retransmitted: such RTT samples are ambiguous and discarded); its send
+   timestamp travels in the queue's unboxed aux float channel. A held-back
+   delivery is never held again, so every packet arrives eventually. *)
+let lane_deliver = 0 (* payload = seq *)
+let lane_held = 1 (* payload = seq *)
+let lane_ack = 2 (* payload = (cum lsl 1) lor sample_ok; aux = sent_at *)
+let lane_rto = 3 (* no payload; the timer state lives on the simulator *)
+let lane_cross = 4 (* + cross-flow index; next packet of that flow *)
 
-let encode_deliver ?(late = false) seq =
-  (((seq lsl 1) lor (if late then 1 else 0)) lsl 2) lor tag_deliver
-let encode_ack ~cum ~sample_ok =
-  (((cum lsl 1) lor (if sample_ok then 1 else 0)) lsl 2) lor tag_ack
-let encode_rto arg = (arg lsl 2) lor tag_rto
-let encode_cross idx = (idx lsl 2) lor tag_cross
-
-type t = {
-  cfg : Config.t;
-  cca : Abg_cca.Cca_sig.t;
-  events : int Event_queue.t;
-  rng : Rng.t;
-  obs : ack_observation;  (* reusable observation record, see above *)
+(* Every float the event loop writes. An all-float record stores its
+   fields unboxed, so a write allocates nothing; as fields of the mixed
+   record [t] each write would box. *)
+type clock = {
   mutable now : float;
-  (* Sender state. *)
-  mutable next_seq : int;
-  mutable snd_una : int;  (** lowest unacknowledged sequence number *)
-  mutable dup_acks : int;
-  mutable recovery_point : int;  (** next_seq at the last loss event *)
-  mutable in_recovery : bool;
   mutable srtt : float;
   mutable rttvar : float;
   (* Lazy RTO timer: [rto_deadline] is where the timer conceptually sits;
@@ -84,27 +82,41 @@ type t = {
      is its pop time, or [infinity] when none). Re-arming just moves the
      deadline; the queued event re-schedules itself when it pops early.
      This avoids pushing (and later popping) a stale RTO event per ACK —
-     about a third of all heap traffic in steady state. *)
+     about a third of all queue traffic in steady state. *)
   mutable rto_deadline : float;
   mutable rto_outstanding : float;
+  mutable link_free : float;
+  (* The current serialization time tracks the bandwidth step schedule. *)
+  mutable cur_serialize : float;
+  mutable avg_queue : float;  (** RED's EWMA occupancy estimate *)
+  mutable last_ack_arrival : float;  (** ACK-path FIFO ordering floor *)
+}
+
+type t = {
+  cfg : Config.t;
+  cca : Abg_cca.Cca_sig.t;
+  events : Event_queue.t;
+  rng : Rng.t;
+  obs : ack_observation;  (* reusable observation record, see above *)
+  clk : clock;
+  (* Sender state. *)
+  mutable next_seq : int;
+  mutable snd_una : int;  (** lowest unacknowledged sequence number *)
+  mutable dup_acks : int;
+  mutable recovery_point : int;  (** next_seq at the last loss event *)
+  mutable in_recovery : bool;
   (* Per-segment send times, for RTT samples; grows with next_seq. *)
   mutable sent_at : float array;
   mutable retransmitted : bool array;
-  (* Link state. *)
-  mutable link_free : float;
-  (* Extended-scenario state (all inert for neutral configs). The current
-     serialization time tracks the bandwidth step schedule; pending steps
-     are consumed in time order by the event loop. Outages are a
-     precomputed sorted [(start, end)] schedule from a dedicated RNG
-     stream (so they never perturb the impairment draws of the main
-     stream); [outage_idx] is the next one to take effect. [avg_queue] is
-     RED's EWMA occupancy estimate. *)
-  mutable cur_serialize : float;
+  (* Extended-scenario state (all inert for neutral configs). Pending
+     bandwidth steps are consumed in time order by the event loop.
+     Outages are a precomputed sorted [(start, end)] schedule from a
+     dedicated RNG stream (so they never perturb the impairment draws of
+     the main stream); [outage_idx] is the next one to take effect. *)
   mutable steps_pending : (float * float) list;
   cross_flows : Config.cross_flow array;
   outages : (float * float) array;
   mutable outage_idx : int;
-  mutable avg_queue : float;
   mutable cross_delivered : int;
   mutable cross_dropped : int;
   (* Receiver state: [received.(seq)] once segment [seq] has arrived
@@ -113,7 +125,6 @@ type t = {
   mutable received : bool array;
   mutable rcv_next : int;
   mutable rcv_high : int;  (** highest sequence number received *)
-  mutable last_ack_arrival : float;  (** ACK-path FIFO ordering floor *)
   (* Counters. *)
   mutable delivered : int;
   mutable drops : int;
@@ -149,40 +160,45 @@ let create cfg cca =
   {
     cfg;
     cca;
-    events = Event_queue.create ~dummy:0 ();
+    events =
+      Event_queue.create
+        ~lanes:(lane_cross + List.length cfg.Config.cross);
     rng = Rng.create cfg.Config.seed;
     obs =
       { time = 0.0; cwnd = 0.0; in_flight = 0.0; acked_bytes = 0.0;
         rtt_sample = 0.0 };
-    now = 0.0;
+    clk =
+      {
+        now = 0.0;
+        srtt = 0.0;
+        rttvar = 0.0;
+        rto_deadline = infinity;
+        rto_outstanding = infinity;
+        link_free = 0.0;
+        cur_serialize = serialize_time cfg;
+        avg_queue = 0.0;
+        last_ack_arrival = 0.0;
+      };
     next_seq = 0;
     snd_una = 0;
     dup_acks = 0;
     recovery_point = 0;
     in_recovery = false;
-    srtt = 0.0;
-    rttvar = 0.0;
-    rto_deadline = infinity;
-    rto_outstanding = infinity;
     sent_at = Array.make 1024 0.0;
     retransmitted = Array.make 1024 false;
-    link_free = 0.0;
     received = Array.make 1024 false;
     rcv_next = 0;
     rcv_high = -1;
-    last_ack_arrival = 0.0;
     delivered = 0;
     drops = 0;
     losses_detected = 0;
     events_processed = 0;
-    cur_serialize = serialize_time cfg;
     steps_pending =
       List.sort (fun (a, _) (b, _) -> Float.compare a b)
         cfg.Config.bandwidth_steps;
     cross_flows = Array.of_list cfg.Config.cross;
     outages = make_outages cfg;
     outage_idx = 0;
-    avg_queue = 0.0;
     cross_delivered = 0;
     cross_dropped = 0;
   }
@@ -203,9 +219,9 @@ let ensure_seq_capacity sim seq =
   end
 
 let queue_length sim =
-  let backlog = sim.link_free -. sim.now in
+  let backlog = sim.clk.link_free -. sim.clk.now in
   if backlog <= 0.0 then 0
-  else int_of_float (Float.ceil (backlog /. sim.cur_serialize))
+  else int_of_float (Float.ceil (backlog /. sim.clk.cur_serialize))
 
 (* Fold every outage that has started by [now] into the link: the link
    serves nothing until the outage ends, so the free time is floored at
@@ -215,10 +231,10 @@ let queue_length sim =
 let apply_outages sim =
   let n = Array.length sim.outages in
   while
-    sim.outage_idx < n && fst sim.outages.(sim.outage_idx) <= sim.now
+    sim.outage_idx < n && fst sim.outages.(sim.outage_idx) <= sim.clk.now
   do
     let _, until = sim.outages.(sim.outage_idx) in
-    if until > sim.link_free then sim.link_free <- until;
+    if until > sim.clk.link_free then sim.clk.link_free <- until;
     sim.outage_idx <- sim.outage_idx + 1
   done
 
@@ -241,29 +257,29 @@ let queue_dropped sim =
   | Config.Droptail -> queue_length sim >= sim.cfg.Config.queue_capacity
   | Config.Red { min_th; max_th; max_p } ->
       let q = queue_length sim in
-      sim.avg_queue <-
-        sim.avg_queue +. (0.05 *. (float_of_int q -. sim.avg_queue));
+      sim.clk.avg_queue <-
+        sim.clk.avg_queue +. (0.05 *. (float_of_int q -. sim.clk.avg_queue));
       q >= sim.cfg.Config.queue_capacity
       ||
-      let p = red_drop_probability ~min_th ~max_th ~max_p sim.avg_queue in
+      let p = red_drop_probability ~min_th ~max_th ~max_p sim.clk.avg_queue in
       p > 0.0 && Rng.float sim.rng < p
 
 (* Transmit segment [seq]: qdisc admission, serialization, delivery. *)
 let transmit sim seq =
   ensure_seq_capacity sim seq;
-  sim.sent_at.(seq) <- sim.now;
+  sim.sent_at.(seq) <- sim.clk.now;
   let dropped =
     queue_dropped sim
     || (sim.cfg.Config.loss_rate > 0.0 && Rng.float sim.rng < sim.cfg.Config.loss_rate)
   in
   if dropped then sim.drops <- sim.drops + 1
   else begin
-    let start = Float.max sim.now sim.link_free in
-    let departure = start +. sim.cur_serialize in
-    sim.link_free <- departure;
-    Event_queue.push sim.events
+    let start = Float.max sim.clk.now sim.clk.link_free in
+    let departure = start +. sim.clk.cur_serialize in
+    sim.clk.link_free <- departure;
+    Event_queue.push sim.events ~lane:lane_deliver
       ~time:(departure +. one_way sim.cfg)
-      ~aux:0.0 (encode_deliver seq)
+      ~aux:0.0 seq
   end
 
 let in_flight_bytes sim =
@@ -285,8 +301,8 @@ let is_received sim seq = sim.received.(seq)
    full RTO per hole. *)
 let scored_lost sim seq =
   let evidence = (not sim.retransmitted.(seq)) && seq <= sim.rcv_high - 3 in
-  let rack_timeout = if sim.srtt > 0.0 then 1.25 *. sim.srtt else 1.0 in
-  evidence || sim.now -. sim.sent_at.(seq) > rack_timeout
+  let rack_timeout = if sim.clk.srtt > 0.0 then 1.25 *. sim.clk.srtt else 1.0 in
+  evidence || sim.clk.now -. sim.sent_at.(seq) > rack_timeout
 
 let retransmit_hole sim seq =
   sim.retransmitted.(seq) <- true;
@@ -342,28 +358,28 @@ let fill_window ?(force_rtx = false) sim =
     done
 
 let rto sim =
-  if sim.srtt = 0.0 then 1.0
-  else Float.max 0.2 (sim.srtt +. (4.0 *. sim.rttvar))
+  if sim.clk.srtt = 0.0 then 1.0
+  else Float.max 0.2 (sim.clk.srtt +. (4.0 *. sim.clk.rttvar))
 
 (* Move the RTO deadline; only queue an event if none is in flight. The
    deadline an armed timer eventually fires at is the same float the
    eager push-per-arm scheme produced, so firing times are unchanged. *)
 let arm_rto sim =
-  sim.rto_deadline <- sim.now +. rto sim;
-  if sim.rto_outstanding = infinity then begin
-    sim.rto_outstanding <- sim.rto_deadline;
-    Event_queue.push sim.events ~time:sim.rto_deadline ~aux:0.0
-      (encode_rto 0)
+  sim.clk.rto_deadline <- sim.clk.now +. rto sim;
+  if sim.clk.rto_outstanding = infinity then begin
+    sim.clk.rto_outstanding <- sim.clk.rto_deadline;
+    Event_queue.push sim.events ~lane:lane_rto ~time:sim.clk.rto_deadline
+      ~aux:0.0 0
   end
 
 let update_rtt_estimators sim rtt =
-  if sim.srtt = 0.0 then begin
-    sim.srtt <- rtt;
-    sim.rttvar <- rtt /. 2.0
+  if sim.clk.srtt = 0.0 then begin
+    sim.clk.srtt <- rtt;
+    sim.clk.rttvar <- rtt /. 2.0
   end
   else begin
-    sim.rttvar <- (0.75 *. sim.rttvar) +. (0.25 *. Float.abs (sim.srtt -. rtt));
-    sim.srtt <- (0.875 *. sim.srtt) +. (0.125 *. rtt)
+    sim.clk.rttvar <- (0.75 *. sim.clk.rttvar) +. (0.25 *. Float.abs (sim.clk.srtt -. rtt));
+    sim.clk.srtt <- (0.875 *. sim.clk.srtt) +. (0.125 *. rtt)
   end
 
 (* Receiver side: segment [seq] arrives; emit a cumulative ACK. *)
@@ -384,16 +400,17 @@ let receive sim seq =
   (* The ACK path is FIFO: jitter delays but never reorders, or every
      delayed ACK would masquerade as duplicate-ACK loss evidence. *)
   let arrival =
-    Float.max (sim.now +. one_way sim.cfg +. jitter) sim.last_ack_arrival
+    Float.max (sim.clk.now +. one_way sim.cfg +. jitter) sim.clk.last_ack_arrival
   in
-  sim.last_ack_arrival <- arrival;
-  Event_queue.push sim.events ~time:arrival ~aux:sim.sent_at.(seq)
-    (encode_ack ~cum:sim.rcv_next ~sample_ok:(not sim.retransmitted.(seq)))
+  sim.clk.last_ack_arrival <- arrival;
+  Event_queue.push sim.events ~lane:lane_ack ~time:arrival
+    ~aux:sim.sent_at.(seq)
+    ((sim.rcv_next lsl 1) lor if sim.retransmitted.(seq) then 0 else 1)
 
 let handle_loss sim observer =
   sim.losses_detected <- sim.losses_detected + 1;
-  sim.cca.Abg_cca.Cca_sig.on_loss ~now:sim.now;
-  observer.on_loss_obs ~time:sim.now;
+  sim.cca.Abg_cca.Cca_sig.on_loss ~now:sim.clk.now;
+  observer.on_loss_obs ~time:sim.clk.now;
   (* A loss during an ongoing episode (an RTO) must not move the episode's
      exit point to the raced-ahead next_seq, or the episode never ends. *)
   if not sim.in_recovery then begin
@@ -412,19 +429,19 @@ let handle_ack sim observer ~cum ~sent_at ~sample_ok =
        substitute the smoothed estimate so the CCA still sees a sane
        sample without polluting its min/max filters. *)
     let rtt =
-      if sample_ok then sim.now -. sent_at
-      else if sim.srtt > 0.0 then sim.srtt
+      if sample_ok then sim.clk.now -. sent_at
+      else if sim.clk.srtt > 0.0 then sim.clk.srtt
       else sim.cfg.Config.rtt_prop
     in
     if sample_ok then update_rtt_estimators sim rtt;
     let acked_bytes = float_of_int newly *. sim.cfg.Config.mss in
-    sim.cca.Abg_cca.Cca_sig.on_ack ~now:sim.now ~acked:acked_bytes ~rtt;
+    sim.cca.Abg_cca.Cca_sig.on_ack ~now:sim.clk.now ~acked:acked_bytes ~rtt;
     if sim.in_recovery && cum >= sim.recovery_point then
       sim.in_recovery <- false;
     (* A partial ACK (still in recovery) keeps repairing holes. *)
     fill_window ~force_rtx:sim.in_recovery sim;
     let obs = sim.obs in
-    obs.time <- sim.now;
+    obs.time <- sim.clk.now;
     obs.cwnd <- sim.cca.Abg_cca.Cca_sig.cwnd ();
     obs.in_flight <- in_flight_bytes sim;
     obs.acked_bytes <- acked_bytes;
@@ -442,21 +459,17 @@ let handle_ack sim observer ~cum ~sent_at ~sample_ok =
 
 (* Delivery-side reordering: with probability [reorder_prob] a data
    packet is pulled out of line on arrival and re-injected
-   [reorder_delay] later, behind whatever was delivered meanwhile. The
-   "late" bit stops a packet from being re-held, so every packet arrives
-   eventually. *)
-let handle_deliver sim arg =
-  let seq = arg lsr 1 in
-  let late = arg land 1 = 1 in
+   [reorder_delay] later, behind whatever was delivered meanwhile. A
+   held-back packet returns on its own lane and is received outright, so
+   it cannot be re-held forever. *)
+let handle_deliver sim seq =
   if
-    (not late)
-    && sim.cfg.Config.reorder_prob > 0.0
+    sim.cfg.Config.reorder_prob > 0.0
     && Rng.float sim.rng < sim.cfg.Config.reorder_prob
   then
-    Event_queue.push sim.events
-      ~time:(sim.now +. sim.cfg.Config.reorder_delay)
-      ~aux:0.0
-      (encode_deliver ~late:true seq)
+    Event_queue.push sim.events ~lane:lane_held
+      ~time:(sim.clk.now +. sim.cfg.Config.reorder_delay)
+      ~aux:0.0 seq
   else receive sim seq
 
 (* One cross-traffic packet of flow [idx] arrives at the bottleneck: it
@@ -470,8 +483,8 @@ let handle_cross sim idx =
   | Config.Constant _ | Config.On_off _ ->
       if queue_dropped sim then sim.cross_dropped <- sim.cross_dropped + 1
       else begin
-        let start = Float.max sim.now sim.link_free in
-        sim.link_free <- start +. sim.cur_serialize;
+        let start = Float.max sim.clk.now sim.clk.link_free in
+        sim.clk.link_free <- start +. sim.clk.cur_serialize;
         sim.cross_delivered <- sim.cross_delivered + 1
       end);
   let rate_bps =
@@ -480,7 +493,7 @@ let handle_cross sim idx =
   in
   if rate_bps > 0.0 then begin
     let dt = sim.cfg.Config.mss *. 8.0 /. rate_bps in
-    let next = sim.now +. dt in
+    let next = sim.clk.now +. dt in
     let next =
       match sim.cross_flows.(idx) with
       | Config.Constant _ -> next
@@ -490,29 +503,30 @@ let handle_cross sim idx =
           else (Float.floor (next /. period) +. 1.0) *. period
     in
     if next <= sim.cfg.Config.duration then
-      Event_queue.push sim.events ~time:next ~aux:0.0 (encode_cross idx)
+      Event_queue.push sim.events ~lane:(lane_cross + idx) ~time:next ~aux:0.0
+        0
   end
 
-(* Consume any bandwidth steps due by [sim.now]: subsequent serializations
+(* Consume any bandwidth steps due by [sim.clk.now]: subsequent serializations
    (CCA and cross alike) run at the new rate; packets already on the link
    keep their departure times. *)
 let rec apply_bandwidth_steps sim =
   match sim.steps_pending with
-  | (t, bps) :: rest when t <= sim.now ->
+  | (t, bps) :: rest when t <= sim.clk.now ->
       if bps > 0.0 then
-        sim.cur_serialize <- sim.cfg.Config.mss *. 8.0 /. bps;
+        sim.clk.cur_serialize <- sim.cfg.Config.mss *. 8.0 /. bps;
       sim.steps_pending <- rest;
       apply_bandwidth_steps sim
   | _ -> ()
 
 let handle_rto sim observer =
-  sim.rto_outstanding <- infinity;
-  if sim.now < sim.rto_deadline then begin
+  sim.clk.rto_outstanding <- infinity;
+  if sim.clk.now < sim.clk.rto_deadline then begin
     (* The deadline moved while this event was queued (the timer was
        re-armed by intervening ACKs); chase it instead of firing. *)
-    sim.rto_outstanding <- sim.rto_deadline;
-    Event_queue.push sim.events ~time:sim.rto_deadline ~aux:0.0
-      (encode_rto 0)
+    sim.clk.rto_outstanding <- sim.clk.rto_deadline;
+    Event_queue.push sim.events ~lane:lane_rto ~time:sim.clk.rto_deadline
+      ~aux:0.0 0
   end
   else if sim.next_seq > sim.snd_una then begin
     (* After a timeout the RACK timer has expired for the whole
@@ -534,7 +548,7 @@ type stats = {
       (** cross-traffic bytes that made it through the bottleneck *)
   cross_dropped : int;  (** cross-traffic packets the queue rejected *)
   events_processed : int;  (** events dequeued by the run loop *)
-  heap_peak : int;  (** event-queue high-water mark *)
+  queue_peak : int;  (** event-queue high-water mark *)
 }
 
 (* Telemetry: per-run totals added once at the end of [run] — nothing in
@@ -567,7 +581,8 @@ let run ?(observer = null_observer) cfg cca =
      on-window) and self-reschedule from then on. *)
   Array.iteri
     (fun idx _ ->
-      Event_queue.push sim.events ~time:0.0 ~aux:0.0 (encode_cross idx))
+      Event_queue.push sim.events ~lane:(lane_cross + idx) ~time:0.0 ~aux:0.0
+        0)
     sim.cross_flows;
   let stepped = sim.steps_pending <> [] in
   let events = sim.events in
@@ -575,22 +590,22 @@ let run ?(observer = null_observer) cfg cca =
   while !continue do
     if Event_queue.is_empty events then continue := false
     else begin
-      let code = Event_queue.pop events in
+      let payload = Event_queue.pop events in
       let time = Event_queue.popped_time events in
       if time > cfg.Config.duration then continue := false
       else begin
-        sim.now <- time;
+        sim.clk.now <- time;
         if stepped then apply_bandwidth_steps sim;
         sim.events_processed <- sim.events_processed + 1;
-        let tag = code land 3 in
-        let arg = code lsr 2 in
-        if tag = tag_deliver then handle_deliver sim arg
-        else if tag = tag_ack then
-          handle_ack sim counting_observer ~cum:(arg lsr 1)
+        let lane = Event_queue.popped_lane events in
+        if lane = lane_deliver then handle_deliver sim payload
+        else if lane = lane_ack then
+          handle_ack sim counting_observer ~cum:(payload lsr 1)
             ~sent_at:(Event_queue.popped_aux events)
-            ~sample_ok:(arg land 1 = 1)
-        else if tag = tag_rto then handle_rto sim counting_observer
-        else handle_cross sim arg
+            ~sample_ok:(payload land 1 = 1)
+        else if lane = lane_held then receive sim payload
+        else if lane = lane_rto then handle_rto sim counting_observer
+        else handle_cross sim (lane - lane_cross)
       end
     end
   done;
@@ -603,10 +618,10 @@ let run ?(observer = null_observer) cfg cca =
     acks_processed = !acks;
     packets_dropped = sim.drops;
     loss_events = sim.losses_detected;
-    final_time = sim.now;
+    final_time = sim.clk.now;
     delivered_bytes = float_of_int sim.delivered *. cfg.Config.mss;
     cross_delivered_bytes = float_of_int sim.cross_delivered *. cfg.Config.mss;
     cross_dropped = sim.cross_dropped;
     events_processed = sim.events_processed;
-    heap_peak = Event_queue.heap_peak sim.events;
+    queue_peak = Event_queue.peak sim.events;
   }

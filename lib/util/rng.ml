@@ -3,9 +3,17 @@
     All randomness in the pipeline flows through this module so that every
     experiment is reproducible from a seed. The generator is xoshiro256**
     (Blackman & Vigna), seeded through splitmix64 as its authors
-    recommend. *)
+    recommend.
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+    The four 64-bit state words live in one 32-byte [Bytes.t], read and
+    written with the unboxed 64-bit byte primitives, so a draw keeps its
+    [int64] arithmetic in registers and boxes nothing: four [mutable int64]
+    record fields would box on every write. *)
+
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let splitmix64 state =
   let open Int64 in
@@ -17,25 +25,27 @@ let splitmix64 state =
 
 let create seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix64 state)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* Core xoshiro256** step: returns the next 64-bit output. *)
-let next64 t =
+(* Core xoshiro256** step: returns the next 64-bit output. Inlined into
+   every draw so the result never leaves a register. *)
+let[@inline] next64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set64 t 8 (logxor s1 s2);
+  set64 t 0 (logxor s0 s3);
+  set64 t 16 (logxor s2 (shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
 
 (** [float t] is uniform in [0, 1). *)
@@ -83,14 +93,6 @@ let shuffle t a =
 let choice t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))
-
-(** [sample_without_replacement t a k] picks [k] distinct elements. *)
-let sample_without_replacement t a k =
-  let n = Array.length a in
-  assert (k <= n);
-  let copy = Array.copy a in
-  shuffle t copy;
-  Array.sub copy 0 k
 
 (** [split t] derives an independent generator; used to hand deterministic
     streams to parallel workers. *)

@@ -20,7 +20,6 @@ val normal : t -> mean:float -> stddev:float -> float
 val exponential : t -> rate:float -> float
 val shuffle : t -> 'a array -> unit
 val choice : t -> 'a array -> 'a
-val sample_without_replacement : t -> 'a array -> int -> 'a array
 
 val split : t -> t
 (** Derive an independent generator (for handing deterministic streams to

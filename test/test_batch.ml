@@ -892,6 +892,25 @@ let test_runner_grid_persists_canonically () =
     (List.sort String.compare (List.map Job.digest jobs))
     (List.map Job.digest loaded)
 
+(* A corrupt grid or journal names its file: the CLI turns the message
+   into its one stderr line. *)
+let test_runner_corrupt_files_named () =
+  let dir = fresh_dir () in
+  Runner.init ~dir [ probe_job ~seed:1 "reno" ];
+  let named path f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Json.Malformed" path
+    | exception Abg_util.Json.Malformed msg ->
+        Alcotest.(check bool) (path ^ " named") true
+          (String.starts_with ~prefix:(path ^ ": ") msg)
+  in
+  let journal = Filename.concat dir "journal.jsonl" in
+  write_file journal "not json\n";
+  named journal (fun () -> Runner.settled_entries ~verify:true dir);
+  let grid = Runner.grid_path dir in
+  write_file grid "garbage\n";
+  named grid (fun () -> Runner.jobs_of_dir ~dir)
+
 let test_runner_worker_journals_merge () =
   (* Two coordinator workers sharing one run directory must together
      reproduce the single-process run byte-for-byte: journal outcome
@@ -1043,6 +1062,8 @@ let suites =
           test_runner_init_refuses_overwrite;
         Alcotest.test_case "grid persists" `Quick
           test_runner_grid_persists_canonically;
+        Alcotest.test_case "corrupt files named" `Quick
+          test_runner_corrupt_files_named;
         Alcotest.test_case "worker journals merge" `Quick
           test_runner_worker_journals_merge;
         Alcotest.test_case "gc keeps live" `Quick

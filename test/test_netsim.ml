@@ -9,45 +9,85 @@ let quick_config ?(duration = 5.0) ?(bandwidth_mbps = 10.0) ?(rtt_ms = 50.0) ()
 (* -- Event queue -- *)
 
 let test_event_queue_order () =
-  let q = Event_queue.create ~dummy:"" () in
-  Event_queue.push q ~time:3.0 ~aux:0.0 "c";
-  Event_queue.push q ~time:1.0 ~aux:0.0 "a";
-  Event_queue.push q ~time:2.0 ~aux:0.0 "b";
+  let q = Event_queue.create ~lanes:3 in
+  Event_queue.push q ~lane:0 ~time:3.0 ~aux:0.0 3;
+  Event_queue.push q ~lane:1 ~time:1.0 ~aux:0.0 1;
+  Event_queue.push q ~lane:2 ~time:2.0 ~aux:0.0 2;
   let pops = List.init 3 (fun _ -> Event_queue.pop q) in
-  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] pops;
+  Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] pops;
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
 
 let test_event_queue_fifo_ties () =
-  let q = Event_queue.create ~dummy:"" () in
-  Event_queue.push q ~time:1.0 ~aux:0.0 "first";
-  Event_queue.push q ~time:1.0 ~aux:0.0 "second";
-  Alcotest.(check string) "insertion order on ties" "first" (Event_queue.pop q)
+  (* A cross-lane tie goes to the earlier push, not the lower lane. *)
+  let q = Event_queue.create ~lanes:2 in
+  Event_queue.push q ~lane:1 ~time:1.0 ~aux:0.0 1;
+  Event_queue.push q ~lane:0 ~time:1.0 ~aux:0.0 2;
+  Event_queue.push q ~lane:1 ~time:1.0 ~aux:0.0 3;
+  let pops = List.init 3 (fun _ -> Event_queue.pop q) in
+  Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3 ] pops
 
 let test_event_queue_popped_metadata () =
-  let q = Event_queue.create ~dummy:0 () in
-  Event_queue.push q ~time:2.0 ~aux:42.0 7;
-  Event_queue.push q ~time:1.0 ~aux:13.0 5;
+  let q = Event_queue.create ~lanes:2 in
+  Event_queue.push q ~lane:0 ~time:2.0 ~aux:42.0 7;
+  Event_queue.push q ~lane:1 ~time:1.0 ~aux:13.0 5;
   Alcotest.(check int) "payload" 5 (Event_queue.pop q);
   Alcotest.(check (float 0.0)) "popped time" 1.0 (Event_queue.popped_time q);
   Alcotest.(check (float 0.0)) "popped aux" 13.0 (Event_queue.popped_aux q);
+  Alcotest.(check int) "popped lane" 1 (Event_queue.popped_lane q);
   Alcotest.(check int) "second payload" 7 (Event_queue.pop q);
   Alcotest.(check (float 0.0)) "second aux" 42.0 (Event_queue.popped_aux q);
-  Alcotest.(check int) "pushed counter" 2 (Event_queue.events_pushed q);
-  Alcotest.(check int) "heap peak" 2 (Event_queue.heap_peak q)
+  Alcotest.(check int) "second lane" 0 (Event_queue.popped_lane q);
+  Alcotest.(check int) "queue peak" 2 (Event_queue.peak q)
 
-(* The rewritten heap must pop in exactly (time, insertion-order): drain
-   the queue and compare against a stable sort by time, whose tie handling
-   is precisely insertion order. Times are drawn from a handful of
-   distinct values so simultaneous events are common. *)
+let test_event_queue_push_below_tail () =
+  let q = Event_queue.create ~lanes:2 in
+  Event_queue.push q ~lane:0 ~time:2.0 ~aux:0.0 0;
+  (* Lanes are independent streams: another lane may start lower. *)
+  Event_queue.push q ~lane:1 ~time:1.0 ~aux:0.0 1;
+  Event_queue.push q ~lane:0 ~time:2.0 ~aux:0.0 2;
+  match Event_queue.push q ~lane:0 ~time:1.5 ~aux:0.0 3 with
+  | () -> Alcotest.fail "push below the lane's newest event accepted"
+  | exception Invalid_argument _ -> ()
+
+(* Turns random (lane, time) draws into a legal push sequence: the lanes
+   keep their draw order, and each lane's times are handed out in sorted
+   order, so every lane is non-decreasing while the pushes as a whole are
+   not. *)
+let lane_sorted_pushes draws =
+  let lanes = 1 + List.fold_left (fun m (l, _) -> max m l) 0 draws in
+  let per_lane = Array.make lanes [] in
+  List.iter (fun (l, t) -> per_lane.(l) <- t :: per_lane.(l)) draws;
+  Array.iteri (fun l ts -> per_lane.(l) <- List.sort Float.compare ts) per_lane;
+  let pushes =
+    List.map
+      (fun (l, _) ->
+        match per_lane.(l) with
+        | t :: rest ->
+            per_lane.(l) <- rest;
+            (l, t)
+        | [] -> assert false)
+      draws
+  in
+  (lanes, pushes)
+
+(* The lane merge must pop in exactly (time, insertion order): push every
+   event first, drain the queue and compare against a stable sort by
+   time, whose tie handling is precisely insertion order. Times are drawn
+   from a handful of distinct values so simultaneous events, within and
+   across lanes, are common. *)
 let prop_event_queue_reference_order =
   QCheck.Test.make ~name:"pops match stable sort by (time, insertion)"
     ~count:500
     QCheck.(
       list_of_size (Gen.int_range 0 200)
-        (map (fun k -> float_of_int k /. 4.0) (int_range 0 10)))
-    (fun times ->
-      let q = Event_queue.create ~dummy:(-1) () in
-      List.iteri (fun i t -> Event_queue.push q ~time:t ~aux:0.0 i) times;
+        (pair (int_range 0 3)
+           (map (fun k -> float_of_int k /. 4.0) (int_range 0 10))))
+    (fun draws ->
+      let lanes, pushes = lane_sorted_pushes draws in
+      let q = Event_queue.create ~lanes in
+      List.iteri
+        (fun i (lane, t) -> Event_queue.push q ~lane ~time:t ~aux:0.0 i)
+        pushes;
       let popped = ref [] in
       while not (Event_queue.is_empty q) do
         let payload = Event_queue.pop q in
@@ -55,26 +95,80 @@ let prop_event_queue_reference_order =
       done;
       let popped = List.rev !popped in
       let expected =
-        List.mapi (fun i t -> (t, i)) times
+        List.mapi (fun i (_, t) -> (t, i)) pushes
         |> List.stable_sort (fun (t1, _) (t2, _) -> Float.compare t1 t2)
       in
       popped = expected)
 
 let prop_event_queue_sorted =
   QCheck.Test.make ~name:"pops are time-sorted" ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 100) (float_range 0.0 100.0))
-    (fun times ->
-      let q = Event_queue.create ~dummy:() () in
-      List.iter (fun t -> Event_queue.push q ~time:t ~aux:0.0 ()) times;
+    QCheck.(
+      list_of_size (Gen.int_range 0 100)
+        (pair (int_range 0 5) (float_range 0.0 100.0)))
+    (fun draws ->
+      let lanes, pushes = lane_sorted_pushes draws in
+      let q = Event_queue.create ~lanes in
+      List.iter
+        (fun (lane, t) -> Event_queue.push q ~lane ~time:t ~aux:0.0 0)
+        pushes;
       let rec drain last =
         if Event_queue.is_empty q then true
         else begin
-          let () = Event_queue.pop q in
+          let (_ : int) = Event_queue.pop q in
           let t = Event_queue.popped_time q in
           t >= last && drain t
         end
       in
       drain neg_infinity)
+
+(* Random interleavings of pushes and pops over 1-6 lanes, against a
+   naive reference that removes the minimum (time, insertion id) from a
+   plain list. Each lane's times are non-decreasing steps of 0, 0.25 or
+   0.5, so ties across lanes are common. The rings start at 16 slots, so
+   runs of 300 operations also exercise growth and wrap-around. *)
+let prop_event_queue_lane_merge =
+  QCheck.Test.make ~name:"lane merge vs naive min"
+    ~count:500
+    QCheck.(
+      pair (int_range 1 6)
+        (list_of_size (Gen.int_range 0 300)
+           (triple (int_range 0 2) (int_range 0 5) (int_range 0 2))))
+    (fun (lanes, ops) ->
+      let q = Event_queue.create ~lanes in
+      let tails = Array.make lanes 0.0 in
+      let pending = ref [] (* (time, id, lane) *) in
+      let next_id = ref 0 in
+      let pop_matches () =
+        let (t, id, lane) as least =
+          List.fold_left
+            (fun ((bt, bid, _) as best) ((t, id, _) as e) ->
+              if t < bt || (t = bt && id < bid) then e else best)
+            (List.hd !pending) !pending
+        in
+        pending := List.filter (fun e -> e != least) !pending;
+        let payload = Event_queue.pop q in
+        payload = id
+        && Event_queue.popped_time q = t
+        && Event_queue.popped_aux q = float_of_int (-id)
+        && Event_queue.popped_lane q = lane
+      in
+      let step ok (kind, lane, dt) =
+        ok
+        && (if kind = 0 && !pending <> [] then pop_matches ()
+            else begin
+              let lane = lane mod lanes in
+              let t = tails.(lane) +. (0.25 *. float_of_int dt) in
+              tails.(lane) <- t;
+              let id = !next_id in
+              incr next_id;
+              Event_queue.push q ~lane ~time:t ~aux:(float_of_int (-id)) id;
+              pending := (t, id, lane) :: !pending;
+              true
+            end)
+        && Event_queue.is_empty q = (!pending = [])
+      in
+      let rec drain () = !pending = [] || (pop_matches () && drain ()) in
+      List.fold_left step true ops && drain () && Event_queue.is_empty q)
 
 (* -- Config -- *)
 
@@ -238,7 +332,7 @@ let test_sim_counters () =
   let _, stats = run_reno () in
   Alcotest.(check bool) "events processed" true
     (stats.Sim.events_processed > stats.Sim.acks_processed);
-  Alcotest.(check bool) "heap peak recorded" true (stats.Sim.heap_peak > 1)
+  Alcotest.(check bool) "queue peak recorded" true (stats.Sim.queue_peak > 1)
 
 let test_sim_deterministic () =
   let _, s1 = run_reno () in
@@ -316,6 +410,27 @@ let test_sim_jitter_does_not_stall () =
     /. (cfg.Config.bandwidth_bps *. cfg.Config.duration)
   in
   Alcotest.(check bool) "jittered run still fills link" true (utilization > 0.7)
+
+(* The event loop's allocation budget. What it still allocates is the
+   boxing of floats passed to and returned from calls the compiler does
+   not inline (the CCA closures, queue pushes); the simulator's own state
+   boxes nothing. Reno on the classifier reference scenarios measured
+   40.1 minor words per event before the RNG state, the clock floats and
+   the event queue were unboxed, and about 15 after under the dev
+   profile (13 under release). *)
+let test_sim_allocation_budget () =
+  let words = ref 0.0 and events = ref 0 in
+  List.iter
+    (fun cfg ->
+      let cca = Abg_cca.Reno.create ~mss:cfg.Config.mss () in
+      let before = Gc.minor_words () in
+      let stats = Sim.run cfg cca in
+      words := !words +. (Gc.minor_words () -. before);
+      events := !events + stats.Sim.events_processed)
+    (Abg_classifier.Gordon.reference_scenarios ());
+  let per_event = !words /. float_of_int !events in
+  if per_event > 20.0 then
+    Alcotest.failf "%.1f minor words per event, budget 20" per_event
 
 (* -- extended scenario space (cross traffic, reordering, RED, steps,
    outages) -- *)
@@ -419,8 +534,15 @@ let suites =
         Alcotest.test_case "fifo on ties" `Quick test_event_queue_fifo_ties;
         Alcotest.test_case "popped metadata" `Quick
           test_event_queue_popped_metadata;
+        Alcotest.test_case "push below lane tail" `Quick
+          test_event_queue_push_below_tail;
       ]
-      @ qcheck [ prop_event_queue_sorted; prop_event_queue_reference_order ] );
+      @ qcheck
+          [
+            prop_event_queue_sorted;
+            prop_event_queue_reference_order;
+            prop_event_queue_lane_merge;
+          ] );
     ( "netsim.config",
       [
         Alcotest.test_case "bdp" `Quick test_config_bdp;
@@ -446,6 +568,7 @@ let suites =
         Alcotest.test_case "observer stream" `Quick test_sim_observer_sees_acks;
         Alcotest.test_case "rtt floor" `Quick test_sim_rtt_at_least_propagation;
         Alcotest.test_case "jitter no stall" `Quick test_sim_jitter_does_not_stall;
+        Alcotest.test_case "allocation budget" `Quick test_sim_allocation_budget;
       ] );
     ( "netsim.extended",
       [

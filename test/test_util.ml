@@ -72,13 +72,43 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "same elements" (Array.init 50 (fun i -> i)) sorted
 
-let test_rng_sample_without_replacement () =
-  let rng = Rng.create 14 in
-  let a = Array.init 20 (fun i -> i) in
-  let s = Rng.sample_without_replacement rng a 8 in
-  Alcotest.(check int) "size" 8 (Array.length s);
-  let distinct = List.sort_uniq compare (Array.to_list s) in
-  Alcotest.(check int) "distinct" 8 (List.length distinct)
+(* Known answers: the stream itself is pinned, not just its
+   reproducibility, since every seeded trace, fuzz run and synthesis
+   depends on it. Each generator draws 8 floats, then 8 [int 1000], then
+   8 standard normals; the values are the xoshiro256** stream as
+   recorded with [%h]. *)
+let test_rng_known_answers () =
+  let draws rng =
+    let floats = List.init 8 (fun _ -> Printf.sprintf "%h" (Rng.float rng)) in
+    let ints = List.init 8 (fun _ -> string_of_int (Rng.int rng 1000)) in
+    let normals =
+      List.init 8 (fun _ ->
+          Printf.sprintf "%h" (Rng.normal rng ~mean:0.0 ~stddev:1.0))
+    in
+    (floats, ints, normals)
+  in
+  let check name rng (floats, ints, normals) =
+    let f, i, n = draws rng in
+    Alcotest.(check (list string)) (name ^ " floats") floats f;
+    Alcotest.(check (list string)) (name ^ " ints") ints i;
+    Alcotest.(check (list string)) (name ^ " normals") normals n
+  in
+  check "create 42" (Rng.create 42)
+    ( [ "0x1.5780b2e0c2ecp-4"; "0x1.84136619b444ep-2"; "0x1.5c2ea66473c93p-1";
+        "0x1.d9715a8e0766cp-1"; "0x1.fbcdb8ffc5d8bp-1"; "0x1.8a1b4a6202f2ap-1";
+        "0x1.7042a90ab4cbbp-1"; "0x1.b3344e87d7ccp-1" ],
+      [ "239"; "271"; "412"; "473"; "277"; "760"; "323"; "342" ],
+      [ "0x1.2b6a2ad2dcb0dp-1"; "-0x1.be1fad84bc0e5p-3"; "0x1.e179f6e3ff10cp-1";
+        "-0x1.084fb08d52121p+0"; "-0x1.84c29038df6f9p+0"; "0x1.51ca3250e1b2ap-2";
+        "0x1.c8b6fda074199p-4"; "-0x1.e7700d93327e3p-1" ] );
+  check "split child" (Rng.split (Rng.create 42))
+    ( [ "0x1.1dc88ba28c638p-1"; "0x1.06fa1a13296f8p-4"; "0x1.ca69da2018912p-2";
+        "0x1.23b0742f641ccp-1"; "0x1.c619efa217e38p-3"; "0x1.c679a3725c5c8p-1";
+        "0x1.8b11405cee7dp-3"; "0x1.69f3e0a824517p-1" ],
+      [ "532"; "559"; "901"; "550"; "256"; "177"; "631"; "880" ],
+      [ "-0x1.695efca437011p-3"; "0x1.756bb8f258856p-1"; "-0x1.9d9e5acfa0c81p+0";
+        "0x1.ae11ba9a56ecp+0"; "0x1.0b6a5c07df181p+0"; "-0x1.880ea06df2dd2p+0";
+        "-0x1.b54ddd1ac84d3p-2"; "-0x1.052c4aec1d6a3p-1" ] )
 
 let test_rng_split_independent () =
   let rng = Rng.create 15 in
@@ -601,7 +631,7 @@ let suites =
         Alcotest.test_case "normal moments" `Quick test_rng_normal_moments;
         Alcotest.test_case "exponential positive" `Quick test_rng_exponential_positive;
         Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
-        Alcotest.test_case "sample w/o replacement" `Quick test_rng_sample_without_replacement;
+        Alcotest.test_case "known answers" `Quick test_rng_known_answers;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         Alcotest.test_case "split streams" `Quick test_rng_split_streams;
       ]
