@@ -290,16 +290,26 @@ let batch_store_amortized_test =
             if !counter mod 64 = 0 then
               ignore (Abg_batch.Store.flush_staged store))))
 
+(* One job in 16 quarantined, each carrying its error as every journal
+   line the runner writes for a quarantine does. *)
 let bench_entry i =
-  {
-    Abg_batch.Journal.job = Digest.to_hex (Digest.string (string_of_int i));
-    status =
-      (if i mod 16 = 0 then Abg_batch.Journal.Quarantined
-       else Abg_batch.Journal.Ok);
-    attempts = 1 + (i mod 3);
-    result = Some (Digest.to_hex (Digest.string ("r" ^ string_of_int i)));
-    error = None;
-  }
+  let job = Digest.to_hex (Digest.string (string_of_int i)) in
+  if i mod 16 = 0 then
+    {
+      Abg_batch.Journal.job;
+      status = Abg_batch.Journal.Quarantined;
+      attempts = 3;
+      result = None;
+      error = Some (Printf.sprintf "Failure(\"probe %d: injected failure\")" i);
+    }
+  else
+    {
+      Abg_batch.Journal.job;
+      status = Abg_batch.Journal.Ok;
+      attempts = 1 + (i mod 3);
+      result = Some (Digest.to_hex (Digest.string ("r" ^ string_of_int i)));
+      error = None;
+    }
 
 (* The journal half of the same window: entries accumulate and every
    64th run pays one append_batch (one write, one fsync) for the lot. *)
@@ -324,63 +334,36 @@ let batch_journal_append_amortized_test =
               pending := []
             end)))
 
-(* Resume cost at the ISSUE's 100k-job scale: a journal holding 100k
-   settled outcomes behind a checkpoint record plus a 256-line tail —
-   the shape a long run has on disk — read back through the fast path.
-   The acceptance bar is sub-second. *)
-let batch_journal_replay_100k_test =
+(* Replay of an n-line journal. At 100k lines it is the read a resume,
+   status or report makes for a 100k-job grid. *)
+let batch_journal_replay_test ~name n =
   lazy
     (let path =
        Filename.concat
          (Filename.get_temp_dir_name ())
-         (Printf.sprintf "abagnale-bench-journal-100k.%d.jsonl"
-            (Unix.getpid ()))
+         (Printf.sprintf "abagnale-bench-journal-%d.%d.jsonl" n (Unix.getpid ()))
      in
      if Sys.file_exists path then Sys.remove path;
      let journal = Abg_batch.Journal.open_ path in
-     let total = 100_000 and tail = 256 and chunk = 4_096 in
-     let settled = ref [] in
+     let chunk = 4_096 in
      let rec fill i =
-       if i < total then begin
-         let n = Stdlib.min chunk (total - i) in
-         let entries = List.init n (fun k -> bench_entry (i + k)) in
-         Abg_batch.Journal.append_batch journal entries;
-         settled := List.rev_append entries !settled;
-         fill (i + n)
+       if i <= n then begin
+         let k = Stdlib.min chunk (n - i + 1) in
+         Abg_batch.Journal.append_batch journal
+           (List.init k (fun j -> bench_entry (i + j)));
+         fill (i + k)
        end
      in
-     fill 0;
-     Abg_batch.Journal.append_checkpoint journal !settled;
-     Abg_batch.Journal.append_batch journal
-       (List.init tail (fun k -> bench_entry (total + k)));
+     fill 1;
      Abg_batch.Journal.close journal;
-     Test.make ~name:"batch: journal-replay-100k-checkpointed"
-       (Staged.stage (fun () ->
-            ignore (Abg_batch.Journal.replay_checkpointed path))))
-
-let batch_journal_replay_test =
-  lazy
-    (let path =
-       Filename.concat
-         (Filename.get_temp_dir_name ())
-         (Printf.sprintf "abagnale-bench-journal.%d.jsonl" (Unix.getpid ()))
-     in
-     if Sys.file_exists path then Sys.remove path;
-     let journal = Abg_batch.Journal.open_ path in
-     for i = 1 to 256 do
-       Abg_batch.Journal.append journal
-         {
-           Abg_batch.Journal.job = Digest.to_hex (Digest.string (string_of_int i));
-           status = (if i mod 16 = 0 then Abg_batch.Journal.Quarantined
-                     else Abg_batch.Journal.Ok);
-           attempts = 1 + (i mod 3);
-           result = Some (Digest.to_hex (Digest.string ("r" ^ string_of_int i)));
-           error = None;
-         }
-     done;
-     Abg_batch.Journal.close journal;
-     Test.make ~name:"batch: journal-replay-256"
+     Test.make ~name
        (Staged.stage (fun () -> ignore (Abg_batch.Journal.replay path))))
+
+let batch_journal_replay_256_test =
+  batch_journal_replay_test ~name:"batch: journal-replay-256" 256
+
+let batch_journal_replay_100k_test =
+  batch_journal_replay_test ~name:"batch: journal-replay-100k" 100_000
 
 let classify_features_test =
   lazy
@@ -489,7 +472,7 @@ let run () =
       Lazy.force trace_to_string_test; Lazy.force ccanalyzer_classify_test;
       Lazy.force batch_store_read_test; Lazy.force batch_store_amortized_test;
       Lazy.force batch_journal_append_amortized_test;
-      Lazy.force batch_journal_replay_test;
+      Lazy.force batch_journal_replay_256_test;
       Lazy.force batch_journal_replay_100k_test;
       Lazy.force fuzz_generation_test ]
   in

@@ -612,20 +612,6 @@ let flush_window_arg =
   in
   Arg.(value & opt float 0.0 & info [ "flush-window" ] ~docv:"SECONDS" ~doc)
 
-let checkpoint_every_arg =
-  let doc =
-    "Journal lines between checkpoint records (resume/status parse only \
-     the lines after the last checkpoint)."
-  in
-  Arg.(value & opt int 1024 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
-
-let verify_arg =
-  let doc =
-    "Opt back into full-history verification: replay every journal line \
-     (not just the last checkpoint onward) and re-hash every blob read."
-  in
-  Arg.(value & flag & info [ "verify" ] ~doc)
-
 let retries_arg =
   let doc = "Extra attempts for a failing job before quarantine." in
   Arg.(value & opt int 2 & info [ "retries" ] ~doc)
@@ -648,8 +634,8 @@ let domains_arg =
 let settings_term ~batch ~seed =
   let d = Abg_batch.Runner.default_settings in
   let only present arg default = if present then arg else Term.const default in
-  let make retries timeout shard max_jobs num_domains flush_window_s
-      checkpoint_every seed verbose =
+  let make retries timeout shard max_jobs num_domains flush_window_s seed
+      verbose =
     {
       d with
       Abg_batch.Runner.retries;
@@ -658,7 +644,6 @@ let settings_term ~batch ~seed =
       max_jobs;
       num_domains;
       flush_window_s;
-      checkpoint_every;
       refinement = { d.Abg_batch.Runner.refinement with Abg_core.Refinement.seed };
       verbose;
     }
@@ -670,7 +655,6 @@ let settings_term ~batch ~seed =
     $ only batch max_jobs_arg None
     $ domains_arg
     $ only batch flush_window_arg d.Abg_batch.Runner.flush_window_s
-    $ only batch checkpoint_every_arg d.Abg_batch.Runner.checkpoint_every
     $ only seed seed_arg d.Abg_batch.Runner.refinement.Abg_core.Refinement.seed
     $ verbose_arg)
 
@@ -689,8 +673,6 @@ let run_workers ~dir ~workers (s : Abg_batch.Runner.settings) =
     @ [
         "--flush-window";
         string_of_float s.flush_window_s;
-        "--checkpoint-every";
-        string_of_int s.checkpoint_every;
         "--seed";
         string_of_int s.refinement.Abg_core.Refinement.seed;
       ]
@@ -813,25 +795,22 @@ let batch_resume_cmd =
       $ settings_term ~batch:true ~seed:true
       $ workers_arg)
 
-let batch_status verify dir () =
-  on_run_dir (fun () -> print_string (Abg_batch.Report.status ~verify dir))
+let batch_status dir () =
+  on_run_dir (fun () -> print_string (Abg_batch.Report.status dir))
 
 let batch_status_cmd =
-  command "status"
-    ~doc:
-      "Summarize a run directory's progress (checkpointed fast path; \
-       --verify replays and re-hashes everything)"
-    Term.(const batch_status $ verify_arg $ batch_dir_arg)
+  command "status" ~doc:"Summarize a run directory's progress"
+    Term.(const batch_status $ batch_dir_arg)
 
-let batch_report verify dir () =
-  on_run_dir (fun () -> print_string (Abg_batch.Report.render ~verify dir))
+let batch_report dir () =
+  on_run_dir (fun () -> print_string (Abg_batch.Report.render dir))
 
 let batch_report_cmd =
   command "report"
     ~doc:
       "Render the deterministic Table-2-style report of a run directory (a \
        pure function of its grid, journals, and store)"
-    Term.(const batch_report $ verify_arg $ batch_dir_arg)
+    Term.(const batch_report $ batch_dir_arg)
 
 let batch_gc dir () =
   let stats = Abg_batch.Runner.gc ~dir in
@@ -850,18 +829,6 @@ let batch_gc_cmd =
        (must not run concurrently with an executing run)"
     Term.(const batch_gc $ batch_dir_arg)
 
-let batch_compact dir () =
-  Abg_batch.Runner.compact ~dir;
-  Printf.printf "compacted %d journal(s)\n"
-    (List.length (Abg_batch.Runner.journal_paths ~dir))
-
-let batch_compact_cmd =
-  command "compact"
-    ~doc:
-      "Rewrite each journal as a single checkpoint record covering its \
-       settled outcome set (offline; crash-safe via temp-fsync-rename)"
-    Term.(const batch_compact $ batch_dir_arg)
-
 let batch_cmd =
   Cmd.group
     (Cmd.info "batch"
@@ -875,7 +842,6 @@ let batch_cmd =
       batch_status_cmd;
       batch_report_cmd;
       batch_gc_cmd;
-      batch_compact_cmd;
     ]
 
 (* -- fingerprint -- *)
@@ -1392,6 +1358,7 @@ let fuzz_json_arg =
   Arg.(value & flag & info [ "json" ] ~doc)
 
 let fuzz_finish ~dir ~settings ~workers ~json spec =
+  on_run_dir @@ fun () ->
   let result = fuzz_drive ~dir ~settings ~workers spec in
   let doc = fuzz_report_doc spec result in
   if json then print_endline (Json.to_string doc)

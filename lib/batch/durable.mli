@@ -1,9 +1,8 @@
 (** Crash-safe file primitives for the batch layer.
 
     {!replace} is the one way a whole file is rewritten in place — run
-    grids, fuzz specs, the store manifest, compacted journals, immediate
-    store blobs: write a temp file, fsync it, rename it over the target,
-    fsync the directory. After a crash at any instant the target holds
+    grids, fuzz specs, the store manifest: write a temp file, fsync it,
+    rename it over the target, fsync the directory. After a crash at any instant the target holds
     either its old bytes or all of its new ones, never an empty or torn
     file. *)
 

@@ -44,9 +44,29 @@ let job_of_genome spec genome =
       ];
   }
 
-(* Fitness of a quarantined (or missing) evaluation: the individual
-   loses every tournament but the search keeps moving. *)
+(* Fitness of a quarantined evaluation: the individual loses every
+   tournament but the search keeps moving. *)
 let failed_fitness = neg_infinity
+
+(* An [Ok] entry promises a result blob holding a value. A blob that is
+   missing, fails its hash or has no value is a corrupt run directory,
+   never a silent [failed_fitness]. *)
+let fitness_of ~gdir store (e : Journal.entry) =
+  let corrupt why =
+    raise
+      (Store.Corrupt
+         (Printf.sprintf "%s: job %s: %s" gdir e.Journal.job why))
+  in
+  match (e.Journal.status, e.Journal.result) with
+  | Journal.Quarantined, _ -> failed_fitness
+  | Journal.Ok, None -> corrupt "no result blob"
+  | Journal.Ok, Some blob -> (
+      match Store.get store blob with
+      | exception Not_found -> corrupt ("result blob " ^ blob ^ " missing")
+      | content -> (
+          match Json.member_opt "value" (Json.parse content) with
+          | Some v -> Json.hex_float v
+          | None -> corrupt ("result blob " ^ blob ^ " has no value")))
 
 (** [evaluate ~dir ~settings spec ~gen genomes] — score one population
     as batch jobs under [gen_dir dir gen], creating the run on first
@@ -64,25 +84,14 @@ let evaluate ~dir ~settings (spec : spec) ~gen genomes =
     else Runner.run ~dir:gdir ~settings jobs
   in
   ignore summary;
-  (* Join results back to genomes through the journal family: every
-     settled digest maps to its result blob's "value" field. *)
+  (* Join results back to genomes through the journal family; the run or
+     resume above settled every job of the grid. *)
   let store = Store.open_ (Runner.store_path gdir) in
   let values = Hashtbl.create 64 in
   List.iter
     (fun (e : Journal.entry) ->
-      match (e.Journal.status, e.Journal.result) with
-      | Journal.Ok, Some blob -> (
-          match Json.parse (Store.get store blob) with
-          | doc -> (
-              match Json.member_opt "value" doc with
-              | Some v -> Hashtbl.replace values e.Journal.job (Json.hex_float v)
-              | None -> ())
-          | exception _ -> ())
-      | _ -> Hashtbl.replace values e.Journal.job failed_fitness)
+      Hashtbl.replace values e.Journal.job (fitness_of ~gdir store e))
     (Runner.settled_entries gdir);
   Array.map
-    (fun genome ->
-      match Hashtbl.find_opt values (Job.digest (job_of_genome spec genome)) with
-      | Some v -> v
-      | None -> failed_fitness)
+    (fun genome -> Hashtbl.find values (Job.digest (job_of_genome spec genome)))
     genomes

@@ -26,4 +26,6 @@ val evaluate :
   float array
 (** Score one population (create the generation run or resume it);
     fitness per genome in population order, [neg_infinity] for
-    quarantined evaluations. *)
+    quarantined evaluations. Raises {!Store.Corrupt}, naming the
+    generation directory or the blob's path, when an [Ok] evaluation's
+    result blob is missing, fails its hash or has no value. *)

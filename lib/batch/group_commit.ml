@@ -3,14 +3,10 @@
 let obs_coalesced =
   Abg_obs.Obs.Counter.make ~volatile:true "batch.fsync_coalesced"
 
-let obs_checkpoint =
-  Abg_obs.Obs.Counter.make ~volatile:true "batch.checkpoint_written"
-
 type t = {
   store : Store.t;
   journal : Journal.t;
   window_s : float;
-  checkpoint_every : int;
   m : Mutex.t;
   flushed_cond : Condition.t;
   (* Tickets: the i-th committed entry (1-based) waits for [flushed >=
@@ -21,32 +17,22 @@ type t = {
   mutable flushed : int;
   mutable pending : Journal.entry list;
   mutable flushing : bool;
-  (* Full settled set of the journal file (initial + flushed), for
-     checkpoint snapshots; [since] counts entries since the last one. *)
-  mutable settled : Journal.entry list;
-  mutable settled_count : int;
-  mutable since : int;
 }
 
 (* Most entries one flush carries. *)
 let max_batch = 256
 
-let create ?(window_s = 0.) ?(checkpoint_every = 1024) ~store ~journal
-    ~initial () =
+let create ?(window_s = 0.) ~store ~journal () =
   {
     store;
     journal;
     window_s;
-    checkpoint_every;
     m = Mutex.create ();
     flushed_cond = Condition.create ();
     next = 0;
     flushed = 0;
     pending = [];
     flushing = false;
-    settled = initial;
-    settled_count = List.length initial;
-    since = 0;
   }
 
 let rec take k = function
@@ -55,17 +41,6 @@ let rec take k = function
       let kept, dropped = take (k - 1) rest in
       (x :: kept, dropped)
   | rest -> ([], rest)
-
-(* Geometric spacing: a checkpoint is worth its O(settled) bytes only
-   once enough new lines have accrued to matter, so total checkpoint
-   bytes stay linear in history instead of quadratic. *)
-let checkpoint_due t =
-  t.since >= max t.checkpoint_every (t.settled_count / 2)
-
-let write_checkpoint t =
-  Journal.append_checkpoint t.journal t.settled;
-  t.since <- 0;
-  Abg_obs.Obs.Counter.incr obs_checkpoint
 
 (* Caller holds [t.m]; leader has set [t.flushing]. Drains up to
    max_batch of the oldest pending entries, flushes with the lock
@@ -89,11 +64,7 @@ let flush_as_leader t =
   Journal.append_batch t.journal batch;
   Mutex.lock t.m;
   t.flushed <- batch_hi;
-  t.settled <- List.rev_append batch t.settled;
-  t.settled_count <- t.settled_count + batch_len;
-  t.since <- t.since + batch_len;
   if batch_len > 1 then Abg_obs.Obs.Counter.add obs_coalesced (batch_len - 1);
-  if checkpoint_due t then write_checkpoint t;
   t.flushing <- false;
   Condition.broadcast t.flushed_cond
 
@@ -124,5 +95,4 @@ let close t =
           t.flushing <- true;
           flush_as_leader t
         end
-      done;
-      if t.since >= t.checkpoint_every then write_checkpoint t)
+      done)

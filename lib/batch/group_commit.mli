@@ -21,29 +21,13 @@
     entries per flush, and an optional [window_s] linger lets
     concurrent completions coalesce before the leader flushes (zero —
     the default — flushes whatever has queued by the time the leader
-    runs, which under concurrency is already a batch).
-
-    Flushes also drive {e checkpointing}: after a flush, if the number
-    of entries journaled since the last checkpoint reaches
-    [max checkpoint_every (settled/2)], the leader appends a checkpoint
-    record snapshotting the full settled set (the geometric [settled/2]
-    term keeps total checkpoint bytes linear in history). Counted by
-    [batch.checkpoint_written]. *)
+    runs, which under concurrency is already a batch). *)
 
 type t
 
 val create :
-  ?window_s:float ->
-  ?checkpoint_every:int ->
-  store:Store.t ->
-  journal:Journal.t ->
-  initial:Journal.entry list ->
-  unit ->
-  t
-(** [initial] is the journal file's already-settled outcome set (from
-    replay at resume) — needed so checkpoint records snapshot the whole
-    file, not just this session's entries. Defaults: [window_s = 0.],
-    [checkpoint_every = 1024]. *)
+  ?window_s:float -> store:Store.t -> journal:Journal.t -> unit -> t
+(** Default [window_s = 0.]. *)
 
 val commit : t -> Journal.entry -> unit
 (** Enqueue and block until a flush covering this entry returns. Safe
@@ -52,6 +36,5 @@ val commit : t -> Journal.entry -> unit
 
 val close : t -> unit
 (** Flush anything still queued (defensive — {!commit} does not return
-    before its entry is flushed, so a quiesced pool leaves nothing),
-    then append a final checkpoint if enough has accumulated since the
-    last one. Does not close the store or journal. *)
+    before its entry is flushed, so a quiesced pool leaves nothing).
+    Does not close the store or journal. *)

@@ -14,26 +14,21 @@ type row = {
   entry : Journal.entry option;  (** [None] = still pending *)
 }
 
-let load ~verify dir =
+let load dir =
   let jobs = Runner.jobs_of_dir ~dir in
   let settled = Hashtbl.create 64 in
   List.iter
     (fun (e : Journal.entry) -> Hashtbl.replace settled e.Journal.job e)
-    (Runner.settled_entries ~verify dir);
+    (Runner.settled_entries dir);
   List.map
-    (fun job ->
-      let digest = Job.digest job in
+    (fun (digest, job) ->
       { job; digest; entry = Hashtbl.find_opt settled digest })
     jobs
 
-(* Verification is opt-in here: a report touches every blob in the run,
-   and re-hashing them all on each invocation is exactly the O(history)
-   cost this layer exists to avoid. *)
-let result_doc ~verify store (row : row) =
+let result_doc store (row : row) =
   match row.entry with
   | Some { Journal.status = Journal.Ok; result = Some blob; _ } ->
-      let read = if verify then Store.get else Store.get_unverified in
-      Some (Json.parse (read store blob))
+      Some (Json.parse (Store.get store blob))
   | _ -> None
 
 (* -- field accessors over result documents -- *)
@@ -183,10 +178,10 @@ let is_quarantined (row : row) =
   | Some { Journal.status = Journal.Quarantined; _ } -> true
   | _ -> false
 
-let render ?(verify = false) dir =
-  let rows = load ~verify dir in
+let render dir =
+  let rows = load dir in
   let store = Store.open_ (dir / "store") in
-  let doc_of = result_doc ~verify store in
+  let doc_of = result_doc store in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "Batch report: %d job(s)\n\n" (List.length rows));
@@ -211,8 +206,8 @@ let render ?(verify = false) dir =
        (List.length (Store.list store)));
   Buffer.contents buf
 
-let status ?(verify = false) dir =
-  let rows = load ~verify dir in
+let status dir =
+  let rows = load dir in
   let store = Store.open_ (dir / "store") in
   let buf = Buffer.create 512 in
   let done_ = List.length (List.filter is_ok rows) in

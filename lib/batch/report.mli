@@ -7,20 +7,18 @@
     one, and a coordinator run (several worker journals) byte-identically
     to a single-process one.
 
-    By default both read the fast path: the last checkpoint plus the
-    outcome lines after it ({!Runner.settled_entries}), and blob reads
-    skip content re-hashing ({!Store.get_unverified} — skips are
-    counted in [batch.verify_skipped]). [~verify:true] opts back into
-    full-history replay and re-hashed blob reads: same output, plus an
-    exception if any journal line, checkpoint, or blob is corrupt. *)
+    Both replay every journal line ({!Runner.settled_entries}), and every
+    result blob the report reads is re-hashed ({!Store.get}): a corrupt
+    journal line or blob raises instead of being rendered. *)
 
-val status : ?verify:bool -> string -> string
+val status : string -> string
 (** One-screen progress summary: jobs total / done / quarantined /
     pending, per-kind breakdown, store blob count. *)
 
-val render : ?verify:bool -> string -> string
+val render : string -> string
 (** The full Table-2-style report: one section per job kind
     (synthesis, noise robustness, classification, collection, probes),
     rows in canonical job order, then quarantined jobs with their
-    errors, then totals. Raises [Failure] if the run directory has no
-    grid. *)
+    errors, then totals. Raises [Sys_error] if the run directory has no
+    grid, [Not_found] if an [Ok] entry's result blob is missing, and
+    {!Store.Corrupt} if one fails its hash. *)

@@ -10,7 +10,6 @@ type settings = {
   max_jobs : int option;
   num_domains : int option;
   flush_window_s : float;
-  checkpoint_every : int;
   refinement : Abg_core.Refinement.config;
   verbose : bool;
 }
@@ -24,7 +23,6 @@ let default_settings =
     max_jobs = None;
     num_domains = None;
     flush_window_s = 0.;
-    checkpoint_every = 1024;
     refinement = Abg_core.Refinement.default_config;
     verbose = false;
   }
@@ -88,10 +86,9 @@ let journal_paths ~dir =
 let naming path f =
   try f () with Json.Malformed msg -> raise (Json.Malformed (path ^ ": " ^ msg))
 
-let settled_entries ?(verify = false) dir =
-  let replay = if verify then Journal.replay else Journal.replay_checkpointed in
+let settled_entries dir =
   List.concat_map
-    (fun path -> naming path (fun () -> replay path))
+    (fun path -> naming path (fun () -> Journal.replay path))
     (journal_paths ~dir)
 
 (* -- job bodies -- *)
@@ -406,14 +403,19 @@ let init ~dir jobs =
   (* Resume must never see a torn or empty job list. *)
   Durable.replace path (Json.to_string doc ^ "\n")
 
+(* Hash each job once and sort on the digests: the same order as
+   [List.sort Job.compare_canonical], which re-hashes both jobs on every
+   comparison. *)
 let jobs_of_dir ~dir =
   let path = grid_path dir in
   naming path (fun () ->
       Json.of_file path
       |> Json.member ~ctx:"grid" "jobs"
       |> Json.list ~ctx:"grid.jobs"
-      |> List.map Job.of_json
-      |> List.sort Job.compare_canonical)
+      |> List.map (fun j ->
+             let job = Job.of_json j in
+             (Job.digest job, job))
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
 let shard_select ~i ~n xs =
   if n <= 0 || i < 0 || i >= n then
@@ -428,7 +430,7 @@ let rec take k = function
   | rest -> ([], rest)
 
 let execute ~dir ~settings =
-  let jobs = jobs_of_dir ~dir in
+  let keyed = jobs_of_dir ~dir in
   (* Resume skips anything settled by *any* journal in the family —
      including lines a crashed run persisted but never acknowledged:
      the flush ordering guarantees their blobs are durable, so
@@ -442,7 +444,6 @@ let execute ~dir ~settings =
   in
   let store = Store.open_ ~deferred:true (store_path dir) in
   let mine =
-    let keyed = List.map (fun j -> (Job.digest j, j)) jobs in
     match settings.shard with
     | Some (i, n) -> shard_select ~i ~n keyed
     | None -> keyed
@@ -458,13 +459,9 @@ let execute ~dir ~settings =
   in
   log settings "[batch] %d job(s) pending, %d already journaled\n%!"
     (List.length pending) skipped;
-  let my_journal = journal_path ?shard:settings.shard dir in
-  let journal = Journal.open_ my_journal in
+  let journal = Journal.open_ (journal_path ?shard:settings.shard dir) in
   let commit =
-    Group_commit.create ~window_s:settings.flush_window_s
-      ~checkpoint_every:settings.checkpoint_every ~store ~journal
-      ~initial:(Journal.replay_checkpointed my_journal)
-      ()
+    Group_commit.create ~window_s:settings.flush_window_s ~store ~journal ()
   in
   let before = Abg_obs.Obs.snapshot () in
   let completions =
@@ -525,7 +522,5 @@ let gc ~dir =
               | exception _ -> ())
           | exception Not_found -> ())
       | _ -> ())
-    (settled_entries ~verify:true dir);
+    (settled_entries dir);
   Store.gc store ~live:(Hashtbl.mem live)
-
-let compact ~dir = List.iter Journal.compact (journal_paths ~dir)

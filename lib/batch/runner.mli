@@ -21,8 +21,7 @@
     (pack-file) mode and concurrently completing jobs share one fsync
     per flush window, with a job reported done — counters, verbose log,
     the returned completion — only after the fsync covering its journal
-    line returns. Checkpoint records keep resume/status cost
-    O(outstanding since the last checkpoint) regardless of history.
+    line returns.
 
     Jobs dispatch onto the shared {!Abg_parallel.Pool} in canonical
     (digest) order. A job that raises is retried with exponential
@@ -51,9 +50,6 @@ type settings = {
   num_domains : int option;  (** pool participation cap *)
   flush_window_s : float;
       (** group-commit linger before the leader flushes (default 0) *)
-  checkpoint_every : int;
-      (** journal lines between checkpoint records, before geometric
-          spacing widens it (default 1024) *)
   refinement : Abg_core.Refinement.config;
       (** refinement knobs for synthesis jobs; the per-job seed
           overrides [refinement.seed] *)
@@ -97,21 +93,20 @@ val journal_paths : dir:string -> string list
 (** Every journal in the run directory ([journal*.jsonl]), sorted —
     one for an unsharded run, one per shard after a coordinator run. *)
 
-val settled_entries : ?verify:bool -> string -> Journal.entry list
-(** The merged settled outcome set across the journal family. Default
-    is the fast checkpointed read ({!Journal.replay_checkpointed});
-    [~verify:true] parses full history ({!Journal.replay}). A corrupt
-    journal raises [Json.Malformed] with a message that starts with its
-    path. *)
+val settled_entries : string -> Journal.entry list
+(** The merged settled outcome set across the journal family
+    ({!Journal.replay} of each file). A corrupt journal raises
+    [Json.Malformed] with a message that starts with its path. *)
 
 val init : dir:string -> Job.t list -> unit
 (** Create a run directory and persist the grid. Raises
     [Invalid_argument] if the directory already holds a run. *)
 
-val jobs_of_dir : dir:string -> Job.t list
-(** The persisted grid, in canonical order. Raises [Sys_error] when
-    [dir] holds no grid and [Json.Malformed], with a message that starts
-    with the grid's path, when it is corrupt. *)
+val jobs_of_dir : dir:string -> (string * Job.t) list
+(** The persisted grid as [(Job.digest job, job)] pairs, in canonical
+    order ({!Job.compare_canonical}), each job hashed once. Raises
+    [Sys_error] when [dir] holds no grid and [Json.Malformed], with a
+    message that starts with the grid's path, when it is corrupt. *)
 
 val run : dir:string -> settings:settings -> Job.t list -> summary
 (** {!init} then execute. *)
@@ -125,9 +120,6 @@ val gc : dir:string -> Store.gc_stats
     blobs plus every blob reference inside their result documents),
     fold pack files into verified, fsync'd loose blobs, and sweep the
     rest. Must not run concurrently with an executing run. *)
-
-val compact : dir:string -> unit
-(** {!Journal.compact} every journal in the family. Offline only. *)
 
 val perform :
   settings:settings -> store:Store.t -> attempt:int -> Job.t -> Abg_util.Json.t

@@ -44,12 +44,8 @@ exception Corrupt of string
 let schema = "abagnale-store/2"
 let manifest_content = Json.to_string (Json.Obj [ ("schema", Json.Str schema) ]) ^ "\n"
 
-(* Skipped-verification reads and GC sweeps depend on CLI flags and
-   crash history, not on workload alone — volatile, like the other
-   batch counters. *)
-let obs_verify_skipped =
-  Abg_obs.Obs.Counter.make ~volatile:true "batch.verify_skipped"
-
+(* GC sweeps depend on crash history, not on workload alone — volatile,
+   like the other batch counters. *)
 let obs_gc_swept = Abg_obs.Obs.Counter.make ~volatile:true "batch.gc_swept"
 
 let ( / ) = Filename.concat
@@ -355,26 +351,21 @@ let read_unmaterialized t digest =
           | Some extent -> Some (read_packed (own_pack_path t) extent)
           | None -> None))
 
-let get_raw t digest =
-  let path = blob_path t digest in
-  if Sys.file_exists path then read_file path
-  else
-    match read_unmaterialized t digest with
-    | Some content -> content
-    | None -> raise Not_found
-
 let get t digest =
-  let content = get_raw t digest in
+  let path = blob_path t digest in
+  let content =
+    if Sys.file_exists path then read_file path
+    else
+      match read_unmaterialized t digest with
+      | Some content -> content
+      | None -> raise Not_found
+  in
   let found = digest_hex content in
   if found <> digest then
     raise
       (Corrupt
-         (Printf.sprintf "blob %s corrupt: content hashes to %s" digest found));
+         (Printf.sprintf "blob %s corrupt: content hashes to %s" path found));
   content
-
-let get_unverified t digest =
-  Abg_obs.Obs.Counter.incr obs_verify_skipped;
-  get_raw t digest
 
 let mem t digest =
   Sys.file_exists (blob_path t digest)

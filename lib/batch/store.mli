@@ -31,7 +31,7 @@ type t
 
 exception Corrupt of string
 (** Manifest mismatch on open, or content whose hash does not match its
-    digest key on read. *)
+    digest key on read. The message names the offending file's path. *)
 
 val open_ : ?deferred:bool -> string -> t
 (** Create (or re-open) a store rooted at the given directory.
@@ -63,13 +63,8 @@ val close : t -> unit
 
 val get : t -> string -> string
 (** [get t digest] reads a blob back, verifying its content hash.
-    Raises [Not_found] if absent, {!Corrupt} on a hash mismatch. *)
-
-val get_unverified : t -> string -> string
-(** {!get} without the re-hash — for bulk readers (report rendering)
-    where per-blob verification is opt-in. Each call counts into the
-    [batch.verify_skipped] counter so skipped verification is visible
-    in telemetry. *)
+    Raises [Not_found] if absent, {!Corrupt} (naming the blob's path) on
+    a hash mismatch. *)
 
 val mem : t -> string -> bool
 

@@ -27,12 +27,6 @@ let log_grid ~lo ~hi ~n =
   Array.init n (fun i ->
       exp (llo +. ((lhi -. llo) *. float_of_int i /. float_of_int (n - 1))))
 
-(** [lin_grid ~lo ~hi ~n] is [n] points linearly spaced in [[lo, hi]]. *)
-let lin_grid ~lo ~hi ~n =
-  assert (n >= 2);
-  Array.init n (fun i ->
-      lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
-
 (** Positive floating-point modulo; [fmod 7.5 2.0 = 1.5], result in
     [[0, b)]. Used by the DSL's [num % num = 0] predicate. *)
 let fmod a b =

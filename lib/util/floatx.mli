@@ -16,7 +16,5 @@ val cbrt : float -> float
 val log_grid : lo:float -> hi:float -> n:int -> float array
 (** [n] log-spaced points in [[lo, hi]] (Figure 3's error sweep). *)
 
-val lin_grid : lo:float -> hi:float -> n:int -> float array
-
 val fmod : float -> float -> float
 (** Positive floating-point modulo; result in [[0, |b|)); 0 when [b = 0]. *)

@@ -113,14 +113,3 @@ let linear_fn_into ~time ~value ~len ~dst =
       dst.(i) <- va +. (frac *. (vb -. va))
     done
   end
-
-(** [downsample xs n] keeps [n] evenly strided elements of [xs] (always
-    including the first and last). *)
-let downsample xs n =
-  let len = Array.length xs in
-  assert (n > 0);
-  if len <= n then Array.copy xs
-  else
-    Array.init n (fun i ->
-        let idx = i * (len - 1) / (n - 1) in
-        xs.(idx))

@@ -21,6 +21,3 @@ val linear_fn_into :
 (** {!linear} over the points [(time i, value i)], [i] in [0 .. len-1],
     written into [dst] (length = output size) with no intermediate
     allocation; bit-identical to calling {!linear} on copies. *)
-
-val downsample : 'a array -> int -> 'a array
-(** Evenly strided subset keeping first and last elements. *)

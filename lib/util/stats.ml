@@ -184,35 +184,3 @@ let pearson xs ys =
     syy := !syy +. (dy *. dy)
   done;
   if !sxx = 0.0 || !syy = 0.0 then 0.0 else !sxy /. sqrt (!sxx *. !syy)
-
-(** [ewma alpha xs] is the exponentially weighted moving average series with
-    smoothing factor [alpha] in (0, 1]. *)
-let ewma alpha xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n xs.(0) in
-    for i = 1 to n - 1 do
-      out.(i) <- (alpha *. xs.(i)) +. ((1.0 -. alpha) *. out.(i - 1))
-    done;
-    out
-  end
-
-(** [diff xs] is the first-difference series (length [n-1]). *)
-let diff xs =
-  let n = Array.length xs in
-  if n <= 1 then [||] else Array.init (n - 1) (fun i -> xs.(i + 1) -. xs.(i))
-
-(** [argmin f xs] is the index minimizing [f xs.(i)] over a non-empty
-    array. *)
-let argmin f xs =
-  assert (Array.length xs > 0);
-  let best = ref 0 and best_v = ref (f xs.(0)) in
-  for i = 1 to Array.length xs - 1 do
-    let v = f xs.(i) in
-    if v < !best_v then begin
-      best := i;
-      best_v := v
-    end
-  done;
-  !best

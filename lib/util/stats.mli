@@ -29,11 +29,3 @@ val linear_regression_fn :
 
 val pearson : float array -> float array -> float
 (** Correlation coefficient; 0 when either series is constant. *)
-
-val ewma : float -> float array -> float array
-(** [ewma alpha xs] — exponentially weighted moving average. *)
-
-val diff : float array -> float array
-(** First differences (length n-1). *)
-
-val argmin : ('a -> float) -> 'a array -> int

@@ -377,7 +377,7 @@ let test_journal_line_roundtrip () =
 let test_journal_append_replay () =
   let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
   let j = Journal.open_ path in
-  List.iter (Journal.append j) sample_entries;
+  Journal.append_batch j sample_entries;
   Journal.close j;
   let replayed = Journal.replay path in
   Alcotest.(check (list string)) "entries survive"
@@ -391,7 +391,7 @@ let test_journal_missing_is_empty () =
 let test_journal_drops_torn_tail () =
   let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
   let j = Journal.open_ path in
-  List.iter (Journal.append j) sample_entries;
+  Journal.append_batch j sample_entries;
   Journal.close j;
   (* Simulate a crash mid-append: a final line with no newline. *)
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
@@ -408,7 +408,14 @@ let test_journal_interior_corruption_raises () =
   | exception Abg_util.Json.Malformed _ -> ()
   | _ -> Alcotest.fail "expected Malformed"
 
-(* -- Journal checkpoints -- *)
+(* A checkpoint record as an earlier build appended it (copied from that
+   build's output; it covers one ok and one quarantined job). Journals
+   hold outcome lines only, so such a line is corruption. *)
+let old_checkpoint_line =
+  "{\"checkpoint\":{\"schema\":\"abagnale-checkpoint/1\",\"covers\":2,\
+   \"packed\":\"c4ca4238a0b923820dcc509a6f75849bo00017c92cf1eee8d99cc85f8355a3d6e4b86c81e728d9d4c2f636f067f89cc14862cq0003--------------------------------\",\
+   \"errors\":[[\"c81e728d9d4c2f636f067f89cc14862c\",\"Failure(\\\"boom\\\")\"]],\
+   \"hash\":\"cb26c69003698fe64d00196edd69478b\"}}"
 
 let dig i = Digest.to_hex (Digest.string (string_of_int i))
 
@@ -424,151 +431,32 @@ let mk_entry ?(status = Journal.Ok) ?(attempts = 1) i =
 let lines_of entries =
   List.sort String.compare (List.map Journal.entry_to_line entries)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* A valid checkpoint record for [entries], obtained through the public
-   API via a scratch journal. *)
-let checkpoint_line_for entries =
-  let path = Filename.concat (fresh_dir ()) "scratch.jsonl" in
-  let j = Journal.open_ path in
-  Journal.append_checkpoint j entries;
-  Journal.close j;
-  String.trim (read_file path)
-
-(* Flip one hex digit of the record's integrity hash: still canonical
-   JSON, still carries the checkpoint prefix, but fails verification. *)
-let corrupt_checkpoint line =
-  let marker = "\"hash\":\"" in
-  let rec find i =
-    if i + String.length marker > String.length line then
-      Alcotest.fail "no hash field in checkpoint line"
-    else if String.sub line i (String.length marker) = marker then
-      i + String.length marker
-    else find (i + 1)
-  in
-  let at = find 0 in
-  let b = Bytes.of_string line in
-  Bytes.set b at (if line.[at] = '0' then '1' else '0');
-  Bytes.to_string b
-
 let append_raw path s =
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
   output_string oc s;
   close_out oc
 
-let test_journal_checkpoint_roundtrip () =
-  let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
-  let early = List.init 5 mk_entry in
-  let late =
-    List.init 3 (fun i -> mk_entry ~status:Journal.Quarantined ~attempts:3 (50 + i))
-  in
-  let j = Journal.open_ path in
-  Journal.append_batch j early;
-  Journal.append_checkpoint j early;
-  Journal.append_batch j late;
-  Journal.close j;
-  let all = early @ late in
-  Alcotest.(check (list string)) "full replay sees through checkpoint"
-    (lines_of all) (lines_of (Journal.replay path));
-  Alcotest.(check (list string)) "checkpointed replay agrees"
-    (lines_of all) (lines_of (Journal.replay_checkpointed path))
-
-let test_journal_torn_checkpoint_falls_back () =
-  let build () =
-    let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
-    let early = List.init 4 mk_entry in
-    let late = List.init 4 (fun i -> mk_entry (50 + i)) in
-    let j = Journal.open_ path in
-    Journal.append_batch j early;
-    Journal.append_checkpoint j early;
-    Journal.append_batch j late;
-    Journal.close j;
-    (path, early @ late)
-  in
-  (* A kill mid-checkpoint-append leaves a torn (newline-less) record:
-     both readers ignore it; the fast one falls back to the previous
-     checkpoint. *)
-  let path, all = build () in
-  let cp = checkpoint_line_for all in
-  append_raw path (String.sub cp 0 (String.length cp / 2));
-  Alcotest.(check (list string)) "replay ignores torn checkpoint"
-    (lines_of all) (lines_of (Journal.replay path));
-  Alcotest.(check (list string)) "checkpointed replay falls back"
-    (lines_of all) (lines_of (Journal.replay_checkpointed path));
-  (* A complete-but-corrupt final record (bad hash) likewise. *)
-  let path, all = build () in
-  append_raw path (corrupt_checkpoint (checkpoint_line_for all) ^ "\n");
-  Alcotest.(check (list string)) "replay drops invalid final checkpoint"
-    (lines_of all) (lines_of (Journal.replay path));
-  Alcotest.(check (list string)) "checkpointed replay falls back past it"
-    (lines_of all) (lines_of (Journal.replay_checkpointed path))
-
 let test_journal_interior_checkpoint_corruption_raises () =
-  let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
-  let early = List.init 3 mk_entry in
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "journal.jsonl" in
   let j = Journal.open_ path in
-  Journal.append_batch j early;
+  Journal.append_batch j (List.init 3 mk_entry);
   Journal.close j;
-  append_raw path (corrupt_checkpoint (checkpoint_line_for early) ^ "\n");
+  append_raw path (old_checkpoint_line ^ "\n");
   append_raw path (Journal.entry_to_line (mk_entry 50) ^ "\n");
-  (* Not in final position, so not a crash artifact: corruption. *)
-  match Journal.replay path with
+  (match Journal.replay path with
   | exception Abg_util.Json.Malformed _ -> ()
-  | _ -> Alcotest.fail "expected Malformed"
+  | _ -> Alcotest.fail "expected Malformed");
+  match Runner.settled_entries dir with
+  | exception Abg_util.Json.Malformed msg ->
+      Alcotest.(check bool) "journal named" true
+        (String.starts_with ~prefix:(path ^ ": ") msg)
+  | _ -> Alcotest.fail "settled_entries: expected Malformed"
 
-let test_journal_compact () =
-  let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
-  let entries = List.init 10 mk_entry in
-  let j = Journal.open_ path in
-  Journal.append_batch j entries;
-  Journal.append_checkpoint j entries;
-  Journal.close j;
-  Journal.compact path;
-  Alcotest.(check int) "compacted to one line" 1
-    (List.length (String.split_on_char '\n' (String.trim (read_file path))));
-  Alcotest.(check (list string)) "outcome set survives compaction"
-    (lines_of entries) (lines_of (Journal.replay path));
-  Alcotest.(check (list string)) "fast path agrees"
-    (lines_of entries) (lines_of (Journal.replay_checkpointed path));
-  (* The compacted journal is still an appendable journal. *)
-  let extra = mk_entry 999 in
-  let j = Journal.open_ path in
-  Journal.append j extra;
-  Journal.close j;
-  Alcotest.(check (list string)) "append after compact"
-    (lines_of (extra :: entries))
-    (lines_of (Journal.replay path));
-  (* Compacting a missing journal leaves it missing. *)
-  let absent = Filename.concat (fresh_dir ()) "absent.jsonl" in
-  Journal.compact absent;
-  Alcotest.(check bool) "missing stays missing" false (Sys.file_exists absent)
-
-let test_journal_compact_interrupted () =
-  let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
-  let entries = List.init 6 mk_entry in
-  let j = Journal.open_ path in
-  Journal.append_batch j entries;
-  Journal.close j;
-  (* Kill before the rename: a half-written tmp next to the intact
-     journal. Readers never look at the tmp; a retry overwrites it. *)
-  write_file (path ^ ".compact") "half-written checkpoint record";
-  Alcotest.(check (list string)) "journal unaffected by stale tmp"
-    (lines_of entries) (lines_of (Journal.replay path));
-  Journal.compact path;
-  Alcotest.(check bool) "retry consumes the tmp" false
-    (Sys.file_exists (path ^ ".compact"));
-  Alcotest.(check (list string)) "retry compacts correctly"
-    (lines_of entries) (lines_of (Journal.replay_checkpointed path))
-
-(* Property: for any interleaving of outcome batches and checkpoint
-   records — with any of the crash artifacts a SIGKILL can leave at the
-   tail — the fast checkpointed reader and the full verifying reader
-   agree on the outcome set, and it is exactly the set appended. *)
-let replay_equivalence_prop (sizes_cps, statuses, tail_kind) =
+(* Property: for any sequence of outcome batches — with any torn tail a
+   SIGKILL can leave — replay returns exactly the outcomes appended, in
+   append order. *)
+let replay_appended_prop (sizes, statuses, tail_kind) =
   let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
   let j = Journal.open_ path in
   let statuses = ref statuses in
@@ -582,7 +470,7 @@ let replay_equivalence_prop (sizes_cps, statuses, tail_kind) =
   let counter = ref 0 in
   let settled = ref [] in
   List.iter
-    (fun (size, checkpoint_after) ->
+    (fun size ->
       let chunk =
         List.init size (fun _ ->
             incr counter;
@@ -590,32 +478,28 @@ let replay_equivalence_prop (sizes_cps, statuses, tail_kind) =
               !counter)
       in
       Journal.append_batch j chunk;
-      settled := !settled @ chunk;
-      if checkpoint_after then Journal.append_checkpoint j !settled)
-    sizes_cps;
+      settled := !settled @ chunk)
+    sizes;
   Journal.close j;
-  let all = !settled in
   (match tail_kind with
   | 0 -> () (* clean shutdown *)
   | 1 -> append_raw path "{\"job\":\"0123456789abcdef0123456789abcdef\",\"st"
-  | 2 ->
-      let cp = checkpoint_line_for all in
-      append_raw path (String.sub cp 0 (max 1 (String.length cp / 2)))
-  | _ -> append_raw path (corrupt_checkpoint (checkpoint_line_for all) ^ "\n"));
-  let expected = lines_of all in
-  expected = lines_of (Journal.replay path)
-  && expected = lines_of (Journal.replay_checkpointed path)
+  | _ ->
+      let line = Journal.entry_to_line (mk_entry (!counter + 1)) in
+      append_raw path (String.sub line 0 (String.length line / 2)));
+  List.map Journal.entry_to_line !settled
+  = List.map Journal.entry_to_line (Journal.replay path)
 
-let qcheck_replay_equivalence =
+let qcheck_replay_appended =
   let gen =
     QCheck.Gen.(
       triple
-        (list_size (int_range 0 6) (pair (int_range 0 8) bool))
+        (list_size (int_range 0 6) (int_range 0 8))
         (list_size (int_range 0 48) bool)
-        (int_range 0 3))
+        (int_range 0 2))
   in
-  QCheck.Test.make ~name:"checkpointed replay = full replay" ~count:100
-    (QCheck.make gen) replay_equivalence_prop
+  QCheck.Test.make ~name:"replay = appended outcomes" ~count:100
+    (QCheck.make gen) replay_appended_prop
 
 (* -- Group commit -- *)
 
@@ -624,9 +508,7 @@ let test_group_commit_flush_and_checkpoint () =
   let store = Store.open_ ~deferred:true (Filename.concat dir "store") in
   let jpath = Filename.concat dir "journal.jsonl" in
   let journal = Journal.open_ jpath in
-  let commit =
-    Group_commit.create ~checkpoint_every:4 ~store ~journal ~initial:[] ()
-  in
+  let commit = Group_commit.create ~store ~journal () in
   let entries =
     List.init 6 (fun i ->
         let blob = Store.put store (Printf.sprintf "result %d" i) in
@@ -637,7 +519,7 @@ let test_group_commit_flush_and_checkpoint () =
       Group_commit.commit commit e;
       (* The durability-window invariant: once commit returns, the
          journal line and every blob it references are on disk. *)
-      let on_disk = lines_of (Journal.replay_checkpointed jpath) in
+      let on_disk = lines_of (Journal.replay jpath) in
       Alcotest.(check bool)
         (Printf.sprintf "entry %d durable at commit return" i)
         true
@@ -648,8 +530,6 @@ let test_group_commit_flush_and_checkpoint () =
   Store.close store;
   Alcotest.(check (list string)) "all entries settled"
     (lines_of entries) (lines_of (Journal.replay jpath));
-  Alcotest.(check bool) "checkpoint record written" true
-    (contains ~affix:"{\"checkpoint\":" (read_file jpath));
   let reopened = Store.open_ (Filename.concat dir "store") in
   List.iter
     (fun (e : Journal.entry) ->
@@ -811,7 +691,7 @@ let test_runner_timeout_quarantines () =
   | _ -> Alcotest.fail "expected a quarantined timeout"
 
 let merged_settled_lines dir =
-  Runner.settled_entries ~verify:true dir
+  Runner.settled_entries dir
   |> List.map Journal.entry_to_line
   |> List.sort String.compare
 
@@ -883,14 +763,49 @@ let test_runner_init_refuses_overwrite () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* A shuffled grid of every kind loads back in the order
+   [Job.compare_canonical] gives, each job paired with its digest. *)
 let test_runner_grid_persists_canonically () =
   let dir = fresh_dir () in
-  let jobs = [ collect_job "reno"; probe_job ~seed:9 "cubic" ] in
+  let fuzz_job =
+    {
+      Job.kind =
+        Job.Fuzz_eval
+          { fitness = "throughput"; cca_b = None; handler = None; genome = "g" };
+      cca = "reno";
+      seed = 5;
+      configs = Abg_netsim.Config.testbed_grid ~duration:2.0 ~n:1 ();
+    }
+  in
+  let jobs =
+    Array.of_list
+      (fuzz_job
+      :: Job.expand
+           {
+             Job.kinds =
+               [
+                 Job.Collect; Job.Synthesize { dsl = Some "reno" }; Job.Classify;
+                 Job.Noise { stddev = 0.1; keep = 0.5 };
+                 Job.Probe { fail_attempts = 1; sleep_ms = 0 };
+               ];
+             ccas = [ "reno"; "cubic"; "vegas" ];
+             scenarios = 1;
+             duration = 2.0;
+             ack_jitter = 0.0;
+             seeds = [ 1; 2 ];
+           })
+  in
+  Abg_util.Rng.shuffle (Abg_util.Rng.create 7) jobs;
+  let jobs = Array.to_list jobs in
   Runner.init ~dir jobs;
   let loaded = Runner.jobs_of_dir ~dir in
   Alcotest.(check (list string)) "canonical order, lossless"
-    (List.sort String.compare (List.map Job.digest jobs))
-    (List.map Job.digest loaded)
+    (List.map Job.digest (List.sort Job.compare_canonical jobs))
+    (List.map (fun (_, job) -> Job.digest job) loaded);
+  List.iter
+    (fun (digest, job) ->
+      Alcotest.(check string) "paired digest" (Job.digest job) digest)
+    loaded
 
 (* A corrupt grid or journal names its file: the CLI turns the message
    into its one stderr line. *)
@@ -906,7 +821,7 @@ let test_runner_corrupt_files_named () =
   in
   let journal = Filename.concat dir "journal.jsonl" in
   write_file journal "not json\n";
-  named journal (fun () -> Runner.settled_entries ~verify:true dir);
+  named journal (fun () -> Runner.settled_entries dir);
   let grid = Runner.grid_path dir in
   write_file grid "garbage\n";
   named grid (fun () -> Runner.jobs_of_dir ~dir)
@@ -963,32 +878,39 @@ let test_runner_gc_keeps_live_sweeps_orphans () =
   Alcotest.(check string) "report unchanged by gc" before_report
     (Report.render dir)
 
-let test_runner_compact_then_resume () =
+(* After gc no pack copy is left to repair a loose blob, so a result
+   rewritten on disk — here a well-formed forgery — must fail the report
+   instead of being rendered. *)
+let test_report_rejects_rotted_blob () =
   let dir = fresh_dir () in
-  ignore (Runner.run ~dir ~settings:quiet_settings smoke_jobs);
-  let before_report = Report.render dir in
-  let before_lines = merged_settled_lines dir in
-  Runner.compact ~dir;
-  Alcotest.(check int) "journal is one checkpoint line" 1
-    (List.length
-       (String.split_on_char '\n'
-          (String.trim (read_file (Filename.concat dir "journal.jsonl")))));
-  Alcotest.(check (list string)) "outcome set survives" before_lines
-    (merged_settled_lines dir);
-  Alcotest.(check string) "report unchanged" before_report (Report.render dir);
-  let idle = Runner.resume ~dir ~settings:quiet_settings () in
-  Alcotest.(check int) "compacted run is still settled" 0
-    (List.length idle.Runner.completions);
-  Alcotest.(check int) "all skipped" (List.length smoke_jobs)
-    idle.Runner.skipped
-
-let test_report_verify_equivalent () =
-  let dir = fresh_dir () in
-  ignore (Runner.run ~dir ~settings:quiet_settings smoke_jobs);
-  Alcotest.(check string) "verified render = fast render"
-    (Report.render dir) (Report.render ~verify:true dir);
-  Alcotest.(check string) "verified status = fast status"
-    (Report.status dir) (Report.status ~verify:true dir)
+  ignore (Runner.run ~dir ~settings:quiet_settings [ probe_job ~seed:1 "reno" ]);
+  ignore (Runner.gc ~dir);
+  let path =
+    match Runner.settled_entries dir with
+    | [ { Journal.result = Some blob; _ } ] ->
+        List.fold_left Filename.concat dir
+          [ "store"; "blobs"; String.sub blob 0 2; blob ]
+    | _ -> Alcotest.fail "expected one ok entry"
+  in
+  let forged =
+    match
+      Abg_util.Json.parse (In_channel.with_open_bin path In_channel.input_all)
+    with
+    | Abg_util.Json.Obj fields ->
+        Abg_util.Json.to_string
+          (Abg_util.Json.Obj
+             (List.map
+                (fun (k, v) ->
+                  if k = "payload" then (k, Abg_util.Json.Str "forged")
+                  else (k, v))
+                fields))
+    | _ -> Alcotest.fail "result document is not an object"
+  in
+  write_file path forged;
+  match Report.render dir with
+  | exception Store.Corrupt msg ->
+      Alcotest.(check bool) "blob path named" true (contains ~affix:path msg)
+  | _ -> Alcotest.fail "expected Store.Corrupt"
 
 let suites =
   [
@@ -1029,16 +951,9 @@ let suites =
         Alcotest.test_case "torn tail" `Quick test_journal_drops_torn_tail;
         Alcotest.test_case "interior corruption" `Quick
           test_journal_interior_corruption_raises;
-        Alcotest.test_case "checkpoint roundtrip" `Quick
-          test_journal_checkpoint_roundtrip;
-        Alcotest.test_case "torn checkpoint fallback" `Quick
-          test_journal_torn_checkpoint_falls_back;
         Alcotest.test_case "interior checkpoint corruption" `Quick
           test_journal_interior_checkpoint_corruption_raises;
-        Alcotest.test_case "compact" `Quick test_journal_compact;
-        Alcotest.test_case "compact interrupted" `Quick
-          test_journal_compact_interrupted;
-        QCheck_alcotest.to_alcotest ~long:false qcheck_replay_equivalence;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_replay_appended;
       ] );
     ( "batch.group_commit",
       [
@@ -1068,9 +983,7 @@ let suites =
           test_runner_worker_journals_merge;
         Alcotest.test_case "gc keeps live" `Quick
           test_runner_gc_keeps_live_sweeps_orphans;
-        Alcotest.test_case "compact then resume" `Quick
-          test_runner_compact_then_resume;
-        Alcotest.test_case "verify equivalence" `Quick
-          test_report_verify_equivalent;
+        Alcotest.test_case "report rejects rotted blob" `Quick
+          test_report_rejects_rotted_blob;
       ] );
   ]

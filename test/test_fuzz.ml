@@ -273,6 +273,57 @@ let test_fuzz_batch_resume_identical () =
   in
   Alcotest.(check bool) "directory-independent" true (first = fresh)
 
+(* Only a quarantined evaluation scores -inf. An ok one whose result
+   blob was forged after gc (no pack copy left to repair it) or is gone
+   must raise, naming the generation directory. *)
+let test_fuzz_batch_corrupt_blob_raises () =
+  let dir = fresh_dir () in
+  let spec =
+    { Abg_batch.Fuzz_batch.fitness = Fitness.Throughput; cca = "reno";
+      cca_b = None; handler = None; duration = 2.0; scenario_seed = 21 }
+  in
+  let rng = Rng.create 31 in
+  let genomes = Array.init 2 (fun _ -> Genome.random rng) in
+  let evaluate () =
+    Abg_batch.Fuzz_batch.evaluate ~dir ~settings:quiet_settings spec ~gen:0
+      genomes
+  in
+  ignore (evaluate ());
+  let gdir = Abg_batch.Fuzz_batch.gen_dir dir 0 in
+  ignore (Abg_batch.Runner.gc ~dir:gdir);
+  let path =
+    match Abg_batch.Runner.settled_entries gdir with
+    | { Abg_batch.Journal.result = Some blob; _ } :: _ ->
+        List.fold_left Filename.concat gdir
+          [ "store"; "blobs"; String.sub blob 0 2; blob ]
+    | _ -> Alcotest.fail "expected an ok evaluation"
+  in
+  let forged =
+    match
+      Abg_util.Json.parse (In_channel.with_open_bin path In_channel.input_all)
+    with
+    | Abg_util.Json.Obj fields ->
+        Abg_util.Json.to_string
+          (Abg_util.Json.Obj
+             (List.map
+                (fun (k, v) ->
+                  if k = "value" then (k, Abg_util.Json.hex 1e9) else (k, v))
+                fields))
+    | _ -> Alcotest.fail "result document is not an object"
+  in
+  let raises_naming what =
+    match evaluate () with
+    | exception Abg_batch.Store.Corrupt msg ->
+        Alcotest.(check bool) (what ^ ": directory named") true
+          (String.starts_with ~prefix:gdir msg
+          || String.starts_with ~prefix:("blob " ^ gdir) msg)
+    | _ -> Alcotest.failf "%s: expected Store.Corrupt" what
+  in
+  Out_channel.with_open_bin path (fun oc -> output_string oc forged);
+  raises_naming "forged value";
+  Sys.remove path;
+  raises_naming "missing blob"
+
 let suites =
   [
     ( "fuzz.genome",
@@ -306,5 +357,7 @@ let suites =
       [
         Alcotest.test_case "resume identical" `Quick
           test_fuzz_batch_resume_identical;
+        Alcotest.test_case "corrupt blob raises" `Quick
+          test_fuzz_batch_corrupt_blob_raises;
       ] );
   ]

@@ -188,18 +188,6 @@ let test_stats_pearson_constant () =
   check_close "constant series" 0.0
     (Stats.pearson [| 1.0; 1.0; 1.0 |] [| 1.0; 2.0; 3.0 |])
 
-let test_stats_ewma () =
-  let out = Stats.ewma 0.5 [| 0.0; 1.0; 1.0 |] in
-  check_close "step response" 0.75 out.(2)
-
-let test_stats_diff () =
-  Alcotest.(check (array (float 1e-9))) "diff" [| 1.0; 2.0 |]
-    (Stats.diff [| 0.0; 1.0; 3.0 |])
-
-let test_stats_argmin () =
-  Alcotest.(check int) "argmin" 2
-    (Stats.argmin (fun x -> x) [| 3.0; 2.0; 1.0; 4.0 |])
-
 (* -- Units -- *)
 
 let test_units_algebra () =
@@ -252,17 +240,6 @@ let test_resample_single_point () =
   let out = Resample.linear ~times:[| 1.0 |] ~values:[| 7.0 |] ~n:3 in
   Alcotest.(check (array (float 1e-9))) "constant" [| 7.0; 7.0; 7.0 |] out
 
-let test_downsample () =
-  let xs = Array.init 100 float_of_int in
-  let out = Resample.downsample xs 10 in
-  Alcotest.(check int) "length" 10 (Array.length out);
-  check_close "first kept" 0.0 out.(0);
-  check_close "last kept" 99.0 out.(9)
-
-let test_downsample_short_input () =
-  let xs = [| 1.0; 2.0 |] in
-  Alcotest.(check (array (float 1e-9))) "unchanged" xs (Resample.downsample xs 10)
-
 (* -- Floatx -- *)
 
 let test_floatx_approx () =
@@ -293,10 +270,6 @@ let test_floatx_log_grid () =
   check_close "mid" 1.0 g.(1);
   check_close "hi" 10.0 g.(2)
 
-let test_floatx_lin_grid () =
-  let g = Floatx.lin_grid ~lo:0.0 ~hi:4.0 ~n:5 in
-  check_close "step" 1.0 g.(1)
-
 (* -- QCheck properties -- *)
 
 let prop_rng_int_in_bounds =
@@ -323,16 +296,6 @@ let prop_fmod_range =
     (fun (a, b) ->
       let r = Floatx.fmod a b in
       r >= 0.0 && r < Float.abs b +. 1e-9)
-
-let prop_ewma_bounded =
-  QCheck.Test.make ~name:"ewma stays within input range" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 40) (float_range (-10.0) 10.0))
-    (fun xs ->
-      let a = Array.of_list xs in
-      let out = Stats.ewma 0.3 a in
-      let mn = Array.fold_left Float.min infinity a in
-      let mx = Array.fold_left Float.max neg_infinity a in
-      Array.for_all (fun v -> v >= mn -. 1e-9 && v <= mx +. 1e-9) out)
 
 (* -- Parallel pool -- *)
 
@@ -647,11 +610,8 @@ let suites =
         Alcotest.test_case "linear regression" `Quick test_stats_regression;
         Alcotest.test_case "pearson perfect" `Quick test_stats_pearson_perfect;
         Alcotest.test_case "pearson constant" `Quick test_stats_pearson_constant;
-        Alcotest.test_case "ewma" `Quick test_stats_ewma;
-        Alcotest.test_case "diff" `Quick test_stats_diff;
-        Alcotest.test_case "argmin" `Quick test_stats_argmin;
       ]
-      @ qcheck [ prop_quantile_bounded; prop_ewma_bounded ] );
+      @ qcheck [ prop_quantile_bounded ] );
     ( "util.units",
       [
         Alcotest.test_case "algebra" `Quick test_units_algebra;
@@ -664,8 +624,6 @@ let suites =
         Alcotest.test_case "linear endpoints" `Quick test_resample_linear_endpoints;
         Alcotest.test_case "hold semantics" `Quick test_resample_hold;
         Alcotest.test_case "single point" `Quick test_resample_single_point;
-        Alcotest.test_case "downsample" `Quick test_downsample;
-        Alcotest.test_case "downsample short" `Quick test_downsample_short_input;
       ] );
     ( "util.floatx",
       [
@@ -675,7 +633,6 @@ let suites =
         Alcotest.test_case "cbrt" `Quick test_floatx_cbrt;
         Alcotest.test_case "fmod" `Quick test_floatx_fmod;
         Alcotest.test_case "log_grid" `Quick test_floatx_log_grid;
-        Alcotest.test_case "lin_grid" `Quick test_floatx_lin_grid;
       ]
       @ qcheck [ prop_fmod_range ] );
     ( "util.g17",
