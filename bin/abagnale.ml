@@ -813,20 +813,19 @@ let batch_report_cmd =
     Term.(const batch_report $ batch_dir_arg)
 
 let batch_gc dir () =
+  on_run_dir @@ fun () ->
   let stats = Abg_batch.Runner.gc ~dir in
   Printf.printf
-    "gc: %d live blob(s) kept, %d swept, %d tmp file(s) swept, %d pack(s) \
-     folded, %d dir(s) pruned\n"
+    "gc: %d live blob(s) kept, %d swept, %d pack(s) folded into gc.pack\n"
     stats.Abg_batch.Store.kept stats.Abg_batch.Store.swept
-    stats.Abg_batch.Store.tmp_swept stats.Abg_batch.Store.packs_folded
-    stats.Abg_batch.Store.dirs_pruned
+    stats.Abg_batch.Store.packs_folded
 
 let batch_gc_cmd =
   command "gc"
     ~doc:
-      "Offline store maintenance: verify and fold pack files into the loose \
-       blob tree, sweep blobs no journal references, prune empty directories \
-       (must not run concurrently with an executing run)"
+      "Offline store maintenance: verify every live blob and rewrite them into \
+       one pack, dropping blobs no journal references (must not run \
+       concurrently with an executing run)"
     Term.(const batch_gc $ batch_dir_arg)
 
 let batch_cmd =

@@ -14,10 +14,10 @@ let fsync_dir path =
         ~finally:(fun () -> Unix.close fd)
         (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
-let replace ?tmp path content =
+let replace path content =
   let dir = Filename.dirname path in
   mkdir_p dir;
-  let tmp = Option.value tmp ~default:(path ^ ".tmp") in
+  let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)

@@ -52,21 +52,16 @@ let failed_fitness = neg_infinity
    missing, fails its hash or has no value is a corrupt run directory,
    never a silent [failed_fitness]. *)
 let fitness_of ~gdir store (e : Journal.entry) =
-  let corrupt why =
-    raise
-      (Store.Corrupt
-         (Printf.sprintf "%s: job %s: %s" gdir e.Journal.job why))
-  in
-  match (e.Journal.status, e.Journal.result) with
-  | Journal.Quarantined, _ -> failed_fitness
-  | Journal.Ok, None -> corrupt "no result blob"
-  | Journal.Ok, Some blob -> (
-      match Store.get store blob with
-      | exception Not_found -> corrupt ("result blob " ^ blob ^ " missing")
-      | content -> (
-          match Json.member_opt "value" (Json.parse content) with
-          | Some v -> Json.hex_float v
-          | None -> corrupt ("result blob " ^ blob ^ " has no value")))
+  match e.Journal.status with
+  | Journal.Quarantined -> failed_fitness
+  | Journal.Ok -> (
+      match Json.member_opt "value" (Runner.result_doc ~dir:gdir store e) with
+      | Some v -> Json.hex_float v
+      | None ->
+          raise
+            (Store.Corrupt
+               (Printf.sprintf "%s: job %s: result has no value" gdir
+                  e.Journal.job)))
 
 (** [evaluate ~dir ~settings spec ~gen genomes] — score one population
     as batch jobs under [gen_dir dir gen], creating the run on first

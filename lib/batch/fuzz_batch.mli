@@ -26,6 +26,7 @@ val evaluate :
   float array
 (** Score one population (create the generation run or resume it);
     fitness per genome in population order, [neg_infinity] for
-    quarantined evaluations. Raises {!Store.Corrupt}, naming the
-    generation directory or the blob's path, when an [Ok] evaluation's
-    result blob is missing, fails its hash or has no value. *)
+    quarantined evaluations. Raises {!Store.Corrupt}, with a message
+    that starts with the generation directory, when an [Ok]
+    evaluation's result blob is missing, fails its hash or has no
+    value. *)

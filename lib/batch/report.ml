@@ -25,10 +25,10 @@ let load dir =
       { job; digest; entry = Hashtbl.find_opt settled digest })
     jobs
 
-let result_doc store (row : row) =
+let result_doc ~dir store (row : row) =
   match row.entry with
-  | Some { Journal.status = Journal.Ok; result = Some blob; _ } ->
-      Some (Json.parse (Store.get store blob))
+  | Some ({ Journal.status = Journal.Ok; _ } as e) ->
+      Some (Runner.result_doc ~dir store e)
   | _ -> None
 
 (* -- field accessors over result documents -- *)
@@ -181,7 +181,7 @@ let is_quarantined (row : row) =
 let render dir =
   let rows = load dir in
   let store = Store.open_ (dir / "store") in
-  let doc_of = result_doc store in
+  let doc_of = result_doc ~dir store in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "Batch report: %d job(s)\n\n" (List.length rows));

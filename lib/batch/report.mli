@@ -20,5 +20,5 @@ val render : string -> string
     (synthesis, noise robustness, classification, collection, probes),
     rows in canonical job order, then quarantined jobs with their
     errors, then totals. Raises [Sys_error] if the run directory has no
-    grid, [Not_found] if an [Ok] entry's result blob is missing, and
-    {!Store.Corrupt} if one fails its hash. *)
+    grid, and {!Store.Corrupt} if an [Ok] entry's result blob is missing
+    or fails its hash ({!Runner.result_doc}). *)

@@ -491,18 +491,27 @@ let resume ~dir ~settings () = execute ~dir ~settings
 
 (* -- offline maintenance -- *)
 
-let is_hex32 s =
-  String.length s = 32
-  && String.for_all
-       (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
-       s
+let result_doc ~dir store (e : Journal.entry) =
+  let corrupt why =
+    raise
+      (Store.Corrupt
+         (Printf.sprintf "%s: job %s: %s" (store_path dir) e.Journal.job why))
+  in
+  match e.Journal.result with
+  | None -> corrupt "no result blob"
+  | Some blob -> (
+      match Json.parse (Store.get store blob) with
+      | doc -> doc
+      | exception Not_found -> corrupt ("result blob " ^ blob ^ " missing")
+      | exception Json.Malformed msg ->
+          corrupt ("result blob " ^ blob ^ ": " ^ msg))
 
-(* Result documents reference blobs as bare 32-hex strings ("blob",
+(* Result documents reference blobs as bare digest strings ("blob",
    "features", ...); treating every such string as a reference is the
    conservative over-approximation that keeps GC safe as result schemas
    grow new fields. *)
 let rec add_refs tbl = function
-  | Json.Str s when is_hex32 s -> Hashtbl.replace tbl s ()
+  | Json.Str s when Store.is_digest s -> Hashtbl.replace tbl s ()
   | Json.List l -> List.iter (add_refs tbl) l
   | Json.Obj fields -> List.iter (fun (_, v) -> add_refs tbl v) fields
   | _ -> ()
@@ -512,15 +521,9 @@ let gc ~dir =
   let live = Hashtbl.create 256 in
   List.iter
     (fun (e : Journal.entry) ->
-      match (e.Journal.status, e.Journal.result) with
-      | Journal.Ok, Some blob -> (
-          Hashtbl.replace live blob ();
-          match Store.get store blob with
-          | content -> (
-              match Json.parse content with
-              | doc -> add_refs live doc
-              | exception _ -> ())
-          | exception Not_found -> ())
-      | _ -> ())
+      if e.Journal.status = Journal.Ok then begin
+        add_refs live (result_doc ~dir store e);
+        Option.iter (fun blob -> Hashtbl.replace live blob ()) e.Journal.result
+      end)
     (settled_entries dir);
   Store.gc store ~live:(Hashtbl.mem live)

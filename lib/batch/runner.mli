@@ -15,7 +15,8 @@
     harmless because every artifact is content-addressed. The
     determinism contract: for a fixed grid and settings, a run that is
     killed at any instant and resumed produces a journal outcome set,
-    report, and store byte-identical to an uninterrupted run.
+    report, and set of stored blobs identical to an uninterrupted run's,
+    and after {!gc} a byte-identical store.
 
     Durability goes through {!Group_commit}: the store runs in deferred
     (pack-file) mode and concurrently completing jobs share one fsync
@@ -37,9 +38,9 @@
     canonical order and journals into [journal.wIofN.jsonl]. The
     {!Coordinator}'s children are shards sharing one run directory and
     its store; shards run in separate directories (manual fan-out
-    across machines) merge by copying their journals and loose blobs
-    into one. All readers ({!resume} skipping, {!Report}) merge the
-    whole journal family. *)
+    across machines) merge by copying their journals and
+    [store/pack/*.pack] files into one. All readers ({!resume} skipping,
+    {!Report}) merge the whole journal family. *)
 
 type settings = {
   retries : int;  (** extra attempts after the first (default 2) *)
@@ -115,11 +116,20 @@ val resume : dir:string -> settings:settings -> unit -> summary
 (** Execute every job the journal family does not already settle.
     Idempotent: resuming a finished run does nothing. *)
 
+val result_doc : dir:string -> Store.t -> Journal.entry -> Abg_util.Json.t
+(** The parsed result document an [Ok] entry of [dir]'s journal family
+    promises. Raises {!Store.Corrupt}, naming the run's store, the job
+    and the digest, when the entry has no result blob or the blob is
+    missing or does not parse, and naming the pack when the blob fails
+    its hash. *)
+
 val gc : dir:string -> Store.gc_stats
 (** Offline store maintenance: mark live digests (journaled result
     blobs plus every blob reference inside their result documents),
-    fold pack files into verified, fsync'd loose blobs, and sweep the
-    rest. Must not run concurrently with an executing run. *)
+    rewrite them into one [gc.pack] ({!Store.gc}), and drop the rest.
+    A missing or rotted result blob raises {!Store.Corrupt} before
+    anything is deleted. Must not run concurrently with an executing
+    run. *)
 
 val perform :
   settings:settings -> store:Store.t -> attempt:int -> Job.t -> Abg_util.Json.t

@@ -31,7 +31,6 @@ type config = {
   max_segment_records : int;  (** replay length cap per segment *)
   max_iterations : int;
   exhaustive_cap : int;  (** bound on final exhaustive enumeration *)
-  num_domains : int option;  (** parallelism; None = machine default *)
   seed : int;
   verbose : bool;  (** progress logging to stderr *)
 }
@@ -46,7 +45,6 @@ let default_config =
     max_segment_records = 500;
     max_iterations = 6;
     exhaustive_cap = 2000;
-    num_domains = None;
     seed = 1;
     verbose = false;
   }
@@ -239,7 +237,7 @@ let run ?(config = default_config) ~(dsl : Catalog.t) segments =
         Array.iter (fun bucket -> top_up enc bucket ~want) !buckets);
     let outcomes =
       Abg_obs.Obs.span "iteration" @@ fun () ->
-      Abg_parallel.Pool.mapi ?num_domains:config.num_domains
+      Abg_parallel.Pool.mapi
         (fun i bucket ->
           let rng = Rng.create worker_seeds.(i) in
           score_bucket ~rng ~segs ~truths bucket)

@@ -207,6 +207,43 @@ let test_durable_replace () =
 
 (* -- Store -- *)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let pack_dir root = Filename.concat root "pack"
+
+let pack_files root =
+  Sys.readdir (pack_dir root)
+  |> Array.to_list
+  |> List.filter (fun n -> Filename.check_suffix n ".pack")
+  |> List.sort String.compare
+  |> List.map (Filename.concat (pack_dir root))
+
+(* The records of a pack's bytes, read independently of [Store]:
+   (record start, digest) pairs. *)
+let pack_records bytes =
+  let rec go pos acc =
+    if pos >= String.length bytes then List.rev acc
+    else
+      let nl = String.index_from bytes pos '\n' in
+      Scanf.sscanf
+        (String.sub bytes pos (nl - pos))
+        "{\"blob\":\"%32[0-9a-f]\",\"bytes\":%d}%!"
+        (fun digest n -> go (nl + 1 + n + 1) ((pos, digest) :: acc))
+  in
+  go 0 []
+
+(* Same-length in-place edit: changes a blob's bytes, not the framing. *)
+let replace_once s ~sub ~by =
+  assert (String.length sub = String.length by);
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then failwith ("not found: " ^ sub)
+    else if String.sub s i n = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
 let test_store_put_get () =
   let root = Filename.concat (fresh_dir ()) "store" in
   let store = Store.open_ ~deferred:true root in
@@ -216,9 +253,6 @@ let test_store_put_get () =
   Alcotest.(check string) "digest is content hash"
     (Store.digest_hex "hello") d1;
   Alcotest.(check string) "round-trip" "hello" (Store.get store d1);
-  Alcotest.(check bool) "mem" true (Store.mem store d1);
-  Alcotest.(check bool) "not mem" false
-    (Store.mem store (Store.digest_hex "other"));
   let d3 = Store.put store "world" in
   Store.close store;
   Alcotest.(check (list string)) "list sorted"
@@ -239,61 +273,45 @@ let test_store_detects_corruption () =
   let store = Store.open_ ~deferred:true root in
   let d = Store.put store "payload" in
   Store.close store;
-  let path =
-    Filename.concat (Filename.concat (Filename.concat root "blobs")
-                       (String.sub d 0 2)) d
-  in
-  write_file path "tampered";
-  match Store.get store d with
-  | exception Store.Corrupt _ -> ()
+  let pack = List.hd (pack_files root) in
+  write_file pack (replace_once (read_file pack) ~sub:"payload" ~by:"paylode");
+  match Store.get (Store.open_ root) d with
+  | exception Store.Corrupt msg ->
+      Alcotest.(check bool) "pack named" true
+        (String.starts_with ~prefix:(pack ^ ": blob " ^ d) msg)
   | _ -> Alcotest.fail "expected Corrupt"
 
+(* A store written by an earlier build (loose blob tree, schema 2) is
+   refused by name, not half-read. *)
 let test_store_detects_manifest_mismatch () =
   let root = Filename.concat (fresh_dir ()) "store" in
   ignore (Store.open_ root);
-  write_file (Filename.concat root "manifest.json")
-    "{\"schema\":\"something-else/9\"}\n";
+  let manifest = Filename.concat root "manifest.json" in
+  write_file manifest "{\"schema\":\"abagnale-store/2\"}\n";
   match Store.open_ root with
-  | exception Store.Corrupt _ -> ()
+  | exception Store.Corrupt msg ->
+      Alcotest.(check bool) "manifest named" true (contains ~affix:manifest msg)
   | _ -> Alcotest.fail "expected Corrupt"
-
-let test_store_sweeps_tmp () =
-  let root = Filename.concat (fresh_dir ()) "store" in
-  ignore (Store.open_ root);
-  let tmp name = Filename.concat (Filename.concat root "tmp") name in
-  (* Pid 4194303 is the top of the default pid space — dead in practice;
-     our own pid marks a previous incarnation of this process. The
-     parent's pid is a live process that is not us: a coordinator
-     sibling mid-put, whose tmp file must survive the sweep. *)
-  let dead = tmp "blob.4194303.1" in
-  let own = tmp (Printf.sprintf "blob.%d.9" (Unix.getpid ())) in
-  let sibling = tmp (Printf.sprintf "blob.%d.1" (Unix.getppid ())) in
-  let unparseable = tmp "junk" in
-  List.iter (fun p -> write_file p "half-written") [ dead; own; sibling; unparseable ];
-  ignore (Store.open_ root);
-  Alcotest.(check bool) "dead pid swept" false (Sys.file_exists dead);
-  Alcotest.(check bool) "own pid swept" false (Sys.file_exists own);
-  Alcotest.(check bool) "unparseable swept" false (Sys.file_exists unparseable);
-  Alcotest.(check bool) "live sibling kept" true (Sys.file_exists sibling)
 
 let test_store_deferred_flush_and_close () =
   let root = Filename.concat (fresh_dir ()) "store" in
   let s = Store.open_ ~deferred:true root in
   let d = Store.put s "alpha" in
   Alcotest.(check string) "staged blob readable" "alpha" (Store.get s d);
-  Alcotest.(check bool) "staged blob mem" true (Store.mem s d);
-  Alcotest.(check (list string)) "nothing loose before flush" []
+  Alcotest.(check (list string)) "nothing listed before flush" []
     (Store.list s);
+  Alcotest.(check (list string)) "no pack before the first flush" []
+    (pack_files root);
   Alcotest.(check int) "one blob flushed" 1 (Store.flush_staged s);
   Alcotest.(check int) "flush idempotent" 0 (Store.flush_staged s);
   Alcotest.(check string) "flushed blob readable from pack" "alpha"
     (Store.get s d);
   let d2 = Store.put s "beta" in
   Store.close s;
-  (* close flushes the stragglers and materializes the loose tree. *)
-  Alcotest.(check (list string)) "loose tree complete after close"
+  Alcotest.(check (list string)) "close flushes the stragglers"
     (List.sort String.compare [ d; d2 ])
     (Store.list s);
+  Alcotest.(check int) "one pack per writer" 1 (List.length (pack_files root));
   let reopened = Store.open_ root in
   Alcotest.(check string) "survives reopen" "beta" (Store.get reopened d2)
 
@@ -302,10 +320,9 @@ let test_store_pack_recovery () =
   let s = Store.open_ ~deferred:true root in
   let d = Store.put s "durable-but-not-closed" in
   ignore (Store.flush_staged s);
-  (* Crash before close: no loose blobs exist. A fresh open must
-     re-materialize them from the pack. *)
+  (* Crash before close: the flushed pack is the blob's only copy. *)
   let reopened = Store.open_ root in
-  Alcotest.(check (list string)) "recovered from pack" [ d ]
+  Alcotest.(check (list string)) "indexed from the pack" [ d ]
     (Store.list reopened);
   Alcotest.(check string) "content intact" "durable-but-not-closed"
     (Store.get reopened d)
@@ -316,18 +333,114 @@ let test_store_torn_pack_tail () =
   let d = Store.put s "committed" in
   ignore (Store.flush_staged s);
   (* Kill mid-append: a torn record fragment after the valid prefix. *)
-  let pack =
-    Filename.concat (Filename.concat root "pack")
-      (Printf.sprintf "%d.pack" (Unix.getpid ()))
-  in
+  let pack = List.hd (pack_files root) in
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 pack in
   output_string oc "{\"blob\":\"ffffffffffffffffffffffffffffffff\",\"bytes\":9999}\ntrunc";
   close_out oc;
-  let reopened = Store.open_ root in
+  let reopened = Store.open_ ~deferred:true root in
   Alcotest.(check (list string)) "only the committed blob" [ d ]
     (Store.list reopened);
   Alcotest.(check string) "committed blob intact" "committed"
-    (Store.get reopened d)
+    (Store.get reopened d);
+  (* The next writer never appends after the torn tail. *)
+  let d2 = Store.put reopened "after the crash" in
+  Store.close reopened;
+  Alcotest.(check int) "a fresh pack" 2 (List.length (pack_files root));
+  Alcotest.(check (list string)) "both blobs listed"
+    (List.sort String.compare [ d; d2 ])
+    (Store.list (Store.open_ root))
+
+(* Without a second copy behind the pack, a malformed record that is
+   not a torn tail must not silently hide the records after it. *)
+let test_store_interior_corruption () =
+  let root = Filename.concat (fresh_dir ()) "store" in
+  let s = Store.open_ ~deferred:true root in
+  ignore (Store.put s "first");
+  ignore (Store.flush_staged s);
+  ignore (Store.put s "second");
+  Store.close s;
+  let pack = List.hd (pack_files root) in
+  let good = read_file pack in
+  let corrupt_at ~sub ~by =
+    write_file pack (replace_once good ~sub ~by);
+    match Store.open_ root with
+    | exception Store.Corrupt msg ->
+        Alcotest.(check bool) (by ^ ": pack and offset named") true
+          (String.starts_with ~prefix:(pack ^ ": malformed record at byte 0: ") msg)
+    | _ -> Alcotest.failf "%s: expected Corrupt" by
+  in
+  corrupt_at ~sub:"{\"blob\"" ~by:"{\"blub\"";
+  corrupt_at ~sub:"\"bytes\":5" ~by:"\"bytes\":4"
+
+(* Property: for any sequence of puts (repeats and empty content
+   included) and flushes, cutting the pack anywhere inside its last
+   record leaves exactly the blobs of the complete records, each
+   readable; complementing one byte of an earlier record's header
+   raises Corrupt naming the pack and the record's offset. *)
+let pack_cut_prop (ops, cut, (flip_record, flip_byte)) =
+  let root = Filename.concat (fresh_dir ()) "store" in
+  let s = Store.open_ ~deferred:true root in
+  let content k =
+    if k = 0 then "" else Printf.sprintf "blob %d\n%s" k (String.make (3 * k) 'x')
+  in
+  let contents = Hashtbl.create 16 in
+  List.iter
+    (function
+      | None -> ignore (Store.flush_staged s)
+      | Some k -> Hashtbl.replace contents (Store.put s (content k)) (content k))
+    ops;
+  Store.close s;
+  match pack_files root with
+  | [] -> Hashtbl.length contents = 0
+  | [ pack ] ->
+      let bytes = read_file pack in
+      let records = pack_records bytes in
+      let last, _ = List.nth records (List.length records - 1) in
+      let total = String.length bytes in
+      let cut_at = last + (cut mod (total - last)) in
+      let bytes = String.sub bytes 0 cut_at in
+      write_file pack bytes;
+      let complete =
+        List.filteri (fun i _ -> i < List.length records - 1) records
+      in
+      let reopened = Store.open_ root in
+      let listed_ok =
+        Store.list reopened
+        = List.sort String.compare (List.map snd complete)
+        && List.for_all
+             (fun (_, d) -> Store.get reopened d = Hashtbl.find contents d)
+             complete
+      in
+      let flip_ok =
+        match complete with
+        | [] -> true
+        | _ ->
+            let start, _ =
+              List.nth complete (flip_record mod List.length complete)
+            in
+            let header_len = String.index_from bytes start '\n' - start + 1 in
+            let flipped = Bytes.of_string bytes in
+            let i = start + (flip_byte mod header_len) in
+            Bytes.set flipped i (Char.chr (0xff lxor Char.code bytes.[i]));
+            write_file pack (Bytes.to_string flipped);
+            let named = Printf.sprintf "%s: malformed record at byte %d:" pack start in
+            (match Store.open_ root with
+            | exception Store.Corrupt msg -> String.starts_with ~prefix:named msg
+            | _ -> false)
+      in
+      listed_ok && flip_ok
+  | _ -> false
+
+let qcheck_pack_cut =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 1 24)
+           (oneof [ map Option.some (int_range 0 9); return None ]))
+        nat (pair nat nat))
+  in
+  QCheck.Test.make ~name:"pack cut or flipped" ~count:100 (QCheck.make gen)
+    pack_cut_prop
 
 let test_store_gc () =
   let root = Filename.concat (fresh_dir ()) "store" in
@@ -343,14 +456,16 @@ let test_store_gc () =
   let stats = Store.gc offline ~live:(String.equal live) in
   Alcotest.(check int) "kept" 1 stats.Store.kept;
   Alcotest.(check int) "swept" 1 stats.Store.swept;
-  Alcotest.(check bool) "pack folded" true (stats.Store.packs_folded >= 1);
+  Alcotest.(check int) "pack folded" 1 stats.Store.packs_folded;
   Alcotest.(check (list string)) "canonical listing" [ live ]
     (Store.list offline);
-  Alcotest.(check string) "live blob verified in place" "keep me"
+  Alcotest.(check string) "live blob rewritten" "keep me"
     (Store.get offline live);
-  Alcotest.(check (array string)) "pack dir emptied" [||]
-    (Sys.readdir (Filename.concat root "pack"));
-  Alcotest.(check bool) "dead blob gone" false (Store.mem offline dead)
+  Alcotest.(check (array string)) "one pack left" [| "gc.pack" |]
+    (Sys.readdir (pack_dir root));
+  match Store.get (Store.open_ root) dead with
+  | exception Not_found -> ()
+  | _ -> Alcotest.fail "dead blob must be gone"
 
 (* -- Journal -- *)
 
@@ -531,11 +646,44 @@ let test_group_commit_flush_and_checkpoint () =
   Alcotest.(check (list string)) "all entries settled"
     (lines_of entries) (lines_of (Journal.replay jpath));
   let reopened = Store.open_ (Filename.concat dir "store") in
-  List.iter
-    (fun (e : Journal.entry) ->
-      Alcotest.(check bool) "result blob durable" true
-        (Store.mem reopened (Option.get e.Journal.result)))
+  List.iteri
+    (fun i (e : Journal.entry) ->
+      Alcotest.(check string) "result blob durable"
+        (Printf.sprintf "result %d" i)
+        (Store.get reopened (Option.get e.Journal.result)))
     entries
+
+(* Puts and commits from four domains at once: every acknowledged line
+   is on disk and every blob it references reads back. *)
+let test_group_commit_from_domains () =
+  let dir = fresh_dir () in
+  let root = Filename.concat dir "store" in
+  let store = Store.open_ ~deferred:true root in
+  let jpath = Filename.concat dir "journal.jsonl" in
+  let journal = Journal.open_ jpath in
+  let commit = Group_commit.create ~store ~journal () in
+  let pool = Abg_parallel.Pool.create ~size:3 () in
+  let results = List.init 64 (Printf.sprintf "result %d") in
+  Fun.protect
+    ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
+    (fun () ->
+      ignore
+        (Abg_parallel.Pool.map_list ~pool ~num_domains:4
+           (fun (i, content) ->
+             let blob = Store.put store content in
+             Group_commit.commit commit
+               { (mk_entry i) with Journal.result = Some blob })
+           (List.mapi (fun i c -> (i, c)) results)));
+  Group_commit.close commit;
+  Journal.close journal;
+  Store.close store;
+  let entries = Journal.replay jpath in
+  Alcotest.(check int) "64 journal lines" 64 (List.length entries);
+  let reopened = Store.open_ root in
+  let read (e : Journal.entry) = Store.get reopened (Option.get e.Journal.result) in
+  Alcotest.(check (list string)) "every result blob reads back"
+    (List.sort String.compare results)
+    (List.sort String.compare (List.map read entries))
 
 (* -- Runner -- *)
 
@@ -581,7 +729,8 @@ let test_runner_kill_and_resume_deterministic () =
   Alcotest.(check int) "all completed" (List.length smoke_jobs)
     (List.length summary.Runner.completions);
   (* "Killed" run: stop after 2 jobs, then fake the crash artifacts a
-     SIGKILL can leave — a torn journal line and a half-written tmp blob. *)
+     SIGKILL can leave — a torn journal line and a pack ending in a torn
+     record. *)
   let killed = fresh_dir () in
   let partial =
     Runner.run ~dir:killed
@@ -597,10 +746,11 @@ let test_runner_kill_and_resume_deterministic () =
   in
   output_string oc "{\"job\":\"0123456789abcdef0123456789abcdef\",\"st";
   close_out oc;
-  write_file
-    (Filename.concat (Filename.concat (Filename.concat killed "store") "tmp")
-       "blob.31337.1")
-    "half-written blob";
+  (match pack_files (Filename.concat killed "store") with
+  | [ pack ] ->
+      append_raw pack
+        "{\"blob\":\"ffffffffffffffffffffffffffffffff\",\"bytes\":9999}\nhalf-writ"
+  | _ -> Alcotest.fail "expected the partial run's one pack");
   (* Resume and compare every persisted artifact byte-for-byte. *)
   let resumed = Runner.resume ~dir:killed ~settings:quiet_settings () in
   Alcotest.(check int) "resume finishes the rest" 2
@@ -614,13 +764,22 @@ let test_runner_kill_and_resume_deterministic () =
     (Report.render uninterrupted) (Report.render killed);
   Alcotest.(check string) "status byte-identical"
     (Report.status uninterrupted) (Report.status killed);
-  Alcotest.(check (array string)) "crash tmp swept on resume" [||]
-    (Sys.readdir (Filename.concat (Filename.concat killed "store") "tmp"));
   (* Resuming a finished run is a no-op. *)
   let idle = Runner.resume ~dir:killed ~settings:quiet_settings () in
   Alcotest.(check int) "nothing to do" 0 (List.length idle.Runner.completions);
   Alcotest.(check int) "everything skipped" (List.length smoke_jobs)
-    idle.Runner.skipped
+    idle.Runner.skipped;
+  (* gc folds the torn pack away with the rest: both stores become one
+     gc.pack with equal bytes. *)
+  let gc_pack dir =
+    ignore (Runner.gc ~dir);
+    let root = Filename.concat dir "store" in
+    Alcotest.(check (array string)) "only gc.pack" [| "gc.pack" |]
+      (Sys.readdir (pack_dir root));
+    read_file (Filename.concat (pack_dir root) "gc.pack")
+  in
+  Alcotest.(check string) "gc.pack byte-identical" (gc_pack uninterrupted)
+    (gc_pack killed)
 
 let test_runner_quarantines_poisoned_job () =
   let dir = fresh_dir () in
@@ -727,23 +886,20 @@ let test_runner_shard_union_equals_whole () =
   in
   Alcotest.(check (list (pair string string))) "store union = whole"
     (store_blobs whole) (merge blobs0 blobs1);
-  (* Shards run apart merge by copying shard 1's journals and loose blobs
-     into shard 0's directory: each shard journals under its own name, so
-     nothing is overwritten and the report is the unsharded one. *)
-  List.iter
-    (fun path ->
-      copy_file path (Filename.concat dir0 (Filename.basename path)))
-    (Runner.journal_paths ~dir:dir1);
-  let blobs dir = Filename.concat (Filename.concat dir "store") "blobs" in
-  Array.iter
-    (fun sub ->
-      let src = Filename.concat (blobs dir1) sub
-      and dst = Filename.concat (blobs dir0) sub in
-      if not (Sys.file_exists dst) then Sys.mkdir dst 0o755;
-      Array.iter
-        (fun d -> copy_file (Filename.concat src d) (Filename.concat dst d))
-        (Sys.readdir src))
-    (Sys.readdir (blobs dir1));
+  (* Shards run apart merge by copying shard 1's journals and packs into
+     shard 0's directory: each shard journals under its own name and
+     each writer names its pack at random, so nothing is overwritten and
+     the report is the unsharded one. *)
+  let copy_into dir path =
+    let dst = Filename.concat dir (Filename.basename path) in
+    Alcotest.(check bool) (dst ^ " is new") false (Sys.file_exists dst);
+    copy_file path dst
+  in
+  List.iter (copy_into dir0) (Runner.journal_paths ~dir:dir1);
+  let store dir = Filename.concat dir "store" in
+  List.iter (copy_into (pack_dir (store dir0))) (pack_files (store dir1));
+  Alcotest.(check (list (pair string string))) "copied store = whole"
+    (store_blobs whole) (store_blobs dir0);
   Alcotest.(check string) "copied shards report = whole"
     (Report.render whole) (Report.render dir0)
 
@@ -872,45 +1028,70 @@ let test_runner_gc_keeps_live_sweeps_orphans () =
   Store.close store;
   let stats = Runner.gc ~dir in
   Alcotest.(check int) "orphan swept" 1 stats.Store.swept;
-  Alcotest.(check bool) "orphan gone" false (Store.mem store orphan);
+  Alcotest.(check bool) "orphan gone" false
+    (List.mem orphan (Store.list (Store.open_ (Filename.concat dir "store"))));
   Alcotest.(check (list (pair string string))) "live blobs survive gc"
     before_blobs (store_blobs dir);
   Alcotest.(check string) "report unchanged by gc" before_report
     (Report.render dir)
 
-(* After gc no pack copy is left to repair a loose blob, so a result
-   rewritten on disk — here a well-formed forgery — must fail the report
-   instead of being rendered. *)
+(* A result rewritten on disk — here a well-formed forgery, edited in
+   place inside gc.pack — must fail the report instead of being
+   rendered. *)
 let test_report_rejects_rotted_blob () =
   let dir = fresh_dir () in
   ignore (Runner.run ~dir ~settings:quiet_settings [ probe_job ~seed:1 "reno" ]);
   ignore (Runner.gc ~dir);
-  let path =
-    match Runner.settled_entries dir with
-    | [ { Journal.result = Some blob; _ } ] ->
-        List.fold_left Filename.concat dir
-          [ "store"; "blobs"; String.sub blob 0 2; blob ]
-    | _ -> Alcotest.fail "expected one ok entry"
-  in
-  let forged =
-    match
-      Abg_util.Json.parse (In_channel.with_open_bin path In_channel.input_all)
-    with
-    | Abg_util.Json.Obj fields ->
-        Abg_util.Json.to_string
-          (Abg_util.Json.Obj
-             (List.map
-                (fun (k, v) ->
-                  if k = "payload" then (k, Abg_util.Json.Str "forged")
-                  else (k, v))
-                fields))
-    | _ -> Alcotest.fail "result document is not an object"
-  in
-  write_file path forged;
+  let pack = Filename.concat (pack_dir (Filename.concat dir "store")) "gc.pack" in
+  write_file pack
+    (replace_once (read_file pack) ~sub:"\"payload\":\"ok\""
+       ~by:"\"payload\":\"no\"");
   match Report.render dir with
   | exception Store.Corrupt msg ->
-      Alcotest.(check bool) "blob path named" true (contains ~affix:path msg)
+      Alcotest.(check bool) "pack named" true
+        (String.starts_with ~prefix:(pack ^ ": blob ") msg)
   | _ -> Alcotest.fail "expected Store.Corrupt"
+
+(* A collect result whose blob is gone from the store, while the traces
+   it references stay. *)
+let run_missing_collect_result () =
+  let dir = fresh_dir () in
+  ignore
+    (Runner.run ~dir ~settings:quiet_settings
+       [ collect_job "reno"; probe_job ~seed:1 "reno" ]);
+  let job = Job.digest (collect_job "reno") in
+  let blob =
+    match
+      List.find (fun e -> e.Journal.job = job) (Runner.settled_entries dir)
+    with
+    | { Journal.result = Some blob; _ } -> blob
+    | _ -> Alcotest.fail "expected an ok collect entry"
+  in
+  ignore
+    (Store.gc (Store.open_ (Filename.concat dir "store")) ~live:(( <> ) blob));
+  (dir, job, blob)
+
+let check_names_missing (dir, job, blob) what f =
+  match f () with
+  | exception Store.Corrupt msg ->
+      List.iter
+        (fun affix ->
+          Alcotest.(check bool) (what ^ " names " ^ affix) true (contains ~affix msg))
+        [ Filename.concat dir "store"; job; blob ]
+  | _ -> Alcotest.failf "%s: expected Store.Corrupt" what
+
+let test_report_missing_result_blob () =
+  let ((dir, _, _) as missing) = run_missing_collect_result () in
+  check_names_missing missing "report" (fun () -> Report.render dir)
+
+(* gc must not treat a lost result as dead: that would also sweep the
+   traces it references. *)
+let test_gc_missing_result_blob () =
+  let ((dir, _, _) as missing) = run_missing_collect_result () in
+  let before = store_blobs dir in
+  check_names_missing missing "gc" (fun () -> Runner.gc ~dir);
+  Alcotest.(check (list (pair string string))) "gc deleted nothing" before
+    (store_blobs dir)
 
 let suites =
   [
@@ -936,11 +1117,13 @@ let suites =
         Alcotest.test_case "corruption" `Quick test_store_detects_corruption;
         Alcotest.test_case "manifest mismatch" `Quick
           test_store_detects_manifest_mismatch;
-        Alcotest.test_case "tmp sweep" `Quick test_store_sweeps_tmp;
         Alcotest.test_case "deferred flush/close" `Quick
           test_store_deferred_flush_and_close;
         Alcotest.test_case "pack recovery" `Quick test_store_pack_recovery;
         Alcotest.test_case "torn pack tail" `Quick test_store_torn_pack_tail;
+        Alcotest.test_case "interior corruption" `Quick
+          test_store_interior_corruption;
+        QCheck_alcotest.to_alcotest ~long:false qcheck_pack_cut;
         Alcotest.test_case "gc" `Quick test_store_gc;
       ] );
     ( "batch.journal",
@@ -959,6 +1142,8 @@ let suites =
       [
         Alcotest.test_case "flush and checkpoint" `Quick
           test_group_commit_flush_and_checkpoint;
+        Alcotest.test_case "commits from 4 domains" `Quick
+          test_group_commit_from_domains;
       ] );
     ( "batch.runner",
       [
@@ -985,5 +1170,9 @@ let suites =
           test_runner_gc_keeps_live_sweeps_orphans;
         Alcotest.test_case "report rejects rotted blob" `Quick
           test_report_rejects_rotted_blob;
+        Alcotest.test_case "report names missing result" `Quick
+          test_report_missing_result_blob;
+        Alcotest.test_case "gc names missing result" `Quick
+          test_gc_missing_result_blob;
       ] );
   ]

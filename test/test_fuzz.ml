@@ -274,7 +274,7 @@ let test_fuzz_batch_resume_identical () =
   Alcotest.(check bool) "directory-independent" true (first = fresh)
 
 (* Only a quarantined evaluation scores -inf. An ok one whose result
-   blob was forged after gc (no pack copy left to repair it) or is gone
+   blob was forged after gc (edited in place inside gc.pack) or is gone
    must raise, naming the generation directory. *)
 let test_fuzz_batch_corrupt_blob_raises () =
   let dir = fresh_dir () in
@@ -291,37 +291,29 @@ let test_fuzz_batch_corrupt_blob_raises () =
   ignore (evaluate ());
   let gdir = Abg_batch.Fuzz_batch.gen_dir dir 0 in
   ignore (Abg_batch.Runner.gc ~dir:gdir);
-  let path =
-    match Abg_batch.Runner.settled_entries gdir with
-    | { Abg_batch.Journal.result = Some blob; _ } :: _ ->
-        List.fold_left Filename.concat gdir
-          [ "store"; "blobs"; String.sub blob 0 2; blob ]
-    | _ -> Alcotest.fail "expected an ok evaluation"
+  let pack =
+    List.fold_left Filename.concat gdir [ "store"; "pack"; "gc.pack" ]
   in
-  let forged =
-    match
-      Abg_util.Json.parse (In_channel.with_open_bin path In_channel.input_all)
-    with
-    | Abg_util.Json.Obj fields ->
-        Abg_util.Json.to_string
-          (Abg_util.Json.Obj
-             (List.map
-                (fun (k, v) ->
-                  if k = "value" then (k, Abg_util.Json.hex 1e9) else (k, v))
-                fields))
-    | _ -> Alcotest.fail "result document is not an object"
+  let bytes = In_channel.with_open_bin pack In_channel.input_all in
+  (* A same-length forgery of the first value: 0x1.xxx becomes 0x3.xxx. *)
+  let key = "\"value\":\"0x1" in
+  let rec find i =
+    if String.sub bytes i (String.length key) = key then i
+    else find (i + 1)
   in
+  let at = find 0 + String.length key - 1 in
+  let forged = Bytes.of_string bytes in
+  Bytes.set forged at '3';
   let raises_naming what =
     match evaluate () with
     | exception Abg_batch.Store.Corrupt msg ->
         Alcotest.(check bool) (what ^ ": directory named") true
-          (String.starts_with ~prefix:gdir msg
-          || String.starts_with ~prefix:("blob " ^ gdir) msg)
+          (String.starts_with ~prefix:gdir msg)
     | _ -> Alcotest.failf "%s: expected Store.Corrupt" what
   in
-  Out_channel.with_open_bin path (fun oc -> output_string oc forged);
+  Out_channel.with_open_bin pack (fun oc -> output_bytes oc forged);
   raises_naming "forged value";
-  Sys.remove path;
+  Sys.remove pack;
   raises_naming "missing blob"
 
 let suites =
