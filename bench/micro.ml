@@ -457,6 +457,24 @@ let fuzz_generation_test =
               (Abg_fuzz.Search.next_generation params ~gen:0 population
                  fitness))))
 
+(* One divergence fitness evaluation, the unit of work of a fuzz run:
+   reno and cubic simulated for 6 s on a fixed scenario with a bandwidth
+   step, an on-off cross flow, outages, reordering and ACK jitter, then
+   DTW over the two observed windows. *)
+let fuzz_divergence_eval_test =
+  lazy
+    (let genome =
+       [| 10.0; 50.0; 1.0; 0.001; 1.0; 0.5; 0.5; 0.3; 0.5; 1.0; 0.2; 50.0;
+          0.01; 4.0; 0.0; 0.1 |]
+     in
+     let cfg = Abg_fuzz.Genome.to_config ~duration:6.0 ~seed:7 genome in
+     let spec =
+       { Abg_fuzz.Fitness.kind = Abg_fuzz.Fitness.Divergence; cca = "reno";
+         cca_b = Some "cubic"; handler = None }
+     in
+     Test.make ~name:"fuzz: divergence-eval-6s"
+       (Staged.stage (fun () -> ignore (Abg_fuzz.Fitness.evaluate spec cfg))))
+
 let run () =
   Runs.heading "Micro-benchmarks (Bechamel, monotonic clock)";
   let bucket_cutoff, bucket_full = Lazy.force bucket_score_tests in
@@ -474,7 +492,7 @@ let run () =
       Lazy.force batch_journal_append_amortized_test;
       Lazy.force batch_journal_replay_256_test;
       Lazy.force batch_journal_replay_100k_test;
-      Lazy.force fuzz_generation_test ]
+      Lazy.force fuzz_generation_test; Lazy.force fuzz_divergence_eval_test ]
   in
   (* Estimates are taken with telemetry off: they track the cost of the
      kernel operations themselves, and the disabled path is the one the

@@ -1,10 +1,10 @@
 (** Fitness functions for the adversarial scenario search.
 
-    All three are deterministic pure functions of (spec, genome): trace
-    collection goes through the seeded simulator (and the process-wide
-    trace store, so identical genomes across generations share a
-    simulation), and the distance kernels are the same ones the paper's
-    pipeline scores with. Higher fitness = more adversarial. *)
+    All three are deterministic pure functions of (spec, genome): each
+    evaluation runs the seeded simulator afresh, and the distance kernels
+    are the same ones the paper's pipeline scores with. None goes through
+    the process-wide trace store, so a fuzz process retains no trace.
+    Higher fitness = more adversarial. *)
 
 open Abg_netsim
 
@@ -43,9 +43,6 @@ let constructor_of cca =
   | Some ctor -> ctor
   | None -> failwith (Printf.sprintf "fuzz: unknown CCA %s" cca)
 
-let collect cfg ~name =
-  Abg_trace.Trace.collect_cached cfg ~name (constructor_of name)
-
 (* A whole trace as one segment (the synthesis fallback shape): the
    counterexample fitness scores the handler over everything the
    scenario produced, not just between losses — an adversarial scenario
@@ -58,17 +55,17 @@ let whole_segment (tr : Abg_trace.Trace.t) =
     records = tr.Abg_trace.Trace.records;
   }
 
+(* Divergence reads nothing but the two observed windows, so it
+   simulates straight into them: no per-ACK records. *)
 let divergence ~cca_a ~cca_b cfg =
-  let ta = collect cfg ~name:cca_a in
-  let tb = collect cfg ~name:cca_b in
-  let _, va = Abg_trace.Trace.observed_series ta in
-  let _, vb = Abg_trace.Trace.observed_series tb in
+  let va = Abg_trace.Trace.collect_observed cfg (constructor_of cca_a) in
+  let vb = Abg_trace.Trace.collect_observed cfg (constructor_of cca_b) in
   if Array.length va < 2 || Array.length vb < 2 then 0.0
   else Abg_distance.Metric.compute Abg_distance.Metric.default ~truth:va
       ~candidate:vb
 
 let counterexample ~cca ~handler cfg =
-  let tr = collect cfg ~name:cca in
+  let tr = Abg_trace.Trace.collect cfg ~name:cca (constructor_of cca) in
   if Array.length tr.Abg_trace.Trace.records < 2 then 0.0
   else
     let d = Abg_core.Replay.distance handler (whole_segment tr) in

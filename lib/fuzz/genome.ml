@@ -82,7 +82,8 @@ let reorder_floor = 0.005
 
 (** [to_config ~duration ~seed t] decodes a genome into an extended
     scenario. [seed] is fixed by the fuzz spec (not evolved), so equal
-    genomes share trace-store entries across generations. *)
+    genomes decode to the same scenario, and score the same, in every
+    generation. *)
 let to_config ~duration ~seed (t : t) =
   let g i = t.(i) in
   let bandwidth_mbps = g 0 and rtt_ms = g 1 in

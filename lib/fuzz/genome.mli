@@ -25,7 +25,7 @@ val crossover : Abg_util.Rng.t -> t -> t -> t
 
 val to_config : duration:float -> seed:int -> t -> Abg_netsim.Config.t
 (** Decode into a scenario. [seed] comes from the fuzz spec, not the
-    genome, so identical genomes share trace-store entries. *)
+    genome, so identical genomes decode to the same scenario. *)
 
 val encode : t -> string
 (** Canonical lossless rendering (hex floats); [decode] inverts it. *)

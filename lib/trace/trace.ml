@@ -215,6 +215,28 @@ let collect_suite ?(duration = 30.0) ?ack_jitter ~n ~name constructor =
   collect_configs ~name constructor
     (Config.testbed_grid ~duration ?ack_jitter ~n ())
 
+(** [collect_observed cfg constructor] simulates one flow and returns
+    only its observed window, one value per ACK (the bytes in flight,
+    which {!Record.observed_cwnd} reads): exactly the values of
+    [snd (observed_series (collect cfg ~name constructor))], without
+    deriving a record per ACK and without the trace store. For callers
+    that read nothing but the window. *)
+let collect_observed cfg (constructor : Abg_cca.Cca_sig.constructor) =
+  let values = ref (Array.make 1024 0.0) in
+  let n = ref 0 in
+  let on_ack_obs (obs : Sim.ack_observation) =
+    if !n = Array.length !values then begin
+      let grown = Array.make (2 * !n) 0.0 in
+      Array.blit !values 0 grown 0 !n;
+      values := grown
+    end;
+    (!values).(!n) <- obs.Sim.in_flight;
+    incr n
+  in
+  let observer = { Sim.null_observer with Sim.on_ack_obs } in
+  ignore (Sim.run ~observer cfg (constructor ~mss:cfg.Config.mss ()));
+  Array.sub !values 0 !n
+
 (** Observed (visible) CWND series and its timestamps. *)
 let observed_series trace =
   let n = Array.length trace.records in

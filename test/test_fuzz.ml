@@ -200,17 +200,44 @@ let test_search_next_generation_pure () =
 
 let cheap_cfg = Config.make ~duration:2.0 ~bandwidth_mbps:8.0 ~rtt_ms:30.0 ()
 
+(* The reference divergence: DTW over the windows of the two flows' full
+   traces. *)
+let divergence_of_records cfg =
+  let window name =
+    snd
+      (Abg_trace.Trace.observed_series
+         (Abg_trace.Trace.collect cfg ~name
+            (Option.get (Abg_cca.Registry.find name))))
+  in
+  Abg_distance.Metric.compute Abg_distance.Metric.default
+    ~truth:(window "reno") ~candidate:(window "cubic")
+
 let test_fitness_divergence () =
   let spec =
     { Fitness.kind = Fitness.Divergence; cca = "reno"; cca_b = Some "cubic";
       handler = None }
   in
+  let stats = Abg_trace.Trace.store_stats () in
   let v = Fitness.evaluate spec cheap_cfg in
   Alcotest.(check bool) "finite and nonnegative" true (Float.is_finite v && v >= 0.0);
   let same =
     Fitness.evaluate { spec with Fitness.cca_b = Some "reno" } cheap_cfg
   in
-  Alcotest.(check (float 1e-9)) "self-divergence is zero" 0.0 same
+  Alcotest.(check (float 1e-9)) "self-divergence is zero" 0.0 same;
+  let rng = Rng.create 19 in
+  let cfgs =
+    cheap_cfg
+    :: List.init 3 (fun _ ->
+           Genome.to_config ~duration:2.0 ~seed:7 (Genome.random rng))
+  in
+  List.iter
+    (fun cfg ->
+      Alcotest.(check int64) "= DTW over the collected windows"
+        (Int64.bits_of_float (divergence_of_records cfg))
+        (Int64.bits_of_float (Fitness.evaluate spec cfg)))
+    cfgs;
+  Alcotest.(check (pair int int)) "trace store untouched" stats
+    (Abg_trace.Trace.store_stats ())
 
 let test_fitness_throughput () =
   let spec =
@@ -230,7 +257,10 @@ let test_fitness_counterexample () =
     { Fitness.kind = Fitness.Counterexample; cca = "reno"; cca_b = None;
       handler = Some Abg_dsl.Expr.Cwnd (* frozen window: clearly not reno *) }
   in
+  let stats = Abg_trace.Trace.store_stats () in
   let v = Fitness.evaluate spec cheap_cfg in
+  Alcotest.(check (pair int int)) "trace store untouched" stats
+    (Abg_trace.Trace.store_stats ());
   Alcotest.(check bool) "wrong handler scores positive" true (v > 0.0);
   Alcotest.check_raises "incoherent spec rejected"
     (Failure "fuzz: counterexample fitness needs a handler") (fun () ->

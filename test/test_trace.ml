@@ -344,6 +344,59 @@ let test_io_tolerates_crlf_and_blank_lines () =
       Alcotest.(check string) "load tolerates CRLF" clean
         (Abg_trace.Io.to_string (Abg_trace.Io.load path)))
 
+(* -- Observed-window collection -- *)
+
+(* A random fuzz scenario at 2 s with every gated impairment switched
+   on: a bandwidth step, an on-off cross flow, outages, reordering and a
+   RED queue, so every event lane and RNG stream is on the path. *)
+let extended_cfg seed =
+  let g = Abg_fuzz.Genome.random (Abg_util.Rng.create seed) in
+  let update name f =
+    let rec find i =
+      if Abg_fuzz.Genome.genes.(i).Abg_fuzz.Genome.name = name then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    g.(i) <- f g.(i)
+  in
+  update "step_frac" (Float.min 0.9);
+  update "cross_frac" (Float.max 0.1);
+  update "cross_off_frac" (Float.max 0.1);
+  update "outages_per_s" (Float.max 0.05);
+  update "reorder_prob" (Float.max 0.01);
+  update "red" (Float.max 0.5);
+  Abg_fuzz.Genome.to_config ~duration:2.0 ~seed g
+
+let bits values = Array.map Int64.bits_of_float values
+
+(* Half the cases are impaired fuzz scenarios, whose flows see tens to
+   hundreds of ACKs in 2 s; half are clean testbed links, whose flows see
+   500-2,500, long enough to grow the window buffer. *)
+let arb_observed_cfg =
+  let grid =
+    Array.of_list (Abg_netsim.Config.testbed_grid ~duration:2.0 ~n:25 ())
+  in
+  QCheck.make ~print:Abg_netsim.Config.describe
+    QCheck.Gen.(
+      oneof
+        [
+          map extended_cfg (int_bound 1_000_000);
+          map (Array.get grid) (int_bound (Array.length grid - 1));
+        ])
+
+let prop_collect_observed_matches_collect =
+  QCheck.Test.make ~name:"collect_observed = observed_series of collect"
+    ~count:12 arb_observed_cfg (fun cfg ->
+      List.for_all
+        (fun name ->
+          let ctor = Option.get (Abg_cca.Registry.find name) in
+          let _, expected =
+            Abg_trace.Trace.observed_series
+              (Abg_trace.Trace.collect cfg ~name ctor)
+          in
+          bits (Abg_trace.Trace.collect_observed cfg ctor) = bits expected)
+        [ "reno"; "cubic"; "bbr"; "vegas" ])
+
 (* Round-trip every float a record can hold, including the
    non-finite values a degenerate trace produces (nan gradients,
    infinite rates): parse(print(r)) must re-print to the same bytes. *)
@@ -487,6 +540,10 @@ let suites =
           test_store_parallel_matches_sequential;
         Alcotest.test_case "uncached is fresh" `Quick test_store_uncached_is_fresh;
       ] );
+    ( "trace.observed",
+      List.map
+        (QCheck_alcotest.to_alcotest ~long:false)
+        [ prop_collect_observed_matches_collect ] );
     ( "trace.io",
       [
         Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
