@@ -54,6 +54,29 @@ let load_traces paths =
 
 (* -- shared arguments -- *)
 
+(* A duration or time limit is a finite number of seconds above 0 (a
+   nan or inf duration simulated forever, 0 wrote empty traces) and a
+   count at least 1. fuzz.json is held to the same bounds on read. *)
+let seconds_bound = "a finite number of seconds above 0"
+let count_bound = "a count of at least 1"
+let valid_seconds x = Float.is_finite x && x > 0.0
+let valid_count n = n >= 1
+
+let bounded_conv parse valid bound print =
+  let parse s =
+    match parse s with
+    | Some v when valid v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s bound))
+  in
+  Arg.conv (parse, print)
+
+let seconds_conv =
+  bounded_conv float_of_string_opt valid_seconds seconds_bound (fun ppf ->
+      Format.fprintf ppf "%g")
+
+let count_conv =
+  bounded_conv int_of_string_opt valid_count count_bound Format.pp_print_int
+
 let cca_arg =
   let doc = "Ground-truth CCA name (see `abagnale list')." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"CCA" ~doc)
@@ -68,7 +91,7 @@ let scenarios_arg =
 
 let duration_arg =
   let doc = "Seconds of simulated flow per scenario." in
-  Arg.(value & opt float 20.0 & info [ "d"; "duration" ] ~doc)
+  Arg.(value & opt seconds_conv 20.0 & info [ "d"; "duration" ] ~doc)
 
 let dsl_arg =
   let doc =
@@ -618,7 +641,7 @@ let retries_arg =
 
 let timeout_arg =
   let doc = "Per-attempt wall-clock limit in seconds." in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt (some seconds_conv) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
 
 let max_jobs_arg =
   let doc = "Stop after completing this many jobs (smoke/testing)." in
@@ -994,10 +1017,11 @@ let stream_cmd =
 
 (* Adversarial scenario search (DESIGN.md §12). A fuzz run directory
    holds fuzz.json (the immutable search spec) plus one standard batch
-   run directory per generation (gen-0000, gen-0001, ...). There is no
-   other on-disk state: populations are re-derived from the seed, so
-   resume and report just re-drive the search loop and let the batch
-   layer skip every settled evaluation. *)
+   run directory per generation (gen-0000, gen-0001, ...), each holding
+   one job that scores the whole population. There is no other on-disk
+   state: populations are re-derived from the seed, so resume and report
+   just re-drive the search loop and let the batch layer skip every
+   settled generation. *)
 
 let fuzz_spec_path dir = Filename.concat dir "fuzz.json"
 
@@ -1042,6 +1066,14 @@ let fuzz_spec_of_json json =
     | Some k -> k
     | None -> raise (Malformed ("fuzz: unknown fitness " ^ fitness_token))
   in
+  let bounded valid bound field v =
+    if valid v then v
+    else raise (Malformed (Printf.sprintf "fuzz: %s is not %s" field bound))
+  in
+  let seconds f =
+    bounded valid_seconds seconds_bound f (hex_float (member ~ctx f json))
+  in
+  let count f = bounded valid_count count_bound f (int ~ctx (member ~ctx f json)) in
   {
     fz_fitness;
     fz_cca = str ~ctx (member ~ctx "cca" json);
@@ -1051,18 +1083,18 @@ let fuzz_spec_of_json json =
       | j -> Some (str ~ctx j));
     fz_handler =
       (match member ~ctx "fn" json with Null -> None | j -> Some (str ~ctx j));
-    fz_duration = hex_float (member ~ctx "duration" json);
+    fz_duration = seconds "duration";
     fz_params =
       {
-        Abg_fuzz.Search.generations = int ~ctx (member ~ctx "generations" json);
-        pop = int ~ctx (member ~ctx "pop" json);
+        Abg_fuzz.Search.generations = count "generations";
+        pop = count "pop";
         seed = int ~ctx (member ~ctx "seed" json);
         tournament = int ~ctx (member ~ctx "tournament" json);
         elite = int ~ctx (member ~ctx "elite" json);
         mutation_rate = hex_float (member ~ctx "mutation_rate" json);
       };
     fz_synth_scenarios = int ~ctx (member ~ctx "synth_scenarios" json);
-    fz_synth_duration = hex_float (member ~ctx "synth_duration" json);
+    fz_synth_duration = seconds "synth_duration";
   }
 
 let write_fuzz_spec dir spec =
@@ -1093,26 +1125,10 @@ let fuzz_champion_config spec genome =
     ~seed:spec.fz_params.Abg_fuzz.Search.seed genome
 
 (* Drive the whole search. Settled generations replay from their
-   journals; missing ones execute (in-process, or across --workers by
-   initializing the generation grid first and fanning out `batch resume
-   GENDIR --shard i/n` children — each generation directory is a
-   perfectly ordinary batch run). *)
-let fuzz_drive ~dir ~settings ~workers spec =
+   journals; a missing one runs as one batch job in process. *)
+let fuzz_drive ~dir ~settings spec =
   let bspec = fuzz_batch_spec spec in
   Abg_fuzz.Search.run ~params:spec.fz_params ~evaluate:(fun ~gen genomes ->
-      Option.iter
-        (fun w ->
-          let gdir = Abg_batch.Fuzz_batch.gen_dir dir gen in
-          if not (Sys.file_exists (Abg_batch.Runner.grid_path gdir)) then begin
-            let jobs =
-              Array.to_list
-                (Array.map (Abg_batch.Fuzz_batch.job_of_genome bspec) genomes)
-              |> List.sort_uniq Abg_batch.Job.compare_canonical
-            in
-            Abg_batch.Runner.init ~dir:gdir jobs
-          end;
-          run_workers ~dir:gdir ~workers:w settings)
-        workers;
       Abg_batch.Fuzz_batch.evaluate ~dir ~settings bspec ~gen genomes)
 
 let fuzz_gene_table genome =
@@ -1334,15 +1350,15 @@ let fuzz_cca_b_arg =
 
 let fuzz_generations_arg =
   let doc = "Number of generations to evolve." in
-  Arg.(value & opt int 4 & info [ "generations" ] ~docv:"N" ~doc)
+  Arg.(value & opt count_conv 4 & info [ "generations" ] ~docv:"N" ~doc)
 
 let fuzz_pop_arg =
   let doc = "Population size per generation." in
-  Arg.(value & opt int 8 & info [ "pop" ] ~docv:"N" ~doc)
+  Arg.(value & opt count_conv 8 & info [ "pop" ] ~docv:"N" ~doc)
 
 let fuzz_duration_arg =
   let doc = "Simulated seconds per fitness evaluation." in
-  Arg.(value & opt float 6.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt seconds_conv 6.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
 let fuzz_synth_scenarios_arg =
   let doc = "Testbed scenarios in the counterexample synthesis suite." in
@@ -1350,21 +1366,22 @@ let fuzz_synth_scenarios_arg =
 
 let fuzz_synth_duration_arg =
   let doc = "Simulated seconds per counterexample synthesis trace." in
-  Arg.(value & opt float 6.0 & info [ "synth-duration" ] ~docv:"SECONDS" ~doc)
+  Arg.(
+    value & opt seconds_conv 6.0 & info [ "synth-duration" ] ~docv:"SECONDS" ~doc)
 
 let fuzz_json_arg =
   let doc = "Print the report as canonical JSON (what CI pins)." in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-let fuzz_finish ~dir ~settings ~workers ~json spec =
+let fuzz_finish ~dir ~settings ~json spec =
   on_run_dir @@ fun () ->
-  let result = fuzz_drive ~dir ~settings ~workers spec in
+  let result = fuzz_drive ~dir ~settings spec in
   let doc = fuzz_report_doc spec result in
   if json then print_endline (Json.to_string doc)
   else print_string (fuzz_render_text spec result doc)
 
 let fuzz_run dir fitness cca cca_b generations pop duration synth_scenarios
-    synth_duration settings workers json () =
+    synth_duration settings json () =
   let refinement = settings.Abg_batch.Runner.refinement in
   let seed = refinement.Abg_core.Refinement.seed in
   let fz_fitness =
@@ -1429,49 +1446,38 @@ let fuzz_run dir fitness cca cca_b generations pop duration synth_scenarios
     }
   in
   write_fuzz_spec dir spec;
-  fuzz_finish ~dir ~settings ~workers ~json spec
+  fuzz_finish ~dir ~settings ~json spec
 
 let fuzz_run_cmd =
   command ~telemetry:true "run"
     ~doc:
       "Start a seeded adversarial scenario search: evolve extended netsim \
        scenarios against a fitness function, evaluating each generation as \
-       batch jobs under DIR/gen-NNNN"
+       one batch job under DIR/gen-NNNN"
     Term.(
       const fuzz_run $ batch_dir_arg $ fuzz_fitness_arg $ fuzz_cca_arg
       $ fuzz_cca_b_arg $ fuzz_generations_arg $ fuzz_pop_arg
       $ fuzz_duration_arg $ fuzz_synth_scenarios_arg $ fuzz_synth_duration_arg
       $ settings_term ~batch:false ~seed:true
-      $ workers_arg $ fuzz_json_arg)
+      $ fuzz_json_arg)
 
 (* The search seed lives in the spec, so resuming takes no --seed. *)
-let fuzz_resume dir settings workers json () =
-  let spec = read_fuzz_spec dir in
-  let settings =
-    {
-      settings with
-      Abg_batch.Runner.refinement =
-        {
-          settings.Abg_batch.Runner.refinement with
-          Abg_core.Refinement.seed = spec.fz_params.Abg_fuzz.Search.seed;
-        };
-    }
-  in
-  fuzz_finish ~dir ~settings ~workers ~json spec
+let fuzz_resume dir settings json () =
+  fuzz_finish ~dir ~settings ~json (read_fuzz_spec dir)
 
 (* `fuzz resume' and `fuzz report' are one command under two names. *)
 let fuzz_resume_term =
   Term.(
     const fuzz_resume $ batch_dir_arg
     $ settings_term ~batch:false ~seed:false
-    $ workers_arg $ fuzz_json_arg)
+    $ fuzz_json_arg)
 
 let fuzz_resume_cmd =
   command ~telemetry:true "resume"
     ~doc:
       "Re-drive a fuzz run from its spec: populations re-derive from the \
-       seed, settled evaluations replay from the generation journals, and \
-       only missing work executes (idempotent)"
+       seed, settled generations replay from their journals, and only \
+       missing work executes (idempotent)"
     fuzz_resume_term
 
 let fuzz_report_cmd =
@@ -1479,7 +1485,7 @@ let fuzz_report_cmd =
     ~doc:
       "Render the deterministic fuzz report (per-generation best/mean, \
        champion genome and scenario, grid-baseline comparison or \
-       counterexample refinement); completes any unfinished evaluations \
+       counterexample refinement); completes any unfinished generations \
        first, so it equals the report of an uninterrupted run byte for byte"
     fuzz_resume_term
 

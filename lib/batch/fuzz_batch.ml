@@ -1,14 +1,5 @@
-(** Batch-backed population evaluation for the fuzzer.
-
-    Each generation becomes its own batch run directory
-    ([DIR/gen-NNNN]) whose grid is one {!Job.Fuzz_eval} job per
-    *distinct* genome (duplicates produced by elitism or converged
-    populations share one job). Running a generation is therefore
-    resumable, shardable across [--workers], and inherits the
-    kill-and-resume ≡ uninterrupted byte-identical contract: a settled
-    generation re-runs as a pure journal read, which is also how
-    [fuzz resume] and [fuzz report] re-derive a whole search without any
-    mutable search state on disk. *)
+(* Batch-backed population evaluation: one batch run directory per
+   generation, holding one job. See fuzz_batch.mli. *)
 
 type spec = {
   fitness : Abg_fuzz.Fitness.kind;
@@ -25,7 +16,9 @@ let ( / ) = Filename.concat
 
 let gen_dir dir gen = dir / Printf.sprintf "gen-%04d" gen
 
-let job_of_genome spec genome =
+(* [distinct] is the population's distinct genomes, keyed by
+   [Genome.encode] and sorted on the keys. *)
+let generation_job spec distinct =
   {
     Job.kind =
       Job.Fuzz_eval
@@ -33,60 +26,60 @@ let job_of_genome spec genome =
           fitness = Abg_fuzz.Fitness.kind_name spec.fitness;
           cca_b = spec.cca_b;
           handler = spec.handler;
-          genome = Abg_fuzz.Genome.encode genome;
         };
     cca = spec.cca;
     seed = spec.scenario_seed;
     configs =
-      [
-        Abg_fuzz.Genome.to_config ~duration:spec.duration
-          ~seed:spec.scenario_seed genome;
-      ];
+      List.map
+        (fun (_, genome) ->
+          Abg_fuzz.Genome.to_config ~duration:spec.duration
+            ~seed:spec.scenario_seed genome)
+        distinct;
   }
 
-(* Fitness of a quarantined evaluation: the individual loses every
-   tournament but the search keeps moving. *)
-let failed_fitness = neg_infinity
-
-(* An [Ok] entry promises a result blob holding a value. A blob that is
-   missing, fails its hash or has no value is a corrupt run directory,
-   never a silent [failed_fitness]. *)
-let fitness_of ~gdir store (e : Journal.entry) =
+(* A quarantined generation scores -inf throughout: every individual
+   loses every tournament but the search keeps moving. An [Ok] entry
+   promises a result blob holding one value per config; a blob that is
+   missing, fails its hash or holds another count is a corrupt run
+   directory, never a silent -inf. *)
+let fitness_of ~gdir store (e : Journal.entry) ~n =
   match e.Journal.status with
-  | Journal.Quarantined -> failed_fitness
+  | Journal.Quarantined -> Array.make n neg_infinity
   | Journal.Ok -> (
-      match Json.member_opt "value" (Runner.result_doc ~dir:gdir store e) with
-      | Some v -> Json.hex_float v
-      | None ->
+      match Json.member_opt "values" (Runner.result_doc ~dir:gdir store e) with
+      | Some (Json.List values) when List.length values = n ->
+          Array.of_list (List.map Json.hex_float values)
+      | _ ->
           raise
             (Store.Corrupt
-               (Printf.sprintf "%s: job %s: result has no value" gdir
-                  e.Journal.job)))
+               (Printf.sprintf "%s: job %s: result has no %d values" gdir
+                  e.Journal.job n)))
 
-(** [evaluate ~dir ~settings spec ~gen genomes] — score one population
-    as batch jobs under [gen_dir dir gen], creating the run on first
-    touch and resuming it otherwise. Returns fitness per genome, in
-    population order. *)
 let evaluate ~dir ~settings (spec : spec) ~gen genomes =
   let gdir = gen_dir dir gen in
-  let jobs =
-    Array.to_list (Array.map (job_of_genome spec) genomes)
-    |> List.sort_uniq Job.compare_canonical
+  let keyed = Array.map (fun g -> (Abg_fuzz.Genome.encode g, g)) genomes in
+  let distinct =
+    List.sort_uniq
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Array.to_list keyed)
   in
-  let summary =
-    if Sys.file_exists (Runner.grid_path gdir) then
-      Runner.resume ~dir:gdir ~settings ()
-    else Runner.run ~dir:gdir ~settings jobs
+  let job = generation_job spec distinct in
+  let digest = Job.digest job in
+  let corrupt why = raise (Store.Corrupt (gdir ^ ": " ^ why)) in
+  if Sys.file_exists (Runner.grid_path gdir) then begin
+    (match Runner.jobs_of_dir ~dir:gdir with
+    | [ (d, _) ] when String.equal d digest -> ()
+    | _ -> corrupt "grid is not this generation's population");
+    ignore (Runner.resume ~dir:gdir ~settings ())
+  end
+  else ignore (Runner.run ~dir:gdir ~settings [ job ]);
+  let entry =
+    match Runner.settled_entries gdir with
+    | [ e ] when String.equal e.Journal.job digest -> e
+    | _ -> corrupt "journal does not hold this generation's one outcome"
   in
-  ignore summary;
-  (* Join results back to genomes through the journal family; the run or
-     resume above settled every job of the grid. *)
   let store = Store.open_ (Runner.store_path gdir) in
-  let values = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Journal.entry) ->
-      Hashtbl.replace values e.Journal.job (fitness_of ~gdir store e))
-    (Runner.settled_entries gdir);
-  Array.map
-    (fun genome -> Hashtbl.find values (Job.digest (job_of_genome spec genome)))
-    genomes
+  let values = fitness_of ~gdir store entry ~n:(List.length distinct) in
+  let fitness = Hashtbl.create 64 in
+  List.iteri (fun i (key, _) -> Hashtbl.replace fitness key values.(i)) distinct;
+  Array.map (fun (key, _) -> Hashtbl.find fitness key) keyed

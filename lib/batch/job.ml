@@ -13,7 +13,6 @@ type kind =
       fitness : string;
       cca_b : string option;
       handler : string option;
-      genome : string;
     }
 
 type t = {
@@ -112,12 +111,11 @@ let to_json job =
           ("fail_attempts", Json.Num (float_of_int fail_attempts));
           ("sleep_ms", Json.Num (float_of_int sleep_ms));
         ]
-    | Fuzz_eval { fitness; cca_b; handler; genome } ->
+    | Fuzz_eval { fitness; cca_b; handler } ->
         [
           ("fitness", Json.Str fitness);
           ("cca_b", match cca_b with None -> Json.Null | Some c -> Json.Str c);
           ("fn", match handler with None -> Json.Null | Some h -> Json.Str h);
-          ("genome", Json.Str genome);
         ]
   in
   Json.Obj
@@ -175,7 +173,6 @@ let of_json json =
               (match Json.member ~ctx "fn" json with
               | Json.Null -> None
               | j -> Some (Json.str ~ctx:"job.fn" j));
-            genome = Json.str ~ctx:"job.genome" (Json.member ~ctx "genome" json);
           }
     | other -> raise (Json.Malformed ("job: unknown kind " ^ other))
   in

@@ -24,10 +24,10 @@ type kind =
       fitness : string;  (** {!Abg_fuzz.Fitness.kind_name} token *)
       cca_b : string option;  (** divergence pair's second CCA *)
       handler : string option;  (** {!Abg_fuzz.Codec}-encoded handler *)
-      genome : string;  (** {!Abg_fuzz.Genome.encode} of the individual *)
     }
-      (** one fitness evaluation of one scenario genome; the decoded
-          scenario is the job's single config *)
+      (** one fuzz generation: the configs are the decoded scenarios of
+          the population's distinct genomes, and the result holds their
+          fitness vector in config order *)
 
 type t = {
   kind : kind;

@@ -149,13 +149,15 @@ let fuzz_row doc_of (row : row) =
     | Job.Fuzz_eval { fitness; _ } -> fitness
     | _ -> ""
   in
-  match doc_of row with
-  | None ->
-      Printf.sprintf "  %-12s %-14s PENDING" row.job.Job.cca fitness
-  | Some doc ->
-      Printf.sprintf "  %-12s %-14s value=%-12s %s" row.job.Job.cca fitness
-        (fmt_opt fmt_dist (hex_field doc "value"))
-        (fmt_opt Fun.id (str_field doc "config"))
+  let values =
+    match Option.bind (doc_of row) (Json.member_opt "values") with
+    | Some (Json.List l) -> List.map Json.hex_float l
+    | _ -> []
+  in
+  Printf.sprintf "  %-12s %-14s %3d scenario(s) %s" row.job.Job.cca fitness
+    (List.length row.job.Job.configs)
+    (if values = [] then "PENDING"
+     else "best=" ^ fmt_dist (List.fold_left Float.max neg_infinity values))
 
 let quarantined_row (row : row) =
   match row.entry with
@@ -195,7 +197,7 @@ let render dir =
   section "Classification" "classify" (classify_row doc_of);
   section "Collection" "collect" (collect_row doc_of);
   section "Probes" "probe" (probe_row doc_of);
-  section "Fuzz evaluations" "fuzz" (fuzz_row doc_of);
+  section "Fuzz generations" "fuzz" (fuzz_row doc_of);
   buf_section buf "Quarantined" (List.filter_map quarantined_row rows) Fun.id;
   let done_ = List.length (List.filter is_ok rows) in
   let quarantined = List.length (List.filter is_quarantined rows) in

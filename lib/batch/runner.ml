@@ -251,11 +251,11 @@ let perform_probe ~attempt (job : Job.t) ~fail_attempts ~sleep_ms =
     (result_header "probe" job.Job.cca
     @ [ ("payload", Json.Str "ok"); ("checksum", Json.Num (float_of_int checksum)) ])
 
-(* One fitness evaluation of one scenario genome. The job's single
-   config *is* the decoded scenario; the genome string rides along as
-   the individual's identity so reports and the search can join results
-   back to genomes without re-decoding. *)
-let perform_fuzz_eval (job : Job.t) ~fitness ~cca_b ~handler ~genome =
+(* One fuzz generation: the job's configs are the decoded scenarios of
+   the population's distinct genomes, scored in one map. An evaluation
+   raises only on a spec error, which fails every genome alike, so the
+   whole generation is the unit of retry and quarantine. *)
+let perform_fuzz_eval ~settings (job : Job.t) ~fitness ~cca_b ~handler =
   let kind =
     match Abg_fuzz.Fitness.kind_of_name fitness with
     | Some k -> k
@@ -269,23 +269,17 @@ let perform_fuzz_eval (job : Job.t) ~fitness ~cca_b ~handler ~genome =
         | None -> failwith (Printf.sprintf "undecodable fuzz handler %S" h))
       handler
   in
-  let cfg =
-    match job.Job.configs with
-    | [ cfg ] -> cfg
-    | l ->
-        failwith
-          (Printf.sprintf "fuzz job wants exactly one config, got %d"
-             (List.length l))
-  in
   let spec = { Abg_fuzz.Fitness.kind; cca = job.Job.cca; cca_b; handler } in
-  let value = Abg_fuzz.Fitness.evaluate spec cfg in
+  let values =
+    Abg_parallel.Pool.map ?num_domains:settings.num_domains
+      (Abg_fuzz.Fitness.evaluate spec)
+      (Array.of_list job.Job.configs)
+  in
   Json.Obj
     (result_header "fuzz" job.Job.cca
     @ [
         ("fitness", Json.Str fitness);
-        ("genome", Json.Str genome);
-        ("config", Json.Str (Abg_netsim.Config.digest cfg));
-        ("value", Json.hex value);
+        ("values", Json.List (Array.to_list (Array.map Json.hex values)));
       ])
 
 let perform ~settings ~store ~attempt (job : Job.t) =
@@ -296,8 +290,8 @@ let perform ~settings ~store ~attempt (job : Job.t) =
   | Job.Noise { stddev; keep } -> perform_noise ~settings job ~stddev ~keep
   | Job.Probe { fail_attempts; sleep_ms } ->
       perform_probe ~attempt job ~fail_attempts ~sleep_ms
-  | Job.Fuzz_eval { fitness; cca_b; handler; genome } ->
-      perform_fuzz_eval job ~fitness ~cca_b ~handler ~genome
+  | Job.Fuzz_eval { fitness; cca_b; handler } ->
+      perform_fuzz_eval ~settings job ~fitness ~cca_b ~handler
 
 (* -- retry loop -- *)
 

@@ -181,14 +181,13 @@ let test_job_digest_pinned () =
         job (Job.Noise { stddev = 0.1; keep = 0.5 }) "reno" 3 configs );
       ( "a13fef39ea0b1f81239971eeba377fdf",
         job (Job.Probe { fail_attempts = 1; sleep_ms = 0 }) "reno" 5 [] );
-      ( "60ba4bdea373098e5dceb2b937f2a2a2",
+      ( "ce318dc23d7ec61301036398bfc86dd0",
         job
           (Job.Fuzz_eval
              {
                fitness = "divergence";
                cca_b = Some "cubic";
                handler = None;
-               genome = "g0";
              })
           "reno" 7 configs );
     ]
@@ -927,7 +926,7 @@ let test_runner_grid_persists_canonically () =
     {
       Job.kind =
         Job.Fuzz_eval
-          { fitness = "throughput"; cca_b = None; handler = None; genome = "g" };
+          { fitness = "throughput"; cca_b = None; handler = None };
       cca = "reno";
       seed = 5;
       configs = Abg_netsim.Config.testbed_grid ~duration:2.0 ~n:1 ();

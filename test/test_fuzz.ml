@@ -271,26 +271,44 @@ let test_fitness_counterexample () =
 let quiet_settings =
   { Abg_batch.Runner.default_settings with Abg_batch.Runner.verbose = false }
 
+let throughput_spec =
+  { Abg_batch.Fuzz_batch.fitness = Fitness.Throughput; cca = "reno";
+    cca_b = None; handler = None; duration = 2.0; scenario_seed = 21 }
+
+let journal_lines gdir =
+  In_channel.with_open_bin (Filename.concat gdir "journal.jsonl")
+    In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
 let test_fuzz_batch_resume_identical () =
   let dir = fresh_dir () in
-  let spec =
-    { Abg_batch.Fuzz_batch.fitness = Fitness.Throughput; cca = "reno";
-      cca_b = None; handler = None; duration = 2.0; scenario_seed = 21 }
-  in
+  let spec = throughput_spec in
   let rng = Rng.create 31 in
   let genomes = Array.init 6 (fun _ -> Genome.random rng) in
-  (* duplicates must collapse to one job and still score *)
+  (* duplicates must collapse to one evaluation and still score *)
   genomes.(5) <- Array.copy genomes.(0);
+  let evaluations = Abg_obs.Obs.Counter.make "fuzz.evaluations" in
+  let before = Abg_obs.Obs.Counter.value evaluations in
   let first =
     Abg_batch.Fuzz_batch.evaluate ~dir ~settings:quiet_settings spec ~gen:0
       genomes
   in
+  Alcotest.(check int) "one evaluation per distinct genome" 5
+    (Abg_obs.Obs.Counter.value evaluations - before);
+  let gdir = Abg_batch.Fuzz_batch.gen_dir dir 0 in
+  Alcotest.(check int) "the grid is one job" 1
+    (List.length (Abg_batch.Runner.jobs_of_dir ~dir:gdir));
+  Alcotest.(check int) "the journal is one line" 1
+    (List.length (journal_lines gdir));
   let again =
     Abg_batch.Fuzz_batch.evaluate ~dir ~settings:quiet_settings spec ~gen:0
       genomes
   in
   Alcotest.(check bool) "settled generation re-reads identically" true
     (first = again);
+  Alcotest.(check int) "a settled generation evaluates nothing" 5
+    (Abg_obs.Obs.Counter.value evaluations - before);
   Alcotest.(check (float 0.0)) "duplicate genomes share a score" first.(0)
     first.(5);
   Alcotest.(check bool) "scores are real" true
@@ -303,20 +321,60 @@ let test_fuzz_batch_resume_identical () =
   in
   Alcotest.(check bool) "directory-independent" true (first = fresh)
 
-(* Only a quarantined evaluation scores -inf. An ok one whose result
+(* A generation directory holds one population. Evaluating another one
+   there (a fuzz.json whose seed was edited, say) must name the
+   directory and run nothing. *)
+let test_fuzz_batch_foreign_generation () =
+  let dir = fresh_dir () in
+  let rng = Rng.create 31 in
+  let evaluate genomes =
+    Abg_batch.Fuzz_batch.evaluate ~dir ~settings:quiet_settings
+      throughput_spec ~gen:0 genomes
+  in
+  ignore (evaluate (Array.init 3 (fun _ -> Genome.random rng)));
+  let gdir = Abg_batch.Fuzz_batch.gen_dir dir 0 in
+  let journal = journal_lines gdir in
+  match evaluate (Array.init 3 (fun _ -> Genome.random rng)) with
+  | exception Abg_batch.Store.Corrupt msg ->
+      Alcotest.(check bool) "directory named" true
+        (String.starts_with ~prefix:gdir msg);
+      Alcotest.(check (list string)) "nothing ran" journal (journal_lines gdir)
+  | _ -> Alcotest.fail "expected Store.Corrupt"
+
+(* A spec error fails every evaluation alike, so the generation is
+   retried as a whole, then quarantined, and every genome scores -inf. *)
+let test_fuzz_batch_quarantined_generation () =
+  let dir = fresh_dir () in
+  let spec = { throughput_spec with Abg_batch.Fuzz_batch.cca = "no-such-cca" } in
+  let rng = Rng.create 31 in
+  let fitness =
+    Abg_batch.Fuzz_batch.evaluate ~dir
+      ~settings:{ quiet_settings with Abg_batch.Runner.retries = 0 }
+      spec ~gen:0
+      (Array.init 4 (fun _ -> Genome.random rng))
+  in
+  Alcotest.(check bool) "every genome scores -inf" true
+    (Array.for_all (fun f -> f = neg_infinity) fitness);
+  let gdir = Abg_batch.Fuzz_batch.gen_dir dir 0 in
+  Alcotest.(check int) "the journal is one line" 1
+    (List.length (journal_lines gdir));
+  match Abg_batch.Runner.settled_entries gdir with
+  | [ e ] ->
+      Alcotest.(check bool) "quarantined after one attempt" true
+        (e.Abg_batch.Journal.status = Abg_batch.Journal.Quarantined
+        && e.Abg_batch.Journal.attempts = 1)
+  | l -> Alcotest.failf "expected one journal entry, got %d" (List.length l)
+
+(* Only a quarantined generation scores -inf. An ok one whose result
    blob was forged after gc (edited in place inside gc.pack) or is gone
    must raise, naming the generation directory. *)
 let test_fuzz_batch_corrupt_blob_raises () =
   let dir = fresh_dir () in
-  let spec =
-    { Abg_batch.Fuzz_batch.fitness = Fitness.Throughput; cca = "reno";
-      cca_b = None; handler = None; duration = 2.0; scenario_seed = 21 }
-  in
   let rng = Rng.create 31 in
   let genomes = Array.init 2 (fun _ -> Genome.random rng) in
   let evaluate () =
-    Abg_batch.Fuzz_batch.evaluate ~dir ~settings:quiet_settings spec ~gen:0
-      genomes
+    Abg_batch.Fuzz_batch.evaluate ~dir ~settings:quiet_settings
+      throughput_spec ~gen:0 genomes
   in
   ignore (evaluate ());
   let gdir = Abg_batch.Fuzz_batch.gen_dir dir 0 in
@@ -325,15 +383,15 @@ let test_fuzz_batch_corrupt_blob_raises () =
     List.fold_left Filename.concat gdir [ "store"; "pack"; "gc.pack" ]
   in
   let bytes = In_channel.with_open_bin pack In_channel.input_all in
-  (* A same-length forgery of the first value: 0x1.xxx becomes 0x3.xxx. *)
-  let key = "\"value\":\"0x1" in
+  (* A same-length forgery of the first value's leading hex digit. *)
+  let key = "\"values\":[\"0x" in
   let rec find i =
     if String.sub bytes i (String.length key) = key then i
     else find (i + 1)
   in
-  let at = find 0 + String.length key - 1 in
+  let at = find 0 + String.length key in
   let forged = Bytes.of_string bytes in
-  Bytes.set forged at '3';
+  Bytes.set forged at (if bytes.[at] = '3' then '1' else '3');
   let raises_naming what =
     match evaluate () with
     | exception Abg_batch.Store.Corrupt msg ->
@@ -379,6 +437,10 @@ let suites =
       [
         Alcotest.test_case "resume identical" `Quick
           test_fuzz_batch_resume_identical;
+        Alcotest.test_case "foreign generation" `Quick
+          test_fuzz_batch_foreign_generation;
+        Alcotest.test_case "quarantined generation" `Quick
+          test_fuzz_batch_quarantined_generation;
         Alcotest.test_case "corrupt blob raises" `Quick
           test_fuzz_batch_corrupt_blob_raises;
       ] );
