@@ -56,7 +56,8 @@ let load_traces paths =
 
 (* A duration or time limit is a finite number of seconds above 0 (a
    nan or inf duration simulated forever, 0 wrote empty traces) and a
-   count at least 1. fuzz.json is held to the same bounds on read. *)
+   count at least 1 (-n 0 would still collect one scenario). fuzz.json
+   is held to the same bounds on read. *)
 let seconds_bound = "a finite number of seconds above 0"
 let count_bound = "a count of at least 1"
 let valid_seconds x = Float.is_finite x && x > 0.0
@@ -74,6 +75,14 @@ let seconds_conv =
   bounded_conv float_of_string_opt valid_seconds seconds_bound (fun ppf ->
       Format.fprintf ppf "%g")
 
+(* A group-commit linger may be 0, but an inf one would hang the first
+   flush. *)
+let linger_conv =
+  bounded_conv float_of_string_opt
+    (fun x -> Float.is_finite x && x >= 0.0)
+    "a finite number of seconds at or above 0"
+    (fun ppf -> Format.fprintf ppf "%g")
+
 let count_conv =
   bounded_conv int_of_string_opt valid_count count_bound Format.pp_print_int
 
@@ -87,7 +96,7 @@ let trace_files_arg =
 
 let scenarios_arg =
   let doc = "Number of testbed scenarios (RTT x bandwidth grid points)." in
-  Arg.(value & opt int 4 & info [ "n"; "scenarios" ] ~doc)
+  Arg.(value & opt count_conv 4 & info [ "n"; "scenarios" ] ~doc)
 
 let duration_arg =
   let doc = "Seconds of simulated flow per scenario." in
@@ -633,7 +642,7 @@ let flush_window_arg =
     "Group-commit linger in seconds: how long a flush leader waits for \
      concurrently completing jobs to join its fsync."
   in
-  Arg.(value & opt float 0.0 & info [ "flush-window" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt linger_conv 0.0 & info [ "flush-window" ] ~docv:"SECONDS" ~doc)
 
 let retries_arg =
   let doc = "Extra attempts for a failing job before quarantine." in
@@ -1093,7 +1102,7 @@ let fuzz_spec_of_json json =
         elite = int ~ctx (member ~ctx "elite" json);
         mutation_rate = hex_float (member ~ctx "mutation_rate" json);
       };
-    fz_synth_scenarios = int ~ctx (member ~ctx "synth_scenarios" json);
+    fz_synth_scenarios = count "synth_scenarios";
     fz_synth_duration = seconds "synth_duration";
   }
 
@@ -1362,7 +1371,7 @@ let fuzz_duration_arg =
 
 let fuzz_synth_scenarios_arg =
   let doc = "Testbed scenarios in the counterexample synthesis suite." in
-  Arg.(value & opt int 2 & info [ "synth-scenarios" ] ~docv:"N" ~doc)
+  Arg.(value & opt count_conv 2 & info [ "synth-scenarios" ] ~docv:"N" ~doc)
 
 let fuzz_synth_duration_arg =
   let doc = "Simulated seconds per counterexample synthesis trace." in

@@ -184,12 +184,25 @@ let of_json json =
            | Some cfg -> cfg
            | None -> raise (Json.Malformed ("job: bad config digest " ^ s)))
   in
-  {
-    kind;
-    cca = Json.str ~ctx:"job.cca" (Json.member ~ctx "cca" json);
-    seed = Json.int ~ctx:"job.seed" (Json.member ~ctx "seed" json);
-    configs;
-  }
+  let job =
+    {
+      kind;
+      cca = Json.str ~ctx:"job.cca" (Json.member ~ctx "cca" json);
+      seed = Json.int ~ctx:"job.seed" (Json.member ~ctx "seed" json);
+      configs;
+    }
+  in
+  (* The object must be exactly [to_json] of the job it describes: an
+     unknown member (a job from an older format) or a missing or foreign
+     schema would otherwise load as a different job, under a digest its
+     journal never settled. The trees are compared, not their renderings,
+     which would slow loading a 96k-job grid by a quarter. *)
+  if to_json job <> json then
+    raise
+      (Json.Malformed
+         (Printf.sprintf "job: %s is not in canonical abagnale-job/1 form"
+            (describe job)));
+  job
 
 let digest job = Digest.to_hex (Digest.string (Json.to_string (to_json job)))
 

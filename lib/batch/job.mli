@@ -65,7 +65,9 @@ val describe : t -> string
 
 val to_json : t -> Abg_util.Json.t
 val of_json : Abg_util.Json.t -> t
-(** Raises {!Abg_util.Json.Malformed} on shape errors. *)
+(** Raises {!Abg_util.Json.Malformed} on shape errors, and on an object
+    that is not exactly [to_json] of the job it describes (an unknown
+    member, a missing or foreign schema). *)
 
 val digest : t -> string
 (** MD5 hex of the canonical serialization: two jobs share a digest iff

@@ -12,30 +12,25 @@ type result = {
   closest : (string * float) list;  (** all known CCAs, closest first *)
 }
 
-type reference = {
-  traces : Abg_trace.Trace.t list;  (** the suite {!Online} windows *)
-  resampled : float array option list;
-      (** each trace's observed-CWND series resampled to
-          {!Abg_distance.Series.default_length}; [None] for an empty
-          trace *)
-}
+(** The CCAs CCAnalyzer and {!Online} can name: Gordon's set plus CDG
+    and NV, the closest matches the paper reports for student CCAs. *)
+let known = "cdg" :: "nv" :: Gordon.known_set
 
 (* Every known CCA's reference suite, simulated and resampled once per
    process: [classify] scores each query against the same references,
-   so their side of the DTW is prepared here, not once per pair. *)
+   so their side of the DTW is prepared here, not once per pair. Each
+   trace keeps only its observed-CWND series resampled to
+   {!Abg_distance.Series.default_length}, [None] for an empty trace. *)
 let references =
   Abg_parallel.Once.make (fun () ->
-      Gordon.reference_suites ("cdg" :: "nv" :: Gordon.known_set)
-        (fun traces ->
-          let resample tr =
-            match Abg_trace.Trace.observed_series tr with
-            | _, [||] -> None
-            | _, v ->
-                Some
-                  (Abg_distance.Series.resample
-                     ~length:Abg_distance.Series.default_length v)
-          in
-          { traces; resampled = List.map resample traces }))
+      Gordon.reference_suites known Abg_trace.Trace.collect_cached
+        (List.map (fun tr ->
+             match Abg_trace.Trace.observed_series tr with
+             | _, [||] -> None
+             | _, v ->
+                 Some
+                   (Abg_distance.Series.resample
+                      ~length:Abg_distance.Series.default_length v))))
 
 let match_threshold = 4.0
 
@@ -70,7 +65,7 @@ let classify traces =
   in
   let ranked =
     Abg_parallel.Once.get references
-    |> List.map (fun (name, r) -> (name, mean_distance r.resampled))
+    |> List.map (fun (name, refs) -> (name, mean_distance refs))
     |> List.sort (fun (_, a) (_, b) -> compare a b)
   in
   let verdict =

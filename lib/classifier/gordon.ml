@@ -36,13 +36,16 @@ let reference_scenarios () =
     Abg_netsim.Config.make ~bandwidth_mbps:15.0 ~rtt_ms:75.0 ~duration:15.0
       ~ack_jitter:0.001 ~seed:204 () ]
 
-(** [reference_suites names f] pairs each registered CCA in [names]
-    with [f] of its traces on {!reference_scenarios}, simulated once per
-    process through the trace store — the reference side of both offline
-    classifiers and of {!Online}. [f] runs on each suite before the next
-    is simulated: Gordon reduces each suite to a feature vector as it
-    goes, and reducing only after every simulation raises peak RSS. *)
-let reference_suites names f =
+(** [reference_suites names collect f] pairs each registered CCA in
+    [names] with [f] of its flows on {!reference_scenarios}, each
+    simulated by [collect cfg ~name ctor] — the reference side of both
+    offline classifiers and of {!Online}. Gordon and CCAnalyzer pass
+    [Trace.collect_cached], so a process shares their simulations
+    through the trace store; {!Online} passes [Trace.collect_observed]
+    and keeps no records. [f] runs on each suite before the next is
+    simulated: Gordon reduces each suite to a feature vector as it goes,
+    and reducing only after every simulation raises peak RSS. *)
+let reference_suites names collect f =
   List.filter_map
     (fun name ->
       Option.map
@@ -50,7 +53,7 @@ let reference_suites names f =
           ( name,
             f
               (Abg_parallel.Pool.map_list
-                 (fun cfg -> Abg_trace.Trace.collect_cached cfg ~name ctor)
+                 (fun cfg -> collect cfg ~name ctor)
                  (reference_scenarios ())) ))
         (Abg_cca.Registry.find name))
     names
@@ -58,8 +61,8 @@ let reference_suites names f =
 (* Reference feature vectors are deterministic; computed once per run. *)
 let references =
   Abg_parallel.Once.make (fun () ->
-      reference_suites known_set (fun traces ->
-          Features.to_vector (Features.extract traces)))
+      reference_suites known_set Abg_trace.Trace.collect_cached
+        (fun traces -> Features.to_vector (Features.extract traces)))
 
 let vector_distance a b =
   let acc = ref 0.0 in

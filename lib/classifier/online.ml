@@ -6,7 +6,8 @@
     once ({!Abg_distance.Metric.prepare}), and a query window is then
     resampled once into a reused scratch buffer and scored against every
     reference with {!Abg_distance.Metric.compute_resampled}, so
-    steady-state classification allocates almost nothing. A fixed cutoff lets hopeless references abandon early,
+    classification allocates little beyond the caller's copy of the
+    window. A fixed cutoff lets hopeless references abandon early,
     bounding worst-case query latency.
 
     Verdicts are a pure function of the window contents — reference
@@ -63,28 +64,24 @@ let reference_windows ~window values =
     |> List.sort_uniq compare
   end
 
-(** [create ()] prepares windowed references from the
-    {!Ccanalyzer.references} traces (simulating them on first use;
-    cached process-wide). [window] must match the serving layer's
+(** [create ()] simulates the {!Ccanalyzer.known} CCAs on Gordon's
+    reference grid and prepares their windowed references. Each flow is
+    simulated by [Trace.collect_observed], which keeps only the observed
+    window and never touches the trace store, so nothing but the prepared
+    windows outlives the call. [window] must match the serving layer's
     sliding-window capacity so reference and query windows cover
     comparable spans. The result holds a mutable scratch buffer, so each
     [t] must be scored from one domain at a time — the serve event loop
     owns one. *)
 let create ?(window = 512) () =
   let refs =
-    Abg_parallel.Once.get Ccanalyzer.references
-    |> List.map (fun (name, (r : Ccanalyzer.reference)) ->
-           let prepared =
-             r.traces
-             |> List.concat_map (fun tr ->
-                    let _, v = Abg_trace.Trace.observed_series tr in
-                    reference_windows ~window v)
-             |> List.map (fun w ->
-                    Abg_distance.Metric.prepare Abg_distance.Metric.default
-                      ~truth:w)
-             |> Array.of_list
-           in
-           (name, prepared))
+    Gordon.reference_suites Ccanalyzer.known
+      (fun cfg ~name:_ ctor -> Abg_trace.Trace.collect_observed cfg ctor)
+      (fun suite ->
+        List.concat_map (reference_windows ~window) suite
+        |> List.map (fun w ->
+               Abg_distance.Metric.prepare Abg_distance.Metric.default ~truth:w)
+        |> Array.of_list)
     |> List.filter (fun (_, ps) -> Array.length ps > 0)
     |> Array.of_list
   in
@@ -96,11 +93,11 @@ let create ?(window = 512) () =
    synthesis candidates gaming their error; a query window is not a
    candidate). Non-finite samples are excluded from the mean — one nan
    must not erase the whole window's scale. *)
-let window_scale ~get ~len =
+let window_scale values =
   let sum = ref 0.0 in
   let n = ref 0 in
-  for i = 0 to len - 1 do
-    let v = get i in
+  for i = 0 to Array.length values - 1 do
+    let v = values.(i) in
     if Float.is_finite v then begin
       sum := !sum +. v;
       incr n
@@ -112,21 +109,21 @@ let window_scale ~get ~len =
     if mean > 1e-9 then 1.0 /. mean else 1.0
   end
 
-(** [classify t ~get ~len] is the verdict for a flow window read through
-    an accessor ([get i], [i] in [0 .. len-1], oldest first — the serve
-    layer's ring buffer). Each CCA scores as the mean distance over its
+(** [classify_array t values] is the verdict for a flow window's observed
+    values, oldest first. Each CCA scores as the mean distance over its
     reference windows, saturated at [report_threshold]; ties break
     alphabetically so the ranking is total and deterministic. *)
-let classify t ~get ~len =
-  if len < min_points then { verdict = Gordon.Unknown None; closest = [] }
+let classify_array t values =
+  if Array.length values < min_points then
+    { verdict = Gordon.Unknown None; closest = [] }
   else begin
     (* Every reference shares the prepared length and the query's scale,
        so the resampled-and-scaled query is identical across the whole
        scoring loop: prepare it once into the scratch buffer and score
        with {!Abg_distance.Metric.compute_resampled}, not once per
        reference. *)
-    let scale = window_scale ~get ~len in
-    Abg_distance.Series.prepare_candidate_into ~get ~len ~scale t.scratch;
+    Abg_distance.Series.prepare_candidate_into values
+      ~scale:(window_scale values) t.scratch;
     let n = Array.length t.refs in
     let out = Array.make n ("", infinity) in
     for i = 0 to n - 1 do
@@ -164,8 +161,3 @@ let classify t ~get ~len =
     in
     { verdict; closest }
   end
-
-(** [classify_array t values] is {!classify} over a materialized window
-    (tests, one-shot callers). *)
-let classify_array t values =
-  classify t ~get:(Array.get values) ~len:(Array.length values)

@@ -14,21 +14,40 @@
 
 let default_length = 128
 
-(* Index-based linear interpolation of [get 0 .. get (len-1)] onto
-   [Array.length dst] points, which handles both up- and down-sampling;
-   an equal length copies and an empty input gives zeros. *)
-let resample_into ~get ~len dst =
-  let n = Array.length dst in
+(** [prepare_candidate_into src ~scale dst] resamples [src] by index onto
+    [Array.length dst] points and multiplies each by [scale], in one loop
+    that reads the arrays directly. Each sample is bit for bit
+    [Abg_util.Resample.linear] over the index times [0 .. len-1] (index
+    neighbours are exactly one apart, so the fraction is [t - j]) times
+    [scale]: an equal length copies, a single sample fills, and an empty
+    input gives zeros. *)
+let prepare_candidate_into src ~scale dst =
+  let len = Array.length src and n = Array.length dst in
   if len = n then
     for i = 0 to n - 1 do
-      dst.(i) <- get i
+      dst.(i) <- src.(i) *. scale
     done
   else if len = 0 then Array.fill dst 0 n 0.0
-  else Abg_util.Resample.linear_fn_into ~time:float_of_int ~value:get ~len ~dst
+  else if len = 1 then Array.fill dst 0 n (src.(0) *. scale)
+  else begin
+    let span = float_of_int (len - 1) in
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      let t =
+        if n = 1 then 0.0 else span *. float_of_int i /. float_of_int (n - 1)
+      in
+      while !j < len - 2 && float_of_int (!j + 1) < t do
+        incr j
+      done;
+      let va = src.(!j) and vb = src.(!j + 1) in
+      let frac = Float.max 0.0 (Float.min 1.0 (t -. float_of_int !j)) in
+      dst.(i) <- (va +. (frac *. (vb -. va))) *. scale
+    done
+  end
 
 let resample ~length xs =
   let dst = Array.make length 0.0 in
-  resample_into ~get:(Array.get xs) ~len:(Array.length xs) dst;
+  prepare_candidate_into xs ~scale:1.0 dst;
   dst
 
 (** [prepare_truth ?length truth] resamples and normalizes the
@@ -44,20 +63,9 @@ let prepare_truth ?(length = default_length) truth =
   Array.map_inplace (fun v -> v *. scale) reference;
   (reference, scale)
 
-(** [prepare_candidate_into ~get ~len ~scale dst] is {!prepare_candidate}
-    reading the candidate through an accessor ([get i], [i] in
-    [0 .. len-1]) and writing into [dst] (whose length is the prepared
-    length) — the windowed, zero-allocation variant the serving layer
-    uses to score a sliding window's ring buffer without materializing
-    it. *)
-let prepare_candidate_into ~get ~len ~scale dst =
-  resample_into ~get ~len dst;
-  Array.map_inplace (fun v -> v *. scale) dst
-
 (** [prepare_candidate ?length ~scale candidate] resamples a candidate
     series and scales it by a truth-derived [scale]. *)
 let prepare_candidate ?(length = default_length) ~scale candidate =
   let dst = Array.make length 0.0 in
-  prepare_candidate_into ~get:(Array.get candidate)
-    ~len:(Array.length candidate) ~scale dst;
+  prepare_candidate_into candidate ~scale dst;
   dst

@@ -25,10 +25,9 @@ val prepare_candidate :
     scales it into the normalized space of the truth that produced
     [scale]. *)
 
-val prepare_candidate_into :
-  get:(int -> float) -> len:int -> scale:float -> float array -> unit
-(** [prepare_candidate_into ~get ~len ~scale dst] is {!prepare_candidate}
-    reading the candidate through [get] (indices [0 .. len-1]) and
-    writing into [dst] (length = prepared length) with no intermediate
-    allocation — the windowed variant for scoring a ring buffer, and the
-    one path {!prepare_candidate} runs. *)
+val prepare_candidate_into : float array -> scale:float -> float array -> unit
+(** [prepare_candidate_into src ~scale dst] resamples [src] by index onto
+    [Array.length dst] points and scales them by [scale], in one loop with
+    no intermediate allocation: {!prepare_candidate} into a caller-owned
+    buffer, and the one resample {!resample}, {!prepare_truth} and
+    {!prepare_candidate} run. *)

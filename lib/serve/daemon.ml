@@ -158,8 +158,8 @@ let serve_line engine c line =
 let run ?(config = default_config) () =
   install_signal_handlers ();
   let engine = Engine.create ~config:config.engine () in
-  (* Reference preparation costs ~a second; pay it before "listening" so
-     no client's first classify absorbs it. *)
+  (* Reference preparation simulates 52 flows; pay it before "listening"
+     so no client's first classify absorbs it. *)
   Engine.warm_up engine;
   let listener = listen_on config.endpoint in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in

@@ -68,11 +68,11 @@ let create ?(config = default_config) () =
 
 let session_count t = Hashtbl.length t.sessions
 
-(** [warm_up t] forces the reference preparation now (it simulates every
-    reference trace — around a second of work). The daemon calls this
-    before announcing itself so the first classify request pays
-    milliseconds like every other, instead of absorbing the whole
-    preparation into its latency. *)
+(** [warm_up t] forces the reference preparation now (it simulates the
+    52 reference flows, observed windows only — about 0.3 s of work on a
+    release build). The daemon calls this before announcing itself so the
+    first classify request pays milliseconds like every other, instead of
+    absorbing the whole preparation into its latency. *)
 let warm_up t = ignore (Lazy.force t.online : Abg_classifier.Online.t)
 
 let error t ?sid msg =
@@ -123,9 +123,8 @@ let classify_session t s =
   let w = s.window in
   let len = Sliding.length w in
   let result =
-    Abg_classifier.Online.classify (Lazy.force t.online)
-      ~get:(fun i -> Sliding.observed w i)
-      ~len
+    Abg_classifier.Online.classify_array (Lazy.force t.online)
+      (Array.init len (Sliding.observed w))
   in
   Abg_obs.Obs.Counter.incr obs_classify;
   t.n_classifications <- t.n_classifications + 1;

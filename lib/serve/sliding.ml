@@ -54,7 +54,7 @@ let get t i =
   t.ring.((t.total - len + i) mod t.capacity)
 
 (** [observed t i] is the visible window of the [i]-th record — the
-    candidate series the windowed DTW kernel reads. *)
+    query series the engine copies out for {!Abg_classifier.Online}. *)
 let observed t i = Abg_trace.Record.observed_cwnd (get t i)
 
 (** [push t r] ingests one record: O(1) — overwrite the oldest ring

@@ -981,6 +981,43 @@ let test_runner_corrupt_files_named () =
   write_file grid "garbage\n";
   named grid (fun () -> Runner.jobs_of_dir ~dir)
 
+(* A job object that is not exactly its job's canonical rendering — an
+   unknown member (a fuzz grid from the one-job-per-genome format had a
+   "genome"), no schema, or another schema — is refused naming the
+   grid, instead of loading as a different job under a new digest that
+   no journal settled. *)
+let test_runner_noncanonical_job_named () =
+  let job =
+    {
+      Job.kind =
+        Job.Fuzz_eval { fitness = "divergence"; cca_b = Some "cubic"; handler = None };
+      cca = "reno";
+      seed = 7;
+      configs = Abg_netsim.Config.testbed_grid ~duration:2.0 ~n:1 ();
+    }
+  in
+  List.iter
+    (fun (what, from, into) ->
+      let dir = fresh_dir () in
+      Runner.init ~dir [ job ];
+      let grid = Runner.grid_path dir in
+      let text = read_file grid and n = String.length from in
+      let rec at i = if String.sub text i n = from then i else at (i + 1) in
+      let i = at 0 in
+      write_file grid
+        (String.sub text 0 i ^ into
+        ^ String.sub text (i + n) (String.length text - i - n));
+      match Runner.jobs_of_dir ~dir with
+      | _ -> Alcotest.failf "%s: expected Json.Malformed" what
+      | exception Abg_util.Json.Malformed msg ->
+          Alcotest.(check bool) (what ^ " names the grid") true
+            (String.starts_with ~prefix:(grid ^ ": ") msg))
+    [
+      ("unknown member", {|"kind":"fuzz",|}, {|"kind":"fuzz","genome":"x",|});
+      ("no schema", {|"schema":"abagnale-job/1",|}, "");
+      ("foreign schema", {|"abagnale-job/1"|}, {|"abagnale-job/0"|});
+    ]
+
 let test_runner_worker_journals_merge () =
   (* Two coordinator workers sharing one run directory must together
      reproduce the single-process run byte-for-byte: journal outcome
@@ -1163,6 +1200,8 @@ let suites =
           test_runner_grid_persists_canonically;
         Alcotest.test_case "corrupt files named" `Quick
           test_runner_corrupt_files_named;
+        Alcotest.test_case "non-canonical job named" `Quick
+          test_runner_noncanonical_job_named;
         Alcotest.test_case "worker journals merge" `Quick
           test_runner_worker_journals_merge;
         Alcotest.test_case "gc keeps live" `Quick

@@ -239,7 +239,8 @@ let reference_suite_distance queries references =
 
 let test_ccanalyzer_matches_per_pair_path () =
   let references =
-    Abg_parallel.Once.get Abg_classifier.Ccanalyzer.references
+    Abg_classifier.Gordon.reference_suites Abg_classifier.Ccanalyzer.known
+      Abg_trace.Trace.collect_cached Fun.id
   in
   let empty =
     { (List.hd (traces "reno")) with Abg_trace.Trace.records = [||] }
@@ -248,14 +249,55 @@ let test_ccanalyzer_matches_per_pair_path () =
     (fun (what, suite) ->
       let expected =
         references
-        |> List.map (fun (name, (r : Abg_classifier.Ccanalyzer.reference)) ->
-               (name, reference_suite_distance suite r.traces))
+        |> List.map (fun (name, refs) ->
+               (name, reference_suite_distance suite refs))
         |> List.sort (fun (_, a) (_, b) -> compare a b)
       in
       same_closest what expected
         (Abg_classifier.Ccanalyzer.classify suite).closest)
     [ ("reno", traces "reno"); ("vegas", traces "vegas");
       ("bbr + empty trace", traces "bbr" @ [ empty ]) ]
+
+(* Online simulates its references observed-only, so creating one
+   performs no trace-store lookup (the store would otherwise keep every
+   reference record alive for a daemon's lifetime), and it scores
+   queries bit for bit like references cut from the stored traces'
+   observed series. Registered first among the classifier suites, so no
+   earlier test has already built the offline references. *)
+let test_online_skips_trace_store () =
+  let open Abg_classifier in
+  let window = 256 in
+  let before = Abg_trace.Trace.store_stats () in
+  let online = Online.create ~window () in
+  Alcotest.(check (pair int int))
+    "store hits, misses" before
+    (Abg_trace.Trace.store_stats ());
+  let from_store =
+    {
+      Online.refs =
+        Gordon.reference_suites Ccanalyzer.known Abg_trace.Trace.collect_cached
+          (List.concat_map (fun tr ->
+               Online.reference_windows ~window
+                 (snd (Abg_trace.Trace.observed_series tr))))
+        |> List.map (fun (name, windows) ->
+               ( name,
+                 Array.of_list
+                   (List.map
+                      (fun w ->
+                        Abg_distance.Metric.prepare Abg_distance.Metric.default
+                          ~truth:w)
+                      windows) ))
+        |> Array.of_list;
+      scratch = Array.make Abg_distance.Series.default_length 0.0;
+    }
+  in
+  List.iter
+    (fun name ->
+      let _, v = Abg_trace.Trace.observed_series (List.hd (traces name)) in
+      let query = Array.sub v (Array.length v - window) window in
+      same_closest name (Online.classify_array from_store query).closest
+        (Online.classify_array online query).closest)
+    [ "reno"; "cubic"; "bbr" ]
 
 let test_dsl_hint_families () =
   let open Abg_classifier in
@@ -274,6 +316,11 @@ let test_dsl_hint_families () =
 
 let suites =
   [
+    ( "classifier.online",
+      [
+        Alcotest.test_case "no trace-store lookups" `Quick
+          test_online_skips_trace_store;
+      ] );
     ( "classifier.features",
       [
         Alcotest.test_case "sane ranges" `Quick test_features_sane;

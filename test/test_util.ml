@@ -231,7 +231,10 @@ let test_resample_linear_endpoints () =
 
 let test_resample_hold () =
   let times = [| 0.0; 1.0 |] and values = [| 5.0; 9.0 |] in
-  let out = Resample.hold ~times ~values ~n:4 in
+  let out =
+    Resample.hold_fn ~time:(Array.get times) ~value:(Array.get values) ~len:2
+      ~n:4
+  in
   check_close "held start" 5.0 out.(0);
   check_close "held mid" 5.0 out.(1);
   check_close "switch" 9.0 out.(3)
