@@ -13,10 +13,8 @@
       "noise is load-bearing" note, quantified). *)
 
 let reno_traces ~jitter =
-  let ctor = Option.get (Abg_cca.Registry.find "reno") in
-  Abg_netsim.Config.testbed_grid ~duration:15.0 ~ack_jitter:jitter ~n:3 ()
-  |> Abg_parallel.Pool.map_list (fun cfg ->
-         Abg_trace.Trace.collect_cached cfg ~name:"reno" ctor)
+  Abg_trace.Trace.collect_suite ~duration:15.0 ~ack_jitter:jitter ~n:3
+    ~name:"reno" (Option.get (Abg_cca.Registry.find "reno"))
 
 let ablate_units () =
   Printf.printf "\n-- a. unit constraints --\n";

@@ -236,17 +236,13 @@ let simulate_extended_test =
          let cca = Abg_cca.Reno.create ~mss:1448.0 () in
          ignore (Abg_netsim.Sim.run cfg cca)))
 
-(* Whole-suite collection over the parallel pool, bypassing the trace
-   store so the measurement is the simulate+derive cost, not a lookup. *)
+(* Whole-suite collection over the parallel pool: simulate and derive. *)
 let collect_suite_test =
   let ctor = Option.get (Abg_cca.Registry.find "reno") in
-  let grid = Abg_netsim.Config.testbed_grid ~duration:1.0 ~n:4 () in
   Test.make ~name:"table3: collect-suite-grid"
     (Staged.stage (fun () ->
          ignore
-           (Abg_parallel.Pool.map_list
-              (fun cfg -> Abg_trace.Trace.collect cfg ~name:"reno" ctor)
-              grid)))
+           (Abg_trace.Trace.collect_suite ~duration:1.0 ~n:4 ~name:"reno" ctor)))
 
 (* Batch-orchestrator storage primitives: what a run pays per artifact
    read (verified) and per blob write (amortized over a flush window). *)

@@ -9,10 +9,8 @@
    3. Abagnale's distance-based ranking on the same noisy traces. *)
 
 let clean_traces () =
-  let ctor = Option.get (Abg_cca.Registry.find "reno") in
-  Abg_netsim.Config.testbed_grid ~duration:15.0 ~ack_jitter:0.0 ~n:2 ()
-  |> Abg_parallel.Pool.map_list (fun cfg ->
-         Abg_trace.Trace.collect_cached cfg ~name:"reno" ctor)
+  Abg_trace.Trace.collect_suite ~duration:15.0 ~ack_jitter:0.0 ~n:2
+    ~name:"reno" (Option.get (Abg_cca.Registry.find "reno"))
 
 let segments_of traces =
   let rng = Abg_util.Rng.create 7 in

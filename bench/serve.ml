@@ -18,8 +18,9 @@
 let sessions_target = 1024
 
 (* Flow corpus: the reference grid's own suites ({!Trace.collect_suite}
-   output) across three CCAs — real traces, cached in the trace store, so
-   the generator's cost is the wire and the daemon, not simulation. *)
+   output) across three CCAs — real traces, collected before any timing
+   starts, so the generator's cost is the wire and the daemon, not
+   simulation. *)
 let corpus () =
   [ "reno"; "cubic"; "vegas" ]
   |> List.concat_map (fun name ->

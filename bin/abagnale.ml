@@ -75,9 +75,9 @@ let seconds_conv =
   bounded_conv float_of_string_opt valid_seconds seconds_bound (fun ppf ->
       Format.fprintf ppf "%g")
 
-(* A group-commit linger may be 0, but an inf one would hang the first
-   flush. *)
-let linger_conv =
+(* A group-commit linger or an ack jitter may be 0, but an inf linger
+   would hang the first flush, and an inf jitter collects empty traces. *)
+let nonneg_conv =
   bounded_conv float_of_string_opt
     (fun x -> Float.is_finite x && x >= 0.0)
     "a finite number of seconds at or above 0"
@@ -85,6 +85,14 @@ let linger_conv =
 
 let count_conv =
   bounded_conv int_of_string_opt valid_count count_bound Format.pp_print_int
+
+let at_least_conv lo =
+  bounded_conv int_of_string_opt (fun n -> n >= lo)
+    (Printf.sprintf "an integer of at least %d" lo) Format.pp_print_int
+
+let port_conv =
+  bounded_conv int_of_string_opt (fun n -> n >= 1 && n <= 65535)
+    "a TCP port from 1 to 65535" Format.pp_print_int
 
 let cca_arg =
   let doc = "Ground-truth CCA name (see `abagnale list')." in
@@ -209,10 +217,8 @@ let synth_traces_arg =
   let doc = "Trace files produced by `abagnale collect' (or use --cca)." in
   Arg.(value & pos_all file [] & info [] ~docv:"TRACE" ~doc)
 
-(* The prune/cache summary is read from ONE telemetry snapshot — the same
-   counters the refinement loop itself rode on — rather than stitching
-   together Trace.store_stats and Refinement.result.pruned, which came
-   from two different accounting paths and could disagree mid-refactor. *)
+(* The prune and simulation summary is read from ONE telemetry snapshot —
+   the same counters the refinement loop and the simulator rode on. *)
 let print_synth_summary (outcome : Abg_core.Synthesis.outcome) =
   Printf.printf "cca:       %s\n" outcome.Abg_core.Synthesis.cca_name;
   Printf.printf "dsl:       %s\n" outcome.Abg_core.Synthesis.dsl_name;
@@ -247,8 +253,7 @@ let print_synth_summary (outcome : Abg_core.Synthesis.outcome) =
     (if enumerated = 0 then 0.0
      else 100.0 *. float_of_int total_pruned /. float_of_int enumerated)
     enumerated;
-  Printf.printf "cache:     trace store %d hits / %d misses; %d simulations, %d sim events\n"
-    (c "trace.store.hits") (c "trace.store.misses") (c "sim.runs")
+  Printf.printf "cache:     %d simulations, %d sim events\n" (c "sim.runs")
     (c "sim.events");
   let st = r.Abg_core.Refinement.solver in
   Printf.printf
@@ -608,7 +613,7 @@ let seeds_arg =
 
 let ack_jitter_arg =
   let doc = "Ack-interarrival jitter stddev for the testbed grid." in
-  Arg.(value & opt float 0.001 & info [ "ack-jitter" ] ~doc)
+  Arg.(value & opt nonneg_conv 0.001 & info [ "ack-jitter" ] ~doc)
 
 let shard_conv =
   let parse s =
@@ -635,18 +640,18 @@ let workers_arg =
      the grid into its own journal, and merge their progress into one \
      report. A worker killed mid-run is resumed, not failed."
   in
-  Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some count_conv) None & info [ "workers" ] ~docv:"N" ~doc)
 
 let flush_window_arg =
   let doc =
     "Group-commit linger in seconds: how long a flush leader waits for \
      concurrently completing jobs to join its fsync."
   in
-  Arg.(value & opt linger_conv 0.0 & info [ "flush-window" ] ~docv:"SECONDS" ~doc)
+  Arg.(value & opt nonneg_conv 0.0 & info [ "flush-window" ] ~docv:"SECONDS" ~doc)
 
 let retries_arg =
   let doc = "Extra attempts for a failing job before quarantine." in
-  Arg.(value & opt int 2 & info [ "retries" ] ~doc)
+  Arg.(value & opt (at_least_conv 0) 2 & info [ "retries" ] ~doc)
 
 let timeout_arg =
   let doc = "Per-attempt wall-clock limit in seconds." in
@@ -654,11 +659,11 @@ let timeout_arg =
 
 let max_jobs_arg =
   let doc = "Stop after completing this many jobs (smoke/testing)." in
-  Arg.(value & opt (some int) None & info [ "max-jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some count_conv) None & info [ "max-jobs" ] ~docv:"N" ~doc)
 
 let domains_arg =
   let doc = "Domain-pool participation cap for this run." in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some count_conv) None & info [ "domains" ] ~docv:"N" ~doc)
 
 (* The execution knobs, parsed once per command into Runner.settings.
    [~batch] adds the flags only `batch run/resume' take and [~seed] the
@@ -694,7 +699,6 @@ let settings_term ~batch ~seed =
    the knobs that shape execution. Respawn-on-kill is sound because
    resume is: a respawned worker skips everything its journal settled. *)
 let run_workers ~dir ~workers (s : Abg_batch.Runner.settings) =
-  if workers < 1 then die "--workers must be >= 1";
   let opt_arg flag fmt = function None -> [] | Some v -> [ flag; fmt v ] in
   let base =
     [ "batch"; "resume"; dir; "--retries"; string_of_int s.retries ]
@@ -761,6 +765,9 @@ let print_batch_summary verbose (summary : Abg_batch.Runner.summary) =
 
 let batch_run dir kinds ccas scenarios duration ack_jitter seeds settings
     workers () =
+  let grid = Abg_batch.Runner.grid_path dir in
+  if Sys.file_exists grid then
+    die "%s already exists; use `batch resume %s'" grid dir;
   let kinds =
     List.map
       (fun token ->
@@ -907,7 +914,7 @@ let fingerprint_dsl_arg =
 
 let fingerprint_cap_arg =
   let doc = "Abort if exhaustion needs more than this many sketches." in
-  Arg.(value & opt int 100_000 & info [ "cap" ] ~doc)
+  Arg.(value & opt count_conv 100_000 & info [ "cap" ] ~doc)
 
 let fingerprint_cmd =
   command "fingerprint"
@@ -925,20 +932,24 @@ let socket_arg =
 
 let tcp_arg =
   let doc = "Use TCP on 127.0.0.1:$(docv) instead of a Unix socket." in
-  Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT" ~doc)
+  Arg.(value & opt (some port_conv) None & info [ "tcp" ] ~docv:"PORT" ~doc)
 
+(* A window shorter than the classifier's minimum is never scored. *)
 let window_arg =
   let doc = "Sliding-window capacity, in records per flow." in
   Arg.(
     value
-    & opt int Abg_serve.Engine.default_config.Abg_serve.Engine.window
+    & opt
+        (at_least_conv Abg_classifier.Online.min_points)
+        Abg_serve.Engine.default_config.Abg_serve.Engine.window
     & info [ "window" ] ~doc)
 
 let max_sessions_arg =
   let doc = "Maximum concurrent sessions across all connections." in
   Arg.(
     value
-    & opt int Abg_serve.Engine.default_config.Abg_serve.Engine.max_sessions
+    & opt count_conv
+        Abg_serve.Engine.default_config.Abg_serve.Engine.max_sessions
     & info [ "max-sessions" ] ~doc)
 
 let no_escalate_arg =
@@ -961,7 +972,7 @@ let serve socket tcp window max_sessions no_escalate () =
              match Abg_core.Synthesis.run ~name:sid [ trace ] with
              | Some o ->
                  Printf.printf "escalate %s: synthesized %s (distance %.3f)\n%!"
-                   sid o.Abg_core.Synthesis.dsl_name
+                   sid o.Abg_core.Synthesis.pretty
                    o.Abg_core.Synthesis.distance
              | None ->
                  Printf.printf "escalate %s: synthesis found no handler\n%!"

@@ -69,6 +69,8 @@ let seed_sensitive = function
   | Collect | Classify -> false
   | Synthesize _ | Noise _ | Probe _ | Fuzz_eval _ -> true
 
+(* A repeated kind, CCA or seed names a job already in the grid: it is
+   kept once, where it first appears, so no run performs a job twice. *)
 let expand grid =
   if grid.kinds = [] then invalid_arg "Job.expand: no kinds";
   if grid.ccas = [] then invalid_arg "Job.expand: no ccas";
@@ -77,6 +79,7 @@ let expand grid =
     Abg_netsim.Config.testbed_grid ~duration:grid.duration
       ~ack_jitter:grid.ack_jitter ~n:grid.scenarios ()
   in
+  let seen = Hashtbl.create 64 in
   List.concat_map
     (fun kind ->
       let seeds =
@@ -87,6 +90,8 @@ let expand grid =
         (fun cca -> List.map (fun seed -> { kind; cca; seed; configs }) seeds)
         grid.ccas)
     grid.kinds
+  |> List.filter (fun job ->
+         (not (Hashtbl.mem seen job)) && (Hashtbl.add seen job (); true))
 
 let describe job =
   Printf.sprintf "%s/%s (%d scenario%s, seed %d)" (kind_name job.kind) job.cca

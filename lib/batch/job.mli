@@ -50,7 +50,9 @@ type grid = {
 }
 
 val expand : grid -> t list
-(** Raises [Invalid_argument] on an empty [kinds]/[ccas]/[seeds]. *)
+(** Each job once, at its first occurrence: a repeated kind, CCA or seed
+    adds no job. Raises [Invalid_argument] on an empty
+    [kinds]/[ccas]/[seeds]. *)
 
 val kind_name : kind -> string
 (** ["collect"], ["synth"], ["classify"], ["noise"], ["probe"],

@@ -399,17 +399,31 @@ let init ~dir jobs =
 
 (* Hash each job once and sort on the digests: the same order as
    [List.sort Job.compare_canonical], which re-hashes both jobs on every
-   comparison. *)
+   comparison. The grid must be exactly what [init] writes: a foreign
+   wrapper or a job listed twice would run jobs no writer meant. *)
 let jobs_of_dir ~dir =
   let path = grid_path dir in
   naming path (fun () ->
-      Json.of_file path
-      |> Json.member ~ctx:"grid" "jobs"
-      |> Json.list ~ctx:"grid.jobs"
-      |> List.map (fun j ->
-             let job = Job.of_json j in
-             (Job.digest job, job))
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+      let keyed =
+        (match Json.of_file path with
+        | Json.Obj [ ("schema", Json.Str "abagnale-grid/1"); ("jobs", Json.List l) ]
+          ->
+            l
+        | _ -> raise (Json.Malformed "grid: not in canonical abagnale-grid/1 form"))
+        |> List.map (fun j ->
+               let job = Job.of_json j in
+               (Job.digest job, job))
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      in
+      let rec check_once = function
+        | (a, _) :: ((b, _) :: _ as rest) ->
+            if String.equal a b then
+              raise (Json.Malformed ("grid: job " ^ a ^ " appears twice"));
+            check_once rest
+        | _ -> ()
+      in
+      check_once keyed;
+      keyed)
 
 let shard_select ~i ~n xs =
   if n <= 0 || i < 0 || i >= n then

@@ -107,7 +107,9 @@ val jobs_of_dir : dir:string -> (string * Job.t) list
 (** The persisted grid as [(Job.digest job, job)] pairs, in canonical
     order ({!Job.compare_canonical}), each job hashed once. Raises
     [Sys_error] when [dir] holds no grid and [Json.Malformed], with a
-    message that starts with the grid's path, when it is corrupt. *)
+    message that starts with the grid's path, when it is corrupt: when
+    it is not exactly [{"schema":"abagnale-grid/1","jobs":[...]}], or
+    when it lists a job twice. *)
 
 val run : dir:string -> settings:settings -> Job.t list -> summary
 (** {!init} then execute. *)

@@ -12,25 +12,27 @@ type result = {
   closest : (string * float) list;  (** all known CCAs, closest first *)
 }
 
-(** The CCAs CCAnalyzer and {!Online} can name: Gordon's set plus CDG
-    and NV, the closest matches the paper reports for student CCAs. *)
-let known = "cdg" :: "nv" :: Gordon.known_set
+(* The two CCAs CCAnalyzer knows beyond Gordon's set: CDG and NV, the
+   closest matches the paper reports for student CCAs. *)
+let beyond_gordon = [ "cdg"; "nv" ]
 
-(* Every known CCA's reference suite, simulated and resampled once per
-   process: [classify] scores each query against the same references,
-   so their side of the DTW is prepared here, not once per pair. Each
-   trace keeps only its observed-CWND series resampled to
-   {!Abg_distance.Series.default_length}, [None] for an empty trace. *)
+(** The CCAs CCAnalyzer and {!Online} can name: CDG and NV, then
+    Gordon's set. *)
+let known = beyond_gordon @ Gordon.known_set
+
+(* Every known CCA's references in {!known} order, each flow in
+   {!Gordon.prepared_window} form, so [classify] prepares only the query
+   side of the DTW. Gordon's reference pass already simulated and
+   prepared its 11 CCAs, so only CDG and NV are simulated here, and
+   observed-only. *)
 let references =
   Abg_parallel.Once.make (fun () ->
-      Gordon.reference_suites known Abg_trace.Trace.collect_cached
-        (List.map (fun tr ->
-             match Abg_trace.Trace.observed_series tr with
-             | _, [||] -> None
-             | _, v ->
-                 Some
-                   (Abg_distance.Series.resample
-                      ~length:Abg_distance.Series.default_length v))))
+      Gordon.reference_suites beyond_gordon
+        (fun cfg ~name:_ ctor -> Abg_trace.Trace.collect_observed cfg ctor)
+        (List.map Gordon.prepared_window)
+      @ List.map
+          (fun (name, r) -> (name, r.Gordon.windows))
+          (Abg_parallel.Once.get Gordon.references))
 
 let match_threshold = 4.0
 

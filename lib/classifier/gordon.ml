@@ -39,12 +39,11 @@ let reference_scenarios () =
 (** [reference_suites names collect f] pairs each registered CCA in
     [names] with [f] of its flows on {!reference_scenarios}, each
     simulated by [collect cfg ~name ctor] — the reference side of both
-    offline classifiers and of {!Online}. Gordon and CCAnalyzer pass
-    [Trace.collect_cached], so a process shares their simulations
-    through the trace store; {!Online} passes [Trace.collect_observed]
-    and keeps no records. [f] runs on each suite before the next is
-    simulated: Gordon reduces each suite to a feature vector as it goes,
-    and reducing only after every simulation raises peak RSS. *)
+    offline classifiers and of {!Online}. Gordon passes [Trace.collect];
+    CCAnalyzer, for the two CCAs Gordon does not know, and {!Online}
+    pass [Trace.collect_observed] and keep no records. [f] runs on each
+    suite before the next is simulated: Gordon reduces each suite as it
+    goes, and reducing only after every simulation raises peak RSS. *)
 let reference_suites names collect f =
   List.filter_map
     (fun name ->
@@ -58,11 +57,32 @@ let reference_suites names collect f =
         (Abg_cca.Registry.find name))
     names
 
-(* Reference feature vectors are deterministic; computed once per run. *)
+(** CCAnalyzer's prepared form of one reference flow: its observed
+    window resampled to {!Abg_distance.Series.default_length}, [None]
+    for an empty flow. *)
+let prepared_window = function
+  | [||] -> None
+  | v -> Some Abg_distance.Series.(resample ~length:default_length v)
+
+type reference = {
+  vector : float array;  (** the suite's feature vector *)
+  windows : float array option list;
+      (** each flow's {!prepared_window}, which CCAnalyzer scores against *)
+}
+
+(* One simulation per reference flow per process: each suite is reduced
+   to its feature vector and to the prepared windows CCAnalyzer takes
+   from here, so the records go as soon as the suite is reduced. *)
 let references =
   Abg_parallel.Once.make (fun () ->
-      reference_suites known_set Abg_trace.Trace.collect_cached
-        (fun traces -> Features.to_vector (Features.extract traces)))
+      reference_suites known_set Abg_trace.Trace.collect (fun traces ->
+          let window tr =
+            prepared_window (snd (Abg_trace.Trace.observed_series tr))
+          in
+          {
+            vector = Features.to_vector (Features.extract traces);
+            windows = List.map window traces;
+          }))
 
 let vector_distance a b =
   let acc = ref 0.0 in
@@ -77,7 +97,7 @@ let vector_distance a b =
 let rank traces =
   let query = Features.to_vector (Features.extract traces) in
   Abg_parallel.Once.get references
-  |> List.map (fun (name, v) -> (name, vector_distance query v))
+  |> List.map (fun (name, r) -> (name, vector_distance query r.vector))
   |> List.sort (fun (_, a) (_, b) -> compare a b)
 
 (* Confidence thresholds, calibrated on the reference grid: a match is

@@ -67,12 +67,11 @@ let reference_windows ~window values =
 (** [create ()] simulates the {!Ccanalyzer.known} CCAs on Gordon's
     reference grid and prepares their windowed references. Each flow is
     simulated by [Trace.collect_observed], which keeps only the observed
-    window and never touches the trace store, so nothing but the prepared
-    windows outlives the call. [window] must match the serving layer's
-    sliding-window capacity so reference and query windows cover
-    comparable spans. The result holds a mutable scratch buffer, so each
-    [t] must be scored from one domain at a time — the serve event loop
-    owns one. *)
+    window, so nothing but the prepared windows outlives the call.
+    [window] must match the serving layer's sliding-window capacity so
+    reference and query windows cover comparable spans. The result
+    holds a mutable scratch buffer, so each [t] must be scored from one
+    domain at a time — the serve event loop owns one. *)
 let create ?(window = 512) () =
   let refs =
     Gordon.reference_suites Ccanalyzer.known

@@ -95,10 +95,10 @@ let run ?(config = Refinement.default_config) ?dsl ?(segment_budget = 8)
 
 (** [run_configs ?config ?dsl ?noise ~configs ~name constructor] — the
     batch orchestrator's entry point: collect one trace per explicit
-    scenario config (through the process-wide trace store, so identical
-    configs across jobs share a simulation), optionally corrupt the
-    traces with a seeded noise transform, and synthesize. The result is a
-    pure function of (constructor, configs, noise, config.seed). *)
+    scenario config ({!Abg_trace.Trace.collect_configs}), optionally
+    corrupt the traces with a seeded noise transform, and synthesize.
+    The result is a pure function of (constructor, configs, noise,
+    config.seed). *)
 let run_configs ?(config = Refinement.default_config) ?dsl ?noise ~configs
     ~name constructor =
   let traces = Abg_trace.Trace.collect_configs ~name constructor configs in

@@ -2,9 +2,8 @@
 
     All three are deterministic pure functions of (spec, genome): each
     evaluation runs the seeded simulator afresh, and the distance kernels
-    are the same ones the paper's pipeline scores with. None goes through
-    the process-wide trace store, so a fuzz process retains no trace.
-    Higher fitness = more adversarial. *)
+    are the same ones the paper's pipeline scores with. No trace outlives
+    the evaluation that simulated it. Higher fitness = more adversarial. *)
 
 open Abg_netsim
 

@@ -72,8 +72,7 @@ let default =
 (** Whether every extended-scenario knob sits at its neutral default —
     i.e. the config describes a plain §3.2 testbed scenario. Neutral
     configs digest identically to the pre-extension 8-field format, so
-    existing trace-store keys, batch-job digests and pinned CI bytes are
-    untouched. *)
+    existing batch-job digests and pinned CI bytes are untouched. *)
 let is_neutral_extension cfg =
   cfg.bandwidth_steps = [] && cfg.cross = [] && cfg.outage_rate = 0.0
   && cfg.outage_duration = 0.0 && cfg.reorder_prob = 0.0
@@ -300,15 +299,15 @@ let qdisc_of_string = function
       | _ -> failwith "qdisc")
 
 (** [digest cfg] is a canonical, collision-free rendering of every field
-    (floats in lossless hex notation) — the trace store's cache key, so
-    two configs share a digest iff every parameter, including the seed,
-    is bit-identical.
+    (floats in lossless hex notation), so two configs share a digest iff
+    every parameter, including the seed, is bit-identical. Batch job
+    specs name their configs by it.
 
     Configs whose extended-scenario knobs all sit at their neutral
     defaults render in the original 8-field format, byte-identical to the
-    pre-fuzz digest — preserving every persisted trace-store key, batch
-    run directory and pinned CI artifact. Extended configs append a [v2]
-    section covering every new field to the ULP. *)
+    pre-fuzz digest — preserving every persisted batch run directory and
+    pinned CI artifact. Extended configs append a [v2] section covering
+    every new field to the ULP. *)
 let digest cfg =
   let base =
     Printf.sprintf "%h|%h|%d|%h|%h|%d|%h|%h" cfg.bandwidth_bps cfg.rtt_prop

@@ -17,9 +17,9 @@
     {b A global disable that costs one branch.} With [set_enabled false]
     every record operation is a single load-and-branch no-op; spans do
     not read the clock. The pipeline's *semantic* statistics (the prune
-    counters behind [Refinement.result.pruned], the trace-store hit/miss
-    counters) ride on this layer, so disabling telemetry also disables
-    those — callers that need them keep telemetry on (the default).
+    counters behind [Refinement.result.pruned]) ride on this layer, so
+    disabling telemetry also disables those — callers that need them
+    keep telemetry on (the default).
 
     {b Determinism contract.} Counters registered without [~volatile]
     must count events whose totals are a pure function of the workload

@@ -125,88 +125,17 @@ let collect cfg ~name (constructor : Abg_cca.Cca_sig.constructor) =
     loss_times = Array.of_list (List.rev !losses);
   }
 
-(* -- Process-wide trace store --
-
-   Collection is deterministic: a trace is a pure function of (CCA name,
-   config) — the simulator's RNG is seeded from the config — so identical
-   requests from the bench sections, figures, examples and tests can share
-   one simulation. Keys are the CCA name plus {!Config.digest} (which
-   covers every field including the seed). The store trusts the name: two
-   different constructors registered under the same name in one process
-   would collide, so anonymous/ad-hoc CCAs should use {!collect} or a
-   unique name. *)
-
-let store : (string, t) Hashtbl.t = Hashtbl.create 256
-let store_mutex = Mutex.create ()
-
-(* Hit/miss counters live on the telemetry layer (sharded per domain, so
-   concurrent pool workers pay a plain store, not an atomic). For a
-   deterministic workload the totals are deterministic: the store is
-   keyed by (name, config digest) and the suite grids request distinct
-   keys, so which domain serves a request never changes hit/miss
-   accounting. *)
-let store_hits = Abg_obs.Obs.Counter.make "trace.store.hits"
-let store_misses = Abg_obs.Obs.Counter.make "trace.store.misses"
-let store_size = Abg_obs.Obs.Gauge.make "trace.store.size"
-
-let store_key ~name cfg = name ^ "|" ^ Config.digest cfg
-
-(** [collect_cached cfg ~name constructor] is {!collect} memoized in the
-    process-wide trace store: the first call per (name, config digest)
-    simulates, later calls return the stored trace. Safe to call
-    concurrently from pool workers (a race re-simulates; the first insert
-    wins, so all callers see the same physical trace). *)
-let collect_cached cfg ~name constructor =
-  let key = store_key ~name cfg in
-  Mutex.lock store_mutex;
-  let cached = Hashtbl.find_opt store key in
-  Mutex.unlock store_mutex;
-  match cached with
-  | Some t ->
-      Abg_obs.Obs.Counter.incr store_hits;
-      t
-  | None ->
-      Abg_obs.Obs.Counter.incr store_misses;
-      let t = collect cfg ~name constructor in
-      Mutex.lock store_mutex;
-      let t =
-        match Hashtbl.find_opt store key with
-        | Some existing -> existing
-        | None ->
-            Hashtbl.replace store key t;
-            t
-      in
-      Abg_obs.Obs.Gauge.set store_size (float_of_int (Hashtbl.length store));
-      Mutex.unlock store_mutex;
-      t
-
-(** [(hits, misses)] of the trace store since start (or {!store_clear}).
-    Counts ride on the telemetry layer: all zero while telemetry is
-    disabled ({!Abg_obs.Obs.set_enabled}). *)
-let store_stats () =
-  (Abg_obs.Obs.Counter.value store_hits, Abg_obs.Obs.Counter.value store_misses)
-
-(** Empty the trace store and reset its counters (tests). *)
-let store_clear () =
-  Mutex.lock store_mutex;
-  Hashtbl.reset store;
-  Mutex.unlock store_mutex;
-  Abg_obs.Obs.Counter.reset store_hits;
-  Abg_obs.Obs.Counter.reset store_misses;
-  Abg_obs.Obs.Gauge.set store_size 0.0
-
 (** [collect_configs ~name constructor configs] collects one trace per
-    explicit scenario config, in parallel over the domain pool and keyed
-    by the process-wide trace store. Each config carries its own RNG
-    seed, so the result is bit-identical to a sequential pass regardless
-    of scheduling. This is the batch orchestrator's entry point: a job
-    spec names its exact {!Config.t} list, and identical configs across
-    jobs share one simulation through the store. *)
+    explicit scenario config, in parallel over the domain pool. Each
+    config carries its own RNG seed, so the result is bit-identical to a
+    sequential pass regardless of scheduling. Every call simulates, and
+    the traces live only as long as the caller holds them: a caller that
+    asks for the same suite twice keeps its own memo. This is the batch
+    orchestrator's entry point: a job spec names its exact {!Config.t}
+    list. *)
 let collect_configs ~name constructor configs =
   Abg_obs.Obs.span "collect-suite" @@ fun () ->
-  Abg_parallel.Pool.map_list
-    (fun cfg -> collect_cached cfg ~name constructor)
-    configs
+  Abg_parallel.Pool.map_list (fun cfg -> collect cfg ~name constructor) configs
 
 (** [collect_suite ?duration ?ack_jitter ~n ~name constructor] collects
     traces for a diverse scenario grid (§3.2's RTT x bandwidth ranges) —
@@ -219,8 +148,8 @@ let collect_suite ?(duration = 30.0) ?ack_jitter ~n ~name constructor =
     only its observed window, one value per ACK (the bytes in flight,
     which {!Record.observed_cwnd} reads): exactly the values of
     [snd (observed_series (collect cfg ~name constructor))], without
-    deriving a record per ACK and without the trace store. For callers
-    that read nothing but the window. *)
+    deriving a record per ACK. For callers that read nothing but the
+    window. *)
 let collect_observed cfg (constructor : Abg_cca.Cca_sig.constructor) =
   let values = ref (Array.make 1024 0.0) in
   let n = ref 0 in

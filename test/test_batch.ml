@@ -111,6 +111,23 @@ let test_job_expand_counts () =
         (List.length j.Job.configs))
     jobs
 
+(* A repeated kind, CCA or seed adds no job: expansion keeps each job
+   once, where it first appears, in the order of the grid without the
+   repeats. *)
+let test_job_expand_keeps_first () =
+  let grid kinds ccas seeds =
+    { Job.kinds; ccas; scenarios = 1; duration = 2.0; ack_jitter = 0.001; seeds }
+  in
+  let probe = Job.Probe { fail_attempts = 0; sleep_ms = 0 } in
+  let digests g = List.map Job.digest (Job.expand g) in
+  Alcotest.(check (list string)) "repeats dropped"
+    (digests (grid [ probe; Job.Collect ] [ "reno"; "cubic" ] [ 7; 8 ]))
+    (digests
+       (grid [ probe; Job.Collect; probe ] [ "reno"; "reno"; "cubic" ]
+          [ 7; 7; 8 ]));
+  Alcotest.(check int) "one probe job" 1
+    (List.length (Job.expand (grid [ probe ] [ "reno"; "reno" ] [ 7; 7 ])))
+
 let test_job_expand_probe_configless () =
   let jobs =
     Job.expand
@@ -985,7 +1002,8 @@ let test_runner_corrupt_files_named () =
    unknown member (a fuzz grid from the one-job-per-genome format had a
    "genome"), no schema, or another schema — is refused naming the
    grid, instead of loading as a different job under a new digest that
-   no journal settled. *)
+   no journal settled. So is a grid whose own wrapper is not exactly
+   [{"schema":"abagnale-grid/1","jobs":[...]}]. *)
 let test_runner_noncanonical_job_named () =
   let job =
     {
@@ -1016,7 +1034,22 @@ let test_runner_noncanonical_job_named () =
       ("unknown member", {|"kind":"fuzz",|}, {|"kind":"fuzz","genome":"x",|});
       ("no schema", {|"schema":"abagnale-job/1",|}, "");
       ("foreign schema", {|"abagnale-job/1"|}, {|"abagnale-job/0"|});
+      ("foreign grid wrapper", {|"abagnale-grid/1",|},
+       {|"abagnale-grid/9","extra":1,|});
+      ("no grid schema", {|"schema":"abagnale-grid/1",|}, "");
     ]
+
+(* A grid that lists one job twice would run it twice and journal it
+   twice under one digest; it is named as a corrupt grid instead. *)
+let test_runner_repeated_job_named () =
+  let job = probe_job ~seed:7 "reno" in
+  let dir = fresh_dir () in
+  Runner.init ~dir [ job; probe_job ~seed:8 "reno"; job ];
+  match Runner.jobs_of_dir ~dir with
+  | _ -> Alcotest.fail "expected Json.Malformed"
+  | exception Abg_util.Json.Malformed msg ->
+      Alcotest.(check bool) "names the grid" true
+        (String.starts_with ~prefix:(Runner.grid_path dir ^ ": ") msg)
 
 let test_runner_worker_journals_merge () =
   (* Two coordinator workers sharing one run directory must together
@@ -1137,6 +1170,8 @@ let suites =
         Alcotest.test_case "digest distinguishes" `Quick
           test_job_digest_distinguishes;
         Alcotest.test_case "expand counts" `Quick test_job_expand_counts;
+        Alcotest.test_case "expand keeps first" `Quick
+          test_job_expand_keeps_first;
         Alcotest.test_case "probe configless" `Quick
           test_job_expand_probe_configless;
         Alcotest.test_case "expand rejects empty" `Quick
@@ -1202,6 +1237,8 @@ let suites =
           test_runner_corrupt_files_named;
         Alcotest.test_case "non-canonical job named" `Quick
           test_runner_noncanonical_job_named;
+        Alcotest.test_case "repeated job named" `Quick
+          test_runner_repeated_job_named;
         Alcotest.test_case "worker journals merge" `Quick
           test_runner_worker_journals_merge;
         Alcotest.test_case "gc keeps live" `Quick

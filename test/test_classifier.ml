@@ -237,11 +237,15 @@ let reference_suite_distance queries references =
   | [] -> infinity
   | _ -> List.fold_left ( +. ) 0.0 ds /. float_of_int (List.length ds)
 
+(* Every known CCA's reference flows, collected with whole records, for
+   the tests that rebuild a classifier's references the long way. *)
+let reference_traces =
+  lazy
+    (Abg_classifier.Gordon.reference_suites Abg_classifier.Ccanalyzer.known
+       Abg_trace.Trace.collect Fun.id)
+
 let test_ccanalyzer_matches_per_pair_path () =
-  let references =
-    Abg_classifier.Gordon.reference_suites Abg_classifier.Ccanalyzer.known
-      Abg_trace.Trace.collect_cached Fun.id
-  in
+  let references = Lazy.force reference_traces in
   let empty =
     { (List.hd (traces "reno")) with Abg_trace.Trace.records = [||] }
   in
@@ -258,35 +262,28 @@ let test_ccanalyzer_matches_per_pair_path () =
     [ ("reno", traces "reno"); ("vegas", traces "vegas");
       ("bbr + empty trace", traces "bbr" @ [ empty ]) ]
 
-(* Online simulates its references observed-only, so creating one
-   performs no trace-store lookup (the store would otherwise keep every
-   reference record alive for a daemon's lifetime), and it scores
-   queries bit for bit like references cut from the stored traces'
-   observed series. Registered first among the classifier suites, so no
-   earlier test has already built the offline references. *)
-let test_online_skips_trace_store () =
+(* Online simulates its references observed-only, and it scores
+   queries bit for bit like references cut from the observed series of
+   fully collected traces. *)
+let test_online_matches_collected_references () =
   let open Abg_classifier in
   let window = 256 in
-  let before = Abg_trace.Trace.store_stats () in
   let online = Online.create ~window () in
-  Alcotest.(check (pair int int))
-    "store hits, misses" before
-    (Abg_trace.Trace.store_stats ());
-  let from_store =
+  let from_records =
     {
       Online.refs =
-        Gordon.reference_suites Ccanalyzer.known Abg_trace.Trace.collect_cached
-          (List.concat_map (fun tr ->
-               Online.reference_windows ~window
-                 (snd (Abg_trace.Trace.observed_series tr))))
-        |> List.map (fun (name, windows) ->
+        Lazy.force reference_traces
+        |> List.map (fun (name, traces) ->
                ( name,
                  Array.of_list
-                   (List.map
-                      (fun w ->
-                        Abg_distance.Metric.prepare Abg_distance.Metric.default
-                          ~truth:w)
-                      windows) ))
+                   (List.concat_map
+                      (fun tr ->
+                        Online.reference_windows ~window
+                          (snd (Abg_trace.Trace.observed_series tr))
+                        |> List.map (fun w ->
+                               Abg_distance.Metric.prepare
+                                 Abg_distance.Metric.default ~truth:w))
+                      traces) ))
         |> Array.of_list;
       scratch = Array.make Abg_distance.Series.default_length 0.0;
     }
@@ -295,7 +292,7 @@ let test_online_skips_trace_store () =
     (fun name ->
       let _, v = Abg_trace.Trace.observed_series (List.hd (traces name)) in
       let query = Array.sub v (Array.length v - window) window in
-      same_closest name (Online.classify_array from_store query).closest
+      same_closest name (Online.classify_array from_records query).closest
         (Online.classify_array online query).closest)
     [ "reno"; "cubic"; "bbr" ]
 
@@ -318,8 +315,8 @@ let suites =
   [
     ( "classifier.online",
       [
-        Alcotest.test_case "no trace-store lookups" `Quick
-          test_online_skips_trace_store;
+        Alcotest.test_case "same as collected refs" `Quick
+          test_online_matches_collected_references;
       ] );
     ( "classifier.features",
       [

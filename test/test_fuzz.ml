@@ -217,7 +217,6 @@ let test_fitness_divergence () =
     { Fitness.kind = Fitness.Divergence; cca = "reno"; cca_b = Some "cubic";
       handler = None }
   in
-  let stats = Abg_trace.Trace.store_stats () in
   let v = Fitness.evaluate spec cheap_cfg in
   Alcotest.(check bool) "finite and nonnegative" true (Float.is_finite v && v >= 0.0);
   let same =
@@ -235,9 +234,7 @@ let test_fitness_divergence () =
       Alcotest.(check int64) "= DTW over the collected windows"
         (Int64.bits_of_float (divergence_of_records cfg))
         (Int64.bits_of_float (Fitness.evaluate spec cfg)))
-    cfgs;
-  Alcotest.(check (pair int int)) "trace store untouched" stats
-    (Abg_trace.Trace.store_stats ())
+    cfgs
 
 let test_fitness_throughput () =
   let spec =
@@ -257,10 +254,7 @@ let test_fitness_counterexample () =
     { Fitness.kind = Fitness.Counterexample; cca = "reno"; cca_b = None;
       handler = Some Abg_dsl.Expr.Cwnd (* frozen window: clearly not reno *) }
   in
-  let stats = Abg_trace.Trace.store_stats () in
   let v = Fitness.evaluate spec cheap_cfg in
-  Alcotest.(check (pair int int)) "trace store untouched" stats
-    (Abg_trace.Trace.store_stats ());
   Alcotest.(check bool) "wrong handler scores positive" true (v > 0.0);
   Alcotest.check_raises "incoherent spec rejected"
     (Failure "fuzz: counterexample fitness needs a handler") (fun () ->

@@ -5,7 +5,7 @@
 
    Instruments are process-global, so tests use uniquely-named
    instruments and reset only those — never [Obs.reset], which would
-   zero counters other suites (trace store, enum) depend on. *)
+   zero counters other suites (enum) depend on. *)
 
 open Abg_obs
 

@@ -189,26 +189,45 @@ let test_noise_spurious_losses () =
     (Array.length spurious.Abg_trace.Trace.loss_times
     > Array.length t.Abg_trace.Trace.loss_times)
 
-(* -- Process-wide trace store -- *)
+(* -- Collection: every call simulates -- *)
 
 let reno_ctor ~mss () = Abg_cca.Reno.create ~mss ()
 
-let test_store_second_call_hits () =
-  Abg_trace.Trace.store_clear ();
+(* Collection keeps nothing: a second request for the same suite
+   simulates again, into traces the caller owns, bit-identical to the
+   first. *)
+let test_collect_suites_are_fresh () =
   let first = Abg_trace.Trace.collect_suite ~duration:2.0 ~n:2 ~name:"reno" reno_ctor in
-  let _, misses_after_first = Abg_trace.Trace.store_stats () in
   let second = Abg_trace.Trace.collect_suite ~duration:2.0 ~n:2 ~name:"reno" reno_ctor in
-  let hits, misses = Abg_trace.Trace.store_stats () in
-  Alcotest.(check int) "no new misses" misses_after_first misses;
-  Alcotest.(check bool) "hits recorded" true (hits >= List.length second);
-  (* A hit returns the stored trace itself, not a re-simulation. *)
+  Alcotest.(check int) "same suite size" (List.length first)
+    (List.length second);
   List.iter2
-    (fun a b -> Alcotest.(check bool) "physically equal" true (a == b))
+    (fun a b ->
+      Alcotest.(check bool) "physically distinct" true (a != b);
+      Alcotest.(check bool) "records bit-identical" true
+        (a.Abg_trace.Trace.records = b.Abg_trace.Trace.records);
+      Alcotest.(check bool) "losses bit-identical" true
+        (a.Abg_trace.Trace.loss_times = b.Abg_trace.Trace.loss_times))
     first second
 
-let test_store_parallel_matches_sequential () =
-  (* Parallel, cached collection must be bit-identical to a plain
-     sequential sweep of the same grid. *)
+(* The same holds one trace at a time, on the sequential path. *)
+let test_collect_calls_are_fresh () =
+  let collect_grid () =
+    Abg_netsim.Config.testbed_grid ~duration:2.0 ~n:2 ()
+    |> List.map (fun cfg -> Abg_trace.Trace.collect cfg ~name:"reno" reno_ctor)
+  in
+  let a = collect_grid () in
+  let b = collect_grid () in
+  List.iter2
+    (fun x y ->
+      Alcotest.(check bool) "fresh traces" true (x != y);
+      Alcotest.(check bool) "still deterministic" true
+        (x.Abg_trace.Trace.records = y.Abg_trace.Trace.records))
+    a b
+
+let test_collect_parallel_matches_sequential () =
+  (* Parallel collection must be bit-identical to a plain sequential
+     sweep of the same grid. *)
   let parallel =
     Abg_trace.Trace.collect_suite ~duration:2.0 ~n:2 ~name:"reno" reno_ctor
   in
@@ -227,20 +246,6 @@ let test_store_parallel_matches_sequential () =
       Alcotest.(check bool) "losses bit-identical" true
         (a.Abg_trace.Trace.loss_times = b.Abg_trace.Trace.loss_times))
     sequential parallel
-
-let test_store_uncached_is_fresh () =
-  let uncached () =
-    Abg_netsim.Config.testbed_grid ~duration:2.0 ~n:2 ()
-    |> List.map (fun cfg -> Abg_trace.Trace.collect cfg ~name:"reno" reno_ctor)
-  in
-  let a = uncached () in
-  let b = uncached () in
-  List.iter2
-    (fun x y ->
-      Alcotest.(check bool) "fresh traces" true (x != y);
-      Alcotest.(check bool) "still deterministic" true
-        (x.Abg_trace.Trace.records = y.Abg_trace.Trace.records))
-    a b
 
 (* -- IO -- *)
 
@@ -506,6 +511,12 @@ let suites =
         Alcotest.test_case "monotone time" `Quick test_records_monotone_time;
         Alcotest.test_case "signal sanity" `Quick test_records_signal_sanity;
         Alcotest.test_case "env roundtrip" `Quick test_record_env_roundtrip;
+        Alcotest.test_case "two suites are fresh" `Quick
+          test_collect_suites_are_fresh;
+        Alcotest.test_case "calls are fresh" `Quick
+          test_collect_calls_are_fresh;
+        Alcotest.test_case "parallel = sequential" `Quick
+          test_collect_parallel_matches_sequential;
       ] );
     ( "trace.segmentation",
       [
@@ -532,13 +543,6 @@ let suites =
           test_noise_keep_all_is_identity;
         Alcotest.test_case "time jitter monotone" `Quick test_noise_time_jitter_monotone;
         Alcotest.test_case "spurious losses" `Quick test_noise_spurious_losses;
-      ] );
-    ( "trace.store",
-      [
-        Alcotest.test_case "second call hits" `Quick test_store_second_call_hits;
-        Alcotest.test_case "parallel = sequential" `Quick
-          test_store_parallel_matches_sequential;
-        Alcotest.test_case "uncached is fresh" `Quick test_store_uncached_is_fresh;
       ] );
     ( "trace.observed",
       List.map
