@@ -236,7 +236,7 @@ let simulate_extended_test =
          let cca = Abg_cca.Reno.create ~mss:1448.0 () in
          ignore (Abg_netsim.Sim.run cfg cca)))
 
-(* Whole-suite collection over the parallel pool: simulate and derive. *)
+(* Whole-suite collection: simulate and derive. *)
 let collect_suite_test =
   let ctor = Option.get (Abg_cca.Registry.find "reno") in
   Test.make ~name:"table3: collect-suite-grid"

@@ -662,12 +662,16 @@ let max_jobs_arg =
   Arg.(value & opt (some count_conv) None & info [ "max-jobs" ] ~docv:"N" ~doc)
 
 let domains_arg =
-  let doc = "Domain-pool participation cap for this run." in
+  let doc =
+    "Domains, the calling one included, that evaluate a generation's \
+     scenarios (default: the machine's recommended domain count)."
+  in
   Arg.(value & opt (some count_conv) None & info [ "domains" ] ~docv:"N" ~doc)
 
 (* The execution knobs, parsed once per command into Runner.settings.
-   [~batch] adds the flags only `batch run/resume' take and [~seed] the
-   --seed flag; a flag a command lacks keeps its default. *)
+   [~batch] adds the flags only `batch run/resume' take, [~batch:false]
+   the --domains flag only `fuzz run/resume' take, and [~seed] the --seed
+   flag; a flag a command lacks keeps its default. *)
 let settings_term ~batch ~seed =
   let d = Abg_batch.Runner.default_settings in
   let only present arg default = if present then arg else Term.const default in
@@ -690,7 +694,7 @@ let settings_term ~batch ~seed =
     $ only batch timeout_arg None
     $ only batch shard_arg None
     $ only batch max_jobs_arg None
-    $ domains_arg
+    $ only (not batch) domains_arg None
     $ only batch flush_window_arg d.Abg_batch.Runner.flush_window_s
     $ only seed seed_arg d.Abg_batch.Runner.refinement.Abg_core.Refinement.seed
     $ verbose_arg)
@@ -705,7 +709,6 @@ let run_workers ~dir ~workers (s : Abg_batch.Runner.settings) =
     @ (if s.timeout_s < infinity then [ "--timeout"; string_of_float s.timeout_s ]
        else [])
     @ opt_arg "--max-jobs" string_of_int s.max_jobs
-    @ opt_arg "--domains" string_of_int s.num_domains
     @ [
         "--flush-window";
         string_of_float s.flush_window_s;
@@ -962,6 +965,7 @@ let endpoint_of socket tcp =
   | None -> Abg_serve.Daemon.Unix_socket socket
 
 let serve socket tcp window max_sessions no_escalate () =
+  let log = Abg_serve.Daemon.log_line stdout in
   let escalate =
     if no_escalate then None
     else
@@ -969,26 +973,24 @@ let serve socket tcp window max_sessions no_escalate () =
          lane; the outcome lands in the daemon log. *)
       Some
         (Abg_serve.Escalate.create (fun ~sid trace ->
-             match Abg_core.Synthesis.run ~name:sid [ trace ] with
-             | Some o ->
-                 Printf.printf "escalate %s: synthesized %s (distance %.3f)\n%!"
-                   sid o.Abg_core.Synthesis.pretty
-                   o.Abg_core.Synthesis.distance
-             | None ->
-                 Printf.printf "escalate %s: synthesis found no handler\n%!"
-                   sid))
+             log
+               (match Abg_core.Synthesis.run ~name:sid [ trace ] with
+               | Some o ->
+                   Printf.sprintf "escalate %s: synthesized %s (distance %.3f)"
+                     sid o.Abg_core.Synthesis.pretty
+                     o.Abg_core.Synthesis.distance
+               | None ->
+                   Printf.sprintf "escalate %s: synthesis found no handler" sid)))
   in
   let config =
     {
       Abg_serve.Daemon.endpoint = endpoint_of socket tcp;
       engine = { Abg_serve.Engine.window; max_sessions; escalate };
-      log =
-        (fun line ->
-          print_endline line;
-          flush stdout);
+      log;
     }
   in
-  Abg_serve.Daemon.run ~config ()
+  try Abg_serve.Daemon.run ~config ()
+  with Abg_serve.Daemon.Endpoint_in_use msg -> die "%s" msg
 
 let serve_cmd =
   command ~telemetry:true "serve"

@@ -47,7 +47,10 @@ let kind_of_token token =
   | [ "classify" ] -> Ok Classify
   | [ "noise"; stddev; keep ] -> (
       match (float_of_string_opt stddev, float_of_string_opt keep) with
-      | Some stddev, Some keep -> Ok (Noise { stddev; keep })
+      | Some stddev, Some keep
+        when Float.is_finite stddev && stddev >= 0.0 && keep > 0.0
+             && keep <= 1.0 ->
+          Ok (Noise { stddev; keep })
       | _ -> Error (Printf.sprintf "bad noise parameters in %S" token))
   | [ "probe"; fails; sleep ] -> (
       match (int_of_string_opt fails, int_of_string_opt sleep) with

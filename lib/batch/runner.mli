@@ -19,13 +19,14 @@
     and after {!gc} a byte-identical store.
 
     Durability goes through {!Group_commit}: the store runs in deferred
-    (pack-file) mode and concurrently completing jobs share one fsync
-    per flush window, with a job reported done — counters, verbose log,
-    the returned completion — only after the fsync covering its journal
-    line returns.
+    (pack-file) mode, and a job is reported done — counters, verbose
+    log, the returned completion — only after the fsync covering its
+    journal line returns.
 
-    Jobs dispatch onto the shared {!Abg_parallel.Pool} in canonical
-    (digest) order. A job that raises is retried with exponential
+    Jobs run one at a time on the calling domain (so each completion is
+    its own flush), in canonical (digest) order; only a fuzz
+    generation's evaluations fan out, over the shared
+    {!Abg_parallel.Pool}. A job that raises is retried with exponential
     backoff up to [retries] extra attempts, then {e quarantined}: its
     error is journaled and the rest of the grid proceeds — a poisoned
     job never takes down the run. Per-job wall-clock limits are
@@ -48,7 +49,7 @@ type settings = {
   timeout_s : float;  (** per-attempt wall-clock limit (default: none) *)
   shard : (int * int) option;  (** [(i, n)], 0-based shard index *)
   max_jobs : int option;  (** stop after this many completions (smoke) *)
-  num_domains : int option;  (** pool participation cap *)
+  num_domains : int option;  (** a fuzz generation's map's domain cap *)
   flush_window_s : float;
       (** group-commit linger before the leader flushes (default 0) *)
   refinement : Abg_core.Refinement.config;

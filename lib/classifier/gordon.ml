@@ -43,7 +43,8 @@ let reference_scenarios () =
     CCAnalyzer, for the two CCAs Gordon does not know, and {!Online}
     pass [Trace.collect_observed] and keep no records. [f] runs on each
     suite before the next is simulated: Gordon reduces each suite as it
-    goes, and reducing only after every simulation raises peak RSS. *)
+    goes, and reducing only after every simulation raises peak RSS.
+    One domain: on two, the seeded synth's peak RSS rose 31.4 -> 38.4 MB. *)
 let reference_suites names collect f =
   List.filter_map
     (fun name ->
@@ -51,7 +52,7 @@ let reference_suites names collect f =
         (fun ctor ->
           ( name,
             f
-              (Abg_parallel.Pool.map_list
+              (List.map
                  (fun cfg -> collect cfg ~name ctor)
                  (reference_scenarios ())) ))
         (Abg_cca.Registry.find name))

@@ -1,32 +1,15 @@
-(** Parallel work distribution over OCaml 5 domains.
+(* See pool.mli for the contract. *)
 
-    The paper distributes bucket scoring over a Ray cluster (§5); this
-    module is the laptop-scale substitute. Earlier versions spawned fresh
-    domains per [map] call and split work into one static chunk per
-    domain; both hurt the refinement loop, which calls [map] every
-    iteration over buckets whose costs vary by orders of magnitude
-    (sketch counts differ widely), leaving domains idle behind the
-    biggest chunk. Instead, a pool of worker domains is created once and
-    each job's items are claimed dynamically: every participant —
-    including the calling domain — pulls the next unclaimed index from a
-    shared atomic counter until none remain. Imbalanced items therefore
-    pack tightly, and per-call overhead is a mutex broadcast instead of a
-    domain spawn.
-
-    The [map]/[mapi]/[map_list] wrappers run on a lazily-created global
-    pool (shut down via [at_exit]); explicit pools are available through
-    {!create}/{!shutdown}. A sequential fallback is used for tiny inputs
-    and single-domain machines, where any coordination overhead
-    dominates. *)
-
-let default_domains () = Stdlib.max 1 (Domain.recommended_domain_count () - 1)
+(* Participants in a job, the calling domain included. *)
+let default_domains () = Stdlib.max 1 (Domain.recommended_domain_count ())
 
 (* Telemetry. Whether a map runs through the pool at all depends on the
    machine (sequential fallback below), and how many workers join a job
    before its items run out depends on scheduling — so every pool counter
    is volatile (excluded from the deterministic report section). Busy
    time is a sharded float cell: each participant accumulates into its
-   own domain's slot. *)
+   own domain's slot. [pool.workers] is the global pool's size: explicit
+   pools leave it alone. *)
 let obs_jobs = Abg_obs.Obs.Counter.make ~volatile:true "pool.jobs"
 let obs_items = Abg_obs.Obs.Counter.make ~volatile:true "pool.items"
 
@@ -68,8 +51,8 @@ type t = {
      synthesis jobs) that idle workers pick up only when no foreground
      job wants them. Foreground maps always win the wakeup check, and at
      least one worker slot is kept clear of background work on pools of
-     two or more, so serve sessions fanning classification work out as
-     maps are never starved behind a long synthesis. *)
+     two or more, so a foreground map is never starved behind a long
+     synthesis. *)
   bg : (unit -> unit) Queue.t;
   mutable bg_active : int;  (* background tasks currently running *)
   bg_cap : int;  (* max concurrent background tasks: max 1 (size - 1) *)
@@ -151,10 +134,6 @@ let worker_loop t () =
     end
   done
 
-(** [create ?size ()] spawns a pool of [size] worker domains (default:
-    the machine's recommended parallelism minus the calling domain, which
-    participates in every job). [size = 0] is valid: jobs then run
-    entirely on the caller, still through the same claiming loop. *)
 let create ?size () =
   let size =
     match size with
@@ -176,11 +155,8 @@ let create ?size () =
     }
   in
   t.workers <- Array.init size (fun _ -> Domain.spawn (worker_loop t));
-  Abg_obs.Obs.Gauge.set obs_workers (float_of_int size);
   t
 
-(** [shutdown t] stops and joins the worker domains. Idempotent; [t] must
-    not be used afterwards. *)
 let shutdown t =
   Mutex.lock t.m;
   t.stop <- true;
@@ -223,8 +199,8 @@ let run_job t ~active ~n ~body =
   Mutex.unlock t.m;
   match job.exn with Some e -> raise e | None -> ()
 
-(* The global pool behind map/mapi/map_list: created on first parallel
-   call, torn down at exit. *)
+(* The global pool behind [map] and [background]: created on first use,
+   torn down at exit. *)
 let global_pool = ref None
 let global_m = Mutex.create ()
 
@@ -235,6 +211,7 @@ let global () =
     | Some t -> t
     | None ->
         let t = create () in
+        Abg_obs.Obs.Gauge.set obs_workers (float_of_int (size t));
         at_exit (fun () -> shutdown t);
         global_pool := Some t;
         t
@@ -242,11 +219,6 @@ let global () =
   Mutex.unlock global_m;
   t
 
-(** [map ?pool ?num_domains f xs] is [Array.map f xs] computed in
-    parallel. [f] must be safe to run concurrently on distinct elements.
-    Exceptions raised by [f] are re-raised in the caller. [num_domains]
-    caps how many domains participate (the available parallelism is
-    otherwise bounded by the pool's size). *)
 let map ?pool ?num_domains f xs =
   let n = Array.length xs in
   let domains =
@@ -269,22 +241,6 @@ let map ?pool ?num_domains f xs =
       out
   end
 
-(** [mapi ?pool ?num_domains f xs] is the indexed variant of {!map}. *)
-let mapi ?pool ?num_domains f xs =
-  let indexed = Array.mapi (fun i x -> (i, x)) xs in
-  map ?pool ?num_domains (fun (i, x) -> f i x) indexed
-
-(** [map_list ?pool ?num_domains f xs] is {!map} over lists. *)
-let map_list ?pool ?num_domains f xs =
-  Array.to_list (map ?pool ?num_domains f (Array.of_list xs))
-
-(** [background ?pool task] enqueues [task] on the pool's low-priority
-    lane: an idle worker runs it only when no foreground job wants that
-    worker, and at most [max 1 (size - 1)] background tasks run at once,
-    so on pools of two or more workers at least one stays free for
-    foreground maps. Exceptions in [task] are swallowed (counted in
-    [pool.background_failures]). On a zero-worker pool tasks queue until
-    {!drain_background}. *)
 let background ?pool task =
   let t = match pool with Some t -> t | None -> global () in
   Mutex.lock t.m;
@@ -292,11 +248,6 @@ let background ?pool task =
   Condition.broadcast t.cv;
   Mutex.unlock t.m
 
-(** [drain_background ?pool ()] runs every queued background task (on
-    the calling domain, racing the workers for them) and returns once
-    none are queued or running. The serve daemon's shutdown barrier; call
-    it before {!shutdown}, which discards still-queued tasks. Without
-    [?pool], drains the global pool if one was ever created. *)
 let drain_background ?pool () =
   let t_opt =
     match pool with

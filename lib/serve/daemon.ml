@@ -44,11 +44,17 @@ type config = {
   log : string -> unit;  (* daemon log lines (drain verdicts, summary) *)
 }
 
+(** [log_line oc line] writes [line] and its newline in one channel
+    write, which no other domain's write can split, then flushes. *)
+let log_line oc line =
+  output_string oc (line ^ "\n");
+  flush oc
+
 let default_config =
   {
     endpoint = Unix_socket "abagnale.sock";
     engine = Engine.default_config;
-    log = print_endline;
+    log = log_line stdout;
   }
 
 (* Stay far under the select FD_SETSIZE ceiling; sessions multiplex, so
@@ -78,9 +84,27 @@ let install_signal_handlers () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ -> ()
 
+let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+exception Endpoint_in_use of string
+
+(* Only a socket that refuses connections (a dead daemon's) is replaced;
+   a live daemon's socket or any other file stops this daemon. *)
+let claim_socket_path path =
+  let refuse why = raise (Endpoint_in_use (path ^ ": " ^ why)) in
+  match (Unix.lstat path).Unix.st_kind with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | Unix.S_SOCK -> (
+      let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> close_noerr probe) @@ fun () ->
+      match Unix.connect probe (Unix.ADDR_UNIX path) with
+      | () -> refuse "another daemon is listening"
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> Unix.unlink path)
+  | _ -> refuse "exists and is not a socket"
+
 let listen_on = function
   | Unix_socket path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      claim_socket_path path;
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.bind fd (Unix.ADDR_UNIX path);
       Unix.listen fd 128;
@@ -91,8 +115,6 @@ let listen_on = function
       Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       Unix.listen fd 128;
       fd
-
-let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* Flush as much of [c.out] as the socket accepts right now. Returns
    [false] when the connection is dead. *)

@@ -126,16 +126,15 @@ let collect cfg ~name (constructor : Abg_cca.Cca_sig.constructor) =
   }
 
 (** [collect_configs ~name constructor configs] collects one trace per
-    explicit scenario config, in parallel over the domain pool. Each
-    config carries its own RNG seed, so the result is bit-identical to a
-    sequential pass regardless of scheduling. Every call simulates, and
-    the traces live only as long as the caller holds them: a caller that
-    asks for the same suite twice keeps its own memo. This is the batch
-    orchestrator's entry point: a job spec names its exact {!Config.t}
-    list. *)
+    explicit scenario config, each seeded by its config, on the calling
+    domain (on two, these full-record simulations took the seeded synth
+    over its memory bound). Every call simulates, and the traces live
+    only as long as the caller holds them: a caller that asks for the
+    same suite twice keeps its own memo. This is the batch orchestrator's
+    entry point: a job spec names its exact {!Config.t} list. *)
 let collect_configs ~name constructor configs =
   Abg_obs.Obs.span "collect-suite" @@ fun () ->
-  Abg_parallel.Pool.map_list (fun cfg -> collect cfg ~name constructor) configs
+  List.map (fun cfg -> collect cfg ~name constructor) configs
 
 (** [collect_suite ?duration ?ack_jitter ~n ~name constructor] collects
     traces for a diverse scenario grid (§3.2's RTT x bandwidth ranges) —

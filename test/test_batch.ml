@@ -180,6 +180,24 @@ let test_job_kind_tokens () =
       | Ok _ -> Alcotest.fail ("accepted " ^ bad))
     [ "nonsense"; "noise:x:y"; "probe:1"; "noise:0.1" ]
 
+(* A noise stddev must be finite and at least 0 and its keep a
+   probability above 0; anything else is refused naming the token. *)
+let test_job_noise_token_bounds () =
+  List.iter
+    (fun token ->
+      match Job.kind_of_token token with
+      | Ok _ -> Alcotest.fail ("accepted " ^ token)
+      | Error msg ->
+          Alcotest.(check bool) ("names " ^ token) true
+            (contains ~affix:token msg))
+    [ "noise:nan:0.5"; "noise:inf:1"; "noise:-inf:1"; "noise:-1:0.5";
+      "noise:0.1:0"; "noise:0.1:2"; "noise:0.1:-0.5"; "noise:0.1:nan" ];
+  List.iter
+    (fun (token, stddev, keep) ->
+      Alcotest.(check bool) token true
+        (Job.kind_of_token token = Ok (Job.Noise { stddev; keep })))
+    [ ("noise:0:1", 0.0, 1.0); ("noise:2.5:0.01", 2.5, 0.01) ]
+
 (* Job digests name journal lines and store keys, so the canonical
    bytes they hash must never move silently. Pinned per kind; kill and
    resume tests cannot catch this, since both sides share one build. *)
@@ -684,12 +702,12 @@ let test_group_commit_from_domains () =
     ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
     (fun () ->
       ignore
-        (Abg_parallel.Pool.map_list ~pool ~num_domains:4
+        (Abg_parallel.Pool.map ~pool ~num_domains:4
            (fun (i, content) ->
              let blob = Store.put store content in
              Group_commit.commit commit
                { (mk_entry i) with Journal.result = Some blob })
-           (List.mapi (fun i c -> (i, c)) results)));
+           (Array.of_list (List.mapi (fun i c -> (i, c)) results))));
   Group_commit.close commit;
   Journal.close journal;
   Store.close store;
@@ -1177,6 +1195,8 @@ let suites =
         Alcotest.test_case "expand rejects empty" `Quick
           test_job_expand_rejects_empty;
         Alcotest.test_case "kind tokens" `Quick test_job_kind_tokens;
+        Alcotest.test_case "noise token bounds" `Quick
+          test_job_noise_token_bounds;
         Alcotest.test_case "digest pinned" `Quick test_job_digest_pinned;
       ] );
     ( "batch.durable",

@@ -260,6 +260,32 @@ let test_fitness_counterexample () =
     (Failure "fuzz: counterexample fitness needs a handler") (fun () ->
       ignore (Fitness.evaluate { spec with Fitness.handler = None } cheap_cfg))
 
+(* A generation evaluated on four domains scores exactly what one domain
+   does: each evaluation seeds its own simulation, so scheduling cannot
+   move a bit. *)
+let test_fitness_four_domains () =
+  let params = { Search.default_params with Search.pop = 8 } in
+  let cfgs =
+    Array.map
+      (Genome.to_config ~duration:2.0 ~seed:21)
+      (Search.initial_population params)
+  in
+  let pool = Abg_parallel.Pool.create ~size:3 () in
+  Fun.protect ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
+  @@ fun () ->
+  List.iter
+    (fun (kind, cca_b, handler) ->
+      let spec = { Fitness.kind; cca = "reno"; cca_b; handler } in
+      let bits = Array.map Int64.bits_of_float in
+      Alcotest.(check (array int64)) (Fitness.kind_name kind)
+        (bits (Array.map (Fitness.evaluate spec) cfgs))
+        (bits
+           (Abg_parallel.Pool.map ~pool ~num_domains:4 (Fitness.evaluate spec)
+              cfgs)))
+    [ (Fitness.Divergence, Some "cubic", None);
+      (Fitness.Throughput, None, None);
+      (Fitness.Counterexample, None, Some Abg_dsl.Expr.Cwnd) ]
+
 (* -- batch evaluation: resume contract -- *)
 
 let quiet_settings =
@@ -426,6 +452,7 @@ let suites =
         Alcotest.test_case "divergence" `Quick test_fitness_divergence;
         Alcotest.test_case "throughput" `Quick test_fitness_throughput;
         Alcotest.test_case "counterexample" `Quick test_fitness_counterexample;
+        Alcotest.test_case "four domains = one" `Quick test_fitness_four_domains;
       ] );
     ( "fuzz.batch",
       [

@@ -429,9 +429,8 @@ let test_pool_background_zero_worker_drain () =
 
 (* -- Daemon end-to-end over a unix socket -- *)
 
-(* The daemon runs in a thread, not a forked child: reference warm-up
-   uses the domain pool, and forking a multi-domain process is
-   unsupported. Process-level semantics (SIGTERM, exit code) are the CI
+(* The daemon runs in a thread, not a forked child: earlier tests spawn
+   pool domains, and forking a multi-domain process is unsupported. Process-level semantics (SIGTERM, exit code) are the CI
    smoke test's job, against the real binary; here {!Daemon.request_stop}
    plays the signal's role and a returned [run] plays the clean exit. *)
 let test_daemon_end_to_end () =
@@ -492,6 +491,102 @@ let test_daemon_end_to_end () =
   Alcotest.(check bool) "run returned cleanly" true !drained;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket)
 
+(* -- Claiming the socket path -- *)
+
+let with_socket_dir f =
+  let dir = Filename.temp_file "abg-sock" "" in
+  Unix.unlink dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "s.sock" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> f path)
+
+let listen path =
+  Abg_serve.Daemon.listen_on (Abg_serve.Daemon.Unix_socket path)
+
+let accepts path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      match Unix.connect fd (Unix.ADDR_UNIX path) with
+      | () -> true
+      | exception Unix.Unix_error _ -> false)
+
+let refused_with path msg =
+  match listen path with
+  | fd ->
+      Unix.close fd;
+      Alcotest.fail "listen_on took the path"
+  | exception Abg_serve.Daemon.Endpoint_in_use m ->
+      Alcotest.(check string) "one line naming the path" (path ^ msg) m
+
+let test_socket_path_absent () =
+  with_socket_dir @@ fun path ->
+  let fd = listen path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Alcotest.(check bool) "listening" true (accepts path)
+
+(* A dead daemon's socket refuses connections: it is replaced. *)
+let test_socket_path_stale () =
+  with_socket_dir @@ fun path ->
+  Unix.close (listen path);
+  Alcotest.(check bool) "stale socket refuses" false (accepts path);
+  let fd = listen path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Alcotest.(check bool) "listening again" true (accepts path)
+
+(* A live daemon keeps its socket: same inode, still answering. *)
+let test_socket_path_live () =
+  with_socket_dir @@ fun path ->
+  let fd = listen path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let inode = (Unix.lstat path).Unix.st_ino in
+  refused_with path ": another daemon is listening";
+  Alcotest.(check int) "same socket file" inode (Unix.lstat path).Unix.st_ino;
+  Alcotest.(check bool) "first daemon still answers" true (accepts path)
+
+let test_socket_path_not_a_socket () =
+  with_socket_dir @@ fun path ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc "data\n");
+  refused_with path ": exists and is not a socket";
+  Alcotest.(check string) "file untouched" "data\n"
+    (In_channel.with_open_bin path In_channel.input_all)
+
+(* Two domains log through one channel at once: every line reads back
+   whole, each exactly once. *)
+let test_log_lines_whole () =
+  let path = Filename.temp_file "abg-log" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let lines = 10_000 in
+  let line d i =
+    Printf.sprintf "domain %d line %05d %s" d i (String.make 40 'x')
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      let log d () =
+        for i = 1 to lines do
+          Abg_serve.Daemon.log_line oc (line d i)
+        done
+      in
+      let other = Domain.spawn (log 1) in
+      log 0 ();
+      Domain.join other);
+  let got =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.sort compare
+  in
+  let want =
+    List.concat_map (fun d -> List.init lines (fun i -> line d (i + 1))) [ 0; 1 ]
+    |> List.sort compare
+  in
+  Alcotest.(check int) "line count" (2 * lines) (List.length got);
+  Alcotest.(check bool) "every line whole" true (got = want)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -542,5 +637,12 @@ let suites =
       ] );
     ( "serve-daemon",
       [ Alcotest.test_case "end-to-end over unix socket" `Slow
-          test_daemon_end_to_end ] );
+          test_daemon_end_to_end;
+        Alcotest.test_case "socket path absent" `Quick test_socket_path_absent;
+        Alcotest.test_case "stale socket replaced" `Quick test_socket_path_stale;
+        Alcotest.test_case "live socket refused" `Quick test_socket_path_live;
+        Alcotest.test_case "non-socket path kept" `Quick
+          test_socket_path_not_a_socket;
+        Alcotest.test_case "log lines whole across domains" `Quick
+          test_log_lines_whole ] );
   ]

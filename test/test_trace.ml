@@ -226,8 +226,8 @@ let test_collect_calls_are_fresh () =
     a b
 
 let test_collect_parallel_matches_sequential () =
-  (* Parallel collection must be bit-identical to a plain sequential
-     sweep of the same grid. *)
+  (* Suite collection must be bit-identical to collecting each config
+     of the same grid on its own. *)
   let parallel =
     Abg_trace.Trace.collect_suite ~duration:2.0 ~n:2 ~name:"reno" reno_ctor
   in

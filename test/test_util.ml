@@ -313,17 +313,29 @@ let test_pool_map_forced_domains () =
   Alcotest.(check (array int)) "multi-domain" (Array.map succ xs)
     (Abg_parallel.Pool.map ~num_domains:4 succ xs)
 
-let test_pool_mapi () =
-  let xs = [| "a"; "b"; "c"; "d"; "e" |] in
-  let out = Abg_parallel.Pool.mapi ~num_domains:2 (fun i s -> Printf.sprintf "%d%s" i s) xs in
+(* Results land at their item's index whichever domain ran it. *)
+let test_pool_indexed_items () =
+  let xs = Array.mapi (fun i s -> (i, s)) [| "a"; "b"; "c"; "d"; "e" |] in
+  let out =
+    Abg_parallel.Pool.map ~num_domains:2 (fun (i, s) -> Printf.sprintf "%d%s" i s) xs
+  in
   Alcotest.(check (array string)) "indexed" [| "0a"; "1b"; "2c"; "3d"; "4e" |] out
 
 let test_pool_empty () =
   Alcotest.(check (array int)) "empty" [||] (Abg_parallel.Pool.map succ [||])
 
-let test_pool_map_list () =
-  Alcotest.(check (list int)) "list variant" [ 2; 3; 4 ]
-    (Abg_parallel.Pool.map_list succ [ 1; 2; 3 ])
+(* Under four items [map] takes its sequential path. *)
+let test_pool_short_input () =
+  Alcotest.(check (array int)) "short input" [| 2; 3; 4 |]
+    (Abg_parallel.Pool.map ~num_domains:4 succ [| 1; 2; 3 |])
+
+(* The default pool is every CPU but the caller's: the caller is one of
+   a job's participants. *)
+let test_pool_default_workers () =
+  ignore (Abg_parallel.Pool.map succ (Array.init 64 Fun.id));
+  Alcotest.(check (float 0.0)) "pool.workers"
+    (float_of_int (Domain.recommended_domain_count () - 1))
+    (Abg_obs.Obs.Gauge.value (Abg_obs.Obs.Gauge.make "pool.workers"))
 
 let test_pool_explicit_reuse () =
   (* An explicit pool serves many jobs before shutdown; shutdown is
@@ -572,9 +584,10 @@ let pool_suite =
     [
       Alcotest.test_case "matches sequential" `Quick test_pool_map_matches_sequential;
       Alcotest.test_case "forced domains" `Quick test_pool_map_forced_domains;
-      Alcotest.test_case "mapi" `Quick test_pool_mapi;
+      Alcotest.test_case "indexed items" `Quick test_pool_indexed_items;
       Alcotest.test_case "empty" `Quick test_pool_empty;
-      Alcotest.test_case "map_list" `Quick test_pool_map_list;
+      Alcotest.test_case "short input" `Quick test_pool_short_input;
+      Alcotest.test_case "default pool workers" `Quick test_pool_default_workers;
       Alcotest.test_case "explicit pool reuse" `Quick test_pool_explicit_reuse;
       Alcotest.test_case "exception re-raise" `Quick test_pool_exception_reraised;
       Alcotest.test_case "finished job released" `Quick
