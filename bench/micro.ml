@@ -90,11 +90,11 @@ let bucket_score_tests =
        Test.make ~name:"refine: bucket-score-full"
          (Staged.stage (fun () -> ignore (fold false ()))) ))
 
-(* One map over the persistent pool: the per-call dispatch overhead. *)
+(* One 16-item map on two domains, the helper's spawn and join
+   included: what a fuzz generation pays to fan out. *)
 let pool_test =
   lazy
-    (let pool = Abg_parallel.Pool.create ~size:1 () in
-     let xs = Array.init 16 (fun i -> i) in
+    (let xs = Array.init 16 (fun i -> i) in
      let f x =
        let acc = ref 0.0 in
        for i = 1 to 2_000 do
@@ -102,9 +102,9 @@ let pool_test =
        done;
        !acc
      in
-     Test.make ~name:"refine: pool-map-persistent"
+     Test.make ~name:"fuzz: pool-map"
        (Staged.stage (fun () ->
-            ignore (Abg_parallel.Pool.map ~pool ~num_domains:2 f xs))))
+            ignore (Abg_parallel.Pool.map ~num_domains:2 f xs))))
 
 (* The reno space holds ~4k canonical sketches and the incremental
    enumerator now clears them faster than the measurement quota: when the
@@ -245,7 +245,7 @@ let collect_suite_test =
            (Abg_trace.Trace.collect_suite ~duration:1.0 ~n:4 ~name:"reno" ctor)))
 
 (* Batch-orchestrator storage primitives: what a run pays per artifact
-   read (verified) and per blob write (amortized over a flush window). *)
+   read (verified) and per blob write (amortized over a pack flush). *)
 let batch_store_read_test =
   lazy
     (let root =
@@ -261,13 +261,12 @@ let batch_store_read_test =
        (Staged.stage (fun () ->
             ignore (Abg_batch.Store.get store read_digest))))
 
-(* The group-commit write path: a fresh 4k payload every iteration (the
+(* The staged write path: a fresh 4k payload every iteration (the
    content-addressed fast path for an existing digest would otherwise
    turn the measurement into a lookup), staged in a writer whose pack
-   flush (one append write + one fsync) lands every 64 puts — the store
-   half of a 64-entry flush window. 63 runs stage in memory, the 64th
-   pays the flush, so the estimate is the honest amortized per-blob
-   durability cost. *)
+   flush (one append write + one fsync) lands every 64 puts. 63 runs
+   stage in memory, the 64th pays the flush, so the estimate is the
+   amortized per-blob durability cost of a job that stores 64 blobs. *)
 let batch_store_amortized_test =
   lazy
     (let root =
@@ -307,28 +306,23 @@ let bench_entry i =
       error = None;
     }
 
-(* The journal half of the same window: entries accumulate and every
-   64th run pays one append_batch (one write, one fsync) for the lot. *)
-let batch_journal_append_amortized_test =
+(* One journal line with its fsync: what each batch job's commit pays
+   after its pack flush. *)
+let batch_journal_append_test =
   lazy
     (let path =
        Filename.concat
          (Filename.get_temp_dir_name ())
-         (Printf.sprintf "abagnale-bench-journal-amortized.%d.jsonl"
+         (Printf.sprintf "abagnale-bench-journal-append.%d.jsonl"
             (Unix.getpid ()))
      in
      if Sys.file_exists path then Sys.remove path;
      let journal = Abg_batch.Journal.open_ path in
      let counter = ref 0 in
-     let pending = ref [] in
-     Test.make ~name:"batch: journal-append-amortized"
+     Test.make ~name:"batch: journal-append"
        (Staged.stage (fun () ->
             incr counter;
-            pending := bench_entry !counter :: !pending;
-            if !counter mod 64 = 0 then begin
-              Abg_batch.Journal.append_batch journal !pending;
-              pending := []
-            end)))
+            Abg_batch.Journal.append journal (bench_entry !counter))))
 
 (* Replay of an n-line journal. At 100k lines it is the read a resume,
    status or report makes for a 100k-job grid. *)
@@ -339,19 +333,12 @@ let batch_journal_replay_test ~name n =
          (Filename.get_temp_dir_name ())
          (Printf.sprintf "abagnale-bench-journal-%d.%d.jsonl" n (Unix.getpid ()))
      in
-     if Sys.file_exists path then Sys.remove path;
-     let journal = Abg_batch.Journal.open_ path in
-     let chunk = 4_096 in
-     let rec fill i =
-       if i <= n then begin
-         let k = Stdlib.min chunk (n - i + 1) in
-         Abg_batch.Journal.append_batch journal
-           (List.init k (fun j -> bench_entry (i + j)));
-         fill (i + k)
-       end
-     in
-     fill 1;
-     Abg_batch.Journal.close journal;
+     (* The lines [Journal.append] writes, without an fsync each. *)
+     Out_channel.with_open_bin path (fun oc ->
+         for i = 1 to n do
+           output_string oc
+             (Abg_batch.Journal.entry_to_line (bench_entry i) ^ "\n")
+         done);
      Test.make ~name
        (Staged.stage (fun () -> ignore (Abg_batch.Journal.replay path))))
 
@@ -485,7 +472,7 @@ let run () =
       collect_suite_test; Lazy.force classify_features_test;
       Lazy.force trace_to_string_test; Lazy.force ccanalyzer_classify_test;
       Lazy.force batch_store_read_test; Lazy.force batch_store_amortized_test;
-      Lazy.force batch_journal_append_amortized_test;
+      Lazy.force batch_journal_append_test;
       Lazy.force batch_journal_replay_256_test;
       Lazy.force batch_journal_replay_100k_test;
       Lazy.force fuzz_generation_test; Lazy.force fuzz_divergence_eval_test ]

@@ -75,8 +75,7 @@ let seconds_conv =
   bounded_conv float_of_string_opt valid_seconds seconds_bound (fun ppf ->
       Format.fprintf ppf "%g")
 
-(* A group-commit linger or an ack jitter may be 0, but an inf linger
-   would hang the first flush, and an inf jitter collects empty traces. *)
+(* An ack jitter may be 0, but an inf jitter collects empty traces. *)
 let nonneg_conv =
   bounded_conv float_of_string_opt
     (fun x -> Float.is_finite x && x >= 0.0)
@@ -642,13 +641,6 @@ let workers_arg =
   in
   Arg.(value & opt (some count_conv) None & info [ "workers" ] ~docv:"N" ~doc)
 
-let flush_window_arg =
-  let doc =
-    "Group-commit linger in seconds: how long a flush leader waits for \
-     concurrently completing jobs to join its fsync."
-  in
-  Arg.(value & opt nonneg_conv 0.0 & info [ "flush-window" ] ~docv:"SECONDS" ~doc)
-
 let retries_arg =
   let doc = "Extra attempts for a failing job before quarantine." in
   Arg.(value & opt (at_least_conv 0) 2 & info [ "retries" ] ~doc)
@@ -675,8 +667,7 @@ let domains_arg =
 let settings_term ~batch ~seed =
   let d = Abg_batch.Runner.default_settings in
   let only present arg default = if present then arg else Term.const default in
-  let make retries timeout shard max_jobs num_domains flush_window_s seed
-      verbose =
+  let make retries timeout shard max_jobs num_domains seed verbose =
     {
       d with
       Abg_batch.Runner.retries;
@@ -684,7 +675,6 @@ let settings_term ~batch ~seed =
       shard;
       max_jobs;
       num_domains;
-      flush_window_s;
       refinement = { d.Abg_batch.Runner.refinement with Abg_core.Refinement.seed };
       verbose;
     }
@@ -695,7 +685,6 @@ let settings_term ~batch ~seed =
     $ only batch shard_arg None
     $ only batch max_jobs_arg None
     $ only (not batch) domains_arg None
-    $ only batch flush_window_arg d.Abg_batch.Runner.flush_window_s
     $ only seed seed_arg d.Abg_batch.Runner.refinement.Abg_core.Refinement.seed
     $ verbose_arg)
 
@@ -709,12 +698,7 @@ let run_workers ~dir ~workers (s : Abg_batch.Runner.settings) =
     @ (if s.timeout_s < infinity then [ "--timeout"; string_of_float s.timeout_s ]
        else [])
     @ opt_arg "--max-jobs" string_of_int s.max_jobs
-    @ [
-        "--flush-window";
-        string_of_float s.flush_window_s;
-        "--seed";
-        string_of_int s.refinement.Abg_core.Refinement.seed;
-      ]
+    @ [ "--seed"; string_of_int s.refinement.Abg_core.Refinement.seed ]
     @ if s.verbose then [ "--verbose" ] else []
   in
   let argv i =
@@ -969,8 +953,8 @@ let serve socket tcp window max_sessions no_escalate () =
   let escalate =
     if no_escalate then None
     else
-      (* Unknown flows go to real synthesis on the pool's background
-         lane; the outcome lands in the daemon log. *)
+      (* Unknown flows go to real synthesis on the escalation domain;
+         the outcome lands in the daemon log. *)
       Some
         (Abg_serve.Escalate.create (fun ~sid trace ->
              log

@@ -83,23 +83,16 @@ let open_ path =
   in
   { fd; m = Mutex.create () }
 
-(* One write syscall for the whole payload (O_APPEND keeps concurrent
-   appends from interleaving), then one fsync: once this returns, every
-   line in the batch survives a kill. *)
-let append_batch t entries =
-  if entries <> [] then begin
-    let payload =
-      String.concat "" (List.map (fun e -> entry_to_line e ^ "\n") entries)
-    in
-    Mutex.lock t.m;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.m)
-      (fun () ->
-        let n = String.length payload in
-        let written = Unix.write_substring t.fd payload 0 n in
-        if written <> n then failwith "Journal.append_batch: short write";
-        Unix.fsync t.fd)
-  end
+(* One write syscall for the line (O_APPEND keeps appends from
+   interleaving), then one fsync: once this returns, the line survives a
+   kill. *)
+let append t entry =
+  let line = entry_to_line entry ^ "\n" in
+  Mutex.protect t.m (fun () ->
+      let n = String.length line in
+      let written = Unix.write_substring t.fd line 0 n in
+      if written <> n then failwith "Journal.append: short write";
+      Unix.fsync t.fd)
 
 let close t = Unix.close t.fd
 

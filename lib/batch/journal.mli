@@ -1,13 +1,12 @@
 (** Append-only, fsync'd journal of job completions.
 
     One line per terminal job outcome, in canonical JSON
-    ({!Abg_util.Json.to_string}), flushed and fsync'd before
-    {!append_batch} (one write and one fsync for a whole batch — the
-    group-commit primitive) returns — after a crash the
-    journal holds every completion that was acknowledged, plus at most
-    one torn final line, which replay discards (the interrupted job
-    simply re-runs on resume; its artifacts are content-addressed, so
-    re-running cannot change the store).
+    ({!Abg_util.Json.to_string}), written and fsync'd before {!append}
+    returns — after a crash the journal holds every completion that was
+    acknowledged, plus at most one torn final line, which replay
+    discards (the interrupted job simply re-runs on resume; its
+    artifacts are content-addressed, so re-running cannot change the
+    store).
 
     The journal records {e outcomes}, not progress: a job appears once,
     as [Ok] (with its result-blob digest) or [Quarantined] (with its
@@ -36,10 +35,9 @@ val open_ : string -> t
 (** Open (creating if absent) for appending. A torn final line left by a
     crash is truncated away first, so new appends never glue onto it. *)
 
-val append_batch : t -> entry list -> unit
-(** All lines in one [write] syscall, then one fsync: the per-entry
-    durability cost is amortized over the batch. [[]] is a no-op. Safe
-    from concurrent domains. *)
+val append : t -> entry -> unit
+(** The entry's line in one [write] syscall, then one fsync. Safe from
+    concurrent domains. *)
 
 val close : t -> unit
 

@@ -9,7 +9,6 @@ type settings = {
   shard : (int * int) option;
   max_jobs : int option;
   num_domains : int option;
-  flush_window_s : float;
   refinement : Abg_core.Refinement.config;
   verbose : bool;
 }
@@ -22,7 +21,6 @@ let default_settings =
     shard = None;
     max_jobs = None;
     num_domains = None;
-    flush_window_s = 0.;
     refinement = Abg_core.Refinement.default_config;
     verbose = false;
   }
@@ -296,6 +294,11 @@ let perform ~settings ~store ~attempt (job : Job.t) =
 
 (* -- retry loop -- *)
 
+(* Pack fsync strictly before the journal line: see runner.mli. *)
+let commit ~store ~journal entry =
+  ignore (Store.flush_staged store);
+  Journal.append journal entry
+
 let log settings fmt =
   if settings.verbose then Printf.eprintf fmt else Printf.ifprintf stderr fmt
 
@@ -303,7 +306,7 @@ let log settings fmt =
    quarantine. Every exception is contained here — a poisoned job must
    not take down the dispatch loop. Timeout errors carry the limit, not
    the measured elapsed time, so quarantine records stay deterministic. *)
-let run_one ~settings ~store ~commit (digest, (job : Job.t)) =
+let run_one ~settings ~store ~journal (digest, (job : Job.t)) =
   Abg_obs.Obs.span "batch/job" @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let max_attempts = settings.retries + 1 in
@@ -358,11 +361,11 @@ let run_one ~settings ~store ~commit (digest, (job : Job.t)) =
           Quarantined err,
           None )
   in
-  (* The durability gate: commit blocks until the fsync covering this
+  (* The durability gate: commit returns once the fsync covering this
      entry's journal line (and, before it, the pack fsync covering its
      blobs) has returned. Only then may the job be reported done —
      counters, logs, and the returned completion all sit after it. *)
-  Group_commit.commit commit entry;
+  commit ~store ~journal entry;
   (match status with
   | Done -> Abg_obs.Obs.Counter.incr obs_ok
   | Quarantined _ -> Abg_obs.Obs.Counter.incr obs_quarantined);
@@ -469,19 +472,15 @@ let execute ~dir ~settings =
   log settings "[batch] %d job(s) pending, %d already journaled\n%!"
     (List.length pending) skipped;
   let journal = Journal.open_ (journal_path ?shard:settings.shard dir) in
-  let commit =
-    Group_commit.create ~window_s:settings.flush_window_s ~store ~journal ()
-  in
   let before = Abg_obs.Obs.snapshot () in
   let completions =
     Fun.protect
       ~finally:(fun () ->
-        Group_commit.close commit;
         Journal.close journal;
         Store.close store)
       (fun () ->
         (* One at a time: two domains raised batch-collect RSS 42%. *)
-        List.map (run_one ~settings ~store ~commit) pending)
+        List.map (run_one ~settings ~store ~journal) pending)
   in
   let after = Abg_obs.Obs.snapshot () in
   {

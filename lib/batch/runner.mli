@@ -1,5 +1,5 @@
-(** Crash-safe job runner: retries, quarantine, sharding, group commit,
-    resume.
+(** Crash-safe job runner: retries, quarantine, sharding, durable
+    commit, resume.
 
     A batch run lives in a directory:
     {v
@@ -18,16 +18,16 @@
     report, and set of stored blobs identical to an uninterrupted run's,
     and after {!gc} a byte-identical store.
 
-    Durability goes through {!Group_commit}: the store runs in deferred
+    Durability goes through {!commit}: the store runs in deferred
     (pack-file) mode, and a job is reported done — counters, verbose
     log, the returned completion — only after the fsync covering its
     journal line returns.
 
-    Jobs run one at a time on the calling domain (so each completion is
-    its own flush), in canonical (digest) order; only a fuzz
-    generation's evaluations fan out, over the shared
-    {!Abg_parallel.Pool}. A job that raises is retried with exponential
-    backoff up to [retries] extra attempts, then {e quarantined}: its
+    Jobs run one at a time on the calling domain, in canonical (digest)
+    order, each making its own completion durable; only a fuzz
+    generation's evaluations fan out ({!Abg_parallel.Pool.map}). A job
+    that raises is retried with exponential backoff up to [retries]
+    extra attempts, then {e quarantined}: its
     error is journaled and the rest of the grid proceeds — a poisoned
     job never takes down the run. Per-job wall-clock limits are
     enforced at attempt granularity (OCaml domains cannot be killed, so
@@ -50,8 +50,6 @@ type settings = {
   shard : (int * int) option;  (** [(i, n)], 0-based shard index *)
   max_jobs : int option;  (** stop after this many completions (smoke) *)
   num_domains : int option;  (** a fuzz generation's map's domain cap *)
-  flush_window_s : float;
-      (** group-commit linger before the leader flushes (default 0) *)
   refinement : Abg_core.Refinement.config;
       (** refinement knobs for synthesis jobs; the per-job seed
           overrides [refinement.seed] *)
@@ -133,6 +131,16 @@ val gc : dir:string -> Store.gc_stats
     A missing or rotted result blob raises {!Store.Corrupt} before
     anything is deleted. Must not run concurrently with an executing
     run. *)
+
+val commit : store:Store.t -> journal:Journal.t -> Journal.entry -> unit
+(** Make one completion durable: {!Store.flush_staged} (one pack append
+    and one fsync, so every staged blob, and in particular every blob
+    the entry references, is durable), then {!Journal.append} (one write
+    and one fsync). The order is the durability-window invariant: a
+    journal line can exist on disk only if the blobs it references are
+    already durable, so a crash at any instant leaves the journal
+    describing only retrievable results. When [commit] returns, the
+    entry survives any crash. *)
 
 val perform :
   settings:settings -> store:Store.t -> attempt:int -> Job.t -> Abg_util.Json.t

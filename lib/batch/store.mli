@@ -1,5 +1,5 @@
-(** Content-addressed, crash-safe artifact store with a group-commit
-    write path.
+(** Content-addressed, crash-safe artifact store with a staged write
+    path: a batch job's blobs become durable together, at its commit.
 
     Blobs — serialized traces, feature vectors, per-job result JSON —
     are keyed by the MD5 hex digest of their content and live in
@@ -11,7 +11,7 @@
 
     A writer's {!put} only buffers the content; {!flush_staged} appends
     every buffered blob to the writer's own pack with a single write and
-    a single fsync — the whole batch becomes durable at the amortized
+    a single fsync — every blob a job stored becomes durable at the
     cost of one fsync. Each writer creates its pack at its first flush,
     exclusively and under a random name: a writer that flushed nothing
     leaves no pack, no process ever appends after another one's tail,

@@ -44,8 +44,9 @@ let set_enabled b = enabled_flag := b
    Cell ids are allocated process-wide (counters and histogram buckets
    share the int-cell space; float cells are separate). Each domain's
    shard holds one array per space, grown on demand; the registry keeps
-   every shard ever created so counts survive domain termination (pool
-   shutdown must not lose telemetry). *)
+   every shard ever created so counts survive domain termination. A
+   domain that exits hands its shard to the next new domain, so a map
+   that spawns its helpers adds no shard after the first. *)
 
 type shard = {
   slot : int;  (* registration order; stable for per-domain reporting *)
@@ -55,6 +56,7 @@ type shard = {
 
 let registry_m = Mutex.create ()
 let shards : shard list ref = ref []
+let free : shard list ref = ref []  (* shards of exited domains *)
 let next_slot = ref 0
 let n_int_cells = ref 0
 let n_float_cells = ref 0
@@ -63,15 +65,27 @@ let shard_key =
   Domain.DLS.new_key (fun () ->
       Mutex.lock registry_m;
       let s =
-        {
-          slot = !next_slot;
-          ints = Array.make (Stdlib.max 64 !n_int_cells) 0;
-          floats = Array.make (Stdlib.max 16 !n_float_cells) 0.0;
-        }
+        match !free with
+        | s :: rest ->
+            free := rest;
+            s
+        | [] ->
+            let s =
+              {
+                slot = !next_slot;
+                ints = Array.make (Stdlib.max 64 !n_int_cells) 0;
+                floats = Array.make (Stdlib.max 16 !n_float_cells) 0.0;
+              }
+            in
+            incr next_slot;
+            shards := s :: !shards;
+            s
       in
-      incr next_slot;
-      shards := s :: !shards;
       Mutex.unlock registry_m;
+      Domain.at_exit (fun () ->
+          Mutex.lock registry_m;
+          free := s :: !free;
+          Mutex.unlock registry_m);
       s)
 
 (* Cells are almost always allocated at module-initialization time, before
@@ -372,7 +386,7 @@ end
    Hierarchical phase timing: [span "refine" f] records the duration of
    [f] into the histogram ["span/<path>"], where the path joins the names
    of the enclosing spans *on this domain* (each domain has its own span
-   stack, so pool workers time their own phases without cross-talk). *)
+   stack, so a map's helpers time their own phases without cross-talk). *)
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 

@@ -95,7 +95,9 @@ module Floatcell : sig
 
   val per_domain : t -> (int * float) list
   (** Nonzero cells as (domain slot, value), slot = shard registration
-      order. *)
+      order. A domain that starts after another exited reuses the
+      exited domain's slot, so there are as many slots as the most
+      domains ever alive at once, not one per domain ever spawned. *)
 
   val name : t -> string
 end

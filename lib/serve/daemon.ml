@@ -180,6 +180,13 @@ let serve_line engine c line =
 let run ?(config = default_config) () =
   install_signal_handlers ();
   let engine = Engine.create ~config:config.engine () in
+  (* A path in use is refused before the warm-up is paid for. The bind
+     still waits for it, so the socket file marks a warmed daemon, and
+     [listen_on] claims the path again against a daemon that started
+     meanwhile. *)
+  (match config.endpoint with
+  | Unix_socket path -> claim_socket_path path
+  | Tcp _ -> ());
   (* Reference preparation simulates 52 flows; pay it before "listening"
      so no client's first classify absorbs it. *)
   Engine.warm_up engine;

@@ -5,7 +5,6 @@
 module Job = Abg_batch.Job
 module Store = Abg_batch.Store
 module Journal = Abg_batch.Journal
-module Group_commit = Abg_batch.Group_commit
 module Runner = Abg_batch.Runner
 module Report = Abg_batch.Report
 
@@ -526,7 +525,7 @@ let test_journal_line_roundtrip () =
 let test_journal_append_replay () =
   let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
   let j = Journal.open_ path in
-  Journal.append_batch j sample_entries;
+  List.iter (Journal.append j) sample_entries;
   Journal.close j;
   let replayed = Journal.replay path in
   Alcotest.(check (list string)) "entries survive"
@@ -540,7 +539,7 @@ let test_journal_missing_is_empty () =
 let test_journal_drops_torn_tail () =
   let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
   let j = Journal.open_ path in
-  Journal.append_batch j sample_entries;
+  List.iter (Journal.append j) sample_entries;
   Journal.close j;
   (* Simulate a crash mid-append: a final line with no newline. *)
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
@@ -589,7 +588,7 @@ let test_journal_interior_checkpoint_corruption_raises () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "journal.jsonl" in
   let j = Journal.open_ path in
-  Journal.append_batch j (List.init 3 mk_entry);
+  List.iter (Journal.append j) (List.init 3 mk_entry);
   Journal.close j;
   append_raw path (old_checkpoint_line ^ "\n");
   append_raw path (Journal.entry_to_line (mk_entry 50) ^ "\n");
@@ -602,8 +601,8 @@ let test_journal_interior_checkpoint_corruption_raises () =
         (String.starts_with ~prefix:(path ^ ": ") msg)
   | _ -> Alcotest.fail "settled_entries: expected Malformed"
 
-(* Property: for any sequence of outcome batches — with any torn tail a
-   SIGKILL can leave — replay returns exactly the outcomes appended, in
+(* Property: for any sequence of appended outcomes — with any torn tail
+   a SIGKILL can leave — replay returns exactly the outcomes appended, in
    append order. *)
 let replay_appended_prop (sizes, statuses, tail_kind) =
   let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
@@ -626,7 +625,7 @@ let replay_appended_prop (sizes, statuses, tail_kind) =
             mk_entry ~status:(next_status ()) ~attempts:(1 + (!counter mod 4))
               !counter)
       in
-      Journal.append_batch j chunk;
+      List.iter (Journal.append j) chunk;
       settled := !settled @ chunk)
     sizes;
   Journal.close j;
@@ -650,14 +649,13 @@ let qcheck_replay_appended =
   QCheck.Test.make ~name:"replay = appended outcomes" ~count:100
     (QCheck.make gen) replay_appended_prop
 
-(* -- Group commit -- *)
+(* -- Commit -- *)
 
-let test_group_commit_flush_and_checkpoint () =
+let test_commit_durable_at_return () =
   let dir = fresh_dir () in
   let store = Store.open_ ~deferred:true (Filename.concat dir "store") in
   let jpath = Filename.concat dir "journal.jsonl" in
   let journal = Journal.open_ jpath in
-  let commit = Group_commit.create ~store ~journal () in
   let entries =
     List.init 6 (fun i ->
         let blob = Store.put store (Printf.sprintf "result %d" i) in
@@ -665,7 +663,7 @@ let test_group_commit_flush_and_checkpoint () =
   in
   List.iteri
     (fun i e ->
-      Group_commit.commit commit e;
+      Runner.commit ~store ~journal e;
       (* The durability-window invariant: once commit returns, the
          journal line and every blob it references are on disk. *)
       let on_disk = lines_of (Journal.replay jpath) in
@@ -674,7 +672,6 @@ let test_group_commit_flush_and_checkpoint () =
         true
         (List.mem (Journal.entry_to_line e) on_disk))
     entries;
-  Group_commit.close commit;
   Journal.close journal;
   Store.close store;
   Alcotest.(check (list string)) "all entries settled"
@@ -686,38 +683,6 @@ let test_group_commit_flush_and_checkpoint () =
         (Printf.sprintf "result %d" i)
         (Store.get reopened (Option.get e.Journal.result)))
     entries
-
-(* Puts and commits from four domains at once: every acknowledged line
-   is on disk and every blob it references reads back. *)
-let test_group_commit_from_domains () =
-  let dir = fresh_dir () in
-  let root = Filename.concat dir "store" in
-  let store = Store.open_ ~deferred:true root in
-  let jpath = Filename.concat dir "journal.jsonl" in
-  let journal = Journal.open_ jpath in
-  let commit = Group_commit.create ~store ~journal () in
-  let pool = Abg_parallel.Pool.create ~size:3 () in
-  let results = List.init 64 (Printf.sprintf "result %d") in
-  Fun.protect
-    ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
-    (fun () ->
-      ignore
-        (Abg_parallel.Pool.map ~pool ~num_domains:4
-           (fun (i, content) ->
-             let blob = Store.put store content in
-             Group_commit.commit commit
-               { (mk_entry i) with Journal.result = Some blob })
-           (Array.of_list (List.mapi (fun i c -> (i, c)) results))));
-  Group_commit.close commit;
-  Journal.close journal;
-  Store.close store;
-  let entries = Journal.replay jpath in
-  Alcotest.(check int) "64 journal lines" 64 (List.length entries);
-  let reopened = Store.open_ root in
-  let read (e : Journal.entry) = Store.get reopened (Option.get e.Journal.result) in
-  Alcotest.(check (list string)) "every result blob reads back"
-    (List.sort String.compare results)
-    (List.sort String.compare (List.map read entries))
 
 (* -- Runner -- *)
 
@@ -1229,15 +1194,10 @@ let suites =
           test_journal_interior_checkpoint_corruption_raises;
         QCheck_alcotest.to_alcotest ~long:false qcheck_replay_appended;
       ] );
-    ( "batch.group_commit",
-      [
-        Alcotest.test_case "flush and checkpoint" `Quick
-          test_group_commit_flush_and_checkpoint;
-        Alcotest.test_case "commits from 4 domains" `Quick
-          test_group_commit_from_domains;
-      ] );
     ( "batch.runner",
       [
+        Alcotest.test_case "commit durable at return" `Quick
+          test_commit_durable_at_return;
         Alcotest.test_case "kill and resume deterministic" `Quick
           test_runner_kill_and_resume_deterministic;
         Alcotest.test_case "quarantine containment" `Quick

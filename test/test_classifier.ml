@@ -186,12 +186,7 @@ let test_ccanalyzer_ranks_all () =
    must get it, and the results must equal a sequential pass. *)
 let on_two_domains f =
   let suites = Array.map traces [| "reno"; "bbr"; "vegas"; "student4" |] in
-  let pool = Abg_parallel.Pool.create ~size:1 () in
-  let concurrent =
-    Fun.protect
-      ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
-      (fun () -> Abg_parallel.Pool.map ~pool ~num_domains:2 f suites)
-  in
+  let concurrent = Abg_parallel.Pool.map ~num_domains:2 f suites in
   (concurrent, Array.map f suites)
 
 let test_gordon_concurrent () =

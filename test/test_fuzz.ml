@@ -270,9 +270,6 @@ let test_fitness_four_domains () =
       (Genome.to_config ~duration:2.0 ~seed:21)
       (Search.initial_population params)
   in
-  let pool = Abg_parallel.Pool.create ~size:3 () in
-  Fun.protect ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
-  @@ fun () ->
   List.iter
     (fun (kind, cca_b, handler) ->
       let spec = { Fitness.kind; cca = "reno"; cca_b; handler } in
@@ -280,8 +277,7 @@ let test_fitness_four_domains () =
       Alcotest.(check (array int64)) (Fitness.kind_name kind)
         (bits (Array.map (Fitness.evaluate spec) cfgs))
         (bits
-           (Abg_parallel.Pool.map ~pool ~num_domains:4 (Fitness.evaluate spec)
-              cfgs)))
+           (Abg_parallel.Pool.map ~num_domains:4 (Fitness.evaluate spec) cfgs)))
     [ (Fitness.Divergence, Some "cubic", None);
       (Fitness.Throughput, None, None);
       (Fitness.Counterexample, None, Some Abg_dsl.Expr.Cwnd) ]

@@ -37,9 +37,9 @@ let test_counter_idempotent_make () =
   Obs.Counter.incr b;
   Alcotest.(check int) "same registration" 2 (Obs.Counter.value a)
 
-(* The merge must see every shard: increments from pool workers land in
-   per-domain cells, and the snapshot-time sum has to equal the
-   sequential total regardless of how the pool spread the work. *)
+(* The merge must see every shard: increments from a map's helpers land
+   in per-domain cells, and the snapshot-time sum has to equal the
+   sequential total regardless of how the map spread the work. *)
 let test_counter_merge_under_pool_load () =
   let c = Obs.Counter.make "test.obs.pool" in
   Obs.Counter.reset c;
@@ -72,6 +72,16 @@ let test_floatcell_merge_under_pool_load () =
   Alcotest.(check (float 1e-9))
     "per-domain breakdown sums to total" (Obs.Floatcell.total f)
     per_domain_sum
+
+(* Domains that run one after another share one shard: an exited
+   domain's shard goes to the next new one. *)
+let test_floatcell_sequential_domains_share_shard () =
+  let f = Obs.Floatcell.make "test.obs.sequential_domains" in
+  for _ = 1 to 5 do
+    Domain.join (Domain.spawn (fun () -> Obs.Floatcell.add f 1.0))
+  done;
+  Alcotest.(check (list (float 0.0))) "one slot holds every add" [ 5.0 ]
+    (List.map snd (Obs.Floatcell.per_domain f))
 
 (* -- disabled mode -- *)
 
@@ -281,6 +291,8 @@ let suites =
           test_counter_merge_under_pool_load;
         Alcotest.test_case "floatcell merge under pool load" `Quick
           test_floatcell_merge_under_pool_load;
+        Alcotest.test_case "sequential domains share a shard" `Quick
+          test_floatcell_sequential_domains_share_shard;
         Alcotest.test_case "disabled mode is a no-op" `Quick
           test_disabled_noop;
         Alcotest.test_case "span paths" `Quick test_span_paths;

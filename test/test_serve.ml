@@ -1,8 +1,8 @@
 (* Tests for the serving layer: sliding-window state (qcheck equivalence
    against batch recompute), incremental line framing and trace
    streaming, the wire protocol, the engine's session lifecycle and
-   determinism, escalation dedupe/backpressure, the pool's background
-   lane, and an end-to-end daemon run over a real unix socket. *)
+   determinism, escalation dedupe/backpressure and its escalation
+   domain, and an end-to-end daemon run over a real unix socket. *)
 
 let has_prefix ~prefix s =
   String.length s >= String.length prefix
@@ -357,80 +357,124 @@ let test_engine_drain_sorted () =
 
 (* -- Escalation -- *)
 
+let window_trace values =
+  let w = Abg_serve.Sliding.create ~capacity:8 in
+  Array.iter (fun r -> Abg_serve.Sliding.push w r) (records_of_values values);
+  Abg_serve.Sliding.to_trace w
+
+let submitted esc sid trace =
+  Abg_serve.Escalate.submit esc ~sid trace = Abg_serve.Escalate.Submitted
+
+(* The runner holds every escalation on a latch, so [pending] stays
+   observable until the test releases it. *)
 let test_escalate_dedupe_and_cap () =
-  let pool = Abg_parallel.Pool.create ~size:0 () in
-  Fun.protect ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
-  @@ fun () ->
+  let release = Atomic.make false in
   let ran = ref [] in
-  (* size 0: tasks queue until drain, so [pending] stays observable. *)
   let esc =
-    Abg_serve.Escalate.create ~pool ~max_pending:2 (fun ~sid _trace ->
+    Abg_serve.Escalate.create ~max_pending:2 (fun ~sid _trace ->
+        while not (Atomic.get release) do
+          Unix.sleepf 0.001
+        done;
         ran := sid :: !ran)
   in
-  let t1 = Abg_serve.Sliding.create ~capacity:8 in
-  Array.iter (fun r -> Abg_serve.Sliding.push t1 r)
-    (records_of_values [| 1.0; 2.0; 3.0 |]);
-  let tr1 = Abg_serve.Sliding.to_trace t1 in
-  let t2 = Abg_serve.Sliding.create ~capacity:8 in
-  Array.iter (fun r -> Abg_serve.Sliding.push t2 r)
-    (records_of_values [| 9.0; 8.0; 7.0 |]);
-  let tr2 = Abg_serve.Sliding.to_trace t2 in
-  Alcotest.(check bool) "first submit accepted" true
-    (Abg_serve.Escalate.submit esc ~sid:"a" tr1 = Abg_serve.Escalate.Submitted);
+  Fun.protect ~finally:(fun () ->
+      Atomic.set release true;
+      Abg_serve.Escalate.drain esc)
+  @@ fun () ->
+  let tr1 = window_trace [| 1.0; 2.0; 3.0 |] in
+  let tr2 = window_trace [| 9.0; 8.0; 7.0 |] in
+  Alcotest.(check bool) "first submit accepted" true (submitted esc "a" tr1);
   Alcotest.(check bool) "identical window deduped" true
     (Abg_serve.Escalate.submit esc ~sid:"b" tr1 = Abg_serve.Escalate.Duplicate);
-  Alcotest.(check bool) "second distinct accepted" true
-    (Abg_serve.Escalate.submit esc ~sid:"c" tr2 = Abg_serve.Escalate.Submitted);
-  let t3 = Abg_serve.Sliding.create ~capacity:8 in
-  Array.iter (fun r -> Abg_serve.Sliding.push t3 r)
-    (records_of_values [| 4.0; 5.0; 6.0 |]);
+  Alcotest.(check bool) "second distinct accepted" true (submitted esc "c" tr2);
   Alcotest.(check bool) "over budget dropped" true
-    (Abg_serve.Escalate.submit esc ~sid:"d" (Abg_serve.Sliding.to_trace t3)
+    (Abg_serve.Escalate.submit esc ~sid:"d" (window_trace [| 4.0; 5.0; 6.0 |])
     = Abg_serve.Escalate.Dropped);
   Alcotest.(check int) "two pending" 2 (Abg_serve.Escalate.pending esc);
+  Atomic.set release true;
   Abg_serve.Escalate.drain esc;
   Alcotest.(check int) "drain runs everything" 0
     (Abg_serve.Escalate.pending esc);
-  Alcotest.(check (list string)) "runner saw both" [ "a"; "c" ]
-    (List.sort String.compare !ran)
+  Alcotest.(check (list string)) "runner saw both, in order" [ "c"; "a" ] !ran
 
-(* -- Pool background lane -- *)
+let test_escalate_failure_counted () =
+  let failed =
+    Abg_obs.Obs.Counter.make ~volatile:true "serve.escalations_failed"
+  in
+  let before = Abg_obs.Obs.Counter.value failed in
+  let ran = ref [] in
+  let esc =
+    Abg_serve.Escalate.create (fun ~sid _trace ->
+        if sid = "boom" then failwith "boom";
+        ran := sid :: !ran)
+  in
+  List.iteri
+    (fun i sid ->
+      Alcotest.(check bool) sid true
+        (submitted esc sid (window_trace [| float_of_int i; 1.0; 2.0 |])))
+    [ "a"; "boom"; "c" ];
+  Abg_serve.Escalate.drain esc;
+  Alcotest.(check int) "failure counted" 1
+    (Abg_obs.Obs.Counter.value failed - before);
+  Alcotest.(check (list string)) "later escalations ran" [ "c"; "a" ] !ran
 
-let test_pool_background_runs_and_isolates_failures () =
-  let pool = Abg_parallel.Pool.create ~size:2 () in
-  Fun.protect ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
-  @@ fun () ->
-  let hits = Atomic.make 0 in
-  for _ = 1 to 20 do
-    Abg_parallel.Pool.background ~pool (fun () -> Atomic.incr hits)
+(* Each escalation finishes at once. Every other submit waits until
+   nothing is pending, so it lands while the escalation domain leaves or
+   after it left; the others queue behind a running domain. None of the
+   200 may be stranded. *)
+let test_escalate_all_run_before_drain () =
+  let n = 200 in
+  let ran = Atomic.make 0 in
+  let esc =
+    Abg_serve.Escalate.create ~max_pending:n (fun ~sid:_ _trace ->
+        Atomic.incr ran)
+  in
+  for i = 1 to n do
+    if i mod 2 = 0 then begin
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Abg_serve.Escalate.pending esc > 0 do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "escalation %d stranded" (i - 1);
+        Domain.cpu_relax ()
+      done
+    end;
+    if not (submitted esc (string_of_int i)
+              (window_trace [| float_of_int i; 1.0; 2.0 |]))
+    then Alcotest.failf "window %d not submitted" i
   done;
-  (* A throwing task must be swallowed, not kill a worker. *)
-  Abg_parallel.Pool.background ~pool (fun () -> failwith "boom");
-  for _ = 1 to 20 do
-    Abg_parallel.Pool.background ~pool (fun () -> Atomic.incr hits)
-  done;
-  Abg_parallel.Pool.drain_background ~pool ();
-  Alcotest.(check int) "all background tasks ran" 40 (Atomic.get hits);
-  (* Foreground work still functions after background churn. *)
-  let doubled = Abg_parallel.Pool.map ~pool (fun x -> x * 2) [| 1; 2; 3 |] in
-  Alcotest.(check (array int)) "foreground map unaffected" [| 2; 4; 6 |] doubled
+  Abg_serve.Escalate.drain esc;
+  Alcotest.(check int) "every escalation ran" n (Atomic.get ran);
+  Alcotest.(check int) "none pending" 0 (Abg_serve.Escalate.pending esc)
 
-let test_pool_background_zero_worker_drain () =
-  let pool = Abg_parallel.Pool.create ~size:0 () in
-  Fun.protect ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
-  @@ fun () ->
-  let hits = ref 0 in
-  for _ = 1 to 5 do
-    Abg_parallel.Pool.background ~pool (fun () -> incr hits)
-  done;
-  Alcotest.(check int) "nothing ran without workers" 0 !hits;
-  Abg_parallel.Pool.drain_background ~pool ();
-  Alcotest.(check int) "drain runs queued tasks on the caller" 5 !hits
+(* Drain with no escalation domain alive: before any submit, and after
+   a drain has joined the last one. A later submit must start a fresh
+   domain, and drain must wait for it rather than return on the empty
+   state the previous drain left. *)
+let test_escalate_zero_worker_drain () =
+  let ran = ref [] in
+  let esc =
+    Abg_serve.Escalate.create (fun ~sid _trace ->
+        Unix.sleepf 0.02;
+        ran := sid :: !ran)
+  in
+  Abg_serve.Escalate.drain esc;
+  Alcotest.(check int) "nothing pending without a domain" 0
+    (Abg_serve.Escalate.pending esc);
+  List.iteri
+    (fun i sid ->
+      Alcotest.(check bool) sid true
+        (submitted esc sid (window_trace [| float_of_int i; 3.0; 4.0 |]));
+      Abg_serve.Escalate.drain esc;
+      Alcotest.(check int) (sid ^ " drained") 0
+        (Abg_serve.Escalate.pending esc))
+    [ "a"; "b" ];
+  Alcotest.(check (list string)) "each drain waited for its escalation"
+    [ "b"; "a" ] !ran
 
 (* -- Daemon end-to-end over a unix socket -- *)
 
 (* The daemon runs in a thread, not a forked child: earlier tests spawn
-   pool domains, and forking a multi-domain process is unsupported. Process-level semantics (SIGTERM, exit code) are the CI
+   domains, and forking a multi-domain process is unsupported. Process-level semantics (SIGTERM, exit code) are the CI
    smoke test's job, against the real binary; here {!Daemon.request_stop}
    plays the signal's role and a returned [run] plays the clean exit. *)
 let test_daemon_end_to_end () =
@@ -549,6 +593,29 @@ let test_socket_path_live () =
   Alcotest.(check int) "same socket file" inode (Unix.lstat path).Unix.st_ino;
   Alcotest.(check bool) "first daemon still answers" true (accepts path)
 
+(* A daemon refuses a live socket's path before it warms up: no
+   reference flow is simulated. *)
+let test_daemon_refuses_before_warm_up () =
+  with_socket_dir @@ fun path ->
+  let fd = listen path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let runs = Abg_obs.Obs.Counter.make "sim.runs" in
+  let before = Abg_obs.Obs.Counter.value runs in
+  let config =
+    {
+      Abg_serve.Daemon.default_config with
+      endpoint = Abg_serve.Daemon.Unix_socket path;
+      log = (fun _ -> ());
+    }
+  in
+  (match Abg_serve.Daemon.run ~config () with
+  | () -> Alcotest.fail "run served on a path in use"
+  | exception Abg_serve.Daemon.Endpoint_in_use m ->
+      Alcotest.(check string) "one line naming the path"
+        (path ^ ": another daemon is listening") m);
+  Alcotest.(check int) "no reference simulated" before
+    (Abg_obs.Obs.Counter.value runs)
+
 let test_socket_path_not_a_socket () =
   with_socket_dir @@ fun path ->
   Out_channel.with_open_bin path (fun oc -> output_string oc "data\n");
@@ -630,10 +697,12 @@ let suites =
       [
         Alcotest.test_case "dedupe + pending cap" `Quick
           test_escalate_dedupe_and_cap;
-        Alcotest.test_case "background lane runs, failures isolated" `Quick
-          test_pool_background_runs_and_isolates_failures;
+        Alcotest.test_case "failure counted, later escalations run" `Quick
+          test_escalate_failure_counted;
+        Alcotest.test_case "200 windows all run before drain" `Quick
+          test_escalate_all_run_before_drain;
         Alcotest.test_case "zero-worker drain" `Quick
-          test_pool_background_zero_worker_drain;
+          test_escalate_zero_worker_drain;
       ] );
     ( "serve-daemon",
       [ Alcotest.test_case "end-to-end over unix socket" `Slow
@@ -641,6 +710,8 @@ let suites =
         Alcotest.test_case "socket path absent" `Quick test_socket_path_absent;
         Alcotest.test_case "stale socket replaced" `Quick test_socket_path_stale;
         Alcotest.test_case "live socket refused" `Quick test_socket_path_live;
+        Alcotest.test_case "refused before warm-up" `Quick
+          test_daemon_refuses_before_warm_up;
         Alcotest.test_case "non-socket path kept" `Quick
           test_socket_path_not_a_socket;
         Alcotest.test_case "log lines whole across domains" `Quick

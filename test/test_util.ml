@@ -329,27 +329,16 @@ let test_pool_short_input () =
   Alcotest.(check (array int)) "short input" [| 2; 3; 4 |]
     (Abg_parallel.Pool.map ~num_domains:4 succ [| 1; 2; 3 |])
 
-(* The default pool is every CPU but the caller's: the caller is one of
-   a job's participants. *)
+(* A default map spawns a helper for every CPU but the caller's, which
+   is a participant itself. *)
 let test_pool_default_workers () =
-  ignore (Abg_parallel.Pool.map succ (Array.init 64 Fun.id));
+  let gauge = Abg_obs.Obs.Gauge.make "pool.workers" in
+  Abg_obs.Obs.Gauge.set gauge 0.0;
+  let n = 64 in
+  ignore (Abg_parallel.Pool.map succ (Array.init n Fun.id));
   Alcotest.(check (float 0.0)) "pool.workers"
-    (float_of_int (Domain.recommended_domain_count () - 1))
-    (Abg_obs.Obs.Gauge.value (Abg_obs.Obs.Gauge.make "pool.workers"))
-
-let test_pool_explicit_reuse () =
-  (* An explicit pool serves many jobs before shutdown; shutdown is
-     idempotent. *)
-  let pool = Abg_parallel.Pool.create ~size:2 () in
-  Alcotest.(check int) "size" 2 (Abg_parallel.Pool.size pool);
-  let xs = Array.init 64 (fun i -> i) in
-  for _ = 1 to 3 do
-    Alcotest.(check (array int)) "reused pool"
-      (Array.map (fun x -> x * x) xs)
-      (Abg_parallel.Pool.map ~pool ~num_domains:3 (fun x -> x * x) xs)
-  done;
-  Abg_parallel.Pool.shutdown pool;
-  Abg_parallel.Pool.shutdown pool
+    (float_of_int (Stdlib.min (Domain.recommended_domain_count ()) n - 1))
+    (Abg_obs.Obs.Gauge.value gauge)
 
 let test_pool_exception_reraised () =
   let xs = Array.init 50 (fun i -> i) in
@@ -358,28 +347,34 @@ let test_pool_exception_reraised () =
         (Abg_parallel.Pool.map ~num_domains:2
            (fun x -> if x = 17 then raise Exit else x)
            xs));
-  (* The pool must remain usable after a failed job. *)
+  (* A failed map leaves nothing behind: the next one runs. *)
   Alcotest.(check (array int)) "usable after failure" (Array.map succ xs)
     (Abg_parallel.Pool.map ~num_domains:2 succ xs)
 
-(* A finished job is dropped from the pool: nothing the mapped function
-   captured stays reachable once [map] returns. *)
+(* Nothing the mapped function captured stays reachable once [map]
+   returns: the helpers that held it are joined. The runtime can hold a
+   joined domain's closure for a moment more while it tears the domain
+   down, so the check gives that a second. *)
 let test_pool_releases_finished_job () =
-  let pool = Abg_parallel.Pool.create ~size:1 () in
-  Fun.protect ~finally:(fun () -> Abg_parallel.Pool.shutdown pool)
-  @@ fun () ->
   let captured = Weak.create 1 in
   let run () =
     let table = Array.make 1000 1 in
     Weak.set captured 0 (Some table);
     ignore
-      (Abg_parallel.Pool.map ~pool ~num_domains:2
+      (Abg_parallel.Pool.map ~num_domains:2
          (fun x -> x + table.(x mod 1000))
          (Array.init 64 Fun.id))
   in
   (Sys.opaque_identity run) ();
-  Gc.full_major ();
-  Alcotest.(check bool) "captured array freed" false (Weak.check captured 0)
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  let rec freed () =
+    Gc.full_major ();
+    (not (Weak.check captured 0))
+    || Unix.gettimeofday () < deadline
+       && (Unix.sleepf 0.001;
+           freed ())
+  in
+  Alcotest.(check bool) "captured array freed" true (freed ())
 
 (* -- Once -- *)
 
@@ -588,7 +583,6 @@ let pool_suite =
       Alcotest.test_case "empty" `Quick test_pool_empty;
       Alcotest.test_case "short input" `Quick test_pool_short_input;
       Alcotest.test_case "default pool workers" `Quick test_pool_default_workers;
-      Alcotest.test_case "explicit pool reuse" `Quick test_pool_explicit_reuse;
       Alcotest.test_case "exception re-raise" `Quick test_pool_exception_reraised;
       Alcotest.test_case "finished job released" `Quick
         test_pool_releases_finished_job;
