@@ -606,9 +606,25 @@ let ccas_arg =
     & opt (list string) [ "reno"; "cubic" ]
     & info [ "ccas" ] ~docv:"CCAS" ~doc)
 
+(* cmdliner takes any unambiguous prefix of a long option, so --seed is
+   refused by name: read as --seeds, a `--seed N' meant as a refinement
+   seed would quietly choose the job seeds. *)
 let seeds_arg =
-  let doc = "Comma-separated refinement seeds (one job per seed)." in
-  Arg.(value & opt (list int) [ 42 ] & info [ "seeds" ] ~docv:"SEEDS" ~doc)
+  let doc =
+    "Comma-separated job seeds (one job per seed): the only seeds of a \
+     batch run, each synthesis job refining under its own."
+  in
+  let seeds =
+    Arg.(value & opt (list int) [ 42 ] & info [ "seeds" ] ~docv:"SEEDS" ~doc)
+  in
+  let refuse _ = Error (`Msg "batch jobs take their seeds from --seeds") in
+  let seed =
+    Arg.(
+      value
+      & opt (some (conv (refuse, fun _ () -> ()))) None
+      & info [ "seed" ] ~docs:Manpage.s_none)
+  in
+  Term.(const (fun seeds (_ : unit option) -> seeds) $ seeds $ seed)
 
 let ack_jitter_arg =
   let doc = "Ack-interarrival jitter stddev for the testbed grid." in
@@ -645,14 +661,6 @@ let retries_arg =
   let doc = "Extra attempts for a failing job before quarantine." in
   Arg.(value & opt (at_least_conv 0) 2 & info [ "retries" ] ~doc)
 
-let timeout_arg =
-  let doc = "Per-attempt wall-clock limit in seconds." in
-  Arg.(value & opt (some seconds_conv) None & info [ "timeout" ] ~docv:"SECONDS" ~doc)
-
-let max_jobs_arg =
-  let doc = "Stop after completing this many jobs (smoke/testing)." in
-  Arg.(value & opt (some count_conv) None & info [ "max-jobs" ] ~docv:"N" ~doc)
-
 let domains_arg =
   let doc =
     "Domains, the calling one included, that evaluate a generation's \
@@ -660,45 +668,20 @@ let domains_arg =
   in
   Arg.(value & opt (some count_conv) None & info [ "domains" ] ~docv:"N" ~doc)
 
-(* The execution knobs, parsed once per command into Runner.settings.
-   [~batch] adds the flags only `batch run/resume' take, [~batch:false]
-   the --domains flag only `fuzz run/resume' take, and [~seed] the --seed
-   flag; a flag a command lacks keeps its default. *)
-let settings_term ~batch ~seed =
-  let d = Abg_batch.Runner.default_settings in
-  let only present arg default = if present then arg else Term.const default in
-  let make retries timeout shard max_jobs num_domains seed verbose =
-    {
-      d with
-      Abg_batch.Runner.retries;
-      timeout_s = Option.value ~default:infinity timeout;
-      shard;
-      max_jobs;
-      num_domains;
-      refinement = { d.Abg_batch.Runner.refinement with Abg_core.Refinement.seed };
-      verbose;
-    }
+(* The run-control flags of `batch run|resume'; the job seeds are
+   --seeds, part of the grid. *)
+let run_settings =
+  let make retries shard verbose =
+    { Abg_batch.Runner.default_settings with retries; shard; verbose }
   in
-  Term.(
-    const make $ retries_arg
-    $ only batch timeout_arg None
-    $ only batch shard_arg None
-    $ only batch max_jobs_arg None
-    $ only (not batch) domains_arg None
-    $ only seed seed_arg d.Abg_batch.Runner.refinement.Abg_core.Refinement.seed
-    $ verbose_arg)
+  Term.(const make $ retries_arg $ shard_arg $ verbose_arg)
 
 (* Re-invoke this binary as `batch resume DIR --shard i/n`, forwarding
    the knobs that shape execution. Respawn-on-kill is sound because
    resume is: a respawned worker skips everything its journal settled. *)
 let run_workers ~dir ~workers (s : Abg_batch.Runner.settings) =
-  let opt_arg flag fmt = function None -> [] | Some v -> [ flag; fmt v ] in
   let base =
     [ "batch"; "resume"; dir; "--retries"; string_of_int s.retries ]
-    @ (if s.timeout_s < infinity then [ "--timeout"; string_of_float s.timeout_s ]
-       else [])
-    @ opt_arg "--max-jobs" string_of_int s.max_jobs
-    @ [ "--seed"; string_of_int s.refinement.Abg_core.Refinement.seed ]
     @ if s.verbose then [ "--verbose" ] else []
   in
   let argv i =
@@ -732,8 +715,6 @@ let print_batch_summary verbose (summary : Abg_batch.Runner.summary) =
     (List.length ok) (List.length quarantined);
   if summary.Abg_batch.Runner.skipped > 0 then
     Printf.printf "; %d already journaled" summary.Abg_batch.Runner.skipped;
-  if summary.Abg_batch.Runner.remaining > 0 then
-    Printf.printf "; %d left for resume" summary.Abg_batch.Runner.remaining;
   print_newline ();
   List.iter
     (fun (c : Abg_batch.Runner.completion) ->
@@ -789,16 +770,19 @@ let batch_run_cmd =
        supervised --workers"
     Term.(
       const batch_run $ batch_dir_arg $ kinds_arg $ ccas_arg $ scenarios_arg
-      $ duration_arg $ ack_jitter_arg $ seeds_arg
-      $ settings_term ~batch:true ~seed:true
+      $ duration_arg $ ack_jitter_arg $ seeds_arg $ run_settings
       $ workers_arg)
 
-(* A missing or corrupt run directory is an input error, not a crash:
-   each of these messages names the file and the reason. *)
+(* A missing or corrupt run directory, or a failed fuzz generation, is
+   an input error, not a crash: each of these messages names the file
+   or directory and the reason. *)
 let on_run_dir f =
-  try f ()
-  with Sys_error msg | Json.Malformed msg | Abg_batch.Store.Corrupt msg ->
-    die "%s" msg
+  try f () with
+  | Sys_error msg
+  | Json.Malformed msg
+  | Abg_batch.Store.Corrupt msg
+  | Abg_batch.Fuzz_batch.Failed msg ->
+      die "%s" msg
 
 let batch_resume dir settings workers () =
   on_run_dir @@ fun () ->
@@ -816,10 +800,7 @@ let batch_resume_cmd =
     ~doc:
       "Replay a run directory's journals and execute every job without a \
        terminal record (crash recovery; idempotent)"
-    Term.(
-      const batch_resume $ batch_dir_arg
-      $ settings_term ~batch:true ~seed:true
-      $ workers_arg)
+    Term.(const batch_resume $ batch_dir_arg $ run_settings $ workers_arg)
 
 let batch_status dir () =
   on_run_dir (fun () -> print_string (Abg_batch.Report.status dir))
@@ -1107,11 +1088,33 @@ let write_fuzz_spec dir spec =
   Abg_batch.Durable.replace (fuzz_spec_path dir)
     (Json.to_string (fuzz_spec_to_json spec) ^ "\n")
 
+(* The CCAs `fuzz run' checks on its flags and the handler it
+   synthesizes, checked again on read: an edited fuzz.json would
+   otherwise fail every generation. *)
+let check_fuzz_spec spec =
+  let bad fmt =
+    Printf.ksprintf (fun msg -> raise (Json.Malformed ("fuzz: " ^ msg))) fmt
+  in
+  let registered field cca =
+    if Abg_cca.Registry.find cca = None then bad "%s: unknown CCA %s" field cca
+  in
+  registered "cca" spec.fz_cca;
+  (match spec.fz_fitness with
+  | Abg_fuzz.Fitness.Divergence -> (
+      match spec.fz_cca_b with
+      | Some cca_b -> registered "cca_b" cca_b
+      | None -> bad "cca_b is missing")
+  | Abg_fuzz.Fitness.Counterexample ->
+      if Option.bind spec.fz_handler Abg_fuzz.Codec.decode_num = None then
+        bad "fn is not a decodable handler"
+  | Abg_fuzz.Fitness.Throughput -> ());
+  spec
+
 let read_fuzz_spec dir =
   let path = fuzz_spec_path dir in
   if not (Sys.file_exists path) then
     die "%s: no fuzz run here (missing fuzz.json)" dir;
-  try fuzz_spec_of_json (Json.of_file path)
+  try check_fuzz_spec (fuzz_spec_of_json (Json.of_file path))
   with Json.Malformed msg -> die "%s: %s" path msg
 
 (* The scenario impairment seed is the search seed: one --seed pins the
@@ -1132,10 +1135,11 @@ let fuzz_champion_config spec genome =
 
 (* Drive the whole search. Settled generations replay from their
    journals; a missing one runs as one batch job in process. *)
-let fuzz_drive ~dir ~settings spec =
+let fuzz_drive ~dir ?num_domains ~verbose spec =
   let bspec = fuzz_batch_spec spec in
   Abg_fuzz.Search.run ~params:spec.fz_params ~evaluate:(fun ~gen genomes ->
-      Abg_batch.Fuzz_batch.evaluate ~dir ~settings bspec ~gen genomes)
+      Abg_batch.Fuzz_batch.evaluate ~dir ?num_domains ~verbose bspec ~gen
+        genomes)
 
 let fuzz_gene_table genome =
   String.concat "\n"
@@ -1375,21 +1379,29 @@ let fuzz_synth_duration_arg =
   Arg.(
     value & opt seconds_conv 6.0 & info [ "synth-duration" ] ~docv:"SECONDS" ~doc)
 
+let fuzz_seed_arg =
+  let doc =
+    "Seed of the whole search: the populations, every scenario's \
+     impairments and a counterexample target's synthesis."
+  in
+  Arg.(
+    value
+    & opt int Abg_core.Refinement.default_config.Abg_core.Refinement.seed
+    & info [ "seed" ] ~doc)
+
 let fuzz_json_arg =
   let doc = "Print the report as canonical JSON (what CI pins)." in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-let fuzz_finish ~dir ~settings ~json spec =
+let fuzz_finish ~dir ?num_domains ~verbose ~json spec =
   on_run_dir @@ fun () ->
-  let result = fuzz_drive ~dir ~settings spec in
+  let result = fuzz_drive ~dir ?num_domains ~verbose spec in
   let doc = fuzz_report_doc spec result in
   if json then print_endline (Json.to_string doc)
   else print_string (fuzz_render_text spec result doc)
 
 let fuzz_run dir fitness cca cca_b generations pop duration synth_scenarios
-    synth_duration settings json () =
-  let refinement = settings.Abg_batch.Runner.refinement in
-  let seed = refinement.Abg_core.Refinement.seed in
+    synth_duration seed num_domains verbose json () =
   let fz_fitness =
     match Abg_fuzz.Fitness.kind_of_name fitness with
     | Some k -> k
@@ -1416,8 +1428,9 @@ let fuzz_run dir fitness cca cca_b generations pop duration synth_scenarios
             ~n:synth_scenarios ()
         in
         match
-          Abg_core.Synthesis.run_configs ~config:refinement ~configs ~name:cca
-            (find_cca cca)
+          Abg_core.Synthesis.run_configs
+            ~config:{ Abg_core.Refinement.default_config with seed }
+            ~configs ~name:cca (find_cca cca)
         with
         | Some o ->
             Printf.eprintf "synthesized %s target: %s (distance %.3f)\n%!" cca
@@ -1452,7 +1465,7 @@ let fuzz_run dir fitness cca cca_b generations pop duration synth_scenarios
     }
   in
   write_fuzz_spec dir spec;
-  fuzz_finish ~dir ~settings ~json spec
+  fuzz_finish ~dir ?num_domains ~verbose ~json spec
 
 let fuzz_run_cmd =
   command ~telemetry:true "run"
@@ -1464,18 +1477,16 @@ let fuzz_run_cmd =
       const fuzz_run $ batch_dir_arg $ fuzz_fitness_arg $ fuzz_cca_arg
       $ fuzz_cca_b_arg $ fuzz_generations_arg $ fuzz_pop_arg
       $ fuzz_duration_arg $ fuzz_synth_scenarios_arg $ fuzz_synth_duration_arg
-      $ settings_term ~batch:false ~seed:true
-      $ fuzz_json_arg)
+      $ fuzz_seed_arg $ domains_arg $ verbose_arg $ fuzz_json_arg)
 
 (* The search seed lives in the spec, so resuming takes no --seed. *)
-let fuzz_resume dir settings json () =
-  fuzz_finish ~dir ~settings ~json (read_fuzz_spec dir)
+let fuzz_resume dir num_domains verbose json () =
+  fuzz_finish ~dir ?num_domains ~verbose ~json (read_fuzz_spec dir)
 
 (* `fuzz resume' and `fuzz report' are one command under two names. *)
 let fuzz_resume_term =
   Term.(
-    const fuzz_resume $ batch_dir_arg
-    $ settings_term ~batch:false ~seed:false
+    const fuzz_resume $ batch_dir_arg $ domains_arg $ verbose_arg
     $ fuzz_json_arg)
 
 let fuzz_resume_cmd =

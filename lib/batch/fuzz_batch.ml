@@ -12,6 +12,8 @@ type spec = {
 
 open Abg_util
 
+exception Failed of string
+
 let ( / ) = Filename.concat
 
 let gen_dir dir gen = dir / Printf.sprintf "gen-%04d" gen
@@ -37,14 +39,18 @@ let generation_job spec distinct =
         distinct;
   }
 
-(* A quarantined generation scores -inf throughout: every individual
-   loses every tournament but the search keeps moving. An [Ok] entry
+(* A quarantined generation ends the search: a spec error fails every
+   genome alike, so scoring on would search over garbage. An [Ok] entry
    promises a result blob holding one value per config; a blob that is
    missing, fails its hash or holds another count is a corrupt run
-   directory, never a silent -inf. *)
+   directory. *)
 let fitness_of ~gdir store (e : Journal.entry) ~n =
   match e.Journal.status with
-  | Journal.Quarantined -> Array.make n neg_infinity
+  | Journal.Quarantined ->
+      raise
+        (Failed
+           (Printf.sprintf "%s: generation failed: %s" gdir
+              (Option.value ~default:"no error journaled" e.Journal.error)))
   | Journal.Ok -> (
       match Json.member_opt "values" (Runner.result_doc ~dir:gdir store e) with
       | Some (Json.List values) when List.length values = n ->
@@ -55,8 +61,14 @@ let fitness_of ~gdir store (e : Journal.entry) ~n =
                (Printf.sprintf "%s: job %s: result has no %d values" gdir
                   e.Journal.job n)))
 
-let evaluate ~dir ~settings (spec : spec) ~gen genomes =
+let evaluate ~dir ?num_domains ~verbose (spec : spec) ~gen genomes =
   let gdir = gen_dir dir gen in
+  (* One attempt: an evaluation raises only on a spec error, and a spec
+     error repeats. The runner's verbose lines mark each generation's
+     start on stderr. *)
+  let settings =
+    { Runner.default_settings with retries = 0; num_domains; verbose }
+  in
   let keyed = Array.map (fun g -> (Abg_fuzz.Genome.encode g, g)) genomes in
   let distinct =
     List.sort_uniq

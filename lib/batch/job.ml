@@ -43,7 +43,10 @@ let kind_of_token token =
   match String.split_on_char ':' token with
   | [ "collect" ] -> Ok Collect
   | [ "synth" ] -> Ok (Synthesize { dsl = None })
-  | [ "synth"; dsl ] -> Ok (Synthesize { dsl = Some dsl })
+  | [ "synth"; dsl ] ->
+      if Abg_dsl.Catalog.find dsl = None then
+        Error (Printf.sprintf "unknown DSL in %S; try `abagnale list'" token)
+      else Ok (Synthesize { dsl = Some dsl })
   | [ "classify" ] -> Ok Classify
   | [ "noise"; stddev; keep ] -> (
       match (float_of_string_opt stddev, float_of_string_opt keep) with

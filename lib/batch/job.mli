@@ -61,8 +61,8 @@ val kind_name : kind -> string
 val kind_of_token : string -> (kind, string) result
 (** Parse a CLI kind token: ["collect"], ["synth"], ["synth:DSL"],
     ["classify"], ["noise:STDDEV:KEEP"], ["probe:FAILS:SLEEP_MS"]. A
-    noise STDDEV must be finite and at least 0 and its KEEP in (0, 1];
-    the [Error] names the token. *)
+    DSL must be in {!Abg_dsl.Catalog}, and a noise STDDEV finite and at
+    least 0 and its KEEP in (0, 1]; the [Error] names the token. *)
 
 val describe : t -> string
 (** Human one-liner: kind, cca, scenario count, seed. *)

@@ -4,26 +4,13 @@ open Abg_util
 
 type settings = {
   retries : int;
-  backoff_s : float;
-  timeout_s : float;
   shard : (int * int) option;
-  max_jobs : int option;
   num_domains : int option;
-  refinement : Abg_core.Refinement.config;
   verbose : bool;
 }
 
 let default_settings =
-  {
-    retries = 2;
-    backoff_s = 0.05;
-    timeout_s = infinity;
-    shard = None;
-    max_jobs = None;
-    num_domains = None;
-    refinement = Abg_core.Refinement.default_config;
-    verbose = false;
-  }
+  { retries = 2; shard = None; num_domains = None; verbose = false }
 
 type status = Done | Quarantined of string
 
@@ -33,13 +20,11 @@ type completion = {
   status : status;
   attempts : int;
   result : string option;
-  wall_s : float;
 }
 
 type summary = {
   completions : completion list;
   skipped : int;
-  remaining : int;
   counters : (string * int) list;
 }
 
@@ -157,15 +142,13 @@ let synthesis_fields (outcome : Abg_core.Synthesis.outcome option) =
         ("prune_rate", Json.hex r.Abg_core.Refinement.prune_rate);
       ]
 
-let perform_synth ~settings (job : Job.t) ~dsl =
+let perform_synth (job : Job.t) ~dsl =
   let ctor = constructor_of job.Job.cca in
   let dsl = Option.map dsl_of_name dsl in
-  let config =
-    { settings.refinement with Abg_core.Refinement.seed = job.Job.seed }
-  in
   let outcome =
-    Abg_core.Synthesis.run_configs ~config ?dsl ~configs:job.Job.configs
-      ~name:job.Job.cca ctor
+    Abg_core.Synthesis.run_configs
+      ~config:{ Abg_core.Refinement.default_config with seed = job.Job.seed }
+      ?dsl ~configs:job.Job.configs ~name:job.Job.cca ctor
   in
   Json.Obj (result_header "synth" job.Job.cca @ synthesis_fields outcome)
 
@@ -202,7 +185,7 @@ let perform_classify ~store (job : Job.t) =
         ("features", Json.Str features_blob);
       ])
 
-let perform_noise ~settings (job : Job.t) ~stddev ~keep =
+let perform_noise (job : Job.t) ~stddev ~keep =
   let ctor = constructor_of job.Job.cca in
   let clean =
     Abg_trace.Trace.collect_configs ~name:job.Job.cca ctor job.Job.configs
@@ -214,11 +197,10 @@ let perform_noise ~settings (job : Job.t) ~stddev ~keep =
     Abg_trace.Noise.subsample rng ~keep
       (Abg_trace.Noise.observation_noise rng ~stddev trace)
   in
-  let config =
-    { settings.refinement with Abg_core.Refinement.seed = job.Job.seed }
-  in
   let outcome =
-    Abg_core.Synthesis.run ~config ~name:job.Job.cca (List.map corrupt clean)
+    Abg_core.Synthesis.run
+      ~config:{ Abg_core.Refinement.default_config with seed = job.Job.seed }
+      ~name:job.Job.cca (List.map corrupt clean)
   in
   let clean_fields =
     match outcome with
@@ -284,9 +266,9 @@ let perform_fuzz_eval ~settings (job : Job.t) ~fitness ~cca_b ~handler =
 let perform ~settings ~store ~attempt (job : Job.t) =
   match job.Job.kind with
   | Job.Collect -> perform_collect ~store job
-  | Job.Synthesize { dsl } -> perform_synth ~settings job ~dsl
+  | Job.Synthesize { dsl } -> perform_synth job ~dsl
   | Job.Classify -> perform_classify ~store job
-  | Job.Noise { stddev; keep } -> perform_noise ~settings job ~stddev ~keep
+  | Job.Noise { stddev; keep } -> perform_noise job ~stddev ~keep
   | Job.Probe { fail_attempts; sleep_ms } ->
       perform_probe ~attempt job ~fail_attempts ~sleep_ms
   | Job.Fuzz_eval { fitness; cca_b; handler } ->
@@ -304,34 +286,20 @@ let log settings fmt =
 
 (* Run one job to a terminal outcome: Ok (attempts, result blob) or a
    quarantine. Every exception is contained here — a poisoned job must
-   not take down the dispatch loop. Timeout errors carry the limit, not
-   the measured elapsed time, so quarantine records stay deterministic. *)
+   not take down the dispatch loop. *)
 let run_one ~settings ~store ~journal (digest, (job : Job.t)) =
   Abg_obs.Obs.span "batch/job" @@ fun () ->
-  let t0 = Unix.gettimeofday () in
   let max_attempts = settings.retries + 1 in
   let rec attempt_loop attempt =
     if attempt > 1 then begin
       Abg_obs.Obs.Counter.incr obs_retries;
-      let pause = settings.backoff_s *. (2.0 ** float_of_int (attempt - 2)) in
-      if pause > 0.0 then Unix.sleepf pause
+      Unix.sleepf (0.05 *. (2.0 ** float_of_int (attempt - 2)))
     end;
     Abg_obs.Obs.Counter.incr obs_attempts;
-    let t_attempt = Unix.gettimeofday () in
-    let outcome =
-      match perform ~settings ~store ~attempt job with
-      | result ->
-          let elapsed = Unix.gettimeofday () -. t_attempt in
-          if elapsed > settings.timeout_s then
-            Error
-              (Printf.sprintf "exceeded %gs wall-clock limit"
-                 settings.timeout_s)
-          else Ok result
-      | exception e -> Error (Printexc.to_string e)
-    in
-    match outcome with
-    | Ok result -> (attempt, Ok (Store.put store (Json.to_string result)))
-    | Error err ->
+    match perform ~settings ~store ~attempt job with
+    | result -> (attempt, Ok (Store.put store (Json.to_string result)))
+    | exception e ->
+        let err = Printexc.to_string e in
         log settings "[batch] %s attempt %d/%d failed: %s\n%!"
           (Job.describe job) attempt max_attempts err;
         if attempt < max_attempts then attempt_loop (attempt + 1)
@@ -372,14 +340,7 @@ let run_one ~settings ~store ~journal (digest, (job : Job.t)) =
   log settings "[batch] %s: %s after %d attempt(s)\n%!" (Job.describe job)
     (match status with Done -> "ok" | Quarantined _ -> "QUARANTINED")
     attempts;
-  {
-    job;
-    digest;
-    status;
-    attempts;
-    result;
-    wall_s = Unix.gettimeofday () -. t0;
-  }
+  { job; digest; status; attempts; result }
 
 (* -- run directories -- *)
 
@@ -434,13 +395,6 @@ let shard_select ~i ~n xs =
     invalid_arg (Printf.sprintf "Runner.shard_select: bad shard %d/%d" i n);
   List.filteri (fun idx _ -> idx mod n = i) xs
 
-let rec take k = function
-  | [] -> ([], [])
-  | x :: rest when k > 0 ->
-      let kept, dropped = take (k - 1) rest in
-      (x :: kept, dropped)
-  | rest -> ([], rest)
-
 let execute ~dir ~settings =
   let keyed = jobs_of_dir ~dir in
   (* Resume skips anything settled by *any* journal in the family —
@@ -464,11 +418,6 @@ let execute ~dir ~settings =
     List.filter (fun (d, _) -> not (Hashtbl.mem settled d)) mine
   in
   let skipped = List.length mine - List.length pending in
-  let pending, dropped =
-    match settings.max_jobs with
-    | None -> (pending, [])
-    | Some k -> take k pending
-  in
   log settings "[batch] %d job(s) pending, %d already journaled\n%!"
     (List.length pending) skipped;
   let journal = Journal.open_ (journal_path ?shard:settings.shard dir) in
@@ -486,7 +435,6 @@ let execute ~dir ~settings =
   {
     completions;
     skipped;
-    remaining = List.length dropped;
     counters = Abg_obs.Obs.delta_counters ~before ~after;
   }
 

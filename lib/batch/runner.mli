@@ -26,14 +26,13 @@
     Jobs run one at a time on the calling domain, in canonical (digest)
     order, each making its own completion durable; only a fuzz
     generation's evaluations fan out ({!Abg_parallel.Pool.map}). A job
-    that raises is retried with exponential backoff up to [retries]
-    extra attempts, then {e quarantined}: its
+    that raises is retried with exponential backoff (50 ms, doubled per
+    retry) up to [retries] extra attempts, then {e quarantined}: its
     error is journaled and the rest of the grid proceeds — a poisoned
-    job never takes down the run. Per-job wall-clock limits are
-    enforced at attempt granularity (OCaml domains cannot be killed, so
-    a wedged attempt is detected when it returns; hard kills are the
-    supervising process's job — SIGKILL plus [resume] is the supported
-    path, and is exactly what the CI smoke job exercises).
+    job never takes down the run. There is no per-job wall-clock limit:
+    OCaml domains cannot be killed, so a wedged job is the supervising
+    process's to kill — SIGKILL plus [resume] is the supported path,
+    and is exactly what the CI smoke job exercises.
 
     [shard = (i, n)] runs only the jobs at index [≡ i (mod n)] of the
     canonical order and journals into [journal.wIofN.jsonl]. The
@@ -43,16 +42,12 @@
     [store/pack/*.pack] files into one. All readers ({!resume} skipping,
     {!Report}) merge the whole journal family. *)
 
+(** A synthesis or noise job refines under
+    {!Abg_core.Refinement.default_config} with the job's own seed. *)
 type settings = {
   retries : int;  (** extra attempts after the first (default 2) *)
-  backoff_s : float;  (** base backoff, doubled per retry (default 0.05) *)
-  timeout_s : float;  (** per-attempt wall-clock limit (default: none) *)
   shard : (int * int) option;  (** [(i, n)], 0-based shard index *)
-  max_jobs : int option;  (** stop after this many completions (smoke) *)
   num_domains : int option;  (** a fuzz generation's map's domain cap *)
-  refinement : Abg_core.Refinement.config;
-      (** refinement knobs for synthesis jobs; the per-job seed
-          overrides [refinement.seed] *)
   verbose : bool;
 }
 
@@ -66,13 +61,11 @@ type completion = {
   status : status;
   attempts : int;
   result : string option;  (** result-blob digest *)
-  wall_s : float;  (** volatile; not part of any persisted artifact *)
 }
 
 type summary = {
   completions : completion list;  (** this invocation, canonical order *)
   skipped : int;  (** jobs already journaled (resume) *)
-  remaining : int;  (** jobs left behind by [max_jobs] *)
   counters : (string * int) list;
       (** telemetry counter deltas over this invocation
           ({!Abg_obs.Obs.delta_counters}) — the per-run roll-up of the

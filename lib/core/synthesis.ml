@@ -93,16 +93,13 @@ let run ?(config = Refinement.default_config) ?dsl ?(segment_budget = 8)
           segments_used = List.length segments;
         }
 
-(** [run_configs ?config ?dsl ?noise ~configs ~name constructor] — the
-    batch orchestrator's entry point: collect one trace per explicit
-    scenario config ({!Abg_trace.Trace.collect_configs}), optionally
-    corrupt the traces with a seeded noise transform, and synthesize.
-    The result is a pure function of (constructor, configs, noise,
-    config.seed). *)
-let run_configs ?(config = Refinement.default_config) ?dsl ?noise ~configs
-    ~name constructor =
+(** [run_configs ?config ?dsl ~configs ~name constructor] — the batch
+    orchestrator's entry point: collect one trace per explicit scenario
+    config ({!Abg_trace.Trace.collect_configs}) and synthesize. The
+    result is a pure function of (constructor, configs, config.seed). *)
+let run_configs ?(config = Refinement.default_config) ?dsl ~configs ~name
+    constructor =
   let traces = Abg_trace.Trace.collect_configs ~name constructor configs in
-  let traces = match noise with None -> traces | Some f -> f traces in
   run ~config ?dsl ~name traces
 
 (** [collect_and_run ?config ?dsl ?scenarios ~name constructor] —

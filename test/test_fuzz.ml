@@ -284,9 +284,6 @@ let test_fitness_four_domains () =
 
 (* -- batch evaluation: resume contract -- *)
 
-let quiet_settings =
-  { Abg_batch.Runner.default_settings with Abg_batch.Runner.verbose = false }
-
 let throughput_spec =
   { Abg_batch.Fuzz_batch.fitness = Fitness.Throughput; cca = "reno";
     cca_b = None; handler = None; duration = 2.0; scenario_seed = 21 }
@@ -307,7 +304,7 @@ let test_fuzz_batch_resume_identical () =
   let evaluations = Abg_obs.Obs.Counter.make "fuzz.evaluations" in
   let before = Abg_obs.Obs.Counter.value evaluations in
   let first =
-    Abg_batch.Fuzz_batch.evaluate ~dir ~settings:quiet_settings spec ~gen:0
+    Abg_batch.Fuzz_batch.evaluate ~dir ~verbose:false spec ~gen:0
       genomes
   in
   Alcotest.(check int) "one evaluation per distinct genome" 5
@@ -318,7 +315,7 @@ let test_fuzz_batch_resume_identical () =
   Alcotest.(check int) "the journal is one line" 1
     (List.length (journal_lines gdir));
   let again =
-    Abg_batch.Fuzz_batch.evaluate ~dir ~settings:quiet_settings spec ~gen:0
+    Abg_batch.Fuzz_batch.evaluate ~dir ~verbose:false spec ~gen:0
       genomes
   in
   Alcotest.(check bool) "settled generation re-reads identically" true
@@ -332,7 +329,7 @@ let test_fuzz_batch_resume_identical () =
   (* a fresh directory evaluates to the same values: fitness is a pure
      function of (spec, genome), not of the run directory *)
   let fresh =
-    Abg_batch.Fuzz_batch.evaluate ~dir:(fresh_dir ()) ~settings:quiet_settings
+    Abg_batch.Fuzz_batch.evaluate ~dir:(fresh_dir ()) ~verbose:false
       spec ~gen:0 genomes
   in
   Alcotest.(check bool) "directory-independent" true (first = fresh)
@@ -344,7 +341,7 @@ let test_fuzz_batch_foreign_generation () =
   let dir = fresh_dir () in
   let rng = Rng.create 31 in
   let evaluate genomes =
-    Abg_batch.Fuzz_batch.evaluate ~dir ~settings:quiet_settings
+    Abg_batch.Fuzz_batch.evaluate ~dir ~verbose:false
       throughput_spec ~gen:0 genomes
   in
   ignore (evaluate (Array.init 3 (fun _ -> Genome.random rng)));
@@ -357,39 +354,48 @@ let test_fuzz_batch_foreign_generation () =
       Alcotest.(check (list string)) "nothing ran" journal (journal_lines gdir)
   | _ -> Alcotest.fail "expected Store.Corrupt"
 
-(* A spec error fails every evaluation alike, so the generation is
-   retried as a whole, then quarantined, and every genome scores -inf. *)
+(* A spec error fails every evaluation alike, so the generation runs
+   once, is quarantined, and raises naming the generation and the
+   error; no genome is scored. The quarantine is terminal: evaluating
+   again raises the same error and runs nothing. *)
 let test_fuzz_batch_quarantined_generation () =
   let dir = fresh_dir () in
   let spec = { throughput_spec with Abg_batch.Fuzz_batch.cca = "no-such-cca" } in
   let rng = Rng.create 31 in
-  let fitness =
-    Abg_batch.Fuzz_batch.evaluate ~dir
-      ~settings:{ quiet_settings with Abg_batch.Runner.retries = 0 }
-      spec ~gen:0
-      (Array.init 4 (fun _ -> Genome.random rng))
+  let genomes = Array.init 4 (fun _ -> Genome.random rng) in
+  let failure () =
+    match
+      Abg_batch.Fuzz_batch.evaluate ~dir ~verbose:false spec ~gen:0 genomes
+    with
+    | exception Abg_batch.Fuzz_batch.Failed msg -> msg
+    | _ -> Alcotest.fail "expected Fuzz_batch.Failed"
   in
-  Alcotest.(check bool) "every genome scores -inf" true
-    (Array.for_all (fun f -> f = neg_infinity) fitness);
   let gdir = Abg_batch.Fuzz_batch.gen_dir dir 0 in
-  Alcotest.(check int) "the journal is one line" 1
-    (List.length (journal_lines gdir));
-  match Abg_batch.Runner.settled_entries gdir with
+  let msg = failure () in
+  Alcotest.(check string) "generation and error named"
+    (Filename.concat dir "gen-0000"
+    ^ ": generation failed: Failure(\"fuzz: unknown CCA no-such-cca\")")
+    msg;
+  let journal = journal_lines gdir in
+  Alcotest.(check int) "the journal is one line" 1 (List.length journal);
+  (match Abg_batch.Runner.settled_entries gdir with
   | [ e ] ->
       Alcotest.(check bool) "quarantined after one attempt" true
         (e.Abg_batch.Journal.status = Abg_batch.Journal.Quarantined
         && e.Abg_batch.Journal.attempts = 1)
-  | l -> Alcotest.failf "expected one journal entry, got %d" (List.length l)
+  | l -> Alcotest.failf "expected one journal entry, got %d" (List.length l));
+  Alcotest.(check string) "the same error again" msg (failure ());
+  Alcotest.(check (list string)) "nothing ran" journal (journal_lines gdir)
 
-(* Only a quarantined generation scores -inf. An ok one whose result
-   blob was forged after gc (edited in place inside gc.pack) or is gone
-   must raise, naming the generation directory. *)
+(* An ok generation whose result blob was forged after gc (edited in
+   place inside gc.pack) or is gone must raise, naming the generation
+   directory. *)
 let test_fuzz_batch_corrupt_blob_raises () =
   let dir = fresh_dir () in
   let rng = Rng.create 31 in
   let genomes = Array.init 2 (fun _ -> Genome.random rng) in
   let evaluate () =
-    Abg_batch.Fuzz_batch.evaluate ~dir ~settings:quiet_settings
+    Abg_batch.Fuzz_batch.evaluate ~dir ~verbose:false
       throughput_spec ~gen:0 genomes
   in
   ignore (evaluate ());
