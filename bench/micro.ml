@@ -293,7 +293,6 @@ let bench_entry i =
     {
       Abg_batch.Journal.job;
       status = Abg_batch.Journal.Quarantined;
-      attempts = 3;
       result = None;
       error = Some (Printf.sprintf "Failure(\"probe %d: injected failure\")" i);
     }
@@ -301,7 +300,6 @@ let bench_entry i =
     {
       Abg_batch.Journal.job;
       status = Abg_batch.Journal.Ok;
-      attempts = 1 + (i mod 3);
       result = Some (Digest.to_hex (Digest.string ("r" ^ string_of_int i)));
       error = None;
     }

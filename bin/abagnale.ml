@@ -31,6 +31,11 @@ let die fmt =
       exit 1)
     stderr fmt
 
+(* A batch run that completes but reports its outcome in the exit status
+   (2: jobs quarantined, 1: a worker failed) raises this rather than
+   exiting, so its --telemetry report is still written. *)
+exception Exit_status of int
+
 let find_cca name =
   match Abg_cca.Registry.find name with
   | Some ctor -> ctor
@@ -120,9 +125,15 @@ let output_dir_arg =
   let doc = "Directory for the collected trace files." in
   Arg.(value & opt string "traces" & info [ "o"; "output" ] ~doc)
 
-let verbose_arg =
-  let doc = "Print refinement-loop progress to stderr." in
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
+let verbose_arg doc = Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
+
+(* `batch run|resume' and `fuzz run|resume|report': there the flag
+   reaches only the batch runner. *)
+let batch_verbose_arg =
+  verbose_arg
+    "Print one $(b,[batch]) line per job to stderr, after the pending-job \
+     count; $(b,batch) also prints the run's telemetry counter deltas on \
+     stdout."
 
 let telemetry_arg =
   let doc =
@@ -132,20 +143,17 @@ let telemetry_arg =
   Arg.(value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE" ~doc)
 
 (* A subcommand whose term yields its body. With [~telemetry] it also
-   takes --telemetry FILE and flushes the report once the body returns;
-   an early [exit] skips the report — a truncated run has no meaningful
-   counters to gate on. *)
+   takes --telemetry FILE and flushes the report once the body returns
+   or raises [Exit_status]; an early [exit] skips the report — a
+   truncated run has no meaningful counters to gate on. *)
 let command ?(telemetry = false) name ~doc body =
-  let run =
-    if telemetry then
-      Term.(
-        const (fun path body ->
-            body ();
-            Option.iter Abg_obs.Report.write path)
-        $ telemetry_arg $ body)
-    else Term.(const (fun body -> body ()) $ body)
+  let run path body =
+    let status = try body (); 0 with Exit_status n -> n in
+    Option.iter Abg_obs.Report.write path;
+    if status <> 0 then exit status
   in
-  Cmd.v (Cmd.info name ~doc) run
+  let path = if telemetry then telemetry_arg else Term.const None in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ path $ body)
 
 (* -- collect -- *)
 
@@ -296,8 +304,10 @@ let synth_cmd =
   command ~telemetry:true "synth"
     ~doc:"Reverse-engineer a cwnd-ack handler expression from traces"
     Term.(
-      const synth $ dsl_arg $ verbose_arg $ seed_arg $ synth_cca_arg
-      $ scenarios_arg $ duration_arg $ synth_traces_arg)
+      const synth $ dsl_arg
+      $ verbose_arg "Print refinement-loop progress to stderr."
+      $ seed_arg $ synth_cca_arg $ scenarios_arg $ duration_arg
+      $ synth_traces_arg)
 
 (* -- distance -- *)
 
@@ -657,10 +667,6 @@ let workers_arg =
   in
   Arg.(value & opt (some count_conv) None & info [ "workers" ] ~docv:"N" ~doc)
 
-let retries_arg =
-  let doc = "Extra attempts for a failing job before quarantine." in
-  Arg.(value & opt (at_least_conv 0) 2 & info [ "retries" ] ~doc)
-
 let domains_arg =
   let doc =
     "Domains, the calling one included, that evaluate a generation's \
@@ -671,18 +677,17 @@ let domains_arg =
 (* The run-control flags of `batch run|resume'; the job seeds are
    --seeds, part of the grid. *)
 let run_settings =
-  let make retries shard verbose =
-    { Abg_batch.Runner.default_settings with retries; shard; verbose }
+  let make shard verbose =
+    { Abg_batch.Runner.default_settings with shard; verbose }
   in
-  Term.(const make $ retries_arg $ shard_arg $ verbose_arg)
+  Term.(const make $ shard_arg $ batch_verbose_arg)
 
 (* Re-invoke this binary as `batch resume DIR --shard i/n`, forwarding
-   the knobs that shape execution. Respawn-on-kill is sound because
-   resume is: a respawned worker skips everything its journal settled. *)
+   --verbose. Respawn-on-kill is sound because resume is: a respawned
+   worker skips everything its journal settled. *)
 let run_workers ~dir ~workers (s : Abg_batch.Runner.settings) =
   let base =
-    [ "batch"; "resume"; dir; "--retries"; string_of_int s.retries ]
-    @ if s.verbose then [ "--verbose" ] else []
+    [ "batch"; "resume"; dir ] @ if s.verbose then [ "--verbose" ] else []
   in
   let argv i =
     Array.of_list
@@ -691,15 +696,14 @@ let run_workers ~dir ~workers (s : Abg_batch.Runner.settings) =
   in
   let outcome = Abg_batch.Coordinator.supervise ~argv ~workers () in
   List.iter
-    (fun (w, why) ->
-      Printf.eprintf "worker %d abandoned after repeated deaths: %s\n" w why)
+    (fun (w, why) -> Printf.eprintf "worker %d failed: %s\n" w why)
     outcome.Abg_batch.Coordinator.failed;
   if outcome.Abg_batch.Coordinator.respawns > 0 then
     Printf.printf "workers: %d respawn(s)\n"
       outcome.Abg_batch.Coordinator.respawns;
   print_string (Abg_batch.Report.status dir);
-  if outcome.Abg_batch.Coordinator.failed <> [] then exit 1;
-  if outcome.Abg_batch.Coordinator.quarantined then exit 2
+  if outcome.Abg_batch.Coordinator.failed <> [] then raise (Exit_status 1);
+  if outcome.Abg_batch.Coordinator.quarantined then raise (Exit_status 2)
 
 let print_batch_summary verbose (summary : Abg_batch.Runner.summary) =
   let ok, quarantined =
@@ -729,7 +733,7 @@ let print_batch_summary verbose (summary : Abg_batch.Runner.summary) =
     List.iter
       (fun (name, n) -> Printf.printf "  %-40s +%d\n" name n)
       summary.Abg_batch.Runner.counters;
-  if quarantined <> [] then exit 2
+  if quarantined <> [] then raise (Exit_status 2)
 
 let batch_run dir kinds ccas scenarios duration ack_jitter seeds settings
     workers () =
@@ -840,7 +844,7 @@ let batch_cmd =
     (Cmd.info "batch"
        ~doc:
          "Crash-safe batch experiment orchestration: expand a grid, run it \
-          with retries and quarantine, resume after a kill, shard across \
+          with quarantine, resume after a kill, shard across \
           supervised worker processes, garbage-collect, and report")
     [
       batch_run_cmd;
@@ -1477,7 +1481,7 @@ let fuzz_run_cmd =
       const fuzz_run $ batch_dir_arg $ fuzz_fitness_arg $ fuzz_cca_arg
       $ fuzz_cca_b_arg $ fuzz_generations_arg $ fuzz_pop_arg
       $ fuzz_duration_arg $ fuzz_synth_scenarios_arg $ fuzz_synth_duration_arg
-      $ fuzz_seed_arg $ domains_arg $ verbose_arg $ fuzz_json_arg)
+      $ fuzz_seed_arg $ domains_arg $ batch_verbose_arg $ fuzz_json_arg)
 
 (* The search seed lives in the spec, so resuming takes no --seed. *)
 let fuzz_resume dir num_domains verbose json () =
@@ -1486,7 +1490,7 @@ let fuzz_resume dir num_domains verbose json () =
 (* `fuzz resume' and `fuzz report' are one command under two names. *)
 let fuzz_resume_term =
   Term.(
-    const fuzz_resume $ batch_dir_arg $ domains_arg $ verbose_arg
+    const fuzz_resume $ batch_dir_arg $ domains_arg $ batch_verbose_arg
     $ fuzz_json_arg)
 
 let fuzz_resume_cmd =

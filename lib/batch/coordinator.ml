@@ -32,10 +32,8 @@ let rec wait_any () =
   | pid, status -> (pid, status)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_any ()
 
-(* Respawns per worker before it is abandoned, and the linear backoff
-   step between them. *)
+(* Respawns per killed worker before it is reported failed. *)
 let max_respawns = 10
-let respawn_backoff_s = 0.2
 
 let supervise ~argv ~workers () =
   if workers < 1 then invalid_arg "Coordinator.supervise: workers < 1";
@@ -55,8 +53,12 @@ let supervise ~argv ~workers () =
         match status with
         | Unix.WEXITED 0 -> ()
         | Unix.WEXITED 2 -> quarantined := true
-        | status ->
-            (* Crash or kill: the worker's journal already holds every
+        | Unix.WEXITED _ ->
+            (* An input error or an uncaught exception: the worker's
+               job set is deterministic, so a respawn would repeat it. *)
+            failed := (slot.worker, describe_status status) :: !failed
+        | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
+            (* Killed: the worker's journal already holds every
                completion it acknowledged, so a respawn with the same
                argv resumes rather than restarts. *)
             if slot.spawned > max_respawns then
@@ -66,7 +68,6 @@ let supervise ~argv ~workers () =
                 "[batch] worker %d %s; respawning (attempt %d/%d)\n%!"
                 slot.worker (describe_status status) slot.spawned max_respawns;
               incr respawns;
-              Unix.sleepf (respawn_backoff_s *. float_of_int slot.spawned);
               slot.spawned <- slot.spawned + 1;
               Hashtbl.replace live (spawn (argv slot.worker)) slot
             end)

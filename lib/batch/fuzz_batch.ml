@@ -63,12 +63,8 @@ let fitness_of ~gdir store (e : Journal.entry) ~n =
 
 let evaluate ~dir ?num_domains ~verbose (spec : spec) ~gen genomes =
   let gdir = gen_dir dir gen in
-  (* One attempt: an evaluation raises only on a spec error, and a spec
-     error repeats. The runner's verbose lines mark each generation's
-     start on stderr. *)
-  let settings =
-    { Runner.default_settings with retries = 0; num_domains; verbose }
-  in
+  (* The runner's verbose lines mark each generation's start on stderr. *)
+  let settings = { Runner.default_settings with num_domains; verbose } in
   let keyed = Array.map (fun g -> (Abg_fuzz.Genome.encode g, g)) genomes in
   let distinct =
     List.sort_uniq

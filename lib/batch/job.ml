@@ -213,6 +213,21 @@ let of_json json =
       (Json.Malformed
          (Printf.sprintf "job: %s is not in canonical abagnale-job/1 form"
             (describe job)));
+  (* A name no job body can resolve would only quarantine the job when
+     it runs: refuse it with the grid, before any job runs. *)
+  let unknown field what name =
+    raise
+      (Json.Malformed (Printf.sprintf "job.%s: unknown %s %s" field what name))
+  in
+  let check_cca field name =
+    if Abg_cca.Registry.find name = None then unknown field "CCA" name
+  in
+  check_cca "cca" job.cca;
+  (match job.kind with
+  | Synthesize { dsl = Some dsl } when Abg_dsl.Catalog.find dsl = None ->
+      unknown "dsl" "DSL" dsl
+  | Fuzz_eval { cca_b = Some b; _ } -> check_cca "cca_b" b
+  | _ -> ());
   job
 
 let digest job = Digest.to_hex (Digest.string (Json.to_string (to_json job)))

@@ -10,8 +10,8 @@
     crash-safe runner replays against, and the sharding key.
 
     [Probe] is a self-test kind (CI smoke, fault-containment tests): it
-    does a trivial deterministic computation, optionally sleeping and
-    optionally failing its first [fail_attempts] attempts. *)
+    does a trivial deterministic computation, optionally sleeping, and
+    fails when [fail_attempts] is at least 1 (a job runs once). *)
 
 type kind =
   | Collect
@@ -69,9 +69,11 @@ val describe : t -> string
 
 val to_json : t -> Abg_util.Json.t
 val of_json : Abg_util.Json.t -> t
-(** Raises {!Abg_util.Json.Malformed} on shape errors, and on an object
+(** Raises {!Abg_util.Json.Malformed} on shape errors, on an object
     that is not exactly [to_json] of the job it describes (an unknown
-    member, a missing or foreign schema). *)
+    member, a missing or foreign schema), and on a [cca], fuzz [cca_b]
+    or synth [dsl] that names no registered CCA or catalog DSL; the
+    message names the field and the value. *)
 
 val digest : t -> string
 (** MD5 hex of the canonical serialization: two jobs share a digest iff

@@ -7,7 +7,6 @@ type status = Ok | Quarantined
 type entry = {
   job : string;
   status : status;
-  attempts : int;
   result : string option;
   error : string option;
 }
@@ -21,7 +20,6 @@ let entry_to_line entry =
        [
          ("job", Json.Str entry.job);
          ("status", Json.Str (status_name entry.status));
-         ("attempts", Json.Num (float_of_int entry.attempts));
          ("result", opt entry.result);
          ("error", opt entry.error);
        ])
@@ -41,7 +39,6 @@ let entry_of_line line =
       | "ok" -> Ok
       | "quarantined" -> Quarantined
       | other -> raise (Json.Malformed ("journal: unknown status " ^ other)));
-    attempts = Json.int ~ctx (Json.member ~ctx "attempts" json);
     result = opt "result";
     error = opt "error";
   }

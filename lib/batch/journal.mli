@@ -10,24 +10,26 @@
 
     The journal records {e outcomes}, not progress: a job appears once,
     as [Ok] (with its result-blob digest) or [Quarantined] (with its
-    error and attempt count). Resume = replay the journal, skip every
-    job that has a line. *)
+    error). Resume = replay the journal, skip every job that has a
+    line. *)
 
 type status = Ok | Quarantined
 
 type entry = {
   job : string;  (** job digest ({!Job.digest}) *)
   status : status;
-  attempts : int;  (** attempts consumed in the run that completed it *)
   result : string option;  (** result-blob digest ([Ok] entries) *)
-  error : string option;  (** last error ([Quarantined] entries) *)
+  error : string option;  (** the job's error ([Quarantined] entries) *)
 }
 
 val entry_to_line : entry -> string
-(** Canonical one-line rendering (no newline). *)
+(** Canonical one-line rendering (no newline): exactly the members
+    [job], [status], [result] and [error]. *)
 
 val entry_of_line : string -> entry
-(** Raises {!Abg_util.Json.Malformed} on anything but a canonical line. *)
+(** Raises {!Abg_util.Json.Malformed} on anything but an outcome line.
+    Members it does not read are ignored, so a line an earlier build
+    wrote with an ["attempts"] count still replays. *)
 
 type t
 

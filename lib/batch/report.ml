@@ -161,10 +161,9 @@ let fuzz_row doc_of (row : row) =
 
 let quarantined_row (row : row) =
   match row.entry with
-  | Some { Journal.status = Journal.Quarantined; attempts; error; _ } ->
+  | Some { Journal.status = Journal.Quarantined; error; _ } ->
       Some
-        (Printf.sprintf "  %-40s attempts=%d  %s" (Job.describe row.job)
-           attempts
+        (Printf.sprintf "  %-40s  %s" (Job.describe row.job)
            (Option.value ~default:"(no error recorded)" error))
   | _ -> None
 

@@ -3,14 +3,12 @@
 open Abg_util
 
 type settings = {
-  retries : int;
   shard : (int * int) option;
   num_domains : int option;
   verbose : bool;
 }
 
-let default_settings =
-  { retries = 2; shard = None; num_domains = None; verbose = false }
+let default_settings = { shard = None; num_domains = None; verbose = false }
 
 type status = Done | Quarantined of string
 
@@ -18,7 +16,6 @@ type completion = {
   job : Job.t;
   digest : string;
   status : status;
-  attempts : int;
   result : string option;
 }
 
@@ -37,7 +34,6 @@ let obs_quarantined =
   Abg_obs.Obs.Counter.make ~volatile:true "batch.jobs.quarantined"
 
 let obs_attempts = Abg_obs.Obs.Counter.make ~volatile:true "batch.attempts"
-let obs_retries = Abg_obs.Obs.Counter.make ~volatile:true "batch.retries"
 
 let ( / ) = Filename.concat
 
@@ -234,7 +230,7 @@ let perform_probe ~attempt (job : Job.t) ~fail_attempts ~sleep_ms =
 (* One fuzz generation: the job's configs are the decoded scenarios of
    the population's distinct genomes, scored in one map. An evaluation
    raises only on a spec error, which fails every genome alike, so the
-   whole generation is the unit of retry and quarantine. *)
+   whole generation is the unit of quarantine. *)
 let perform_fuzz_eval ~settings (job : Job.t) ~fitness ~cca_b ~handler =
   let kind =
     match Abg_fuzz.Fitness.kind_of_name fitness with
@@ -274,7 +270,7 @@ let perform ~settings ~store ~attempt (job : Job.t) =
   | Job.Fuzz_eval { fitness; cca_b; handler } ->
       perform_fuzz_eval ~settings job ~fitness ~cca_b ~handler
 
-(* -- retry loop -- *)
+(* -- execution -- *)
 
 (* Pack fsync strictly before the journal line: see runner.mli. *)
 let commit ~store ~journal entry =
@@ -284,63 +280,48 @@ let commit ~store ~journal entry =
 let log settings fmt =
   if settings.verbose then Printf.eprintf fmt else Printf.ifprintf stderr fmt
 
-(* Run one job to a terminal outcome: Ok (attempts, result blob) or a
-   quarantine. Every exception is contained here — a poisoned job must
-   not take down the dispatch loop. *)
+(* Run one job, once, to a terminal outcome: its result blob or a
+   quarantine. A job is deterministic, so an error it raises would
+   repeat on every re-run. Every exception is contained here — a
+   poisoned job must not take down the dispatch loop. *)
 let run_one ~settings ~store ~journal (digest, (job : Job.t)) =
   Abg_obs.Obs.span "batch/job" @@ fun () ->
-  let max_attempts = settings.retries + 1 in
-  let rec attempt_loop attempt =
-    if attempt > 1 then begin
-      Abg_obs.Obs.Counter.incr obs_retries;
-      Unix.sleepf (0.05 *. (2.0 ** float_of_int (attempt - 2)))
-    end;
-    Abg_obs.Obs.Counter.incr obs_attempts;
-    match perform ~settings ~store ~attempt job with
-    | result -> (attempt, Ok (Store.put store (Json.to_string result)))
+  Abg_obs.Obs.Counter.incr obs_attempts;
+  let entry =
+    match perform ~settings ~store ~attempt:1 job with
+    | doc ->
+        let blob = Store.put store (Json.to_string doc) in
+        {
+          Journal.job = digest;
+          status = Journal.Ok;
+          result = Some blob;
+          error = None;
+        }
     | exception e ->
-        let err = Printexc.to_string e in
-        log settings "[batch] %s attempt %d/%d failed: %s\n%!"
-          (Job.describe job) attempt max_attempts err;
-        if attempt < max_attempts then attempt_loop (attempt + 1)
-        else (attempt, Error err)
-  in
-  let attempts, outcome = attempt_loop 1 in
-  let entry, status, result =
-    match outcome with
-    | Ok blob ->
-        ( {
-            Journal.job = digest;
-            status = Journal.Ok;
-            attempts;
-            result = Some blob;
-            error = None;
-          },
-          Done,
-          Some blob )
-    | Error err ->
-        ( {
-            Journal.job = digest;
-            status = Journal.Quarantined;
-            attempts;
-            result = None;
-            error = Some err;
-          },
-          Quarantined err,
-          None )
+        {
+          Journal.job = digest;
+          status = Journal.Quarantined;
+          result = None;
+          error = Some (Printexc.to_string e);
+        }
   in
   (* The durability gate: commit returns once the fsync covering this
      entry's journal line (and, before it, the pack fsync covering its
      blobs) has returned. Only then may the job be reported done —
      counters, logs, and the returned completion all sit after it. *)
   commit ~store ~journal entry;
-  (match status with
-  | Done -> Abg_obs.Obs.Counter.incr obs_ok
-  | Quarantined _ -> Abg_obs.Obs.Counter.incr obs_quarantined);
-  log settings "[batch] %s: %s after %d attempt(s)\n%!" (Job.describe job)
-    (match status with Done -> "ok" | Quarantined _ -> "QUARANTINED")
-    attempts;
-  { job; digest; status; attempts; result }
+  let status =
+    match entry.Journal.error with
+    | None ->
+        Abg_obs.Obs.Counter.incr obs_ok;
+        log settings "[batch] %s: ok\n%!" (Job.describe job);
+        Done
+    | Some err ->
+        Abg_obs.Obs.Counter.incr obs_quarantined;
+        log settings "[batch] %s: QUARANTINED: %s\n%!" (Job.describe job) err;
+        Quarantined err
+  in
+  { job; digest; status; result = entry.Journal.result }
 
 (* -- run directories -- *)
 

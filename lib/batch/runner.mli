@@ -1,5 +1,5 @@
-(** Crash-safe job runner: retries, quarantine, sharding, durable
-    commit, resume.
+(** Crash-safe job runner: quarantine, sharding, durable commit,
+    resume.
 
     A batch run lives in a directory:
     {v
@@ -24,12 +24,14 @@
     journal line returns.
 
     Jobs run one at a time on the calling domain, in canonical (digest)
-    order, each making its own completion durable; only a fuzz
-    generation's evaluations fan out ({!Abg_parallel.Pool.map}). A job
-    that raises is retried with exponential backoff (50 ms, doubled per
-    retry) up to [retries] extra attempts, then {e quarantined}: its
-    error is journaled and the rest of the grid proceeds — a poisoned
-    job never takes down the run. There is no per-job wall-clock limit:
+    order, each once, each making its own completion durable; only a
+    fuzz generation's evaluations fan out ({!Abg_parallel.Pool.map}). A
+    job is deterministic, so an error it raises would repeat: a job that
+    raises is {e quarantined} at once — its error is journaled and the
+    rest of the grid proceeds, so a poisoned job never takes down the
+    run. Quarantine is terminal: resume skips it. With [verbose], each
+    job prints one stderr line, [[batch] JOB: ok] or
+    [[batch] JOB: QUARANTINED: ERROR]. There is no per-job wall-clock limit:
     OCaml domains cannot be killed, so a wedged job is the supervising
     process's to kill — SIGKILL plus [resume] is the supported path,
     and is exactly what the CI smoke job exercises.
@@ -45,21 +47,20 @@
 (** A synthesis or noise job refines under
     {!Abg_core.Refinement.default_config} with the job's own seed. *)
 type settings = {
-  retries : int;  (** extra attempts after the first (default 2) *)
   shard : (int * int) option;  (** [(i, n)], 0-based shard index *)
   num_domains : int option;  (** a fuzz generation's map's domain cap *)
-  verbose : bool;
+  verbose : bool;  (** one [[batch]] line per job on stderr *)
 }
 
 val default_settings : settings
 
 type status = Done | Quarantined of string
 
+(** One executed job: it ran once, and its outcome is durable. *)
 type completion = {
   job : Job.t;
   digest : string;
   status : status;
-  attempts : int;
   result : string option;  (** result-blob digest *)
 }
 
@@ -137,5 +138,7 @@ val commit : store:Store.t -> journal:Journal.t -> Journal.entry -> unit
 
 val perform :
   settings:settings -> store:Store.t -> attempt:int -> Job.t -> Abg_util.Json.t
-(** Execute one job body (no retries/journaling) and return its result
-    document — exposed for tests and the report's schema. *)
+(** Execute one job body (no journaling) and return its result document.
+    The runner always passes [~attempt:1]; only a [Probe] job reads it.
+    Exposed for [perfbench/replay], which times job bodies apart from
+    the runner. *)

@@ -7,6 +7,7 @@ module Store = Abg_batch.Store
 module Journal = Abg_batch.Journal
 module Runner = Abg_batch.Runner
 module Report = Abg_batch.Report
+module Coordinator = Abg_batch.Coordinator
 
 (* -- scratch directories -- *)
 
@@ -226,6 +227,30 @@ let test_job_digest_pinned () =
              })
           "reno" 7 configs );
     ]
+
+(* A name no job body can resolve — a CCA, a divergence partner, a
+   synthesis DSL — is refused when the grid is read, naming the field
+   and the value, instead of quarantining the job when it runs. *)
+let refuses_name field value kind cca () =
+  let configs = Abg_netsim.Config.testbed_grid ~duration:2.0 ~n:1 () in
+  match Job.of_json (Job.to_json { Job.kind; cca; seed = 7; configs }) with
+  | _ -> Alcotest.failf "accepted %s %s" field value
+  | exception Abg_util.Json.Malformed msg ->
+      Alcotest.(check bool) (msg ^ " names the field") true
+        (String.starts_with ~prefix:("job." ^ field ^ ": ") msg);
+      Alcotest.(check bool) (msg ^ " names the value") true
+        (contains ~affix:value msg)
+
+let test_job_unknown_cca = refuses_name "cca" "nope" Job.Collect "nope"
+
+let test_job_unknown_cca_b =
+  refuses_name "cca_b" "nope"
+    (Job.Fuzz_eval
+       { fitness = "divergence"; cca_b = Some "nope"; handler = None })
+    "reno"
+
+let test_job_unknown_dsl =
+  refuses_name "dsl" "nope" (Job.Synthesize { dsl = Some "nope" }) "reno"
 
 (* -- Durable -- *)
 
@@ -506,12 +531,12 @@ let test_store_gc () =
 let sample_entries =
   [
     {
-      Journal.job = "aaaa"; status = Journal.Ok; attempts = 1;
-      result = Some "bbbb"; error = None;
+      Journal.job = "aaaa"; status = Journal.Ok; result = Some "bbbb";
+      error = None;
     };
     {
-      Journal.job = "cccc"; status = Journal.Quarantined; attempts = 3;
-      result = None; error = Some "Failure(\"boom\")";
+      Journal.job = "cccc"; status = Journal.Quarantined; result = None;
+      error = Some "Failure(\"boom\")";
     };
   ]
 
@@ -532,6 +557,24 @@ let test_journal_append_replay () =
   Alcotest.(check (list string)) "entries survive"
     (List.map Journal.entry_to_line sample_entries)
     (List.map Journal.entry_to_line replayed)
+
+(* Outcome lines as the previous build wrote them (copied from its
+   output), each with an "attempts" count. They still replay, so that
+   build's run directories resume and report; rendered again, they only
+   lose the member. *)
+let test_journal_replays_attempts_lines () =
+  let path = Filename.concat (fresh_dir ()) "journal.jsonl" in
+  write_file path
+    ({|{"job":"c04ad2d8c7609416cad4d8e9b2fbb361","status":"quarantined","attempts":1,"result":null,"error":"Failure(\"probe: injected failure\")"}|}
+   ^ "\n"
+   ^ {|{"job":"cb15a0a0a0c2b92b7c09b0a9e6298c20","status":"ok","attempts":1,"result":"5a1a1e4cc264e3e89ec5922c2f702c55","error":null}|}
+   ^ "\n");
+  Alcotest.(check (list string)) "replayed without the member"
+    [
+      {|{"job":"c04ad2d8c7609416cad4d8e9b2fbb361","status":"quarantined","result":null,"error":"Failure(\"probe: injected failure\")"}|};
+      {|{"job":"cb15a0a0a0c2b92b7c09b0a9e6298c20","status":"ok","result":"5a1a1e4cc264e3e89ec5922c2f702c55","error":null}|};
+    ]
+    (List.map Journal.entry_to_line (Journal.replay path))
 
 let test_journal_missing_is_empty () =
   Alcotest.(check int) "no file, no entries" 0
@@ -568,13 +611,13 @@ let old_checkpoint_line =
 
 let dig i = Digest.to_hex (Digest.string (string_of_int i))
 
-let mk_entry ?(status = Journal.Ok) ?(attempts = 1) i =
+let mk_entry ?(status = Journal.Ok) i =
   match status with
   | Journal.Ok ->
-      { Journal.job = dig i; status; attempts;
-        result = Some (dig (100000 + i)); error = None }
+      { Journal.job = dig i; status; result = Some (dig (100000 + i));
+        error = None }
   | Journal.Quarantined ->
-      { Journal.job = dig i; status; attempts; result = None;
+      { Journal.job = dig i; status; result = None;
         error = Some (Printf.sprintf "Failure(\"boom %d\")" i) }
 
 let lines_of entries =
@@ -623,8 +666,7 @@ let replay_appended_prop (sizes, statuses, tail_kind) =
       let chunk =
         List.init size (fun _ ->
             incr counter;
-            mk_entry ~status:(next_status ()) ~attempts:(1 + (!counter mod 4))
-              !counter)
+            mk_entry ~status:(next_status ()) !counter)
       in
       List.iter (Journal.append j) chunk;
       settled := !settled @ chunk)
@@ -771,14 +813,19 @@ let test_runner_kill_and_resume_deterministic () =
   Alcotest.(check string) "gc.pack byte-identical" (gc_pack uninterrupted)
     (gc_pack killed)
 
+let volatile_count name =
+  Option.value ~default:0
+    (List.assoc_opt name (Abg_obs.Obs.snapshot ()).Abg_obs.Obs.volatile)
+
 let test_runner_quarantines_poisoned_job () =
   let dir = fresh_dir () in
-  let settings = { quiet_settings with Runner.retries = 2 } in
-  (* fail_attempts is beyond the attempt budget: the job can never pass. *)
-  let poisoned = probe_job ~fail_attempts:99 ~seed:1 "reno" in
+  let poisoned = probe_job ~fail_attempts:1 ~seed:1 "reno" in
   let jobs = [ poisoned; probe_job ~seed:2 "reno"; probe_job ~seed:3 "cubic" ] in
-  let summary = Runner.run ~dir ~settings jobs in
+  let attempts = volatile_count "batch.attempts" in
+  let summary = Runner.run ~dir ~settings:quiet_settings jobs in
   Alcotest.(check int) "grid completes" 3 (List.length summary.Runner.completions);
+  Alcotest.(check int) "each job ran once" (attempts + 3)
+    (volatile_count "batch.attempts");
   let quarantined =
     List.filter
       (fun c -> match c.Runner.status with
@@ -789,7 +836,6 @@ let test_runner_quarantines_poisoned_job () =
   | [ c ] ->
       Alcotest.(check string) "the poisoned job" (Job.digest poisoned)
         c.Runner.digest;
-      Alcotest.(check int) "all attempts consumed" 3 c.Runner.attempts;
       (match c.Runner.status with
       | Runner.Quarantined err ->
           Alcotest.(check bool) "error recorded" true
@@ -804,23 +850,10 @@ let test_runner_quarantines_poisoned_job () =
   Alcotest.(check bool) "journaled as quarantined" true
     (entry.Journal.status = Journal.Quarantined);
   Alcotest.(check bool) "journaled error" true (entry.Journal.error <> None);
-  (* Resume does not retry quarantined jobs: quarantine is terminal. *)
-  let idle = Runner.resume ~dir ~settings () in
+  (* Resume does not re-run quarantined jobs: quarantine is terminal. *)
+  let idle = Runner.resume ~dir ~settings:quiet_settings () in
   Alcotest.(check int) "quarantine is terminal" 0
     (List.length idle.Runner.completions)
-
-let test_runner_retries_then_succeeds () =
-  let dir = fresh_dir () in
-  let flaky = probe_job ~fail_attempts:2 ~seed:1 "reno" in
-  let summary =
-    Runner.run ~dir ~settings:{ quiet_settings with Runner.retries = 2 }
-      [ flaky ]
-  in
-  match summary.Runner.completions with
-  | [ c ] ->
-      Alcotest.(check bool) "succeeded" true (c.Runner.status = Runner.Done);
-      Alcotest.(check int) "took three attempts" 3 c.Runner.attempts
-  | _ -> Alcotest.fail "expected one completion"
 
 let merged_settled_lines dir =
   Runner.settled_entries dir
@@ -1119,6 +1152,45 @@ let test_gc_missing_result_blob () =
   Alcotest.(check (list (pair string string))) "gc deleted nothing" before
     (store_blobs dir)
 
+(* -- Coordinator -- *)
+
+(* Workers are /bin/sh scripts; each case keeps at most two alive. *)
+let sh_workers scripts i = [| "/bin/sh"; "-c"; List.nth scripts i |]
+
+let supervise scripts =
+  Coordinator.supervise ~argv:(sh_workers scripts)
+    ~workers:(List.length scripts) ()
+
+let check_outcome what ~quarantined ~respawns ~failed
+    (o : Coordinator.outcome) =
+  Alcotest.(check bool) (what ^ ": quarantined") quarantined
+    o.Coordinator.quarantined;
+  Alcotest.(check int) (what ^ ": respawns") respawns o.Coordinator.respawns;
+  Alcotest.(check (list (pair int string))) (what ^ ": failed") failed
+    o.Coordinator.failed
+
+(* An exit status other than 0 or 2 is an input error or an uncaught
+   exception, which a respawn would repeat: reported, never respawned. *)
+let test_coordinator_exit_1_fails () =
+  check_outcome "exit 1" ~quarantined:false ~respawns:0
+    ~failed:[ (0, "exited 1") ]
+    (supervise [ "exit 1" ])
+
+let test_coordinator_exit_2_quarantined () =
+  check_outcome "exit 0 and exit 2" ~quarantined:true ~respawns:0 ~failed:[]
+    (supervise [ "exit 0"; "exit 2" ])
+
+(* The first spawn SIGKILLs itself; the marker it leaves tells the
+   respawn to exit 0, as a resumed worker finds its journal settled. *)
+let test_coordinator_respawns_killed () =
+  let marker = Filename.concat (fresh_dir ()) "spawned" in
+  check_outcome "killed once" ~quarantined:false ~respawns:1 ~failed:[]
+    (supervise
+       [
+         Printf.sprintf "if [ -e %s ]; then exit 0; fi; : > %s; kill -9 $$"
+           (Filename.quote marker) (Filename.quote marker);
+       ])
+
 let suites =
   [
     ( "batch.job",
@@ -1137,6 +1209,10 @@ let suites =
         Alcotest.test_case "noise token bounds" `Quick
           test_job_noise_token_bounds;
         Alcotest.test_case "digest pinned" `Quick test_job_digest_pinned;
+        Alcotest.test_case "unknown cca refused" `Quick test_job_unknown_cca;
+        Alcotest.test_case "unknown cca_b refused" `Quick
+          test_job_unknown_cca_b;
+        Alcotest.test_case "unknown dsl refused" `Quick test_job_unknown_dsl;
       ] );
     ( "batch.durable",
       [ Alcotest.test_case "replace" `Quick test_durable_replace ] );
@@ -1160,6 +1236,8 @@ let suites =
       [
         Alcotest.test_case "line roundtrip" `Quick test_journal_line_roundtrip;
         Alcotest.test_case "append/replay" `Quick test_journal_append_replay;
+        Alcotest.test_case "attempts lines replay" `Quick
+          test_journal_replays_attempts_lines;
         Alcotest.test_case "missing file" `Quick test_journal_missing_is_empty;
         Alcotest.test_case "torn tail" `Quick test_journal_drops_torn_tail;
         Alcotest.test_case "interior corruption" `Quick
@@ -1176,8 +1254,6 @@ let suites =
           test_runner_kill_and_resume_deterministic;
         Alcotest.test_case "quarantine containment" `Quick
           test_runner_quarantines_poisoned_job;
-        Alcotest.test_case "retries then succeeds" `Quick
-          test_runner_retries_then_succeeds;
         Alcotest.test_case "shard union = whole" `Quick
           test_runner_shard_union_equals_whole;
         Alcotest.test_case "shard select" `Quick test_runner_shard_select;
@@ -1201,5 +1277,13 @@ let suites =
           test_report_missing_result_blob;
         Alcotest.test_case "gc names missing result" `Quick
           test_gc_missing_result_blob;
+      ] );
+    ( "batch.coordinator",
+      [
+        Alcotest.test_case "exit 1 fails" `Quick test_coordinator_exit_1_fails;
+        Alcotest.test_case "exit 2 quarantined" `Quick
+          test_coordinator_exit_2_quarantined;
+        Alcotest.test_case "killed worker respawned" `Quick
+          test_coordinator_respawns_killed;
       ] );
   ]

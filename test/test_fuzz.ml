@@ -357,10 +357,15 @@ let test_fuzz_batch_foreign_generation () =
 (* A spec error fails every evaluation alike, so the generation runs
    once, is quarantined, and raises naming the generation and the
    error; no genome is scored. The quarantine is terminal: evaluating
-   again raises the same error and runs nothing. *)
+   again raises the same error and runs nothing. The counterexample
+   target does not decode: the grid reader accepts it, the job raises. *)
 let test_fuzz_batch_quarantined_generation () =
   let dir = fresh_dir () in
-  let spec = { throughput_spec with Abg_batch.Fuzz_batch.cca = "no-such-cca" } in
+  let spec =
+    { throughput_spec with
+      Abg_batch.Fuzz_batch.fitness = Fitness.Counterexample;
+      handler = Some "garbage(" }
+  in
   let rng = Rng.create 31 in
   let genomes = Array.init 4 (fun _ -> Genome.random rng) in
   let failure () =
@@ -374,15 +379,14 @@ let test_fuzz_batch_quarantined_generation () =
   let msg = failure () in
   Alcotest.(check string) "generation and error named"
     (Filename.concat dir "gen-0000"
-    ^ ": generation failed: Failure(\"fuzz: unknown CCA no-such-cca\")")
+    ^ ": generation failed: Failure(\"undecodable fuzz handler \\\"garbage(\\\"\")")
     msg;
   let journal = journal_lines gdir in
   Alcotest.(check int) "the journal is one line" 1 (List.length journal);
   (match Abg_batch.Runner.settled_entries gdir with
   | [ e ] ->
-      Alcotest.(check bool) "quarantined after one attempt" true
-        (e.Abg_batch.Journal.status = Abg_batch.Journal.Quarantined
-        && e.Abg_batch.Journal.attempts = 1)
+      Alcotest.(check bool) "quarantined" true
+        (e.Abg_batch.Journal.status = Abg_batch.Journal.Quarantined)
   | l -> Alcotest.failf "expected one journal entry, got %d" (List.length l));
   Alcotest.(check string) "the same error again" msg (failure ());
   Alcotest.(check (list string)) "nothing ran" journal (journal_lines gdir)
