@@ -143,11 +143,10 @@ let solve_assumptions_test =
             ignore
               (Abg_enum.Encode.check_bucket enc (if !flip then b1 else b2)))))
 
-(* Per-sketch cost of the enumeration's static pruning stages, so the
+(* Per-sketch cost of the enumeration's interval pruning stage, so the
    overhead the analysis adds to every [Encode.next] is visible next to
    the SAT solve it rides on: the abstract-interpretation dead-sketch
-   check and the commutative-normal-form dedup lookup, both on a
-   representative depth-3 Reno sketch. *)
+   check on a representative depth-3 Reno sketch. *)
 let analysis_sketch =
   let open Abg_dsl.Expr in
   Add (Cwnd, Mul (Hole 0, Macro Abg_dsl.Macro.Reno_inc))
@@ -158,19 +157,12 @@ let absint_prune_test =
     (Staged.stage (fun () ->
          ignore (Abg_analysis.Absint.prune box analysis_sketch)))
 
-let canonical_intern_test =
-  lazy
-    (let tbl = Abg_analysis.Canonical.Tbl.create () in
-     Test.make ~name:"sec61: canonical-intern-sketch"
-       (Staged.stage (fun () ->
-            ignore (Abg_analysis.Canonical.Tbl.intern tbl analysis_sketch))))
-
-(* The relational stages the enumerator runs on every conditional sketch:
-   the zone-domain guard check (the vacuous/implied walk, priced on the
-   Student-5 shape the interval domain cannot decide) and a full
-   [Equiv.decide] on a handler pair — the semantic-subsumption /
-   translation-validation worst case, structural provers plus the SAT
-   guard-skeleton pass. *)
+(* The relational stage the enumerator runs on every conditional
+   sketch, the zone-domain guard check (the vacuous/implied walk, priced
+   on the Student-5 shape the interval domain cannot decide), and a full
+   [Equiv.decide] on a handler pair — the worst case of lint's
+   [branch-equivalent] rule and of [simplify --validate], structural
+   provers plus the SAT guard-skeleton pass. *)
 let relint_guard_sketch =
   let open Abg_dsl.Expr in
   Ite
@@ -464,8 +456,8 @@ let run () =
       frechet_full_test; Lazy.force replay_test; bucket_cutoff; bucket_full;
       Lazy.force pool_test; Lazy.force enumerate_test;
       Lazy.force solve_assumptions_test;
-      absint_prune_test; Lazy.force canonical_intern_test;
-      Lazy.force relint_guard_check_test; Lazy.force equiv_handler_pair_test;
+      absint_prune_test; Lazy.force relint_guard_check_test;
+      Lazy.force equiv_handler_pair_test;
       simulate_test; simulate_extended_test;
       collect_suite_test; Lazy.force classify_features_test;
       Lazy.force trace_to_string_test; Lazy.force ccanalyzer_classify_test;

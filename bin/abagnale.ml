@@ -794,6 +794,10 @@ let batch_resume dir settings workers () =
   | Some workers ->
       if settings.Abg_batch.Runner.shard <> None then
         die "--workers and --shard are exclusive";
+      (* A missing or corrupt grid is one error here, not one per
+         worker. *)
+      ignore
+        (Abg_batch.Runner.jobs_of_dir ~dir : (string * Abg_batch.Job.t) list);
       run_workers ~dir ~workers settings
   | None ->
       print_batch_summary settings.verbose

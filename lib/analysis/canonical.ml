@@ -1,16 +1,14 @@
 (* Commutative normal form for DSL expressions.
 
-   The SAT enumerator has no symmetry-breaking over operand order: for
-   every sketch containing [a + b] it also emits the model with [b + a],
-   and both survive the simplifiability filter because neither is
-   *smaller* than the other. IEEE float [+] and [*] are exactly
-   commutative, so the two denote the same function and scoring both is
-   pure waste. [normalize] orders the operands of every [Add]/[Mul] under
-   a total order (leaves before compounds, CWND first, holes
-   interchangeable) and renumbers the constant holes left-to-right, so
-   any two sketches equal modulo commutativity-and-hole-naming map to the
-   same tree; [Tbl.intern] then assigns each distinct normal form a dense
-   hash-consed id, giving the enumerator an O(1) seen-before test. *)
+   IEEE float [+] and [*] are exactly commutative, so [a + b] and
+   [b + a] denote the same function. [normalize] orders the operands of
+   every [Add]/[Mul] under a total order (leaves before compounds, CWND
+   first, holes interchangeable) and renumbers the constant holes
+   left-to-right, so any two sketches equal modulo
+   commutativity-and-hole-naming map to the same tree. The SAT
+   enumerator's lex-leader circuit encodes this same order, so (with
+   symmetry breaking on) every sketch it decodes is already a fixed
+   point of [normalize]. *)
 
 open Abg_dsl
 open Expr
@@ -155,22 +153,3 @@ let renumber e =
 let normalize e = renumber (sort_comm e)
 
 let equal a b = equal_num (normalize a) (normalize b)
-
-(** Hash-consing table: dense ids for distinct normal forms. *)
-module Tbl = struct
-  type t = { ids : (Expr.num, int) Hashtbl.t }
-
-  let create ?(size = 256) () = { ids = Hashtbl.create size }
-  let length t = Hashtbl.length t.ids
-
-  (** [intern t e] normalizes [e] and returns [(id, fresh)]: a dense id
-      for the normal form, and whether this is its first appearance. *)
-  let intern t e =
-    let n = normalize e in
-    match Hashtbl.find_opt t.ids n with
-    | Some id -> (id, false)
-    | None ->
-        let id = Hashtbl.length t.ids in
-        Hashtbl.add t.ids n id;
-        (id, true)
-end

@@ -1,9 +1,10 @@
-(** Commutative normal form + hash-consed keys for DSL expressions.
+(** Commutative normal form for DSL expressions.
 
-    The SAT enumerator has no symmetry-breaking over operand order, so
-    [a + b] and [b + a] are emitted as distinct sketches. IEEE [+]/[*]
-    are exactly commutative, so both denote the same function;
-    {!normalize} maps them to one representative. *)
+    IEEE [+]/[*] are exactly commutative, so [a + b] and [b + a] denote
+    the same function; {!normalize} maps them to one representative.
+    The SAT enumerator's lex-leader circuit encodes the same operand
+    order, so (with symmetry breaking on) every sketch it decodes is
+    already in normal form. *)
 
 open Abg_dsl
 
@@ -20,16 +21,3 @@ val normalize : Expr.num -> Expr.num
 
 val equal : Expr.num -> Expr.num -> bool
 (** Equality of normal forms. *)
-
-(** Hash-consing table assigning dense ids to distinct normal forms. *)
-module Tbl : sig
-  type t
-
-  val create : ?size:int -> unit -> t
-  val length : t -> int
-
-  val intern : t -> Expr.num -> int * bool
-  (** [intern t e] is [(id, fresh)]: the dense id of [normalize e], and
-      whether this is the first expression interned with that normal
-      form. *)
-end

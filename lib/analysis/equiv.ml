@@ -36,8 +36,8 @@
    Holes: the structural provers treat holes as [Canonical] does
    (interchangeable placeholders — the enumerator's own equivalence);
    the numeric engines fill every hole with the midpoint of the zone's
-   hole interval. Real clients (lint, simplify validation, subsumption
-   accounting) pass hole-free handlers. *)
+   hole interval. Its clients, lint's [branch-equivalent] rule and
+   [simplify --validate], pass hole-free handlers. *)
 
 open Abg_util
 open Abg_dsl

@@ -1,6 +1,6 @@
 (** Semantic equivalence of handler pairs — the refutation engine behind
-    semantic-subsumption pruning, the relational lint rules and
-    [Simplify] translation validation.
+    lint's [branch-equivalent] rule and [simplify --validate]
+    translation validation.
 
     Verdict semantics, over the zone of the given {!Relint.t} (and every
     hole filling for the structural provers):

@@ -108,15 +108,3 @@ let sketch_prepared rng ~(dsl : Catalog.t) ~budget ?(cutoff = infinity)
 let sketch rng ~(dsl : Catalog.t) ~metric ~budget ~segments sk =
   let prepared = List.map (fun seg -> Replay.prepare ~metric seg) segments in
   sketch_prepared rng ~dsl ~budget ~prepared sk
-
-(** [handler ?metric ?cutoff ~segments h] — summed replay distance of a
-    {e fixed} handler expression over [segments]: no concretization, no
-    sketch machinery. Re-entrant (all replay state is call-local); this
-    is what batch noise-robustness jobs use to re-score a handler
-    synthesized from corrupted traces against the clean ones, and what
-    report columns that compare against Table-2 handlers call. A [cutoff]
-    abandons early once the sum provably exceeds it (the returned value
-    is then [infinity]). *)
-let handler ?metric ?cutoff ~segments h =
-  let prepared = List.map (fun seg -> Replay.prepare ?metric seg) segments in
-  Replay.total_distance_prepared ?cutoff prepared (Replay.compile h)

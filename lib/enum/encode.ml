@@ -18,7 +18,8 @@
     holes interchangeable), so the solver itself never produces a model
     the canonicalizer would fold; see {!add_symmetry_constraints}.
     Unused-slot symmetries are pinned too: an inactive node's one-hot
-    unit variable is fixed to the first domain element.
+    unit variable is fixed to the first domain element. This circuit is
+    the enumerator's only dedup.
 
     Models are decoded into {!Abg_dsl.Expr} sketches with constant holes;
     each returned sketch is excluded with a blocking clause, so repeated
@@ -26,24 +27,18 @@
     enumeration: buckets are selected purely via assumptions, and each
     bucket's blocking clauses live in a retractable {!Abg_sat.Solver}
     clause group so {!retire_bucket} can reclaim them when the
-    refinement loop drops the bucket. Post-decode, four pruning stages
-    run before a sketch is handed to the scorer, each
-    blocking-and-skipping the model: arithmetic simplifiability (§4.1's
-    sympy filter), the interval-domain dead-on-arrival rules of
-    {!Abg_analysis.Absint} (window provably <= 0 or non-finite,
-    provably-zero denominators, guards constant over the whole input
-    box), relational dead-guard detection via {!Abg_analysis.Relint}
-    (guards decided by the zone domain — the cross-signal relations of
-    §5.6 — either outright or under the assumptions of enclosing
-    guards), and semantic subsumption (one representative per
-    {!Abg_analysis.Equiv.rnorm} relational normal-form class, so
-    sketches that differ only in provably-dead structure are never
-    scored twice). Subsumption keys every returned sketch, so it also
-    catches any sketch returned before: a commutative duplicate (only
-    possible with symmetry breaking off) or a re-decode after
-    {!retire_bucket}. The relational stages touch only sketches
-    containing a conditional, so an Ite-free DSL (reno) enumerates
-    bit-identically with them on. Returned sketches are in
+    refinement loop drops the bucket; a retired bucket stays closed.
+    Post-decode, three pruning stages run before a sketch is handed to
+    the scorer, each blocking-and-skipping the model: arithmetic
+    simplifiability (§4.1's sympy filter), the interval-domain
+    dead-on-arrival rules of {!Abg_analysis.Absint} (window provably
+    <= 0 or non-finite, provably-zero denominators, guards constant over
+    the whole input box), and relational dead-guard detection via
+    {!Abg_analysis.Relint} (guards decided by the zone domain — the
+    cross-signal relations of §5.6 — either outright or under the
+    assumptions of enclosing guards). The relational stage touches only
+    sketches containing a conditional, so an Ite-free DSL (reno)
+    enumerates bit-identically with it on. Returned sketches are in
     {!Abg_analysis.Canonical} form; per-reason counters are surfaced via
     {!prune_stats}. *)
 
@@ -52,43 +47,47 @@ open Abg_util
 
 let unit_limit = 2
 
+(* The prune ledger: why [next] skipped a decoded model. [reasons] is
+   the reporting order, and a reason's position in it indexes both the
+   per-enumerator count array and [obs_pruned]. *)
+type reason =
+  | Simplifiable
+  | Dead of Abg_analysis.Absint.reason
+  | Vacuous_guard
+  | Guard_implied
+
+let reasons =
+  (Simplifiable :: List.map (fun r -> Dead r) Abg_analysis.Absint.all_reasons)
+  @ [ Vacuous_guard; Guard_implied ]
+
+let reason_name = function
+  | Simplifiable -> "simplifiable"
+  | Dead r -> Abg_analysis.Absint.reason_name r
+  | Vacuous_guard -> "vacuous-guard"
+  | Guard_implied -> "guard-implied"
+
+let slot r = Option.get (List.find_index (( = ) r) reasons)
+
 type t = {
   solver : Abg_sat.Solver.t;
-  dsl : Catalog.t;
   nodes : int;
   components : Component.t array;
   active : int array;
   comp : int array array;
-  unit_vars : int array array;  (** [| |] rows when unit checking is off *)
-  unit_domain : Units.t array;
   used_op : (Component.t * int) list;
-  symmetry : bool;
-  bucket_groups : (Component.t list, Abg_sat.Solver.group) Hashtbl.t;
-      (** per-bucket blocking-clause groups, keyed by sorted operator set *)
+  bucket_groups : (Component.t list, Abg_sat.Solver.group option) Hashtbl.t;
+      (** per-bucket blocking-clause groups, keyed by sorted operator set;
+          [None] once the bucket is retired *)
   box : Abg_analysis.Absint.box;
       (** interval box: physical signal ranges, hole = the constant pool *)
   rel : Abg_analysis.Relint.t;
-      (** the zone over the same box, for the relational prune stages *)
-  sem : Abg_analysis.Canonical.Tbl.t;
-      (** relational normal forms of every returned sketch, for
-          semantic-subsumption dedup *)
-  dead : int array;  (** per-{!Abg_analysis.Absint.reason} prune counts *)
+      (** the zone over the same box, for the relational prune stage *)
+  pruned : int array;  (** per-{!reason} prune counts, in {!reasons} order *)
   mutable enumerated : int;
-  mutable blocked_simplifiable : int;
-  mutable blocked_vacuous : int;
-  mutable blocked_implied : int;
-  mutable blocked_subsumed : int;
 }
 
-let reason_index r =
-  let rec go i = function
-    | [] -> invalid_arg "Encode.reason_index"
-    | r' :: rest -> if r' = r then i else go (i + 1) rest
-  in
-  go 0 Abg_analysis.Absint.all_reasons
-
 (* Telemetry: process-wide prune/enumeration counters, incremented
-   alongside the per-enumerator cells below. The per-enc integers are
+   alongside the per-enumerator cells above. The per-enc integers are
    semantic state (the solver's randomize seed is derived from them and
    per-enc statistics feed §6.1 reporting); the obs counters are what
    run-level aggregation — [Refinement.result.pruned], the [--telemetry]
@@ -99,24 +98,12 @@ let reason_index r =
 let obs_returned = Abg_obs.Obs.Counter.make "enum.returned"
 let obs_sat = Abg_obs.Obs.Counter.make "enum.sat.sat"
 let obs_unsat = Abg_obs.Obs.Counter.make "enum.sat.unsat"
-let obs_simplifiable = Abg_obs.Obs.Counter.make "enum.pruned.simplifiable"
 
-let obs_vacuous =
-  Abg_obs.Obs.Counter.make "enum.pruned.vacuous-guard"
-
-let obs_implied =
-  Abg_obs.Obs.Counter.make "enum.pruned.guard-implied"
-
-let obs_subsumed =
-  Abg_obs.Obs.Counter.make "enum.pruned.equiv-subsumed"
-
-let obs_dead =
+let obs_pruned =
   Array.of_list
     (List.map
-       (fun r ->
-         Abg_obs.Obs.Counter.make
-           ("enum.pruned." ^ Abg_analysis.Absint.reason_name r))
-       Abg_analysis.Absint.all_reasons)
+       (fun r -> Abg_obs.Obs.Counter.make ("enum.pruned." ^ reason_name r))
+       reasons)
 
 let find_comp_index components c =
   let rec go i =
@@ -291,14 +278,12 @@ let create ?(symmetry = true) (dsl : Catalog.t) =
   Abg_sat.Solver.limit_model solver (Abg_sat.Solver.num_vars solver);
   let enc =
     {
-      solver; dsl; nodes; components; active; comp; unit_vars; unit_domain;
-      used_op; symmetry; bucket_groups = Hashtbl.create 16;
+      solver; nodes; components; active; comp; used_op;
+      bucket_groups = Hashtbl.create 16;
       box = Abg_analysis.Absint.box_for dsl;
       rel = Abg_analysis.Relint.for_dsl dsl;
-      sem = Abg_analysis.Canonical.Tbl.create ();
-      dead = Array.make (List.length Abg_analysis.Absint.all_reasons) 0;
-      enumerated = 0; blocked_simplifiable = 0; blocked_vacuous = 0;
-      blocked_implied = 0; blocked_subsumed = 0;
+      pruned = Array.make (List.length reasons) 0;
+      enumerated = 0;
     }
   in
   let unit_index u = unit_index_in unit_domain u in
@@ -614,7 +599,7 @@ let decode enc (model : bool array) =
    blocking clause learned inside one bucket can never exclude a model of
    another — scoping it to the bucket's group is semantically free, and
    lets [retire_bucket] reclaim the clauses when the refinement loop
-   drops the bucket. *)
+   drops the bucket. [None] once the bucket is retired. *)
 let bucket_key ops = List.sort Component.compare ops
 
 let group_for enc ops =
@@ -623,8 +608,8 @@ let group_for enc ops =
   | Some g -> g
   | None ->
       let g = Abg_sat.Solver.new_group enc.solver in
-      Hashtbl.add enc.bucket_groups key g;
-      g
+      Hashtbl.add enc.bucket_groups key (Some g);
+      Some g
 
 (* Exclude exactly this (shape, component) assignment from future models —
    under the bucket's group when enumeration is bucket-scoped. *)
@@ -650,12 +635,9 @@ let assumptions_for_bucket enc ops =
       if List.exists (Component.equal op) ops then v else -v)
     enc.used_op
 
-let skipped enc =
-  enc.blocked_simplifiable + enc.blocked_vacuous + enc.blocked_implied
-  + enc.blocked_subsumed
-  + Array.fold_left ( + ) 0 enc.dead
+let skipped enc = Array.fold_left ( + ) 0 enc.pruned
 
-(* The relational prune stages only ever fire on conditionals; every
+(* The relational prune stage only ever fires on conditionals; every
    other sketch short-circuits here for free. *)
 let rec has_ite (e : Expr.num) =
   match e with
@@ -667,11 +649,11 @@ let rec has_ite (e : Expr.num) =
   | Expr.Ite _ -> true
 
 (* A guard the interval box leaves Unknown but the zone decides — either
-   unconditionally ([`Vacuous], Student 5's cross-signal relation) or
-   under the assumptions of its enclosing guards ([`Implied]). Such a
-   sketch evaluates identically to its folded, strictly smaller form on
-   every physically-consistent environment, so it is dead weight exactly
-   like [Absint]'s dead-guard rule — just one domain stronger. *)
+   unconditionally ([Vacuous_guard], Student 5's cross-signal relation)
+   or under the assumptions of its enclosing guards ([Guard_implied]).
+   Such a sketch evaluates identically to its folded, strictly smaller
+   form on every physically-consistent environment, so it is dead weight
+   exactly like [Absint]'s dead-guard rule — just one domain stronger. *)
 let relationally_dead box base (sketch : Expr.num) =
   let rec go rel (e : Expr.num) =
     match e with
@@ -690,10 +672,10 @@ let relationally_dead box base (sketch : Expr.num) =
             None
         | Interval.Unknown -> begin
             match Abg_analysis.Relint.boolean base c with
-            | Interval.True | Interval.False -> Some `Vacuous
+            | Interval.True | Interval.False -> Some Vacuous_guard
             | Interval.Unknown -> begin
                 match Abg_analysis.Relint.boolean rel c with
-                | Interval.True | Interval.False -> Some `Implied
+                | Interval.True | Interval.False -> Some Guard_implied
                 | Interval.Unknown ->
                     let guard_operands =
                       match c with
@@ -727,125 +709,105 @@ let relationally_dead box base (sketch : Expr.num) =
 
 (* Bucket-scoped enumeration state for one [next]/[next_raw] call: the
    assumption list (used_op pins plus the blocking group's selector) and
-   the group new blocking clauses go into. *)
+   the group new blocking clauses go into, or [None] when the bucket is
+   retired. *)
 let bucket_context enc bucket =
   match bucket with
-  | None -> ([], None)
+  | None -> Some ([], None)
   | Some ops ->
-      let g = group_for enc ops in
-      ( Abg_sat.Solver.group_lit g :: assumptions_for_bucket enc ops,
-        Some g )
+      Option.map
+        (fun g ->
+          ( Abg_sat.Solver.group_lit g :: assumptions_for_bucket enc ops,
+            Some g ))
+        (group_for enc ops)
+
+(* The first prune reason that applies to a decoded sketch, or its
+   canonical form when none does. Simplifiability and the interval rules
+   read the sketch as decoded; the relational stage reads its canonical
+   form. *)
+let classify enc sketch =
+  if Simplify.is_simplifiable sketch then Error Simplifiable
+  else
+    match Abg_analysis.Absint.prune enc.box sketch with
+    | Some (reason, _witness) -> Error (Dead reason)
+    | None -> (
+        let canonical = Abg_analysis.Canonical.normalize sketch in
+        match
+          if has_ite canonical then relationally_dead enc.box enc.rel canonical
+          else None
+        with
+        | Some reason -> Error reason
+        | None -> Ok canonical)
 
 (** [next ?bucket enc] returns the next not-yet-enumerated sketch
     (optionally restricted to an operator bucket) in canonical form, or
-    [None] when the (sub)space is exhausted. The pruning stages (see the
-    module comment) block and skip models before they reach the
-    simulator.
+    [None] when the (sub)space is exhausted or the bucket retired. Each
+    model is solved, decoded, blocked and classified; a pruned one is
+    counted under its reason and the search goes on.
 
     One persistent solver serves every bucket: switching buckets costs
     only a different assumption list, and a bucket's blocking clauses are
     scoped to its clause group (see {!retire_bucket}). *)
-let rec next ?bucket enc =
-  let assumptions, group = bucket_context enc bucket in
-  (* Scatter successive models across the bucket (deterministically). *)
-  Abg_sat.Solver.randomize enc.solver
-    ~seed:((enc.enumerated * 2654435761) + skipped enc + 17);
-  match Abg_sat.Solver.solve ~assumptions enc.solver with
-  | Abg_sat.Solver.Unsat ->
-      Abg_obs.Obs.Counter.incr obs_unsat;
-      None
-  | Abg_sat.Solver.Sat model ->
-      Abg_obs.Obs.Counter.incr obs_sat;
-      let sketch = decode enc model in
-      block ?group enc model;
-      if Simplify.is_simplifiable sketch then begin
-        enc.blocked_simplifiable <- enc.blocked_simplifiable + 1;
-        Abg_obs.Obs.Counter.incr obs_simplifiable;
-        next ?bucket enc
-      end
-      else begin
-        match Abg_analysis.Absint.prune enc.box sketch with
-        | Some (reason, _witness) ->
-            let i = reason_index reason in
-            enc.dead.(i) <- enc.dead.(i) + 1;
-            Abg_obs.Obs.Counter.incr obs_dead.(i);
-            next ?bucket enc
-        | None -> (
-            let canonical = Abg_analysis.Canonical.normalize sketch in
-            match
-              if has_ite canonical then
-                relationally_dead enc.box enc.rel canonical
-              else None
-            with
-            | Some `Vacuous ->
-                enc.blocked_vacuous <- enc.blocked_vacuous + 1;
-                Abg_obs.Obs.Counter.incr obs_vacuous;
-                next ?bucket enc
-            | Some `Implied ->
-                enc.blocked_implied <- enc.blocked_implied + 1;
-                Abg_obs.Obs.Counter.incr obs_implied;
-                next ?bucket enc
-            | None ->
-                (* Semantic subsumption: one representative per
-                   relational-normal-form class. Conditional-free
-                   sketches are their own normal form, so on an Ite-free
-                   DSL with symmetry breaking on this stage never
-                   fires. *)
-                let key =
-                  if has_ite canonical then
-                    Abg_analysis.Canonical.normalize
-                      (Abg_analysis.Equiv.rnorm enc.rel canonical)
-                  else canonical
-                in
-                let _id, fresh = Abg_analysis.Canonical.Tbl.intern enc.sem key in
-                if not fresh then begin
-                  enc.blocked_subsumed <- enc.blocked_subsumed + 1;
-                  Abg_obs.Obs.Counter.incr obs_subsumed;
-                  next ?bucket enc
-                end
-                else begin
-                  enc.enumerated <- enc.enumerated + 1;
-                  Abg_obs.Obs.Counter.incr obs_returned;
-                  Some canonical
-                end)
-      end
+let next ?bucket enc =
+  match bucket_context enc bucket with
+  | None -> None
+  | Some (assumptions, group) ->
+      let rec go () =
+        (* Scatter successive models across the bucket (deterministically). *)
+        Abg_sat.Solver.randomize enc.solver
+          ~seed:((enc.enumerated * 2654435761) + skipped enc + 17);
+        match Abg_sat.Solver.solve ~assumptions enc.solver with
+        | Abg_sat.Solver.Unsat ->
+            Abg_obs.Obs.Counter.incr obs_unsat;
+            None
+        | Abg_sat.Solver.Sat model -> (
+            Abg_obs.Obs.Counter.incr obs_sat;
+            let sketch = decode enc model in
+            block ?group enc model;
+            match classify enc sketch with
+            | Ok canonical ->
+                enc.enumerated <- enc.enumerated + 1;
+                Abg_obs.Obs.Counter.incr obs_returned;
+                Some canonical
+            | Error reason ->
+                let i = slot reason in
+                enc.pruned.(i) <- enc.pruned.(i) + 1;
+                Abg_obs.Obs.Counter.incr obs_pruned.(i);
+                go ())
+      in
+      go ()
 
 (** [retire_bucket enc ops] retracts the bucket's blocking clauses (the
     refinement loop calls it when a bucket is dropped from the keep set,
-    reclaiming solver memory). Re-enumerating a retired bucket starts a
-    fresh group: previously returned sketches are re-decoded but caught
-    by the subsumption table, so none is returned twice. *)
+    reclaiming solver memory) and closes the bucket: later {!next},
+    {!next_raw} and {!check_bucket} calls on it answer at once, without
+    a solve. *)
 let retire_bucket enc ops =
   let key = bucket_key ops in
-  match Hashtbl.find_opt enc.bucket_groups key with
-  | None -> ()
-  | Some g ->
-      Abg_sat.Solver.retire_group enc.solver g;
-      Hashtbl.remove enc.bucket_groups key
+  (match Hashtbl.find_opt enc.bucket_groups key with
+  | Some (Some g) -> Abg_sat.Solver.retire_group enc.solver g
+  | Some None | None -> ());
+  Hashtbl.replace enc.bucket_groups key None
 
 (** [check_bucket enc ops] — one solve under the bucket's assumptions:
     does the bucket still contain an unenumerated model? No decoding, no
     blocking; the micro-benchmark behind [sat-solve-assumptions]. *)
 let check_bucket enc ops =
-  let assumptions, _group = bucket_context enc (Some ops) in
-  match Abg_sat.Solver.solve ~assumptions enc.solver with
-  | Abg_sat.Solver.Sat _ -> true
-  | Abg_sat.Solver.Unsat -> false
+  match bucket_context enc (Some ops) with
+  | None -> false
+  | Some (assumptions, _group) -> (
+      match Abg_sat.Solver.solve ~assumptions enc.solver with
+      | Abg_sat.Solver.Sat _ -> true
+      | Abg_sat.Solver.Unsat -> false)
 
 (** Enumeration statistics: (returned, rejected-as-simplifiable). *)
-let stats enc = (enc.enumerated, enc.blocked_simplifiable)
+let stats enc = (enc.enumerated, enc.pruned.(slot Simplifiable))
 
 (** Per-reason prune counters, in reporting order: the §4.1
     simplifiability filter, each {!Abg_analysis.Absint.reason}, then the
-    relational stages. *)
+    relational stage's two. *)
 let prune_stats enc =
-  ("simplifiable", enc.blocked_simplifiable)
-  :: List.mapi
-       (fun i r -> (Abg_analysis.Absint.reason_name r, enc.dead.(i)))
-       Abg_analysis.Absint.all_reasons
-  @ [ ("vacuous-guard", enc.blocked_vacuous);
-      ("guard-implied", enc.blocked_implied);
-      ("equiv-subsumed", enc.blocked_subsumed) ]
+  List.mapi (fun i r -> (reason_name r, enc.pruned.(i))) reasons
 
 (** Fraction of decoded sketches pruned before simulation. *)
 let prune_rate enc =
@@ -864,10 +826,12 @@ let solver_stats enc = Abg_sat.Solver.stats enc.solver
     breaking on, the raw stream already contains no commutative
     duplicates). *)
 let next_raw ?bucket enc =
-  let assumptions, group = bucket_context enc bucket in
-  match Abg_sat.Solver.solve ~assumptions enc.solver with
-  | Abg_sat.Solver.Unsat -> None
-  | Abg_sat.Solver.Sat model ->
-      let sketch = decode enc model in
-      block ?group enc model;
-      Some sketch
+  match bucket_context enc bucket with
+  | None -> None
+  | Some (assumptions, group) -> (
+      match Abg_sat.Solver.solve ~assumptions enc.solver with
+      | Abg_sat.Solver.Unsat -> None
+      | Abg_sat.Solver.Sat model ->
+          let sketch = decode enc model in
+          block ?group enc model;
+          Some sketch)

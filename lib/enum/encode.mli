@@ -14,20 +14,17 @@
     One persistent solver serves the whole enumeration: buckets are
     selected purely via assumptions, and each bucket's blocking clauses
     live in a retractable {!Abg_sat.Solver} clause group
-    (see {!retire_bucket}).
+    (see {!retire_bucket}). A retired bucket is closed: it yields
+    nothing more.
 
-    Four pruning stages run post-decode, each blocking-and-skipping the
+    Three pruning stages run post-decode, each blocking-and-skipping the
     model: the §4.1 simplifiability filter, the interval-domain
-    dead-on-arrival rules of {!Abg_analysis.Absint}, relational
+    dead-on-arrival rules of {!Abg_analysis.Absint}, and relational
     dead-guard detection via {!Abg_analysis.Relint}
-    (["vacuous-guard"]/["guard-implied"]), and semantic subsumption via
-    {!Abg_analysis.Equiv.rnorm} (["equiv-subsumed"]: one scored
-    representative per relational normal-form class). Subsumption keys
-    every returned sketch, so it also catches a sketch returned before —
-    a commutative duplicate when symmetry breaking is off, or a re-decode
-    after {!retire_bucket}. The relational stages only touch sketches
-    containing a conditional, so an Ite-free DSL (reno) enumerates
-    bit-identically with them on. *)
+    (["vacuous-guard"]/["guard-implied"]). The lex-leader circuit is the
+    only dedup; no table of returned sketches is kept. The relational
+    stage only touches sketches containing a conditional, so an Ite-free
+    DSL (reno) enumerates bit-identically with it on. *)
 
 open Abg_dsl
 
@@ -36,41 +33,43 @@ type t
 val create : ?symmetry:bool -> Catalog.t -> t
 (** [create ?symmetry dsl] builds the encoding. [symmetry] (default
     [true]) controls the in-encoding lex-leader symmetry breaking and
-    unused-slot pinning; turning it off restores the enumerate-then-fold
-    behaviour (every commutative duplicate costs a solve-decode-block
-    round trip) and exists for differential testing and ablation. Either
-    way the returned sketch stream is duplicate-free and canonical. *)
+    unused-slot pinning. With it on, the returned sketch stream is
+    duplicate-free and canonical. Turning it off exists for differential
+    testing and ablation: every returned sketch is still in canonical
+    form, but each commutative model is returned, so one normal form
+    comes back once per operand order. *)
 
 val next : ?bucket:Buckets.bucket -> t -> Expr.num option
 (** The next not-yet-enumerated sketch in canonical form (optionally
     restricted to an operator bucket), or [None] when the (sub)space is
-    exhausted. Bucket switches cost only a different assumption list —
-    the solver instance, its learnt clauses and its heuristic state
-    persist across calls and buckets. *)
+    exhausted or the bucket is retired. Bucket switches cost only a
+    different assumption list — the solver instance, its learnt clauses
+    and its heuristic state persist across calls and buckets. *)
 
 val next_raw : ?bucket:Buckets.bucket -> t -> Expr.num option
 (** {!next} without any post-decode filtering — exposed for diagnosing
     the encoding's pruning quality (with symmetry breaking on, the raw
-    stream already contains no commutative duplicates). *)
+    stream already contains no commutative duplicates). [None] on a
+    retired bucket. *)
 
 val retire_bucket : t -> Buckets.bucket -> unit
 (** Retract the bucket's blocking clauses (called when the refinement
-    loop drops a bucket from the keep set, reclaiming solver memory).
-    Re-enumerating a retired bucket starts a fresh group: previously
-    returned sketches are re-decoded but caught by the subsumption
-    table, so none is returned twice. No-op on unknown buckets. *)
+    loop drops a bucket from the keep set, reclaiming solver memory) and
+    close the bucket: later {!next} and {!next_raw} calls on it return
+    [None], and {!check_bucket} [false], without a solve. *)
 
 val check_bucket : t -> Buckets.bucket -> bool
 (** One solve under the bucket's assumptions — does the bucket still
-    contain an unenumerated model? No decoding, no blocking. *)
+    contain an unenumerated model? No decoding, no blocking. [false] on
+    a retired bucket. *)
 
 val stats : t -> int * int
 (** [(returned, rejected-as-simplifiable)]. *)
 
 val prune_stats : t -> (string * int) list
-(** Per-reason prune counters, in reporting order: ["simplifiable"], each
-    {!Abg_analysis.Absint.reason_name}, then the relational stages ["vacuous-guard"], ["guard-implied"],
-    ["equiv-subsumed"]. *)
+(** Per-reason prune counters, in reporting order: ["simplifiable"],
+    each {!Abg_analysis.Absint.reason_name}, then the relational stage's
+    ["vacuous-guard"] and ["guard-implied"]. *)
 
 val skipped : t -> int
 (** Total decoded-but-pruned sketches (the sum of {!prune_stats}). *)

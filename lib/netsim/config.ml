@@ -147,67 +147,58 @@ let make ?(duration = 30.0) ?(seed = 42) ?(loss_rate = 0.0)
     qdisc;
   }
 
-(** [rebuild] names every field positionally-by-label with no [with]
-    update, so adding a field to {!t} breaks this definition — and with
-    it {!perturbations} — at compile time. That is the point: the
-    digest-coverage test below can then never silently miss a field. *)
-let rebuild ~bandwidth_bps ~rtt_prop ~queue_capacity ~mss ~duration ~seed
-    ~loss_rate ~ack_jitter ~bandwidth_steps ~cross ~outage_rate
-    ~outage_duration ~reorder_prob ~reorder_delay ~qdisc =
-  {
-    bandwidth_bps;
-    rtt_prop;
-    queue_capacity;
-    mss;
-    duration;
-    seed;
-    loss_rate;
-    ack_jitter;
-    bandwidth_steps;
-    cross;
-    outage_rate;
-    outage_duration;
-    reorder_prob;
-    reorder_delay;
-    qdisc;
-  }
-
 (** [perturbations cfg] returns one variant of [cfg] per field, each
     differing from [cfg] in exactly that field. Exhaustive by
-    construction: the record literal below must name every field, so a
-    new field that is not given a perturbation is a compile error. The
-    digest-coverage test asserts every variant digests differently. *)
-let perturbations cfg =
+    construction: the pattern binds every field, with no [; _], and each
+    binding is read only by its own field's variant. A new field left
+    out of the pattern is an unbound label (warning 9), and one bound
+    but given no variant is an unused variable (warning 27); the dev
+    profile makes both errors. The digest-coverage test asserts every
+    variant digests differently. *)
+let perturbations
+    ({
+       bandwidth_bps;
+       rtt_prop;
+       queue_capacity;
+       mss;
+       duration;
+       seed;
+       loss_rate;
+       ack_jitter;
+       bandwidth_steps;
+       cross;
+       outage_rate;
+       outage_duration;
+       reorder_prob;
+       reorder_delay;
+       qdisc;
+     } as cfg) =
   [
-    ("bandwidth_bps", { cfg with bandwidth_bps = cfg.bandwidth_bps +. 1.0 });
-    ("rtt_prop", { cfg with rtt_prop = cfg.rtt_prop +. 1e-6 });
-    ("queue_capacity", { cfg with queue_capacity = cfg.queue_capacity + 1 });
-    ("mss", { cfg with mss = cfg.mss +. 1.0 });
-    ("duration", { cfg with duration = cfg.duration +. 1.0 });
-    ("seed", { cfg with seed = cfg.seed + 1 });
-    ("loss_rate", { cfg with loss_rate = cfg.loss_rate +. 1e-4 });
-    ("ack_jitter", { cfg with ack_jitter = cfg.ack_jitter +. 1e-5 });
+    ("bandwidth_bps", { cfg with bandwidth_bps = bandwidth_bps +. 1.0 });
+    ("rtt_prop", { cfg with rtt_prop = rtt_prop +. 1e-6 });
+    ("queue_capacity", { cfg with queue_capacity = queue_capacity + 1 });
+    ("mss", { cfg with mss = mss +. 1.0 });
+    ("duration", { cfg with duration = duration +. 1.0 });
+    ("seed", { cfg with seed = seed + 1 });
+    ("loss_rate", { cfg with loss_rate = loss_rate +. 1e-4 });
+    ("ack_jitter", { cfg with ack_jitter = ack_jitter +. 1e-5 });
     ( "bandwidth_steps",
-      { cfg with bandwidth_steps = (1.0, 5e6) :: cfg.bandwidth_steps } );
-    ("cross", { cfg with cross = Constant { rate_bps = 1e6 } :: cfg.cross });
-    ("outage_rate", { cfg with outage_rate = cfg.outage_rate +. 0.01 });
+      { cfg with bandwidth_steps = (1.0, 5e6) :: bandwidth_steps } );
+    ("cross", { cfg with cross = Constant { rate_bps = 1e6 } :: cross });
+    ("outage_rate", { cfg with outage_rate = outage_rate +. 0.01 });
     ( "outage_duration",
-      { cfg with outage_duration = cfg.outage_duration +. 0.05 } );
-    ("reorder_prob", { cfg with reorder_prob = cfg.reorder_prob +. 0.01 });
-    ("reorder_delay", { cfg with reorder_delay = cfg.reorder_delay +. 0.01 });
+      { cfg with outage_duration = outage_duration +. 0.05 } );
+    ("reorder_prob", { cfg with reorder_prob = reorder_prob +. 0.01 });
+    ("reorder_delay", { cfg with reorder_delay = reorder_delay +. 0.01 });
     ( "qdisc",
       {
         cfg with
         qdisc =
-          (match cfg.qdisc with
+          (match qdisc with
           | Droptail -> Red { min_th = 5; max_th = 15; max_p = 0.1 }
           | Red r -> Red { r with max_p = r.max_p +. 0.01 });
       } );
   ]
-
-(* Ensure [rebuild] participates in the exhaustiveness pact even though
-   normal construction goes through [make]. *)
-let _ = rebuild
 
 (** The diversity grid of §3.2: RTT x bandwidth combinations spanning the
     testbed ranges. [n] picks roughly [n] scenarios from the grid.

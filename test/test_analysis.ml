@@ -392,18 +392,6 @@ let test_normalize_holes () =
   Alcotest.(check bool) "labels do not split" true
     (C.equal (Add (Hole 3, Mul (Hole 1, Cwnd))) (Add (Hole 0, Mul (Hole 7, Cwnd))))
 
-let test_tbl_intern () =
-  let t = C.Tbl.create () in
-  let id1, fresh1 = C.Tbl.intern t (Add (Cwnd, Signal Signal.Mss)) in
-  let id2, fresh2 = C.Tbl.intern t (Add (Signal Signal.Mss, Cwnd)) in
-  let id3, fresh3 = C.Tbl.intern t (Mul (Cwnd, Signal Signal.Mss)) in
-  Alcotest.(check bool) "first is fresh" true fresh1;
-  Alcotest.(check bool) "commuted copy is not" false fresh2;
-  Alcotest.(check int) "same id" id1 id2;
-  Alcotest.(check bool) "different operator is fresh" true fresh3;
-  Alcotest.(check bool) "distinct id" true (id3 <> id1);
-  Alcotest.(check int) "two normal forms" 2 (C.Tbl.length t)
-
 (* -- Lint -- *)
 
 let test_lint_showcase_coverage () =
@@ -535,7 +523,7 @@ let prop_equiv_distinct_witness =
 
 let prop_equiv_rnorm_bit_exact =
   (* The relational normal form promises bit-exact evaluation on every
-     zone environment — it is what semantic subsumption dedups on. *)
+     zone environment — [Equiv.decide]'s first Equal proof rests on it. *)
   QCheck.Test.make ~name:"Equiv.rnorm preserves Eval bit-exactly on the zone"
     ~count:1000 arbitrary_expr_zone_env (fun (e, env) ->
       Float.equal (Eval.num env e) (Eval.num env (Q.rnorm rel e)))
@@ -681,7 +669,6 @@ let suites =
     ( "analysis.canonical",
       [
         Alcotest.test_case "hole renumbering" `Quick test_normalize_holes;
-        Alcotest.test_case "intern table" `Quick test_tbl_intern;
       ]
       @ qcheck
           [

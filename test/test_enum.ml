@@ -139,23 +139,27 @@ let exhaust ?bucket ?(cap = 100_000) enc =
   Alcotest.(check bool) "enumeration terminated" true (not !continue);
   List.rev !acc
 
+let normal_forms sketches =
+  List.sort_uniq compare (List.map Abg_analysis.Canonical.normalize sketches)
+
 let test_enumerate_exhaustion_micro_dsl () =
   let enc = Abg_enum.Encode.create micro_dsl in
-  let count = List.length (exhaust enc) in
-  Alcotest.(check int) "exhaustive count" 5 count;
+  let sketches = exhaust enc in
+  Alcotest.(check int) "exhaustive count" 5 (List.length sketches);
   (* With in-encoding symmetry breaking the solver never even produces
-     the mss+cwnd model: nothing is caught as already returned. *)
-  let dup = List.assoc "equiv-subsumed" (Abg_enum.Encode.prune_stats enc) in
-  Alcotest.(check int) "no commutative duplicate enumerated" 0 dup
+     the mss+cwnd model: no normal form repeats in the stream. *)
+  Alcotest.(check int) "no normal form repeats" 5
+    (List.length (normal_forms sketches))
 
 let test_enumerate_exhaustion_micro_dsl_no_symmetry () =
-  (* Symmetry breaking off restores the enumerate-then-fold behaviour:
-     same 5 canonical sketches, but the commutative duplicate costs an
-     enumerated-and-folded model, visible in the counter. *)
+  (* Symmetry breaking off: the commutative duplicate is a model of its
+     own, so cwnd+mss comes back once per operand order — 6 sketches,
+     the same 5 normal forms. *)
   let enc = Abg_enum.Encode.create ~symmetry:false micro_dsl in
-  Alcotest.(check int) "exhaustive count" 5 (List.length (exhaust enc));
-  let dup = List.assoc "equiv-subsumed" (Abg_enum.Encode.prune_stats enc) in
-  Alcotest.(check int) "one commutative duplicate" 1 dup
+  let sketches = exhaust enc in
+  Alcotest.(check int) "one sketch per model" 6 (List.length sketches);
+  Alcotest.(check int) "five normal forms" 5
+    (List.length (normal_forms sketches))
 
 let test_enumerate_finds_reno_shape () =
   (* The paper's Reno sketch must be in the {+,*} bucket's enumeration. *)
@@ -211,7 +215,7 @@ let test_symmetry_completeness_exhaustive () =
   let off = exhaust (Abg_enum.Encode.create ~symmetry:false richer_dsl) in
   Alcotest.(check (list string))
     "identical canonical sketch sets" (canonical_set off) (canonical_set on);
-  Alcotest.(check int) "no duplicates on either side"
+  Alcotest.(check int) "no duplicates with symmetry on"
     (List.length (canonical_set on))
     (List.length on)
 
@@ -325,20 +329,25 @@ let test_shared_encoder_bucket_switching () =
   done;
   Alcotest.(check bool) "both buckets produced" true (List.length !seen >= 10)
 
-let test_retire_bucket_no_repeats () =
-  (* Exhaust a bucket, retire it, enumerate it again: the fresh blocking
-     group re-decodes old models but the canonical seen-table catches
-     every one — nothing is returned twice. *)
+let test_retire_bucket_closes_it () =
+  (* A retired bucket is closed: neither [next] nor [check_bucket] solves
+     under it again, so nothing it returned before can come back. *)
   let enc = Abg_enum.Encode.create micro_dsl in
   let bucket = [ Component.Op_add ] in
-  let first = exhaust ~bucket enc in
-  Alcotest.(check bool) "bucket non-empty" true (first <> []);
+  Alcotest.(check bool) "bucket non-empty" true
+    (Abg_enum.Encode.next ~bucket enc <> None);
+  Alcotest.(check bool) "models left before retirement" true
+    (Abg_enum.Encode.check_bucket enc bucket);
   Abg_enum.Encode.retire_bucket enc bucket;
-  let again = exhaust ~bucket enc in
-  Alcotest.(check int) "nothing returned twice after retirement" 0
-    (List.length again);
-  (* Retiring an unknown bucket is a no-op. *)
-  Abg_enum.Encode.retire_bucket enc [ Component.Op_mul ]
+  Alcotest.(check bool) "next on a retired bucket" true
+    (Abg_enum.Encode.next ~bucket enc = None);
+  Alcotest.(check bool) "check_bucket on a retired bucket" false
+    (Abg_enum.Encode.check_bucket enc bucket);
+  (* Retiring a bucket never enumerated (here: the leaves) closes it
+     too. *)
+  Abg_enum.Encode.retire_bucket enc [];
+  Alcotest.(check bool) "next_raw on a retired fresh bucket" true
+    (Abg_enum.Encode.next_raw ~bucket:[] enc = None)
 
 let test_check_bucket () =
   let enc = Abg_enum.Encode.create micro_dsl in
@@ -405,6 +414,26 @@ let test_pinned_reno_prefix () =
   in
   Alcotest.(check (list string)) "first Reno sketches" pinned_reno_prefix got
 
+(* Pinned model stream of a conditional DSL: the first 2,000 sketches
+   of the vegas sub-DSL (the seeded headline's hinted search space),
+   where the relational prune stage fires. Order-sensitive, so it pins
+   the seed formula, every prune stage and the returned canonical forms
+   together. Regenerate only on a deliberate encoding or heuristic
+   change. *)
+let test_pinned_vegas_stream () =
+  let enc = Abg_enum.Encode.create Catalog.vegas in
+  let buf = Buffer.create (1 lsl 16) in
+  for _ = 1 to 2000 do
+    match Abg_enum.Encode.next enc with
+    | Some sk ->
+        Buffer.add_string buf (Pretty.to_string sk);
+        Buffer.add_char buf '\n'
+    | None -> Alcotest.fail "vegas exhausted before 2,000 sketches"
+  done;
+  Alcotest.(check string) "md5 of the first 2,000 vegas sketches"
+    "394a39d9baaf242c39613ebf92c52701"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_stats_and_vars () =
   let enc = Abg_enum.Encode.create Catalog.reno in
   ignore (Abg_enum.Encode.next enc);
@@ -456,6 +485,7 @@ let suites =
         Alcotest.test_case "stats" `Quick test_stats_and_vars;
         Alcotest.test_case "buckets partition" `Quick test_bucket_of_sketch_partition;
         Alcotest.test_case "pinned reno prefix" `Quick test_pinned_reno_prefix;
+        Alcotest.test_case "pinned vegas stream" `Quick test_pinned_vegas_stream;
       ] );
     ( "enum.symmetry",
       [
@@ -474,7 +504,7 @@ let suites =
       [
         Alcotest.test_case "shared encoder bucket switching" `Quick
           test_shared_encoder_bucket_switching;
-        Alcotest.test_case "retire bucket" `Quick test_retire_bucket_no_repeats;
+        Alcotest.test_case "retire bucket" `Quick test_retire_bucket_closes_it;
         Alcotest.test_case "check bucket" `Quick test_check_bucket;
         Alcotest.test_case "solver stats" `Quick test_solver_stats_exposed;
       ] );

@@ -224,10 +224,10 @@ let test_config_grid_pinned_n5 () =
 
 let test_config_digest_covers_every_field () =
   (* [Config.perturbations] is the exhaustiveness pact: one named
-     single-field variant per record field (the compiler forces new
-     fields through [rebuild], review forces them here). Check against
-     both a plain §3.2 base and an already-extended one, so the v2
-     digest section is exercised too. *)
+     single-field variant per record field (its record pattern makes the
+     compiler force a new field into it). Check against both a plain
+     §3.2 base and an already-extended one, so the v2 digest section is
+     exercised too. *)
   let extended =
     {
       Config.default with
@@ -243,8 +243,12 @@ let test_config_digest_covers_every_field () =
   List.iter
     (fun base ->
       let variants = Config.perturbations base in
-      Alcotest.(check bool) "one perturbation per field" true
-        (List.length variants >= 15);
+      Alcotest.(check (list string)) "exactly one perturbation per field"
+        [ "bandwidth_bps"; "rtt_prop"; "queue_capacity"; "mss"; "duration";
+          "seed"; "loss_rate"; "ack_jitter"; "bandwidth_steps"; "cross";
+          "outage_rate"; "outage_duration"; "reorder_prob"; "reorder_delay";
+          "qdisc" ]
+        (List.map fst variants);
       List.iter
         (fun (field, v) ->
           Alcotest.(check bool)
