@@ -164,17 +164,12 @@ let run ?(config = default_config) ~(dsl : Catalog.t) segments =
       candidates := s :: !candidates
     end
   in
-  let score_bucket ~rng ~segs ~truths bucket =
+  let score_bucket ~rng ~prepared bucket =
     (* Score every sampled sketch of this bucket on this iteration's
-       segment subset; returns the per-bucket minimum and best handler.
-       The truth-side metric preparation ([truths]) is shared across all
-       buckets (immutable); the replay state (mutable envs and scratch)
-       is built per bucket. The bucket's best score so far prunes later
-       sketches — conservatively, so the minimum and its handler are
-       exactly those of exhaustive scoring. *)
-    let prepared =
-      List.map2 (fun seg truth -> Replay.prepare_with ~truth seg) segs truths
-    in
+       prepared segments; returns the per-bucket minimum and best handler.
+       The bucket's best score so far prunes later sketches —
+       conservatively, so the minimum and its handler are exactly those
+       of exhaustive scoring. *)
     let incumbent = ref infinity in
     let scored =
       List.map
@@ -212,15 +207,10 @@ let run ?(config = default_config) ~(dsl : Catalog.t) segments =
     let segs =
       Array.to_list (Array.sub segment_array 0 !n_segments)
     in
-    (* Truth-side preparation once per iteration, shared by every bucket
-       and every candidate (Metric.prepared is immutable). *)
-    let truths =
-      List.map
-        (fun seg ->
-          Abg_distance.Metric.prepare config.metric
-            ~truth:(Abg_trace.Segmentation.observed seg))
-        segs
-    in
+    (* Segments prepared once per iteration and shared by every bucket
+       and the terminal phase: a replay writes only each env's [cwnd],
+       before reading it, and the output scratch. *)
+    let prepared = List.map (Replay.prepare ~metric:config.metric) segs in
     (* Sample up to !n sketches per surviving bucket, each bucket with
        its own seeded RNG. *)
     let master_rng = Rng.create (config.seed + (1000 * !iteration)) in
@@ -240,7 +230,7 @@ let run ?(config = default_config) ~(dsl : Catalog.t) segments =
       Array.mapi
         (fun i bucket ->
           let rng = Rng.create worker_seeds.(i) in
-          score_bucket ~rng ~segs ~truths bucket)
+          score_bucket ~rng ~prepared bucket)
         !buckets
     in
     log "[refine] iter %d scored in %.1fs\n%!" !iteration
@@ -293,19 +283,23 @@ let run ?(config = default_config) ~(dsl : Catalog.t) segments =
     else if List.length kept = 1 || all_exhausted || !iteration >= config.max_iterations
     then begin
       (* Terminal phase: exhaustively enumerate the surviving bucket(s)
-         (bounded), score everything, return the best. *)
-      let segs_final = segs in
+         (bounded), score everything, return the best. All top-ups run
+         first, in kept order, so enumeration is timed as enumeration. *)
       let rng = Rng.create (config.seed + 999983) in
       let t_final = Unix.gettimeofday () in
       log "[refine] terminal phase over %d bucket(s)\n%!" (List.length kept);
-      Abg_obs.Obs.span "terminal" (fun () ->
+      Abg_obs.Obs.span "enumerate" (fun () ->
           List.iter
             (fun bucket ->
               if not bucket.exhausted then
                 top_up enc bucket
-                  ~want:(List.length bucket.sketches + config.exhaustive_cap);
+                  ~want:(List.length bucket.sketches + config.exhaustive_cap))
+            kept);
+      Abg_obs.Obs.span "terminal" (fun () ->
+          List.iter
+            (fun bucket ->
               let best, handlers, sketches =
-                score_bucket ~rng ~segs:segs_final ~truths bucket
+                score_bucket ~rng ~prepared bucket
               in
               total_handlers := !total_handlers + handlers;
               total_sketches := !total_sketches + sketches;

@@ -15,10 +15,8 @@
     and output buffer are built once, after which replaying a candidate
     costs one compiled-closure call plus one field store per record —
     no allocation, no per-record environment rebuild. A [prepared] value
-    contains mutable scratch (the envs and the output buffer), so each
-    domain must own its own; share the immutable
-    {!Abg_distance.Metric.prepared} truth across domains instead and call
-    {!prepare_with} per worker. *)
+    holds mutable scratch (each env's [cwnd], written before it is read,
+    and the output buffer), so one replay may run on it at a time. *)
 
 open Abg_dsl
 
@@ -62,9 +60,15 @@ type prepared = {
   scratch : float array;  (* synthesized series, reused across candidates *)
 }
 
-(** [prepare_with ~truth segment] builds the per-domain replay state for a
-    segment against an already-prepared (shareable) ground truth. *)
-let prepare_with ~truth (segment : Abg_trace.Segmentation.segment) =
+(** [prepare ?metric ?length segment] builds a segment's replay state
+    and prepares its ground truth (once per segment, not once per
+    candidate). *)
+let prepare ?(metric = Abg_distance.Metric.default) ?length
+    (segment : Abg_trace.Segmentation.segment) =
+  let truth =
+    Abg_distance.Metric.prepare ?length metric
+      ~truth:(Abg_trace.Segmentation.observed segment)
+  in
   let records = segment.Abg_trace.Segmentation.records in
   let n = Array.length records in
   let envs =
@@ -74,15 +78,6 @@ let prepare_with ~truth (segment : Abg_trace.Segmentation.segment) =
     if n = 0 then 0.0 else Abg_trace.Record.observed_cwnd records.(0)
   in
   { segment; truth; envs; cwnd0; scratch = Array.make n 0.0 }
-
-(** [prepare ?metric ?length segment] — {!prepare_with} with the truth
-    prepared here (once per segment, not once per candidate). *)
-let prepare ?(metric = Abg_distance.Metric.default) ?length segment =
-  let truth =
-    Abg_distance.Metric.prepare ?length metric
-      ~truth:(Abg_trace.Segmentation.observed segment)
-  in
-  prepare_with ~truth segment
 
 (** [synthesize_prepared p f] replays a compiled handler over a prepared
     segment. Returns [p.scratch] — valid until the next replay on [p]. *)
@@ -109,20 +104,26 @@ let distance_prepared ?cutoff (p : prepared) (f : compiled) =
   let candidate = synthesize_prepared p f in
   Abg_distance.Metric.compute_prepared ?cutoff p.truth ~candidate
 
-(** [total_distance_prepared ?cutoff ps f] — sum of per-segment distances,
-    abandoning with [infinity] as soon as the running sum provably
-    (strictly) exceeds [cutoff]: each segment is scored with the
+(** [total_distance_prepared ?acc ?cutoff ps f] — sum of per-segment
+    distances, abandoning with [infinity] as soon as the running sum
+    provably (strictly) exceeds [cutoff]: each segment is scored with the
     *remaining* budget [cutoff - acc], and distances are nonnegative, so
     any [infinity] below is a sound "worse than the incumbent". Results
-    at or below [cutoff] are exact. *)
-let total_distance_prepared ?(cutoff = infinity) ps (f : compiled) =
+    at or below [cutoff] are exact.
+
+    [acc] (default [0.]) seeds the running sum: passing the exact
+    distance of segments already scored continues the same left fold,
+    [((acc + d1) + d2) + …], so the result is bit-identical to scoring
+    those segments here first. *)
+let total_distance_prepared ?(acc = 0.0) ?(cutoff = infinity) ps
+    (f : compiled) =
   let rec go acc = function
     | [] -> acc
     | p :: rest ->
         if acc > cutoff then infinity
         else go (acc +. distance_prepared ~cutoff:(cutoff -. acc) p f) rest
   in
-  go 0.0 ps
+  go acc ps
 
 (** [distance ?metric ?cutoff expr segment] — distance between the
     synthesized and observed window series of one segment. *)

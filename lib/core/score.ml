@@ -7,10 +7,12 @@
 
     Scoring runs on {!Replay.prepared} segments (environments, truth
     preparation and output buffer built once per segment) and prunes with
-    best-so-far cutoffs. Pruning is strictly conservative: a distance is
-    replaced by [infinity] only when it provably exceeds a threshold that
-    already disqualifies it, so the selected handlers and their recorded
-    distances are identical to exhaustive scoring. *)
+    best-so-far cutoffs: the coarse stage with [min (keep-th, incumbent)],
+    the fine stage with [min (sketch best, incumbent)]. Pruning is
+    strictly conservative: a distance is replaced by [infinity] only when
+    it provably exceeds a threshold that already disqualifies it, so the
+    selected handlers and their recorded distances are identical to
+    exhaustive scoring. *)
 
 open Abg_dsl
 
@@ -40,12 +42,27 @@ let obs_finalists = Abg_obs.Obs.Counter.make "score.finalists"
     scores infinity.
 
     Pruning: the coarse stage abandons a completion once it provably
-    cannot enter the top-[keep] (running keep-th-smallest threshold, so
-    the finalist set is unchanged); the fine stage abandons once a
-    completion provably cannot beat the sketch's own best so far *or*
-    [cutoff] (an external incumbent, e.g. the best sketch of the bucket).
-    A returned distance above [cutoff] may therefore read [infinity], but
-    the minimum over sketches — all any caller aggregates — is exact. *)
+    cannot enter the top-[keep] (running keep-th-smallest threshold) *or*
+    its first segment alone exceeds [cutoff] (an external incumbent, e.g.
+    the best sketch of the bucket); the fine stage abandons once a
+    completion provably cannot beat the sketch's own best so far or
+    [cutoff]. A returned distance above [cutoff] may therefore read
+    [infinity], but the minimum over sketches — all any caller
+    aggregates — is exact.
+
+    Why the coarse [cutoff] is exact: among completions whose
+    first-segment distance [d1] is at most [cutoff], the [keep] smallest
+    still get exact values (one is abandoned at the threshold only when
+    [keep] earlier ones are exactly smaller), so they are finalists in
+    the same order as without the cutoff. A completion with [d1 >
+    cutoff] has a total above [cutoff] and cannot win.
+
+    Finalist reuse: a finite coarse value is exact (DTW finishes or reads
+    [infinity]; so does an LB_Keogh prune), and a finalist whose coarse
+    value is [infinity] has [d1 > cutoff]. So the fine stage skips a
+    finalist with [d1] above its cut and otherwise resumes the segment
+    sum from [d1] ({!Replay.total_distance_prepared} [~acc]) instead of
+    replaying the first segment again — the same left fold, bit for bit. *)
 let sketch_prepared rng ~(dsl : Catalog.t) ~budget ?(cutoff = infinity)
     ~prepared sk =
   let handlers =
@@ -56,7 +73,7 @@ let sketch_prepared rng ~(dsl : Catalog.t) ~budget ?(cutoff = infinity)
   match (handlers, prepared) with
   | [], _ | _, [] ->
       { sketch = sk; handler = sk; distance = infinity; completions_scored = 0 }
-  | _, first :: _ ->
+  | _, first :: rest ->
       let keep = Stdlib.max 3 (List.length handlers / 4) in
       (* Running top-[keep] coarse distances (unsorted); the threshold is
          their maximum, i.e. the keep-th smallest seen so far. *)
@@ -79,7 +96,12 @@ let sketch_prepared rng ~(dsl : Catalog.t) ~budget ?(cutoff = infinity)
         List.map
           (fun h ->
             let f = Replay.compile h in
-            let d = Replay.distance_prepared ~cutoff:(threshold ()) first f in
+            let t = threshold () in
+            let d =
+              Replay.distance_prepared
+                ~cutoff:(if t < cutoff then t else cutoff)
+                first f
+            in
             offer d;
             (h, d, f))
           handlers
@@ -89,9 +111,13 @@ let sketch_prepared rng ~(dsl : Catalog.t) ~budget ?(cutoff = infinity)
       Abg_obs.Obs.Counter.add obs_finalists (List.length finalists);
       let best_h, best_d =
         List.fold_left
-          (fun (best_h, best_d) (h, _, f) ->
+          (fun (best_h, best_d) (h, d1, f) ->
             let cut = if best_d < cutoff then best_d else cutoff in
-            let d = Replay.total_distance_prepared ~cutoff:cut prepared f in
+            (* [d1] is exact whenever [d1 <= cut] (see above). *)
+            let d =
+              if d1 > cut then infinity
+              else Replay.total_distance_prepared ~acc:d1 ~cutoff:cut rest f
+            in
             if d < best_d then (h, d) else (best_h, best_d))
           (sk, infinity) finalists
       in

@@ -142,40 +142,62 @@ let to_internal ext =
 
 (* Strict total priority order: higher activity first, lower variable
    index on ties — the same choice the old linear argmax scan made, kept
-   so decision sequences are reproducible. *)
-let heap_before s u v =
-  s.activity.(u) > s.activity.(v)
-  || (s.activity.(u) = s.activity.(v) && u < v)
+   so decision sequences are reproducible.
 
-let rec heap_sift_up s i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    let v = s.heap.(i) and pv = s.heap.(p) in
-    if heap_before s v pv then begin
-      s.heap.(i) <- pv;
-      s.heap_pos.(pv) <- i;
-      s.heap.(p) <- v;
-      s.heap_pos.(v) <- p;
-      heap_sift_up s p
+   Both sifts move a hole rather than swapping pairs: the moving
+   variable and its activity are read once, each displaced entry moves
+   one slot (and its [heap_pos] with it), and the variable is written
+   once where the sift stops. That leaves exactly the array pairwise
+   swaps would, so every pop, decision and model is unchanged. The
+   sifts allocate nothing; heap indices below [heap_size] are read
+   unchecked. *)
+let heap_sift_up s i =
+  let heap = s.heap and pos = s.heap_pos and act = s.activity in
+  let v = Array.unsafe_get heap i in
+  let av = act.(v) in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pv = Array.unsafe_get heap p in
+    let ap = act.(pv) in
+    if av > ap || (av = ap && v < pv) then begin
+      Array.unsafe_set heap !i pv;
+      pos.(pv) <- !i;
+      i := p
     end
-  end
+    else moving := false
+  done;
+  Array.unsafe_set heap !i v;
+  pos.(v) <- !i
 
-let rec heap_sift_down s i =
-  let l = (2 * i) + 1 in
-  if l < s.heap_size then begin
+let heap_sift_down s i =
+  let heap = s.heap and pos = s.heap_pos and act = s.activity in
+  let n = s.heap_size in
+  let v = Array.unsafe_get heap i in
+  let av = act.(v) in
+  let i = ref i and moving = ref true in
+  while !moving && (2 * !i) + 1 < n do
+    let l = (2 * !i) + 1 in
     let r = l + 1 in
     let c =
-      if r < s.heap_size && heap_before s s.heap.(r) s.heap.(l) then r else l
+      if r < n then begin
+        let lv = Array.unsafe_get heap l and rv = Array.unsafe_get heap r in
+        let al = act.(lv) and ar = act.(rv) in
+        if ar > al || (ar = al && rv < lv) then r else l
+      end
+      else l
     in
-    let v = s.heap.(i) and cv = s.heap.(c) in
-    if heap_before s cv v then begin
-      s.heap.(i) <- cv;
-      s.heap_pos.(cv) <- i;
-      s.heap.(c) <- v;
-      s.heap_pos.(v) <- c;
-      heap_sift_down s c
+    let cv = Array.unsafe_get heap c in
+    let ac = act.(cv) in
+    if ac > av || (ac = av && cv < v) then begin
+      Array.unsafe_set heap !i cv;
+      pos.(cv) <- !i;
+      i := c
     end
-  end
+    else moving := false
+  done;
+  Array.unsafe_set heap !i v;
+  pos.(v) <- !i
 
 let heap_insert s v =
   if s.heap_pos.(v) < 0 then begin

@@ -164,6 +164,64 @@ let test_score_infeasible_sketch () =
   Alcotest.(check bool) "implausible scores infinity" true
     (scored.Abg_core.Score.distance = infinity)
 
+let test_score_cutoff_contract () =
+  (* [sketch_prepared ~cutoff] may read [infinity] (or any value above
+     the cutoff) for a sketch that cannot beat it, but must return the
+     exact handler and distance of uncut scoring for every sketch at or
+     below it — so an incumbent-threaded fold finds the same minimum. *)
+  let dsl = Abg_dsl.Catalog.vegas in
+  let enc = Abg_enum.Encode.create dsl in
+  let rec pull n acc =
+    if n = 0 then List.rev acc
+    else
+      match Abg_enum.Encode.next enc with
+      | Some sk -> pull (n - 1) (sk :: acc)
+      | None -> List.rev acc
+  in
+  let sketches = pull 60 [] in
+  let prepared =
+    List.filteri (fun i _ -> i < 2) (Lazy.force segments)
+    |> List.map Abg_core.Replay.prepare
+  in
+  Alcotest.(check int) "two segments" 2 (List.length prepared);
+  let score ~cutoff i sk =
+    Abg_core.Score.sketch_prepared (Abg_util.Rng.create (100 + i)) ~dsl
+      ~budget:24 ~cutoff ~prepared sk
+  in
+  let best (h, d) (s : Abg_core.Score.scored) =
+    if s.distance < d then (s.handler, s.distance) else (h, d)
+  in
+  let incumbent = ref infinity and cut_rows = ref 0 in
+  let uncut_best = ref (Cwnd, infinity) and cut_best = ref (Cwnd, infinity) in
+  List.iteri
+    (fun i sk ->
+      let u = score ~cutoff:infinity i sk in
+      let c = score ~cutoff:!incumbent i sk in
+      Alcotest.(check int) "completions scored" u.completions_scored
+        c.completions_scored;
+      if u.distance <= !incumbent then begin
+        Alcotest.(check bool) "same handler" true (u.handler = c.handler);
+        Alcotest.(check bool) "same distance bits" true
+          (Float.equal u.distance c.distance)
+      end
+      else begin
+        incr cut_rows;
+        Alcotest.(check bool) "cut distance above the cutoff" true
+          (c.distance > !incumbent)
+      end;
+      if c.distance < !incumbent then incumbent := c.distance;
+      uncut_best := best !uncut_best u;
+      cut_best := best !cut_best c)
+    sketches;
+  Alcotest.(check int) "60 sketches" 60 (List.length sketches);
+  Alcotest.(check bool) "some sketches lose to the incumbent" true
+    (!cut_rows > 0);
+  Alcotest.(check bool) "finite minimum" true
+    (Float.is_finite (snd !uncut_best));
+  Alcotest.(check bool) "same winner" true (fst !uncut_best = fst !cut_best);
+  Alcotest.(check bool) "same minimum bits" true
+    (Float.equal (snd !uncut_best) (snd !cut_best))
+
 (* -- Fine_tuned -- *)
 
 let test_fine_tuned_lookup () =
@@ -308,6 +366,7 @@ let suites =
       [
         Alcotest.test_case "best constant" `Quick test_score_picks_best_constant;
         Alcotest.test_case "infeasible sketch" `Quick test_score_infeasible_sketch;
+        Alcotest.test_case "cutoff contract" `Quick test_score_cutoff_contract;
       ] );
     ( "core.fine_tuned",
       [

@@ -448,6 +448,86 @@ let prop_incremental_enumeration_complete =
       List.iter (Solver.add_clause s) clauses;
       count_models s vs = !brute_count)
 
+(* Incremental use as enumeration drives it: clauses, groups, retirements,
+   heuristic scrambles and assumption-scoped solves interleaved on one
+   instance. Each answer is checked against brute force over the clauses
+   active for that call: the permanent ones, plus those of every live
+   group whose selector is assumed. Assuming a retired group's selector
+   must be Unsat, since retirement pins it false. *)
+let prop_incremental_differential =
+  QCheck.Test.make ~name:"incremental groups and assumptions agree with brute force"
+    ~count:200
+    QCheck.(pair (int_range 1 8) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Abg_util.Rng.create seed in
+      let lit () =
+        let v = 1 + Abg_util.Rng.int rng n in
+        if Abg_util.Rng.bool rng then v else -v
+      in
+      let clause lo hi =
+        List.init (lo + Abg_util.Rng.int rng (hi - lo + 1)) (fun _ -> lit ())
+      in
+      let holds model l = if l > 0 then model.(l) else not model.(-l) in
+      let s = Solver.create () in
+      ignore (fresh_vars s n);
+      let permanent = ref [] in
+      (* (group, its clauses, retired) *)
+      let groups = ref [] in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        match Abg_util.Rng.int rng 10 with
+        | 0 ->
+            let c = clause 2 3 in
+            Solver.add_clause s c;
+            permanent := c :: !permanent
+        | 1 -> groups := (Solver.new_group s, ref [], ref false) :: !groups
+        | 2 | 3 -> (
+            match List.filter (fun (_, _, r) -> not !r) !groups with
+            | [] -> ()
+            | live ->
+                let g, cs, _ =
+                  List.nth live (Abg_util.Rng.int rng (List.length live))
+                in
+                let c = clause 1 3 in
+                Solver.add_clause_in s g c;
+                cs := c :: !cs)
+        | 4 -> (
+            match !groups with
+            | [] -> ()
+            | gs ->
+                let g, _, r = List.nth gs (Abg_util.Rng.int rng (List.length gs)) in
+                Solver.retire_group s g;
+                r := true)
+        | 5 -> Solver.randomize s ~seed:(Abg_util.Rng.int rng 1000)
+        | _ ->
+            let assumed =
+              List.filter (fun _ -> Abg_util.Rng.bool rng) !groups
+            in
+            let var_lits = List.init (Abg_util.Rng.int rng 3) (fun _ -> lit ()) in
+            let assumptions =
+              List.map (fun (g, _, _) -> Solver.group_lit g) assumed @ var_lits
+            in
+            let active =
+              !permanent
+              @ List.concat_map (fun (_, cs, _) -> !cs) assumed
+              @ List.map (fun l -> [ l ]) var_lits
+            in
+            let expected =
+              (not (List.exists (fun (_, _, r) -> !r) assumed))
+              && brute_force_sat n active
+            in
+            (match Solver.solve ~assumptions s with
+            | Solver.Sat model ->
+                if
+                  not
+                    (expected
+                    && List.for_all (List.exists (holds model)) active
+                    && List.for_all (holds model) assumptions)
+                then ok := false
+            | Solver.Unsat -> if expected then ok := false)
+      done;
+      !ok)
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -475,7 +555,12 @@ let suites =
           test_enumeration_under_gc;
         Alcotest.test_case "stats" `Quick test_stats_move;
       ]
-      @ qcheck [ prop_matches_brute_force; prop_incremental_enumeration_complete ]
+      @ qcheck
+          [
+            prop_matches_brute_force;
+            prop_incremental_enumeration_complete;
+            prop_incremental_differential;
+          ]
     );
     ( "sat.cnf",
       [
