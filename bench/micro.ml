@@ -360,6 +360,18 @@ let trace_to_string_test =
      Test.make ~name:"trace: to-string"
        (Staged.stage (fun () -> ignore (Abg_trace.Io.to_string trace))))
 
+(* One record line parsed as a serve session parses an [obs] payload:
+   [Io.Stream.step] passes its line number. *)
+let trace_record_of_line_test =
+  lazy
+    (let trace = List.nth (Lazy.force batch_suite) 1 in
+     let line =
+       Abg_trace.Io.record_to_line trace.Abg_trace.Trace.records.(100)
+     in
+     Test.make ~name:"trace: record-of-line"
+       (Staged.stage (fun () ->
+            ignore (Abg_trace.Io.record_of_line ~lineno:107 line))))
+
 let ccanalyzer_classify_test =
   lazy
     (let traces = Lazy.force batch_suite in
@@ -460,7 +472,8 @@ let run () =
       Lazy.force equiv_handler_pair_test;
       simulate_test; simulate_extended_test;
       collect_suite_test; Lazy.force classify_features_test;
-      Lazy.force trace_to_string_test; Lazy.force ccanalyzer_classify_test;
+      Lazy.force trace_to_string_test; Lazy.force trace_record_of_line_test;
+      Lazy.force ccanalyzer_classify_test;
       Lazy.force batch_store_read_test; Lazy.force batch_store_amortized_test;
       Lazy.force batch_journal_append_test;
       Lazy.force batch_journal_replay_256_test;

@@ -140,13 +140,17 @@ let flush_conn c =
 
 let ns_of_s s = s *. 1e9
 
+(* The command word, read in place: classify and close requests feed the
+   classify latency histogram, and a stats request gets the latency
+   line. [is_stats] accepts exactly the lines {!Protocol.parse} reads as
+   [Stats]. *)
 let is_classifying line =
-  let pref p =
-    String.length line >= String.length p && String.sub line 0 (String.length p) = p
-  in
-  pref "classify " || pref "close "
+  String.starts_with ~prefix:"classify " line
+  || String.starts_with ~prefix:"close " line
 
-let is_stats line = String.trim line = "stats"
+let is_stats line =
+  String.starts_with ~prefix:"stats" line
+  && (String.length line = 5 || line.[5] = ' ' || line = "stats\r")
 
 let latency_line () =
   let s = Abg_obs.Obs.Histogram.summary obs_classify_ns in
@@ -155,6 +159,13 @@ let latency_line () =
        s.Abg_obs.Obs.Histogram.count
        (Abg_obs.Obs.Histogram.quantile s 0.5)
        (Abg_obs.Obs.Histogram.quantile s 0.99))
+
+let respond c responses =
+  List.iter
+    (fun r ->
+      Buffer.add_string c.out r;
+      Buffer.add_char c.out '\n')
+    responses
 
 (* Execute one request line against the engine, timed, and queue the
    responses on the connection. *)
@@ -165,14 +176,16 @@ let serve_line engine c line =
   Abg_obs.Obs.Histogram.observe obs_request_ns elapsed;
   if is_classifying line then
     Abg_obs.Obs.Histogram.observe obs_classify_ns elapsed;
-  let responses =
-    if is_stats line then responses @ [ latency_line () ] else responses
-  in
-  List.iter
-    (fun r ->
-      Buffer.add_string c.out r;
-      Buffer.add_char c.out '\n')
-    responses
+  respond c
+    (if is_stats line then responses @ [ latency_line () ] else responses)
+
+(* A request line longer than the framer keeps is answered once, by its
+   1-based line number on the connection, and never executed. *)
+let too_long engine c lineno =
+  respond c
+    (Engine.error engine
+       (Printf.sprintf "line %d: longer than %d bytes" lineno
+          Abg_trace.Io.Lines.max_line))
 
 (** [run ?config ()] serves until SIGTERM/SIGINT (or {!request_stop}),
     then drains and returns. Installs signal handlers; call from the
@@ -240,7 +253,7 @@ let run ?(config = default_config) () =
             serve_line engine c line);
         drop c.fd
     | n ->
-        Abg_trace.Io.Lines.feed c.lines
+        Abg_trace.Io.Lines.feed ~too_long:(too_long engine c) c.lines
           (Bytes.sub_string buf 0 n)
           (fun _ line -> serve_line engine c line)
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()

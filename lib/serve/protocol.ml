@@ -25,7 +25,10 @@
     ([n] = window length, [distance] = best reference distance,
     ["%.17g"]), and [err <sid|-> <message>]. [obs] lines are {e not}
     acked — an ack per observation would double the traffic of exactly
-    the hot path — errors only. *)
+    the hot path — errors only. A line longer than
+    {!Abg_trace.Io.Lines.max_line} bytes is never parsed: the daemon
+    answers [err - line <n>: longer than <max_line> bytes], [<n>] its
+    1-based number on the connection. *)
 
 type request =
   | Open of string
@@ -35,40 +38,58 @@ type request =
   | Stats
   | Ping
 
-(* First token, rest-of-line split. The payload keeps its internal
-   whitespace (a record line is tab-separated). *)
-let split_first s =
-  match String.index_opt s ' ' with
-  | None -> (s, "")
-  | Some i ->
-      (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+(* The request line is read in place, between bounds, so that a request
+   copies only its session id and, for [obs], its payload. *)
 
-let valid_sid sid =
-  sid <> ""
-  && String.for_all (fun c -> c <> ' ' && c <> '\t' && c <> '\r') sid
+let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+let rec blank line i n = i >= n || (is_space line.[i] && blank line (i + 1) n)
+
+(* A session id is non-empty and holds no space, tab or CR. *)
+let rec valid_sid line i j =
+  i < j
+  && (match line.[i] with ' ' | '\t' | '\r' -> false | _ -> true)
+  && (i + 1 = j || valid_sid line (i + 1) j)
+
+let space_from line i n =
+  match String.index_from line i ' ' with j -> j | exception Not_found -> n
+
+(* The command word [line.[0 .. c-1]] is [word]. *)
+let word_is line c word =
+  c = String.length word && String.starts_with ~prefix:word line
+
+let with_sid line a n cmd k =
+  if valid_sid line a n then Ok (k (String.sub line a (n - a)))
+  else Error (cmd ^ ": missing or malformed session id")
 
 (** [parse line] — the request on [line], or [Error message]. Blank
     lines are [Error ""] (callers skip them silently). *)
 let parse line =
-  let line = Abg_trace.Io.strip_cr line in
-  if String.trim line = "" then Error ""
+  (* [line.[0 .. n-1]] is the line without one trailing CR. Its first
+     word, the command, is [line.[0 .. c-1]]; the rest starts at [a]. *)
+  let len = String.length line in
+  let n = if len > 0 && line.[len - 1] = '\r' then len - 1 else len in
+  if blank line 0 n then Error ""
   else begin
-    let cmd, rest = split_first line in
-    let with_sid k =
-      if valid_sid rest then Ok (k rest)
-      else Error (Printf.sprintf "%s: missing or malformed session id" cmd)
-    in
-    match cmd with
-    | "open" -> with_sid (fun sid -> Open sid)
-    | "classify" -> with_sid (fun sid -> Classify sid)
-    | "close" -> with_sid (fun sid -> Close sid)
-    | "obs" ->
-        let sid, payload = split_first rest in
-        if valid_sid sid then Ok (Obs (sid, payload))
-        else Error "obs: missing or malformed session id"
-    | "stats" -> Ok Stats
-    | "ping" -> Ok Ping
-    | _ -> Error (Printf.sprintf "unknown command: %s" cmd)
+    let c = space_from line 0 n in
+    let a = Int.min (c + 1) n in
+    if word_is line c "obs" then begin
+      let j = space_from line a n in
+      if valid_sid line a j then
+        Ok
+          (Obs
+             ( String.sub line a (j - a),
+               if j < n then String.sub line (j + 1) (n - j - 1) else "" ))
+      else Error "obs: missing or malformed session id"
+    end
+    else if word_is line c "open" then
+      with_sid line a n "open" (fun sid -> Open sid)
+    else if word_is line c "classify" then
+      with_sid line a n "classify" (fun sid -> Classify sid)
+    else if word_is line c "close" then
+      with_sid line a n "close" (fun sid -> Close sid)
+    else if word_is line c "stats" then Ok Stats
+    else if word_is line c "ping" then Ok Ping
+    else Error ("unknown command: " ^ String.sub line 0 c)
   end
 
 (* Response formatters — every daemon reply goes through these, so the

@@ -12,7 +12,13 @@
     The reader is liberal in what it accepts: CRLF line endings and
     blank (or whitespace-only) lines anywhere in the file are tolerated;
     a malformed data or [# losses:] line is rejected with its 1-based
-    line number. *)
+    line number. Every number is read by {!Abg_util.G17.of_substring},
+    whose contract is [float_of_string] on the field: the same accepted
+    strings, the same bits, the same errors. It reads the plain decimals
+    the writer produces (at most 18 significant digits, a decimal
+    exponent within ±22) in place with exact arithmetic, and hands
+    anything else, and the rare quotient next to a halfway point, to
+    [float_of_string]. *)
 
 let header = "# abagnale-trace v1"
 
@@ -47,29 +53,52 @@ let record_to_line r =
   Buffer.contents buf
 
 (* [?lineno] is the 1-based source line for error reporting ({!load}
-   threads it); without it the message carries only the offending line. *)
+   threads it); without it the message carries only the offending line.
+   One pass over the line: each tab-separated field is read in place by
+   {!Abg_util.G17.of_substring} into [f], and the error text is built
+   only when a field is bad or the line has other than 13 of them. *)
 let record_of_line ?lineno line =
-  let where =
-    match lineno with
-    | Some n -> Printf.sprintf "line %d: " n
-    | None -> ""
-  in
-  let malformed () =
-    invalid_arg
-      (Printf.sprintf "Io.record_of_line: %smalformed line: %s" where line)
-  in
-  let fields =
-    try String.split_on_char '\t' line |> List.map float_of_string
-    with Failure _ -> malformed ()
-  in
-  match fields with
-  | [ time; cwnd; in_flight; acked_bytes; rtt; min_rtt; max_rtt; ack_rate;
-      rtt_gradient; delay_gradient; time_since_loss; wmax; mss ] ->
+  let n = String.length line in
+  let f = Float.Array.create 13 in
+  let pos = ref 0 and k = ref 0 in
+  match
+    while !pos <= n do
+      let stop = ref !pos in
+      while !stop < n && String.unsafe_get line !stop <> '\t' do
+        incr stop
+      done;
+      if !k = 13 then raise Exit;
+      Float.Array.unsafe_set f !k
+        (Abg_util.G17.of_substring line !pos (!stop - !pos));
+      incr k;
+      pos := !stop + 1
+    done;
+    !k
+  with
+  | 13 ->
       {
-        Record.time; cwnd; in_flight; acked_bytes; rtt; min_rtt; max_rtt;
-        ack_rate; rtt_gradient; delay_gradient; time_since_loss; wmax; mss;
+        Record.time = Float.Array.unsafe_get f 0;
+        cwnd = Float.Array.unsafe_get f 1;
+        in_flight = Float.Array.unsafe_get f 2;
+        acked_bytes = Float.Array.unsafe_get f 3;
+        rtt = Float.Array.unsafe_get f 4;
+        min_rtt = Float.Array.unsafe_get f 5;
+        max_rtt = Float.Array.unsafe_get f 6;
+        ack_rate = Float.Array.unsafe_get f 7;
+        rtt_gradient = Float.Array.unsafe_get f 8;
+        delay_gradient = Float.Array.unsafe_get f 9;
+        time_since_loss = Float.Array.unsafe_get f 10;
+        wmax = Float.Array.unsafe_get f 11;
+        mss = Float.Array.unsafe_get f 12;
       }
-  | _ -> malformed ()
+  | _ | (exception (Exit | Failure _)) ->
+      let where =
+        match lineno with
+        | Some n -> Printf.sprintf "line %d: " n
+        | None -> ""
+      in
+      invalid_arg
+        (Printf.sprintf "Io.record_of_line: %smalformed line: %s" where line)
 
 (* Buffer bytes reserved per record and per loss time: a record line of
    a collected trace runs about 205 bytes, so one allocation usually
@@ -117,40 +146,88 @@ let strip_cr line =
     arrive as arbitrary chunks, and a logical line may span several of
     them (or one chunk may carry many). [Lines] buffers the partial tail
     and emits complete lines with the same liberal-reader semantics as
-    {!load} — CRs stripped, 1-based numbering. *)
+    {!load} — CRs stripped, 1-based numbering. A line may hold at most
+    {!max_line} bytes before its newline: the framer never buffers more,
+    reports a longer line once by its number and drops it up to its
+    newline, so a peer that never sends one costs bounded memory. *)
 module Lines = struct
-  type t = { buf : Buffer.t; mutable lineno : int }
+  (** The longest line kept, in bytes before the newline (CR included).
+      A record line runs about 205 bytes; the longest [# losses:] line
+      [collect] writes for 30 s flows is about 2 KiB. *)
+  let max_line = 1 lsl 20
 
-  let create () = { buf = Buffer.create 256; lineno = 0 }
+  type t = {
+    buf : Buffer.t;  (* the current line's bytes from earlier chunks *)
+    mutable lineno : int;
+    mutable skipping : bool;  (* inside a reported over-long line *)
+  }
 
-  (** [feed t chunk emit] appends [chunk] and calls [emit lineno line]
-      for every newline-terminated line completed by it, in order. *)
-  let feed t chunk emit =
-    let n = String.length chunk in
-    let start = ref 0 in
-    for i = 0 to n - 1 do
-      if chunk.[i] = '\n' then begin
-        Buffer.add_substring t.buf chunk !start (i - !start);
-        start := i + 1;
-        t.lineno <- t.lineno + 1;
-        let line = strip_cr (Buffer.contents t.buf) in
+  let create () = { buf = Buffer.create 256; lineno = 0; skipping = false }
+
+  let default_too_long lineno =
+    failwith (Printf.sprintf "line %d: longer than %d bytes" lineno max_line)
+
+  (* Report an over-long line: it takes the next line number. *)
+  let reject t too_long =
+    Buffer.clear t.buf;
+    t.lineno <- t.lineno + 1;
+    too_long t.lineno
+
+  (* Emit the line made of [t.buf] and [chunk.[start .. stop - 1]], one
+     trailing CR stripped, copying its bytes once. *)
+  let complete t chunk start stop emit =
+    let k = Buffer.length t.buf in
+    let cr =
+      if stop > start then chunk.[stop - 1] = '\r'
+      else k > 0 && Buffer.nth t.buf (k - 1) = '\r'
+    in
+    let len = k + (stop - start) - Bool.to_int cr in
+    let line =
+      if k = 0 then String.sub chunk start len
+      else begin
+        let b = Bytes.create len in
+        Buffer.blit t.buf 0 b 0 (Int.min k len);
+        if len > k then Bytes.blit_string chunk start b k (len - k);
         Buffer.clear t.buf;
-        emit t.lineno line
+        Bytes.unsafe_to_string b
       end
-    done;
-    Buffer.add_substring t.buf chunk !start (n - !start)
+    in
+    t.lineno <- t.lineno + 1;
+    emit t.lineno line
+
+  (** [feed ?too_long t chunk emit] appends [chunk] and calls
+      [emit lineno line] for every newline-terminated line completed by
+      it, in order. A line longer than {!max_line} is not emitted:
+      [too_long lineno] is called once, as soon as the framer sees the
+      excess, and the line's remaining bytes are dropped. Without
+      [too_long] that raises [Failure]. *)
+  let feed ?(too_long = default_too_long) t chunk emit =
+    let n = String.length chunk in
+    let rec go start =
+      match String.index_from chunk start '\n' with
+      | i ->
+          if t.skipping then t.skipping <- false
+          else if Buffer.length t.buf + (i - start) > max_line then
+            reject t too_long
+          else complete t chunk start i emit;
+          go (i + 1)
+      | exception Not_found ->
+          if t.skipping then ()
+          else if Buffer.length t.buf + (n - start) > max_line then begin
+            t.skipping <- true;
+            reject t too_long
+          end
+          else Buffer.add_substring t.buf chunk start (n - start)
+    in
+    go 0
 
   (** [flush t emit] emits the unterminated final line, if any — call at
       EOF so a stream without a trailing newline loses nothing. *)
-  let flush t emit =
-    if Buffer.length t.buf > 0 then begin
-      t.lineno <- t.lineno + 1;
-      let line = strip_cr (Buffer.contents t.buf) in
-      Buffer.clear t.buf;
-      emit t.lineno line
-    end
+  let flush t emit = if Buffer.length t.buf > 0 then complete t "" 0 0 emit
 
-  let pending t = Buffer.length t.buf > 0
+  (** [buffered t] is how many bytes of an unterminated line [t] holds:
+      never more than {!max_line}. *)
+  let buffered t = Buffer.length t.buf
 end
 
 (** Incremental trace parsing, the one trace reader: {!of_string},
@@ -192,7 +269,7 @@ module Stream = struct
     | s -> (
         try
           String.split_on_char ',' s
-          |> List.map float_of_string
+          |> List.map (fun v -> Abg_util.G17.of_substring v 0 (String.length v))
           |> Array.of_list
         with Failure _ ->
           invalid_arg

@@ -153,3 +153,143 @@ let to_string x =
   let buf = Buffer.create 24 in
   add buf x;
   Buffer.contents buf
+
+(* The reader: exactly [float_of_string] on a substring. See g17.mli.
+
+   Fast path. A field matching -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]{1,4})?
+   with at most 18 significant digits has the value m * 10^e for an
+   integer m < 10^18 < 2^60. For |e| <= 22, 10^|e| = 5^|e| * 2^|e| with
+   5^|e| < 2^52, so [pow10f.(|e|)] is an exact double.
+   - e = 0: [float_of_int m] is one rounding of an exact integer.
+   - m < 2^53: [float m] is exact, and [float m *. 10^e] or
+     [float m /. 10^-e] is one IEEE rounding of exact operands (Clinger,
+     "How to read floating point numbers accurately", 1990).
+   - m >= 2^53 and e < 0 (the seventeen-digit fractions of a trace):
+     with p = 10^-e and x = m / p, RN(m) is within 2^-53 of m relative,
+     less than one ulp of x, so q = RN(RN(m) / p) is within 1.5 ulp of
+     x. The remainder r = m - q*p = p * (x - q) decides. With
+     h = ulp(q) * p / 2 (exact: p times a power of two), RN(x) is q when
+     |r| < h, and q's neighbour on r's side when h < |r| < 2.5h; 2.5h,
+     not 3h, because the neighbour below may be a power of two, whose
+     own spacing below is halved. r is computed with one rounding:
+     q*p = hi + lo exactly by Dekker's two-product, which needs only
+     round-to-nearest doubles without overflow or underflow (not
+     [Float.fma], which OCaml documents as best effort where the
+     hardware has none); RN(m) - hi is exact by Sterbenz (both lie
+     within 2^-51 of m relative) and an integer, as is m - RN(m), so
+     their sum is exact and only subtracting lo rounds. That moves r by
+     2^-53 relative, so each comparison keeps a 2^-30 relative margin:
+     a remainder inside a margin (near a halfway point) or beyond 2.5h,
+     or a q that is a power of two (its spacing below is halved), falls
+     back.
+   Anything else — nan, inf, hex, '_', a leading '+' or '.', a trailing
+   '.', whitespace, more digits, a larger exponent, m >= 2^53 with
+   e > 0 — is [float_of_string] on the field's substring, so every
+   accepted string, every value's bits and every [Failure] are its. *)
+
+let pow10f =
+  let a = Array.make 23 1.0 in
+  for k = 1 to 22 do
+    a.(k) <- a.(k - 1) *. 10.0
+  done;
+  a
+
+(* Veltkamp's split of [pow10f.(k)] into two 26-bit halves, for
+   Dekker's two-product. *)
+let split x =
+  let c = 134217729.0 *. x in
+  let hi = c -. (c -. x) in
+  (hi, x -. hi)
+
+let pow10h = Array.map (fun x -> fst (split x)) pow10f
+let pow10l = Array.map (fun x -> snd (split x)) pow10f
+let margin = 0x1p-30
+
+(* [m / 10^k] correctly rounded for 2^53 <= m < 2^60 and 1 <= k <= 22,
+   or nan when the remainder cannot decide it. *)
+let[@inline] quotient m k =
+  let p = Array.unsafe_get pow10f k in
+  let mf = float_of_int m in
+  let q = mf /. p in
+  let hi = q *. p in
+  let c = 134217729.0 *. q in
+  let qh = c -. (c -. q) in
+  let ql = q -. qh in
+  let ph = Array.unsafe_get pow10h k and pl = Array.unsafe_get pow10l k in
+  let lo = (ql *. pl) -. (((hi -. (qh *. ph)) -. (ql *. ph)) -. (qh *. pl)) in
+  let r = (mf -. hi +. float_of_int (m - int_of_float mf)) -. lo in
+  let bits = Int64.bits_of_float q in
+  let h = (Int64.float_of_bits (Int64.succ bits) -. q) *. p *. 0.5 in
+  let ar = Float.abs r in
+  if Int64.logand bits 0xF_FFFF_FFFF_FFFFL = 0L then nan
+  else if ar < h *. (1.0 -. margin) then q
+  else if ar > h *. (1.0 +. margin) && ar < h *. (2.5 -. margin) then
+    Int64.float_of_bits (if r > 0.0 then Int64.succ bits else Int64.pred bits)
+  else nan
+
+let[@inline] is_digit c = c >= '0' && c <= '9'
+
+let[@inline] of_substring s pos len =
+  (* Bounds outside [s] scan nothing, so [String.sub] rejects them. *)
+  let stop =
+    if pos >= 0 && len >= 0 && pos <= String.length s - len then pos + len
+    else pos
+  in
+  let neg = stop > pos && String.unsafe_get s pos = '-' in
+  let i = ref (if neg then pos + 1 else pos) in
+  (* m: the significant digits; nd: how many, from the first nonzero
+     digit (past 18 the field falls back, so m stops growing); e: the
+     decimal exponent of m's last digit. *)
+  let m = ref 0 and nd = ref 0 and e = ref 0 in
+  let start = !i in
+  while !i < stop && is_digit (String.unsafe_get s !i) do
+    let d = Char.code (String.unsafe_get s !i) - 48 in
+    if !nd > 0 || d > 0 then begin
+      if !nd < 18 then m := (!m * 10) + d;
+      incr nd
+    end;
+    incr i
+  done;
+  let ok = ref (!i > start) in
+  if !ok && !i < stop && String.unsafe_get s !i = '.' then begin
+    incr i;
+    let frac = !i in
+    while !i < stop && is_digit (String.unsafe_get s !i) do
+      let d = Char.code (String.unsafe_get s !i) - 48 in
+      if !nd > 0 || d > 0 then begin
+        if !nd < 18 then m := (!m * 10) + d;
+        incr nd
+      end;
+      decr e;
+      incr i
+    done;
+    ok := !i > frac
+  end;
+  if !ok && !i < stop
+     && (String.unsafe_get s !i = 'e' || String.unsafe_get s !i = 'E')
+  then begin
+    incr i;
+    let eneg = !i < stop && String.unsafe_get s !i = '-' in
+    if eneg || (!i < stop && String.unsafe_get s !i = '+') then incr i;
+    let digits = !i and x = ref 0 in
+    while !i < stop && !i - digits <= 4 && is_digit (String.unsafe_get s !i) do
+      x := (!x * 10) + Char.code (String.unsafe_get s !i) - 48;
+      incr i
+    done;
+    ok := !i > digits && !i - digits <= 4;
+    e := if eneg then !e - !x else !e + !x
+  end;
+  let v =
+    if not (!ok && !i = stop && !nd <= 18) then nan
+    else if !m = 0 then 0.0
+    else if !e = 0 then float_of_int !m
+    else if !e < -22 || !e > 22 then nan
+    else if !m < 1 lsl 53 then
+      if !e > 0 then float_of_int !m *. Array.unsafe_get pow10f !e
+      else float_of_int !m /. Array.unsafe_get pow10f (- !e)
+    else if !e > 0 then nan
+    else quotient !m (- !e)
+  in
+  if Float.is_nan v then float_of_string (String.sub s pos len)
+  else if neg then -.v
+  else v

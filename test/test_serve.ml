@@ -148,13 +148,42 @@ let test_lines_crlf_and_tail () =
   let out = ref [] in
   let emit n l = out := (n, l) :: !out in
   Abg_trace.Io.Lines.feed t "a\r\nb\nc" emit;
-  Alcotest.(check bool) "tail buffered" true (Abg_trace.Io.Lines.pending t);
+  Alcotest.(check int) "tail buffered" 1 (Abg_trace.Io.Lines.buffered t);
   Abg_trace.Io.Lines.flush t emit;
-  Alcotest.(check bool) "tail flushed" false (Abg_trace.Io.Lines.pending t);
+  Alcotest.(check int) "tail flushed" 0 (Abg_trace.Io.Lines.buffered t);
   Alcotest.(check (list (pair int string)))
     "CR stripped, lines numbered"
     [ (1, "a"); (2, "b"); (3, "c") ]
     (List.rev !out)
+
+(* A line one byte over the cap, between a line exactly at it and a
+   ping, split anywhere: the framer reports it once by its number, keeps
+   the numbers of the lines after it, and never holds more than the cap
+   of it. *)
+let prop_lines_cap =
+  let cap = Abg_trace.Io.Lines.max_line in
+  let at_cap = String.make cap 'a' in
+  let payload = at_cap ^ "\n" ^ String.make (cap + 1) 'b' ^ "\nping\n" in
+  QCheck.Test.make ~name:"Io.Lines reports an over-long line once" ~count:40
+    QCheck.(list_of_size Gen.(0 -- 4) (int_bound (String.length payload)))
+    (fun cuts ->
+      let t = Abg_trace.Io.Lines.create () in
+      let events = ref [] and held = ref 0 in
+      let emit n l = events := `Line (n, l) :: !events in
+      let too_long n = events := `Too_long n :: !events in
+      let feed a b =
+        Abg_trace.Io.Lines.feed ~too_long t (String.sub payload a (b - a)) emit;
+        held := Stdlib.max !held (Abg_trace.Io.Lines.buffered t)
+      in
+      let last =
+        List.fold_left
+          (fun a b -> feed a b; b)
+          0 (List.sort compare cuts)
+      in
+      feed last (String.length payload);
+      Abg_trace.Io.Lines.flush t emit;
+      List.rev !events = [ `Line (1, at_cap); `Too_long 2; `Line (3, "ping") ]
+      && !held <= cap)
 
 (* -- Io.Stream: incremental parse == batch parse -- *)
 
@@ -217,6 +246,56 @@ let test_protocol_parse () =
       Alcotest.(check bool) "unknown command named" true
         (contains_sub ~sub:"frobnicate" msg)
   | Ok _ -> Alcotest.fail "unknown command accepted"
+
+(* The request parser before the in-place one, kept as its oracle: strip
+   one CR, split off the command word, then the session id. *)
+let oracle_parse line =
+  let open Abg_serve.Protocol in
+  let split_first s =
+    match String.index_opt s ' ' with
+    | None -> (s, "")
+    | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  in
+  let valid_sid sid =
+    sid <> "" && String.for_all (fun c -> c <> ' ' && c <> '\t' && c <> '\r') sid
+  in
+  let line = Abg_trace.Io.strip_cr line in
+  if String.trim line = "" then Error ""
+  else begin
+    let cmd, rest = split_first line in
+    let with_sid k =
+      if valid_sid rest then Ok (k rest)
+      else Error (Printf.sprintf "%s: missing or malformed session id" cmd)
+    in
+    match cmd with
+    | "open" -> with_sid (fun sid -> Open sid)
+    | "classify" -> with_sid (fun sid -> Classify sid)
+    | "close" -> with_sid (fun sid -> Close sid)
+    | "obs" ->
+        let sid, payload = split_first rest in
+        if valid_sid sid then Ok (Obs (sid, payload))
+        else Error "obs: missing or malformed session id"
+    | "stats" -> Ok Stats
+    | "ping" -> Ok Ping
+    | _ -> Error (Printf.sprintf "unknown command: %s" cmd)
+  end
+
+(* Lines built from command words, session-id-like tokens and the
+   separators the parser splits or rejects on; the daemon's [is_stats]
+   must pick out exactly the lines that parse as [Stats]. *)
+let prop_protocol_parse_matches_oracle =
+  let piece =
+    QCheck.Gen.oneofl
+      [ "obs"; "open"; "classify"; "close"; "stats"; "ping"; "s1"; "x"; "1.5";
+        " "; " "; "\t"; "\r"; "\012"; "" ]
+  in
+  QCheck.Test.make ~name:"Protocol.parse = split parser" ~count:5000
+    QCheck.(make ~print:(Printf.sprintf "%S")
+              Gen.(map (String.concat "") (list_size (0 -- 6) piece)))
+    (fun line ->
+      Abg_serve.Protocol.parse line = oracle_parse line
+      && Abg_serve.Daemon.is_stats line
+         = (Abg_serve.Protocol.parse line = Ok Abg_serve.Protocol.Stats))
 
 (* -- Engine -- *)
 
@@ -528,6 +607,15 @@ let test_daemon_end_to_end () =
     (List.exists (fun l -> has_prefix ~prefix:"ok stats " l) stats);
   Alcotest.(check bool) "latency line present" true
     (List.exists (fun l -> has_prefix ~prefix:"ok latency " l) stats);
+  (* A request line over the framer's cap is answered once, by its line
+     number, and the connection goes on serving. *)
+  let cap = Abg_trace.Io.Lines.max_line in
+  Alcotest.(check (list string))
+    "over-long line answered once"
+    [ Printf.sprintf "err - line 1: longer than %d bytes" cap; "ok pong" ]
+    (Abg_serve.Client.execute endpoint
+       ~request:(String.make (cap + 1) 'a' ^ "\nping\n")
+       ~stop_line:(fun l -> l = "ok pong"));
   (* Graceful shutdown: stop request drains, removes the socket file,
      and [run] returns. *)
   Abg_serve.Daemon.request_stop ();
@@ -675,7 +763,7 @@ let suites =
         Alcotest.test_case "stream error position" `Quick
           test_stream_error_position;
       ]
-      @ qsuite [ prop_lines_chunking_invariant ] );
+      @ qsuite [ prop_lines_chunking_invariant; prop_lines_cap ] );
     ( "serve-engine",
       [
         Alcotest.test_case "protocol parse" `Quick test_protocol_parse;
@@ -692,7 +780,8 @@ let suites =
           test_engine_verdicts_deterministic;
         Alcotest.test_case "drain in sorted sid order" `Quick
           test_engine_drain_sorted;
-      ] );
+      ]
+      @ qsuite [ prop_protocol_parse_matches_oracle ] );
     ( "serve-escalate",
       [
         Alcotest.test_case "dedupe + pending cap" `Quick

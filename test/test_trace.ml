@@ -432,6 +432,63 @@ let prop_io_record_line_roundtrip =
       let line = Abg_trace.Io.record_to_line r in
       Abg_trace.Io.record_to_line (Abg_trace.Io.record_of_line line) = line)
 
+(* The record parser before the one-pass reader, kept as its oracle:
+   split on tabs, then [float_of_string] per field. *)
+let oracle_record_of_line ?lineno line =
+  let where =
+    match lineno with Some n -> Printf.sprintf "line %d: " n | None -> ""
+  in
+  let malformed () =
+    invalid_arg
+      (Printf.sprintf "Io.record_of_line: %smalformed line: %s" where line)
+  in
+  match List.map float_of_string (String.split_on_char '\t' line) with
+  | exception Failure _ -> malformed ()
+  | [ time; cwnd; in_flight; acked_bytes; rtt; min_rtt; max_rtt; ack_rate;
+      rtt_gradient; delay_gradient; time_since_loss; wmax; mss ] ->
+      {
+        Abg_trace.Record.time; cwnd; in_flight; acked_bytes; rtt; min_rtt;
+        max_rtt; ack_rate; rtt_gradient; delay_gradient; time_since_loss; wmax;
+        mss;
+      }
+  | _ -> malformed ()
+
+(* A parse's record as the bits of its 13 fields, or its error text. *)
+let parse_outcome parse line =
+  match parse line with
+  | (r : Abg_trace.Record.t) ->
+      Ok
+        (List.map Int64.bits_of_float
+           [ r.time; r.cwnd; r.in_flight; r.acked_bytes; r.rtt; r.min_rtt;
+             r.max_rtt; r.ack_rate; r.rtt_gradient; r.delay_gradient;
+             r.time_since_loss; r.wmax; r.mss ])
+  | exception Invalid_argument m -> Error m
+
+(* Each reader edge case as each field of an otherwise valid line, and
+   lines of 12 and 14 fields, with and without a line number. *)
+let test_io_record_of_line_matches_oracle () =
+  let fields =
+    Abg_trace.Io.record_to_line (Lazy.force trace).Abg_trace.Trace.records.(7)
+    |> String.split_on_char '\t'
+  in
+  let with_field i e = List.mapi (fun j f -> if j = i then e else f) fields in
+  let lines =
+    List.concat_map
+      (fun e -> List.init 13 (fun i -> with_field i e))
+      Test_util.reader_edge_cases
+    @ [ fields; List.tl fields; fields @ [ "1" ]; fields @ [ "" ]; [ "" ] ]
+    |> List.map (String.concat "\t")
+  in
+  List.iter
+    (fun line ->
+      List.iter
+        (fun lineno ->
+          Alcotest.(check bool) (Printf.sprintf "%S" line) true
+            (parse_outcome (Abg_trace.Io.record_of_line ?lineno) line
+            = parse_outcome (oracle_record_of_line ?lineno) line))
+        [ None; Some 6 ])
+    lines
+
 (* The trace writer before the exact %.17g writer: Printf per float,
    joined per record. Io.to_string must keep producing its bytes. *)
 let reference_to_string (trace : Abg_trace.Trace.t) =
@@ -552,6 +609,8 @@ let suites =
       [
         Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
         Alcotest.test_case "record line" `Quick test_io_record_line_roundtrip;
+        Alcotest.test_case "record parser = split parser" `Quick
+          test_io_record_of_line_matches_oracle;
         Alcotest.test_case "malformed" `Quick test_io_malformed_rejected;
         Alcotest.test_case "malformed lineno" `Quick
           test_io_malformed_carries_lineno;

@@ -482,6 +482,77 @@ let test_g17_examples () =
       (neg_infinity, "-inf");
     ]
 
+(* [G17.of_substring] is [float_of_string] on the field: the same bits
+   or the same [Failure]. The field sits between two digits, so a read
+   past either bound changes the answer. *)
+let reads_as_float_of_string field =
+  let outcome f = match f () with
+    | x -> Ok (Int64.bits_of_float x)
+    | exception Failure m -> Error m
+  in
+  outcome (fun () -> float_of_string field)
+  = outcome (fun () ->
+        G17.of_substring ("7" ^ field ^ "5") 1 (String.length field))
+
+let prop_g17_reads_written =
+  QCheck.Test.make ~name:"reads G17 output as float_of_string"
+    ~count:100_000 arb_g17_float (fun x ->
+      reads_as_float_of_string (G17.to_string x))
+
+(* Decimals of 1-20 digits, with or without a fraction and an exponent
+   in -30..30: both sides of the 18-digit and |e| <= 22 limits. *)
+let arb_decimal =
+  let open QCheck.Gen in
+  let digits n = string_size ~gen:(char_range '0' '9') (return n) in
+  let decimal =
+    let* sign = oneofl [ ""; "-" ] in
+    let* n = 1 -- 20 in
+    let* ds = digits n in
+    let* point = 0 -- n in
+    let* exp =
+      frequency
+        [ (1, return "");
+          (2, map2 (fun e x -> Printf.sprintf "%s%d" e x)
+                (oneofl [ "e"; "E"; "e+" ]) (-30 -- 30)) ]
+    in
+    let mantissa =
+      if point = 0 || point = n then ds
+      else String.sub ds 0 point ^ "." ^ String.sub ds point (n - point)
+    in
+    return (sign ^ mantissa ^ exp)
+  in
+  QCheck.make ~print:Fun.id decimal
+
+let prop_g17_reads_decimals =
+  QCheck.Test.make ~name:"reads decimals as float_of_string"
+    ~count:100_000 arb_decimal reads_as_float_of_string
+
+(* Exact integers and halfway points around 2^53 and 2^54, powers of
+   ten at and past 10^22, 18 and 19 digits, a quotient that rounds onto
+   a power of two from below, the smallest subnormal and normal, and
+   fields outside the fast path's grammar. The record parser's tests
+   use them as fields too. *)
+let reader_edge_cases =
+  [ "9007199254740993"; "9007199254740993.0"; "4503599627370496.5";
+    "18014398509481987.0"; "0.1"; "1e22"; "1e23"; "1e-22";
+    "123456789012345678"; "1234567890123456789"; "0.49999999999999996";
+    "4.9406564584124654e-324"; "2.2250738585072011e-308"; "-0"; "nan"; "inf";
+    "-inf"; "1_000"; "0x1p3"; "+1"; ".5"; "1."; "1e"; "1e+"; "--1"; " 1";
+    "1e400"; "" ]
+
+let test_g17_reads_edge_cases () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S" s) true
+        (reads_as_float_of_string s))
+    reader_edge_cases;
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises "bounds outside the string"
+        (Invalid_argument "String.sub / Bytes.sub") (fun () ->
+          ignore (G17.of_substring "-12" pos len)))
+    [ (-1, 2); (2, 2); (0, -1); (4, 0) ]
+
 (* -- Json -- *)
 
 (* Structural equality, except that numbers compare by bit pattern so a
@@ -646,8 +717,11 @@ let suites =
       ]
       @ qcheck [ prop_fmod_range ] );
     ( "util.g17",
-      [ Alcotest.test_case "examples" `Quick test_g17_examples ]
-      @ qcheck [ prop_g17_is_printf ] );
+      [ Alcotest.test_case "examples" `Quick test_g17_examples;
+        Alcotest.test_case "reader edge cases" `Quick test_g17_reads_edge_cases ]
+      @ qcheck
+          [ prop_g17_is_printf; prop_g17_reads_written; prop_g17_reads_decimals ]
+    );
     ( "util.json",
       [
         Alcotest.test_case "number rule" `Quick test_json_number_rule;
