@@ -984,7 +984,15 @@ let stream socket tcp json trace_files () =
         (Printf.sprintf "s%d-%s" i base, trace))
       (List.combine trace_files (load_traces trace_files))
   in
-  let lines = Abg_serve.Client.stream (endpoint_of socket tcp) flows in
+  let endpoint = endpoint_of socket tcp in
+  let lines =
+    let fail msg =
+      die "%s: %s" (Abg_serve.Daemon.endpoint_to_string endpoint) msg
+    in
+    try Abg_serve.Client.stream endpoint flows with
+    | Unix.Unix_error (e, fn, _) -> fail (fn ^ ": " ^ Unix.error_message e)
+    | Failure msg -> fail msg
+  in
   if json then begin
     let rows =
       Abg_serve.Client.verdicts lines

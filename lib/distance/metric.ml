@@ -38,20 +38,24 @@ type prepared = {
   env_hi : float array;  (* DTW only: banded max-envelope; else [||] *)
 }
 
-(* Sakoe-Chiba envelopes of the reference: [env_lo.(i)]/[env_hi.(i)]
-   bound every reference value a banded warping path may match against
-   candidate position [i]. O(length * band) once per prepare. *)
-let envelopes ~band reference =
-  let n = Array.length reference in
-  let lo = Array.make n infinity and hi = Array.make n neg_infinity in
+(* Sakoe-Chiba envelopes of a prepared series, at the band {!dtw_band}
+   gives its length: [lo.(i)]/[hi.(i)] bound every value a banded
+   warping path may match against position [i] of the other series.
+   O(length * band); written into the caller's arrays, so the serving
+   layer builds a query's envelope without allocating. *)
+let envelopes series ~lo ~hi =
+  let n = Array.length series in
+  let band = dtw_band n in
   for i = 0 to n - 1 do
+    let l = ref infinity and h = ref neg_infinity in
     for j = Stdlib.max 0 (i - band) to Stdlib.min (n - 1) (i + band) do
-      let v = reference.(j) in
-      if v < lo.(i) then lo.(i) <- v;
-      if v > hi.(i) then hi.(i) <- v
-    done
-  done;
-  (lo, hi)
+      let v = series.(j) in
+      if v < !l then l := v;
+      if v > !h then h := v
+    done;
+    lo.(i) <- !l;
+    hi.(i) <- !h
+  done
 
 (** [prepare ?length kind ~truth] does the truth-side preparation once,
     for reuse across every candidate scored against this segment. *)
@@ -59,7 +63,10 @@ let prepare ?(length = Series.default_length) kind ~truth =
   let reference, scale = Series.prepare_truth ~length truth in
   let env_lo, env_hi =
     match kind with
-    | Dtw -> envelopes ~band:(dtw_band length) reference
+    | Dtw ->
+        let lo = Array.make length 0.0 and hi = Array.make length 0.0 in
+        envelopes reference ~lo ~hi;
+        (lo, hi)
     | Euclidean | Manhattan | Frechet -> ([||], [||])
   in
   { kind; length; reference; scale; env_lo; env_hi }
@@ -76,14 +83,41 @@ let prepare ?(length = Series.default_length) kind ~truth =
    nothing, which only weakens the bound — never a wrong prune. *)
 let obs_lb_pruned = Abg_obs.Obs.Counter.make "distance.dtw.lb_pruned"
 
+(* How far [v] lies outside the envelope band [lo, hi]: one row's term
+   of an LB_Keogh sum. *)
+let[@inline] excess v lo hi =
+  if v > hi then v -. hi else if v < lo then lo -. v else 0.0
+
 let lb_keogh ~env_lo ~env_hi candidate =
   let acc = ref 0.0 in
   for i = 0 to Array.length candidate - 1 do
-    let v = candidate.(i) in
-    if v > env_hi.(i) then acc := !acc +. (v -. env_hi.(i))
-    else if v < env_lo.(i) then acc := !acc +. (env_lo.(i) -. v)
+    acc := !acc +. excess candidate.(i) env_lo.(i) env_hi.(i)
   done;
   !acc
+
+(* Both LB_Keogh sums of one (reference, candidate) pair, in one pass:
+   the candidate against the reference's envelope, and the reference
+   against the candidate's. A banded warping path visits every row and
+   every column in order, each cell costing at least the row's (and the
+   column's) term, and rounding to nearest is monotone, so each sum,
+   accumulated in index order as here, is at most the DTW value
+   {!Dtw.distance} computes, bit for bit, not only in real arithmetic.
+   The pass stops once either sum passes [cap]; the partial sum it then
+   returns still exceeds [cap]. *)
+let lower_bound ~cap { reference; env_lo; env_hi; _ } ~candidate ~lo ~hi =
+  let n = Array.length candidate in
+  if n <> Array.length env_lo then
+    invalid_arg
+      (Printf.sprintf "Metric.lower_bound: candidate length %d <> %d" n
+         (Array.length env_lo));
+  let fwd = ref 0.0 and rev = ref 0.0 and i = ref 0 in
+  while !i < n && !fwd <= cap && !rev <= cap do
+    let k = !i in
+    fwd := !fwd +. excess candidate.(k) env_lo.(k) env_hi.(k);
+    rev := !rev +. excess reference.(k) lo.(k) hi.(k);
+    i := k + 1
+  done;
+  Float.max !fwd !rev
 
 (* Kernel dispatch shared by the materialized and windowed entry points:
    [candidate'] is already resampled and scaled into the prepared truth's

@@ -40,6 +40,31 @@ val compute_resampled :
     once instead of once per reference. Raises [Invalid_argument] on a
     length mismatch. Same [?cutoff] contract as {!compute_prepared}. *)
 
+val envelopes : float array -> lo:float array -> hi:float array -> unit
+(** [envelopes series ~lo ~hi] writes the Sakoe-Chiba envelope of a
+    prepared-space series into [lo] and [hi] (each as long as [series]):
+    the minimum and maximum of [series] within the DTW band of its
+    length around each position. {!prepare} builds every DTW reference's
+    envelope with it. *)
+
+val lower_bound :
+  cap:float ->
+  prepared ->
+  candidate:float array ->
+  lo:float array ->
+  hi:float array ->
+  float
+(** [lower_bound ~cap prepared ~candidate ~lo ~hi] bounds the DTW
+    distance [compute_resampled prepared ~candidate] computes from
+    below, bit for bit: the larger of the two LB_Keogh sums, [candidate]
+    against [prepared]'s envelope and [prepared]'s reference against
+    [candidate]'s envelope [lo]/[hi] (from {!envelopes}). It stops
+    once either sum passes [cap] and returns a value above [cap]. Meant
+    for a finite candidate in the prepared space (see
+    {!compute_resampled}); a non-finite sample voids the bound. Raises
+    [Invalid_argument] unless [prepared] is a DTW preparation as long
+    as [candidate], and [lo] and [hi] must be that long too. *)
+
 val compute :
   ?length:int ->
   ?cutoff:float ->

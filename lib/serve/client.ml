@@ -45,15 +45,20 @@ let script flows =
   List.iter (fun (sid, _) -> request ("close " ^ sid)) flows;
   Buffer.contents buf
 
-let connect = function
-  | Daemon.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      fd
-  | Daemon.Tcp port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      fd
+(* A socket whose connect fails is closed before the error goes on. *)
+let connect endpoint =
+  let domain, addr =
+    match endpoint with
+    | Daemon.Unix_socket path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | Daemon.Tcp port ->
+        (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+  in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd addr
+   with e ->
+     Daemon.close_noerr fd;
+     raise e);
+  fd
 
 (** [execute ?timeout endpoint ~request ~stop_line] sends [request] and
     collects reply lines until one satisfies [stop_line] (or the daemon

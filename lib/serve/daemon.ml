@@ -89,11 +89,19 @@ let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 exception Endpoint_in_use of string
 
 (* Only a socket that refuses connections (a dead daemon's) is replaced;
-   a live daemon's socket or any other file stops this daemon. *)
+   a live daemon's socket or any other file stops this daemon, and so
+   does a path whose directory is missing or is not a directory, which
+   [bind] would refuse only after the warm-up. *)
 let claim_socket_path path =
   let refuse why = raise (Endpoint_in_use (path ^ ": " ^ why)) in
   match (Unix.lstat path).Unix.st_kind with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ENOTDIR), _, _) -> (
+      let dir = Filename.dirname path in
+      match (Unix.stat dir).Unix.st_kind with
+      | Unix.S_DIR -> ()
+      | _ -> refuse (dir ^ " is not a directory")
+      | exception Unix.Unix_error (e, _, _) ->
+          refuse (dir ^ ": " ^ Unix.error_message e))
   | Unix.S_SOCK -> (
       let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Fun.protect ~finally:(fun () -> close_noerr probe) @@ fun () ->

@@ -144,12 +144,8 @@ let classify_session t s =
             | Escalate.Submitted -> t.n_escalated <- t.n_escalated + 1
             | Escalate.Duplicate | Escalate.Dropped -> ())
           t.config.escalate);
-  let distance =
-    match result.Abg_classifier.Online.closest with
-    | (_, d) :: _ -> d
-    | [] -> infinity
-  in
-  Protocol.verdict ~sid:s.sid ~window:len ~distance
+  Protocol.verdict ~sid:s.sid ~window:len
+    ~distance:result.Abg_classifier.Online.distance
     result.Abg_classifier.Online.verdict
 
 let classify t sid =

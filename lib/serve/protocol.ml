@@ -61,6 +61,11 @@ let with_sid line a n cmd k =
   if valid_sid line a n then Ok (k (String.sub line a (n - a)))
   else Error (cmd ^ ": missing or malformed session id")
 
+(* An unknown command is echoed by its first [max_echo] bytes at most,
+   so an error reply stays far below the 1 MiB line cap that clients
+   apply to replies, however long the word. *)
+let max_echo = 64
+
 (** [parse line] — the request on [line], or [Error message]. Blank
     lines are [Error ""] (callers skip them silently). *)
 let parse line =
@@ -89,7 +94,8 @@ let parse line =
       with_sid line a n "close" (fun sid -> Close sid)
     else if word_is line c "stats" then Ok Stats
     else if word_is line c "ping" then Ok Ping
-    else Error ("unknown command: " ^ String.sub line 0 c)
+    else
+      Error ("unknown command: " ^ String.sub line 0 (Int.min c max_echo))
   end
 
 (* Response formatters — every daemon reply goes through these, so the

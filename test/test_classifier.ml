@@ -257,38 +257,191 @@ let test_ccanalyzer_matches_per_pair_path () =
     [ ("reno", traces "reno"); ("vegas", traces "vegas");
       ("bbr + empty trace", traces "bbr" @ [ empty ]) ]
 
-(* Online simulates its references observed-only, and it scores
-   queries bit for bit like references cut from the observed series of
-   fully collected traces. *)
+(* The full scan [Online.classify_array] replaced, kept as its oracle:
+   every CCA scored on every reference window with the report threshold
+   as cutoff and cap, then ranked by mean, ties by name. *)
+let full_scan (online : Abg_classifier.Online.t) values =
+  let open Abg_classifier in
+  let q = Array.make Abg_distance.Series.default_length 0.0 in
+  Abg_distance.Series.prepare_candidate_into values
+    ~scale:(Online.window_scale values) q;
+  Array.to_list online.Online.refs
+  |> List.map (fun (name, prepared) ->
+         let sum =
+           Array.fold_left
+             (fun acc p ->
+               acc
+               +. Float.min
+                    (Abg_distance.Metric.compute_resampled
+                       ~cutoff:Online.report_threshold p ~candidate:q)
+                    Online.report_threshold)
+             0.0 prepared
+         in
+         (name, sum /. float_of_int (Array.length prepared)))
+  |> List.sort (fun (na, a) (nb, b) ->
+         match compare (a : float) b with 0 -> String.compare na nb | c -> c)
+
+(* The full scan's verdict and reported distance: its head's. *)
+let full_scan_result online values =
+  let open Abg_classifier in
+  if Array.length values < Online.min_points then (Gordon.Unknown None, infinity)
+  else
+    match full_scan online values with
+    | (best, d) :: _ when d <= Online.match_threshold -> (Gordon.Known best, d)
+    | (best, d) :: _ when d < Online.report_threshold ->
+        (Gordon.Unknown (Some best), d)
+    | (_, d) :: _ -> (Gordon.Unknown None, d)
+    | [] -> (Gordon.Unknown None, infinity)
+
+let reference_window_count (online : Abg_classifier.Online.t) =
+  Array.fold_left
+    (fun acc (_, ps) -> acc + Array.length ps)
+    0 online.Abg_classifier.Online.refs
+
+let dtw_calls = Abg_obs.Obs.Counter.make "distance.dtw.calls"
+let dtw_lb_pruned = Abg_obs.Obs.Counter.make "distance.dtw.lb_pruned"
+
+(* [Online.classify_array] answers exactly what the full scan answers:
+   the same verdict and the same distance bits. Every reference window
+   of a scored window is either a DTW call or a bound prune. *)
+let check_exact what online values =
+  let open Abg_classifier in
+  let want_verdict, want_distance = full_scan_result online values in
+  let counted () =
+    Abg_obs.Obs.Counter.value dtw_calls
+    + Abg_obs.Obs.Counter.value dtw_lb_pruned
+  in
+  let before = counted () in
+  let got = Online.classify_array online values in
+  let windows = counted () - before in
+  Alcotest.(check string) (what ^ ": verdict")
+    (Gordon.verdict_to_string want_verdict)
+    (Gordon.verdict_to_string got.Online.verdict);
+  Alcotest.(check int64) (what ^ ": distance bits")
+    (Int64.bits_of_float want_distance)
+    (Int64.bits_of_float got.Online.distance);
+  Alcotest.(check int) (what ^ ": calls + lb_pruned")
+    (if Array.length values < Online.min_points then 0
+     else reference_window_count online)
+    windows
+
+let online_at =
+  let built = Hashtbl.create 2 in
+  fun window ->
+    match Hashtbl.find_opt built window with
+    | Some o -> o
+    | None ->
+        let o = Abg_classifier.Online.create ~window () in
+        Hashtbl.replace built window o;
+        o
+
+(* Observed windows of short flows, like the serve corpus's 3 s flows. *)
+let short_flows =
+  lazy
+    (List.concat_map
+       (fun name ->
+         let ctor = Option.get (Abg_cca.Registry.find name) in
+         List.map
+           (fun cfg -> (name, Abg_trace.Trace.collect_observed cfg ctor))
+           (Abg_netsim.Config.testbed_grid ~duration:3.0 ~n:2 ()))
+       [ "reno"; "cubic"; "vegas" ])
+
+(* Windows cut every 32 records from every short flow, at the serve
+   default width and at half of it. *)
+let test_online_exact_on_collected_windows () =
+  List.iter
+    (fun window ->
+      let online = online_at window in
+      List.iteri
+        (fun f (name, v) ->
+          let pos = ref 0 in
+          while !pos + window <= Array.length v do
+            check_exact
+              (Printf.sprintf "%s flow %d window %d at %d" name f window !pos)
+              online (Array.sub v !pos window);
+            pos := !pos + 32
+          done)
+        (Lazy.force short_flows))
+    [ 512; 256 ]
+
+(* Windows no bound can be trusted on, and the degenerate ones. The
+   query is resampled from 512 to 128 points: samples 0, 201, 257 and
+   511 reach the prepared query, sample 256 falls between two of its
+   points and reaches only the window's scale. *)
+let test_online_exact_on_adversarial_windows () =
+  let _, v = List.hd (Lazy.force short_flows) in
+  let base = Array.sub v 64 512 in
+  let with_ f =
+    let a = Array.copy base in
+    f a;
+    a
+  in
+  let set i x a = a.(i) <- x in
+  let min_points = Abg_classifier.Online.min_points in
+  let cases =
+    [
+      ("nan first", with_ (set 0 Float.nan));
+      ("nan middle", with_ (set 257 Float.nan));
+      ("nan last", with_ (set 511 Float.nan));
+      ("nan between samples", with_ (set 256 Float.nan));
+      ("nan run", with_ (fun a -> Array.fill a 100 64 Float.nan));
+      ("+inf", with_ (set 201 Float.infinity));
+      ("-inf", with_ (set 201 Float.neg_infinity));
+      ("1e300 spike", with_ (set 300 1e300));
+      ("all zeros", Array.make 512 0.0);
+      ("constant", Array.make 512 10.0);
+      ("min_points", Array.sub base 0 min_points);
+      ("min_points - 1", Array.sub base 0 (min_points - 1));
+      ("unchanged", base);
+    ]
+  in
+  List.iter
+    (fun window ->
+      List.iter
+        (fun (what, values) ->
+          check_exact
+            (Printf.sprintf "%s, window %d" what window)
+            (online_at window) values)
+        cases)
+    [ 512; 256 ]
+
+(* Online simulates its references observed-only, and they are bit for
+   bit the references cut from the observed series of fully collected
+   traces: the full scan ranks every CCA identically over both, and the
+   search answers identically. *)
 let test_online_matches_collected_references () =
   let open Abg_classifier in
   let window = 256 in
-  let online = Online.create ~window () in
+  let online = online_at window in
   let from_records =
-    {
-      Online.refs =
-        Lazy.force reference_traces
-        |> List.map (fun (name, traces) ->
-               ( name,
-                 Array.of_list
-                   (List.concat_map
-                      (fun tr ->
-                        Online.reference_windows ~window
-                          (snd (Abg_trace.Trace.observed_series tr))
-                        |> List.map (fun w ->
-                               Abg_distance.Metric.prepare
-                                 Abg_distance.Metric.default ~truth:w))
-                      traces) ))
-        |> Array.of_list;
-      scratch = Array.make Abg_distance.Series.default_length 0.0;
-    }
+    Online.of_refs
+      (Lazy.force reference_traces
+      |> List.map (fun (name, traces) ->
+             ( name,
+               Array.of_list
+                 (List.concat_map
+                    (fun tr ->
+                      Online.reference_windows ~window
+                        (snd (Abg_trace.Trace.observed_series tr))
+                      |> List.map (fun w ->
+                             Abg_distance.Metric.prepare
+                               Abg_distance.Metric.default ~truth:w))
+                    traces) ))
+      |> Array.of_list)
   in
   List.iter
     (fun name ->
       let _, v = Abg_trace.Trace.observed_series (List.hd (traces name)) in
       let query = Array.sub v (Array.length v - window) window in
-      same_closest name (Online.classify_array from_records query).closest
-        (Online.classify_array online query).closest)
+      same_closest name (full_scan from_records query) (full_scan online query);
+      let a = Online.classify_array from_records query
+      and b = Online.classify_array online query in
+      Alcotest.(check string) (name ^ " verdict")
+        (Gordon.verdict_to_string a.Online.verdict)
+        (Gordon.verdict_to_string b.Online.verdict);
+      Alcotest.(check int64) (name ^ " distance bits")
+        (Int64.bits_of_float a.Online.distance)
+        (Int64.bits_of_float b.Online.distance))
     [ "reno"; "cubic"; "bbr" ]
 
 let test_dsl_hint_families () =
@@ -312,6 +465,10 @@ let suites =
       [
         Alcotest.test_case "same as collected refs" `Quick
           test_online_matches_collected_references;
+        Alcotest.test_case "exact on collected windows" `Quick
+          test_online_exact_on_collected_windows;
+        Alcotest.test_case "exact on adversarial windows" `Quick
+          test_online_exact_on_adversarial_windows;
       ] );
     ( "classifier.features",
       [

@@ -277,7 +277,9 @@ let oracle_parse line =
         else Error "obs: missing or malformed session id"
     | "stats" -> Ok Stats
     | "ping" -> Ok Ping
-    | _ -> Error (Printf.sprintf "unknown command: %s" cmd)
+    | _ ->
+        let echo = if String.length cmd > 64 then String.sub cmd 0 64 else cmd in
+        Error (Printf.sprintf "unknown command: %s" echo)
   end
 
 (* Lines built from command words, session-id-like tokens and the
@@ -287,7 +289,7 @@ let prop_protocol_parse_matches_oracle =
   let piece =
     QCheck.Gen.oneofl
       [ "obs"; "open"; "classify"; "close"; "stats"; "ping"; "s1"; "x"; "1.5";
-        " "; " "; "\t"; "\r"; "\012"; "" ]
+        String.make 40 'w'; " "; " "; "\t"; "\r"; "\012"; "" ]
   in
   QCheck.Test.make ~name:"Protocol.parse = split parser" ~count:5000
     QCheck.(make ~print:(Printf.sprintf "%S")
@@ -616,6 +618,22 @@ let test_daemon_end_to_end () =
     (Abg_serve.Client.execute endpoint
        ~request:(String.make (cap + 1) 'a' ^ "\nping\n")
        ~stop_line:(fun l -> l = "ok pong"));
+  (* A command word as long as a line may be is echoed by a short
+     prefix: the error reply stays far below the cap. *)
+  (match
+     Abg_serve.Client.execute endpoint
+       ~request:(String.make cap 'a' ^ "\nping\n")
+       ~stop_line:(fun l -> l = "ok pong")
+   with
+  | [ err; "ok pong" ] ->
+      Alcotest.(check bool) "unknown command answered" true
+        (has_prefix ~prefix:"err - unknown command: aaaa" err);
+      Alcotest.(check bool)
+        (Printf.sprintf "1 MiB word, %d-byte reply" (String.length err))
+        true
+        (String.length err < 128)
+  | replies ->
+      Alcotest.failf "1 MiB word: %d replies" (List.length replies));
   (* Graceful shutdown: stop request drains, removes the socket file,
      and [run] returns. *)
   Abg_serve.Daemon.request_stop ();
@@ -703,6 +721,51 @@ let test_daemon_refuses_before_warm_up () =
         (path ^ ": another daemon is listening") m);
   Alcotest.(check int) "no reference simulated" before
     (Abg_obs.Obs.Counter.value runs)
+
+(* A socket path whose directory is missing, or is a regular file,
+   cannot be bound: the daemon refuses it, naming the path, before it
+   warms up. *)
+let test_daemon_refuses_missing_dir_before_warm_up () =
+  with_socket_dir @@ fun path ->
+  let dir = Filename.dirname path in
+  let nodir = Filename.concat dir "nodir" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "data\n");
+  let runs = Abg_obs.Obs.Counter.make "sim.runs" in
+  let before = Abg_obs.Obs.Counter.value runs in
+  List.iter
+    (fun (socket, why) ->
+      let config =
+        {
+          Abg_serve.Daemon.default_config with
+          endpoint = Abg_serve.Daemon.Unix_socket socket;
+          log = (fun _ -> ());
+        }
+      in
+      match Abg_serve.Daemon.run ~config () with
+      | () -> Alcotest.fail "run served on an unbindable path"
+      | exception Abg_serve.Daemon.Endpoint_in_use m ->
+          Alcotest.(check string) "one line naming the path" (socket ^ why) m)
+    [
+      (Filename.concat nodir "x.sock",
+       ": " ^ nodir ^ ": No such file or directory");
+      (Filename.concat path "x.sock", ": " ^ path ^ " is not a directory");
+    ];
+  Alcotest.(check int) "no reference simulated" before
+    (Abg_obs.Obs.Counter.value runs)
+
+(* A connect that fails leaves no descriptor behind. *)
+let test_client_connect_failure_closes () =
+  with_socket_dir @@ fun path ->
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  for _ = 1 to 16 do
+    match Abg_serve.Client.connect (Abg_serve.Daemon.Unix_socket path) with
+    | fd ->
+        Unix.close fd;
+        Alcotest.fail "connected to a missing socket"
+    | exception Unix.Unix_error (Unix.ENOENT, "connect", _) -> ()
+  done;
+  Alcotest.(check int) "no descriptor leaked" before (open_fds ())
 
 let test_socket_path_not_a_socket () =
   with_socket_dir @@ fun path ->
@@ -801,6 +864,10 @@ let suites =
         Alcotest.test_case "live socket refused" `Quick test_socket_path_live;
         Alcotest.test_case "refused before warm-up" `Quick
           test_daemon_refuses_before_warm_up;
+        Alcotest.test_case "missing directory refused before warm-up" `Quick
+          test_daemon_refuses_missing_dir_before_warm_up;
+        Alcotest.test_case "failed connect closes its socket" `Quick
+          test_client_connect_failure_closes;
         Alcotest.test_case "non-socket path kept" `Quick
           test_socket_path_not_a_socket;
         Alcotest.test_case "log lines whole across domains" `Quick
