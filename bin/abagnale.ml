@@ -52,9 +52,7 @@ let load_traces paths =
   List.map
     (fun path ->
       try Abg_trace.Io.load path
-      with Invalid_argument msg | Failure msg | Sys_error msg ->
-        if String.starts_with ~prefix:path msg then die "%s" msg
-        else die "%s: %s" path msg)
+      with Invalid_argument msg -> die "%s: %s" path msg)
     paths
 
 (* -- shared arguments -- *)
@@ -104,7 +102,7 @@ let cca_arg =
 
 let trace_files_arg =
   let doc = "Trace files produced by `abagnale collect'." in
-  Arg.(non_empty & pos_all file [] & info [] ~docv:"TRACE" ~doc)
+  Arg.(non_empty & pos_all non_dir_file [] & info [] ~docv:"TRACE" ~doc)
 
 let scenarios_arg =
   let doc = "Number of testbed scenarios (RTT x bandwidth grid points)." in
@@ -143,14 +141,44 @@ let telemetry_arg =
   Arg.(value & opt (some string) None & info [ "telemetry" ] ~docv:"FILE" ~doc)
 
 (* A subcommand whose term yields its body. With [~telemetry] it also
-   takes --telemetry FILE and flushes the report once the body returns
-   or raises [Exit_status]; an early [exit] skips the report — a
-   truncated run has no meaningful counters to gate on. *)
+   takes --telemetry FILE, refuses one whose directory is missing or is
+   not a directory before the body runs, and flushes the report once the
+   body returns or raises [Exit_status]; an early [exit] skips the report
+   — a truncated run has no meaningful counters to gate on.
+
+   This is the CLI's one error boundary. An input or environment failure
+   — a file or socket the system refuses ([Sys_error], [Unix_error]), a
+   corrupt document ([Json.Malformed], [Store.Corrupt]), a failed fuzz
+   generation ([Fuzz_batch.Failed]) or an endpoint in use — is one stderr
+   line naming the path or endpoint, and exit 1 with no report. Anything
+   else escaping a body is a bug and stays loud: cmdliner's internal
+   error, exit 125. *)
 let command ?(telemetry = false) name ~doc body =
   let run path body =
-    let status = try body (); 0 with Exit_status n -> n in
-    Option.iter Abg_obs.Report.write path;
-    if status <> 0 then exit status
+    Option.iter
+      (fun path ->
+        let dir = Filename.dirname path in
+        match Sys.is_directory dir with
+        | true -> ()
+        | false -> die "%s: %s is not a directory" path dir
+        | exception Sys_error msg -> die "%s: %s" path msg)
+      path;
+    match
+      let status = try body (); 0 with Exit_status n -> n in
+      Option.iter Abg_obs.Report.write path;
+      status
+    with
+    | 0 -> ()
+    | status -> exit status
+    | exception
+        ( Sys_error msg
+        | Json.Malformed msg
+        | Abg_batch.Store.Corrupt msg
+        | Abg_batch.Fuzz_batch.Failed msg
+        | Abg_serve.Daemon.Endpoint_in_use msg ) ->
+        die "%s" msg
+    | exception Unix.Unix_error (e, fn, arg) ->
+        die "%s: %s" (if arg = "" then fn else arg) (Unix.error_message e)
   in
   let path = if telemetry then telemetry_arg else Term.const None in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ path $ body)
@@ -159,7 +187,7 @@ let command ?(telemetry = false) name ~doc body =
 
 let collect cca_name scenarios duration output_dir () =
   let ctor = find_cca cca_name in
-  if not (Sys.file_exists output_dir) then Sys.mkdir output_dir 0o755;
+  Abg_batch.Durable.mkdir_p output_dir;
   let traces =
     Abg_trace.Trace.collect_suite ~duration ~n:scenarios ~name:cca_name ctor
   in
@@ -222,7 +250,7 @@ let synth_cca_arg =
 
 let synth_traces_arg =
   let doc = "Trace files produced by `abagnale collect' (or use --cca)." in
-  Arg.(value & pos_all file [] & info [] ~docv:"TRACE" ~doc)
+  Arg.(value & pos_all non_dir_file [] & info [] ~docv:"TRACE" ~doc)
 
 (* The prune and simulation summary is read from ONE telemetry snapshot —
    the same counters the refinement loop and the simulator rode on. *)
@@ -320,7 +348,7 @@ let handler_arg =
 
 let distance_files_arg =
   let doc = "Trace files to score against." in
-  Arg.(non_empty & pos_right 0 file [] & info [] ~docv:"TRACE" ~doc)
+  Arg.(non_empty & pos_right 0 non_dir_file [] & info [] ~docv:"TRACE" ~doc)
 
 let distance handler_name trace_files () =
   match Abg_core.Fine_tuned.find_fine_tuned handler_name with
@@ -535,16 +563,15 @@ let simplify_cmd =
 
 (* -- telemetry -- *)
 
+let read_counters path =
+  Json.naming path (fun () ->
+      Abg_obs.Report.counters_of_json (Json.of_file path))
+
 let telemetry_diff baseline_path current_path () =
-  let read path = In_channel.with_open_bin path In_channel.input_all in
-  let baseline = read baseline_path and current = read current_path in
+  let baseline = read_counters baseline_path in
+  let current = read_counters current_path in
   match Abg_obs.Report.diff_counters ~baseline ~current with
-  | exception Json.Malformed msg -> die "telemetry diff: %s" msg
-  | [] ->
-      let n =
-        List.length (Abg_obs.Report.counters_of_json (Json.parse current))
-      in
-      Printf.printf "counters agree (%d counters)\n" n
+  | [] -> Printf.printf "counters agree (%d counters)\n" (List.length current)
   | drifts ->
       List.iter
         (fun d -> Printf.printf "%s\n" (Abg_obs.Report.pp_drift d))
@@ -556,13 +583,13 @@ let telemetry_diff_cmd =
   let baseline_arg =
     Arg.(
       required
-      & pos 0 (some file) None
+      & pos 0 (some non_dir_file) None
       & info [] ~docv:"BASELINE" ~doc:"Baseline telemetry report (JSON).")
   in
   let current_arg =
     Arg.(
       required
-      & pos 1 (some file) None
+      & pos 1 (some non_dir_file) None
       & info [] ~docv:"CURRENT" ~doc:"Telemetry report to check (JSON).")
   in
   command "diff"
@@ -572,16 +599,15 @@ let telemetry_diff_cmd =
     Term.(const telemetry_diff $ baseline_arg $ current_arg)
 
 let telemetry_show path () =
-  match Abg_obs.Report.counters_of_json (Json.of_file path) with
-  | exception Json.Malformed msg -> die "telemetry show: %s" msg
-  | counters ->
-      List.iter (fun (name, n) -> Printf.printf "%-40s %d\n" name n) counters
+  List.iter
+    (fun (name, n) -> Printf.printf "%-40s %d\n" name n)
+    (read_counters path)
 
 let telemetry_show_cmd =
   let file_arg =
     Arg.(
       required
-      & pos 0 (some file) None
+      & pos 0 (some non_dir_file) None
       & info [] ~docv:"REPORT" ~doc:"Telemetry report (JSON).")
   in
   command "show" ~doc:"Print the deterministic counters of a report"
@@ -777,19 +803,7 @@ let batch_run_cmd =
       $ duration_arg $ ack_jitter_arg $ seeds_arg $ run_settings
       $ workers_arg)
 
-(* A missing or corrupt run directory, or a failed fuzz generation, is
-   an input error, not a crash: each of these messages names the file
-   or directory and the reason. *)
-let on_run_dir f =
-  try f () with
-  | Sys_error msg
-  | Json.Malformed msg
-  | Abg_batch.Store.Corrupt msg
-  | Abg_batch.Fuzz_batch.Failed msg ->
-      die "%s" msg
-
 let batch_resume dir settings workers () =
-  on_run_dir @@ fun () ->
   match workers with
   | Some workers ->
       if settings.Abg_batch.Runner.shard <> None then
@@ -810,15 +824,13 @@ let batch_resume_cmd =
        terminal record (crash recovery; idempotent)"
     Term.(const batch_resume $ batch_dir_arg $ run_settings $ workers_arg)
 
-let batch_status dir () =
-  on_run_dir (fun () -> print_string (Abg_batch.Report.status dir))
+let batch_status dir () = print_string (Abg_batch.Report.status dir)
 
 let batch_status_cmd =
   command "status" ~doc:"Summarize a run directory's progress"
     Term.(const batch_status $ batch_dir_arg)
 
-let batch_report dir () =
-  on_run_dir (fun () -> print_string (Abg_batch.Report.render dir))
+let batch_report dir () = print_string (Abg_batch.Report.render dir)
 
 let batch_report_cmd =
   command "report"
@@ -828,7 +840,6 @@ let batch_report_cmd =
     Term.(const batch_report $ batch_dir_arg)
 
 let batch_gc dir () =
-  on_run_dir @@ fun () ->
   let stats = Abg_batch.Runner.gc ~dir in
   Printf.printf
     "gc: %d live blob(s) kept, %d swept, %d pack(s) folded into gc.pack\n"
@@ -962,8 +973,7 @@ let serve socket tcp window max_sessions no_escalate () =
       log;
     }
   in
-  try Abg_serve.Daemon.run ~config ()
-  with Abg_serve.Daemon.Endpoint_in_use msg -> die "%s" msg
+  Abg_serve.Daemon.run ~config ()
 
 let serve_cmd =
   command ~telemetry:true "serve"
@@ -1130,8 +1140,8 @@ let read_fuzz_spec dir =
   let path = fuzz_spec_path dir in
   if not (Sys.file_exists path) then
     die "%s: no fuzz run here (missing fuzz.json)" dir;
-  try check_fuzz_spec (fuzz_spec_of_json (Json.of_file path))
-  with Json.Malformed msg -> die "%s: %s" path msg
+  Json.naming path (fun () ->
+      check_fuzz_spec (fuzz_spec_of_json (Json.of_file path)))
 
 (* The scenario impairment seed is the search seed: one --seed pins the
    entire run. *)
@@ -1410,7 +1420,6 @@ let fuzz_json_arg =
   Arg.(value & flag & info [ "json" ] ~doc)
 
 let fuzz_finish ~dir ?num_domains ~verbose ~json spec =
-  on_run_dir @@ fun () ->
   let result = fuzz_drive ~dir ?num_domains ~verbose spec in
   let doc = fuzz_report_doc spec result in
   if json then print_endline (Json.to_string doc)
@@ -1434,6 +1443,7 @@ let fuzz_run dir fitness cca cca_b generations pop duration synth_scenarios
        | _ -> []));
   if Sys.file_exists (fuzz_spec_path dir) then
     die "%s already contains a fuzz run; use `fuzz resume'" dir;
+  Abg_batch.Durable.mkdir_p dir;
   (* The counterexample target is synthesized up front and frozen into
      the spec: every generation attacks the same handler. *)
   let fz_handler =

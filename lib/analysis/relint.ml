@@ -110,13 +110,6 @@ let of_box (box : Absint.box) =
 let default () = of_box (Absint.default_box ())
 let for_dsl dsl = of_box (Absint.box_for dsl)
 
-let box t =
-  {
-    Absint.cwnd = cwnd_iv t;
-    hole = t.hole;
-    signal = (fun s -> signal_iv t s);
-  }
-
 (* The DBM variable denoted by an expression, when it is one. *)
 let var_of = function
   | Expr.Cwnd -> Some var_cwnd

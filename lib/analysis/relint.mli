@@ -36,10 +36,6 @@ val for_dsl : Catalog.t -> t
 (** [of_box (Absint.box_for dsl)] — hole interval from the constant
     pool. *)
 
-val box : t -> Absint.box
-(** The zone's interval projection as an [Absint] box (signal bounds
-    possibly tightened by assumptions). *)
-
 val cwnd_iv : t -> Interval.t
 val signal_iv : t -> Signal.t -> Interval.t
 val hole : t -> Interval.t

@@ -5,6 +5,8 @@ let rec mkdir_p path =
     mkdir_p (Filename.dirname path);
     try Sys.mkdir path 0o755 with Sys_error _ when Sys.file_exists path -> ()
   end
+  else if not (Sys.is_directory path) then
+    raise (Sys_error (path ^ ": Not a directory"))
 
 let fsync_dir path =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with

@@ -8,7 +8,8 @@
 
 val mkdir_p : string -> unit
 (** Create a directory and its missing parents; concurrent creators
-    race benignly. *)
+    race benignly. Raises [Sys_error] naming the path, or the ancestor,
+    that exists and is not a directory. *)
 
 val fsync_dir : string -> unit
 (** Make renames and unlinks in a directory durable. Best effort: a

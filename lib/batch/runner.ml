@@ -60,14 +60,9 @@ let journal_paths ~dir =
       |> List.sort String.compare
       |> List.map (fun n -> dir / n)
 
-(* Prefix a parse error with the file it came from, so a corrupt run
-   directory surfaces as one message naming the path and the reason. *)
-let naming path f =
-  try f () with Json.Malformed msg -> raise (Json.Malformed (path ^ ": " ^ msg))
-
 let settled_entries dir =
   List.concat_map
-    (fun path -> naming path (fun () -> Journal.replay path))
+    (fun path -> Json.naming path (fun () -> Journal.replay path))
     (journal_paths ~dir)
 
 (* -- job bodies -- *)
@@ -349,7 +344,7 @@ let init ~dir jobs =
    wrapper or a job listed twice would run jobs no writer meant. *)
 let jobs_of_dir ~dir =
   let path = grid_path dir in
-  naming path (fun () ->
+  Json.naming path (fun () ->
       let keyed =
         (match Json.of_file path with
         | Json.Obj [ ("schema", Json.Str "abagnale-grid/1"); ("jobs", Json.List l) ]

@@ -159,9 +159,34 @@ let int_zero id =
 
 (* -- Instrument registries --
 
-   [make] is idempotent by name: modules register their instruments at
-   init time, and tests or re-entrant loads get the existing cell back
-   rather than a fresh one (which would fork the count). *)
+   One table per instrument kind. [register] is idempotent by name:
+   modules register their instruments at init time, and tests or
+   re-entrant loads get the existing instrument back rather than a fresh
+   one (which would fork the count). [members] lists a table sorted by
+   name, the order of every snapshot section. *)
+
+type 'a registry = { table : (string, 'a) Hashtbl.t; lock : Mutex.t }
+
+let registry () = { table = Hashtbl.create 16; lock = Mutex.create () }
+
+let register r name create =
+  Mutex.lock r.lock;
+  let t =
+    match Hashtbl.find_opt r.table name with
+    | Some t -> t
+    | None ->
+        let t = create () in
+        Hashtbl.add r.table name t;
+        t
+  in
+  Mutex.unlock r.lock;
+  t
+
+let members r =
+  Mutex.lock r.lock;
+  let l = Hashtbl.fold (fun name t acc -> (name, t) :: acc) r.table [] in
+  Mutex.unlock r.lock;
+  List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) l)
 
 let alloc_int_cell () =
   Mutex.lock registry_m;
@@ -180,33 +205,18 @@ let alloc_float_cell () =
 module Counter = struct
   type t = { name : string; id : int; volatile : bool }
 
-  let registered : (string, t) Hashtbl.t = Hashtbl.create 64
-  let registered_m = Mutex.create ()
+  let registered = registry ()
 
   let make ?(volatile = false) name =
-    Mutex.lock registered_m;
-    let t =
-      match Hashtbl.find_opt registered name with
-      | Some t -> t
-      | None ->
-          let t = { name; id = alloc_int_cell (); volatile } in
-          Hashtbl.add registered name t;
-          t
-    in
-    Mutex.unlock registered_m;
-    t
+    register registered name (fun () ->
+        { name; id = alloc_int_cell (); volatile })
 
   let add t n = if !enabled_flag && n <> 0 then int_add t.id n
   let incr t = add t 1
   let value t = int_sum t.id
   let name t = t.name
   let reset t = int_zero t.id
-
-  let all () =
-    Mutex.lock registered_m;
-    let l = Hashtbl.fold (fun _ t acc -> t :: acc) registered [] in
-    Mutex.unlock registered_m;
-    List.sort (fun a b -> compare a.name b.name) l
+  let all () = members registered
 end
 
 module Gauge = struct
@@ -215,31 +225,12 @@ module Gauge = struct
      level. *)
   type t = { name : string; mutable v : float }
 
-  let registered : (string, t) Hashtbl.t = Hashtbl.create 16
-  let registered_m = Mutex.create ()
-
-  let make name =
-    Mutex.lock registered_m;
-    let t =
-      match Hashtbl.find_opt registered name with
-      | Some t -> t
-      | None ->
-          let t = { name; v = 0.0 } in
-          Hashtbl.add registered name t;
-          t
-    in
-    Mutex.unlock registered_m;
-    t
-
+  let registered = registry ()
+  let make name = register registered name (fun () -> { name; v = 0.0 })
   let set t v = if !enabled_flag then t.v <- v
   let value t = t.v
   let name t = t.name
-
-  let all () =
-    Mutex.lock registered_m;
-    let l = Hashtbl.fold (fun _ t acc -> t :: acc) registered [] in
-    Mutex.unlock registered_m;
-    List.sort (fun a b -> compare a.name b.name) l
+  let all () = members registered
 end
 
 module Histogram = struct
@@ -256,25 +247,15 @@ module Histogram = struct
     sum_id : int;  (* float cell: exact sum of observed values *)
   }
 
-  let registered : (string, t) Hashtbl.t = Hashtbl.create 32
-  let registered_m = Mutex.create ()
+  let registered = registry ()
 
   let make name =
-    Mutex.lock registered_m;
-    let t =
-      match Hashtbl.find_opt registered name with
-      | Some t -> t
-      | None ->
-          Mutex.lock registry_m;
-          let base = !n_int_cells in
-          n_int_cells := !n_int_cells + buckets;
-          Mutex.unlock registry_m;
-          let t = { name; base; sum_id = alloc_float_cell () } in
-          Hashtbl.add registered name t;
-          t
-    in
-    Mutex.unlock registered_m;
-    t
+    register registered name (fun () ->
+        Mutex.lock registry_m;
+        let base = !n_int_cells in
+        n_int_cells := !n_int_cells + buckets;
+        Mutex.unlock registry_m;
+        { name; base; sum_id = alloc_float_cell () })
 
   let bucket_of v =
     if not (v >= 1.0) then 0 (* also catches nan and negatives *)
@@ -339,12 +320,7 @@ module Histogram = struct
     end
 
   let name t = t.name
-
-  let all () =
-    Mutex.lock registered_m;
-    let l = Hashtbl.fold (fun _ t acc -> t :: acc) registered [] in
-    Mutex.unlock registered_m;
-    List.sort (fun a b -> compare a.name b.name) l
+  let all () = members registered
 end
 
 module Floatcell = struct
@@ -353,32 +329,15 @@ module Floatcell = struct
      breakdown (slot = shard registration order). *)
   type t = { name : string; id : int }
 
-  let registered : (string, t) Hashtbl.t = Hashtbl.create 16
-  let registered_m = Mutex.create ()
-
+  let registered = registry ()
   let make name =
-    Mutex.lock registered_m;
-    let t =
-      match Hashtbl.find_opt registered name with
-      | Some t -> t
-      | None ->
-          let t = { name; id = alloc_float_cell () } in
-          Hashtbl.add registered name t;
-          t
-    in
-    Mutex.unlock registered_m;
-    t
+    register registered name (fun () -> { name; id = alloc_float_cell () })
 
   let add t v = if !enabled_flag then float_add t.id v
   let total t = float_sum t.id
   let per_domain t = float_per_slot t.id
   let name t = t.name
-
-  let all () =
-    Mutex.lock registered_m;
-    let l = Hashtbl.fold (fun _ t acc -> t :: acc) registered [] in
-    Mutex.unlock registered_m;
-    List.sort (fun a b -> compare a.name b.name) l
+  let all () = members registered
 end
 
 (* -- Span timers --

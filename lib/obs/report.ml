@@ -80,13 +80,11 @@ let pp_drift = function
   | Unexpected (k, v) -> Printf.sprintf "unexpected %-40s absent from baseline, now %d" k v
   | Changed (k, b, c) -> Printf.sprintf "changed   %-40s baseline %d -> %d" k b c
 
-(** [diff_counters ~baseline ~current] compares the deterministic counter
-    sections of two telemetry documents (raw JSON strings). Returns every
-    drift, sorted by counter name; [[]] means the sections agree exactly
-    (same keys, same values). *)
-let diff_counters ~baseline ~current =
-  let b = counters_of_json (Json.parse baseline) in
-  let c = counters_of_json (Json.parse current) in
+(** [diff_counters ~baseline ~current] compares two counter sections (as
+    {!counters_of_json} reads them). Returns every drift, sorted by
+    counter name; [[]] means the sections agree exactly (same keys, same
+    values). *)
+let diff_counters ~baseline:b ~current:c =
   let drifts = ref [] in
   List.iter
     (fun (k, bv) ->

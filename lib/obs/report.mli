@@ -28,10 +28,10 @@ type drift =
 
 val pp_drift : drift -> string
 
-val diff_counters : baseline:string -> current:string -> drift list
-(** Compare the deterministic counter sections of two telemetry documents
-    (raw JSON strings); [[]] means exact agreement. Raises
-    {!Abg_util.Json.Malformed} on an unreadable document. *)
+val diff_counters :
+  baseline:(string * int) list -> current:(string * int) list -> drift list
+(** Compare two counter sections, as {!counters_of_json} reads them;
+    [[]] means exact agreement. *)
 
 val find_counter : Obs.snapshot -> string -> int
 (** Value of one deterministic counter in a snapshot, 0 when absent. *)

@@ -86,6 +86,8 @@ let install_signal_handlers () =
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+(** An endpoint the daemon will not or cannot take; the message starts
+    with the socket path or [127.0.0.1:PORT]. *)
 exception Endpoint_in_use of string
 
 (* Only a socket that refuses connections (a dead daemon's) is replaced;
@@ -120,7 +122,12 @@ let listen_on = function
   | Tcp port ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      (try Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+       with Unix.Unix_error (e, _, _) ->
+         close_noerr fd;
+         raise
+           (Endpoint_in_use
+              (Printf.sprintf "127.0.0.1:%d: %s" port (Unix.error_message e))));
       Unix.listen fd 128;
       fd
 

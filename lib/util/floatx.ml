@@ -8,8 +8,6 @@ let approx_equal ?(eps = 1e-9) a b =
 
 let clamp ~lo ~hi x = Float.max lo (Float.min hi x)
 
-let is_finite x = Float.is_finite x
-
 (** [safe_div a b] avoids infinities: division by (near-)zero yields 0. The
     DSL evaluator uses this so that candidate handlers never poison a whole
     replay with a NaN from one degenerate sample. *)

@@ -4,7 +4,6 @@ val approx_equal : ?eps:float -> float -> float -> bool
 (** Combined absolute/relative tolerance (default 1e-9). *)
 
 val clamp : lo:float -> hi:float -> float -> float
-val is_finite : float -> bool
 
 val safe_div : float -> float -> float
 (** Division by (near-)zero yields 0 — a degenerate candidate handler

@@ -31,8 +31,6 @@ let const c =
   if Float.is_nan c then { lo = Float.neg_infinity; hi = Float.infinity; nan = true }
   else { lo = c; hi = c; nan = false }
 
-let top = { lo = Float.neg_infinity; hi = Float.infinity; nan = true }
-
 let contains i x = if Float.is_nan x then i.nan else i.lo <= x && x <= i.hi
 let contains_zero i = i.lo <= 0.0 && 0.0 <= i.hi
 let has_inf i = i.lo = Float.neg_infinity || i.hi = Float.infinity

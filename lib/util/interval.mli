@@ -17,10 +17,7 @@ val v : ?nan:bool -> float -> float -> t
     [lo > hi] or either endpoint is NaN. [nan] defaults to [false]. *)
 
 val const : float -> t
-(** Singleton interval; a NaN constant maps to {!top}. *)
-
-val top : t
-(** All floats including NaN. *)
+(** Singleton interval; a NaN constant maps to all floats and NaN. *)
 
 val contains : t -> float -> bool
 (** Membership; [contains i nan] is the NaN flag. *)

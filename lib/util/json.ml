@@ -209,6 +209,9 @@ let parse (s : string) : t =
 
 let of_file path = parse (In_channel.with_open_bin path In_channel.input_all)
 
+let naming path f =
+  try f () with Malformed msg -> raise (Malformed (path ^ ": " ^ msg))
+
 (* -- Accessors -- *)
 
 let hex f = Str (Printf.sprintf "%h" f)

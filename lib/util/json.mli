@@ -40,6 +40,10 @@ val parse : string -> t
 val of_file : string -> t
 (** [parse] the whole file. *)
 
+val naming : string -> (unit -> 'a) -> 'a
+(** [naming path f] is [f ()], with ["path: "] put before the message of
+    a {!Malformed} it raises: the one way a parse error names its file. *)
+
 val hex : float -> t
 (** A float as a bit-exact hex-notation JSON string (["0x1.8p+3"]). *)
 

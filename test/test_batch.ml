@@ -264,6 +264,21 @@ let test_durable_replace () =
   Alcotest.(check (list string)) "no temp file left" [ "doc.json" ]
     (Array.to_list (Sys.readdir dir))
 
+(* A regular file where a directory should be is refused by name, at
+   once: the CLI creates its output directories this way before any
+   work. *)
+let test_durable_mkdir_p_over_file () =
+  let afile = Filename.concat (fresh_dir ()) "afile" in
+  Out_channel.with_open_bin afile (fun oc -> output_string oc "x\n");
+  List.iter
+    (fun path ->
+      match Abg_batch.Durable.mkdir_p path with
+      | () -> Alcotest.failf "mkdir_p %s returned" path
+      | exception Sys_error msg ->
+          Alcotest.(check string) "names the file" (afile ^ ": Not a directory")
+            msg)
+    [ afile; Filename.concat afile "sub" ]
+
 (* -- Store -- *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -1215,7 +1230,11 @@ let suites =
         Alcotest.test_case "unknown dsl refused" `Quick test_job_unknown_dsl;
       ] );
     ( "batch.durable",
-      [ Alcotest.test_case "replace" `Quick test_durable_replace ] );
+      [
+        Alcotest.test_case "replace" `Quick test_durable_replace;
+        Alcotest.test_case "mkdir_p over a file refused" `Quick
+          test_durable_mkdir_p_over_file;
+      ] );
     ( "batch.store",
       [
         Alcotest.test_case "put/get" `Quick test_store_put_get;

@@ -753,10 +753,11 @@ let test_daemon_refuses_missing_dir_before_warm_up () =
   Alcotest.(check int) "no reference simulated" before
     (Abg_obs.Obs.Counter.value runs)
 
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
 (* A connect that fails leaves no descriptor behind. *)
 let test_client_connect_failure_closes () =
   with_socket_dir @@ fun path ->
-  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
   let before = open_fds () in
   for _ = 1 to 16 do
     match Abg_serve.Client.connect (Abg_serve.Daemon.Unix_socket path) with
@@ -773,6 +774,30 @@ let test_socket_path_not_a_socket () =
   refused_with path ": exists and is not a socket";
   Alcotest.(check string) "file untouched" "data\n"
     (In_channel.with_open_bin path In_channel.input_all)
+
+(* A TCP port another socket listens on is refused naming the endpoint,
+   and the daemon's own socket is closed. *)
+let test_tcp_port_in_use () =
+  let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close holder) @@ fun () ->
+  Unix.bind holder (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen holder 1;
+  let port =
+    match Unix.getsockname holder with
+    | Unix.ADDR_INET (_, port) -> port
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+  in
+  let before = open_fds () in
+  (match Abg_serve.Daemon.listen_on (Abg_serve.Daemon.Tcp port) with
+  | fd ->
+      Unix.close fd;
+      Alcotest.fail "listen_on took a port in use"
+  | exception Abg_serve.Daemon.Endpoint_in_use m ->
+      Alcotest.(check string) "one line naming the endpoint"
+        (Printf.sprintf "127.0.0.1:%d: %s" port
+           (Unix.error_message Unix.EADDRINUSE))
+        m);
+  Alcotest.(check int) "no descriptor leaked" before (open_fds ())
 
 (* Two domains log through one channel at once: every line reads back
    whole, each exactly once. *)
@@ -870,6 +895,8 @@ let suites =
           test_client_connect_failure_closes;
         Alcotest.test_case "non-socket path kept" `Quick
           test_socket_path_not_a_socket;
+        Alcotest.test_case "TCP port in use refused" `Quick
+          test_tcp_port_in_use;
         Alcotest.test_case "log lines whole across domains" `Quick
           test_log_lines_whole ] );
   ]
