@@ -9,6 +9,11 @@
    - max_ns: an absolute ceiling for targets the design commits to
      unconditionally (e.g. serve classify p99 < 10 ms).
 
+   The baseline's "work" section pins the simulator kernels' untimed
+   counts (minor words and sim events per op, from BENCH_work.json),
+   which hold on every host for one compiler and build profile: each
+   must equal its pinned value exactly.
+
    Exit 1 on any violation or missing fresh entry, so the CI job fails.
    Run it after the micro and serve sections:
      dune exec bench/main.exe -- micro serve gate *)
@@ -20,8 +25,8 @@ let baseline_path = "ci/bench-baseline.json"
 let num_field name j =
   match Json.member_opt name j with Some (Json.Num f) -> Some f | _ -> None
 
-(* Flat name -> estimate map of one fresh BENCH_*.json file. *)
-let fresh_estimates path =
+(* The members of one fresh BENCH_*.json file. *)
+let fresh_members path =
   if not (Sys.file_exists path) then
     failwith
       (Printf.sprintf
@@ -29,11 +34,36 @@ let fresh_estimates path =
           bench/main.exe -- micro serve gate)"
          path);
   match Json.of_file path with
-  | Json.Obj fields ->
-      List.filter_map
-        (function name, Json.Num f -> Some (name, f) | _ -> None)
-        fields
+  | Json.Obj fields -> fields
   | _ -> failwith (Printf.sprintf "bench gate: %s is not a JSON object" path)
+
+(* Flat name -> estimate map of one fresh BENCH_*.json file. *)
+let fresh_estimates path =
+  List.filter_map
+    (function name, Json.Num f -> Some (name, f) | _ -> None)
+    (fresh_members path)
+
+(* Each pinned count of a "work" entry against the fresh one. *)
+let check_work ~failures fresh (name, spec) =
+  let counts =
+    match spec with
+    | Json.Obj counts -> counts
+    | _ -> failwith ("bench gate: work entry " ^ name ^ " is not an object")
+  in
+  List.iter
+    (fun (count, pinned) ->
+      let label = name ^ " " ^ count in
+      let value = Option.bind (List.assoc_opt name fresh) (num_field count) in
+      match (pinned, value) with
+      | Json.Num pinned, Some value when Float.equal value pinned ->
+          Printf.printf "ok   %-56s %12.0f\n" label value
+      | Json.Num pinned, Some value ->
+          incr failures;
+          Printf.printf "FAIL %-56s %12.0f  pinned %.0f\n" label value pinned
+      | _, _ ->
+          incr failures;
+          Printf.printf "FAIL %-56s missing from fresh counts\n" label)
+    counts
 
 let run () =
   Runs.heading "Bench regression gate (vs ci/bench-baseline.json)";
@@ -83,9 +113,17 @@ let run () =
           (String.concat "; " (List.map snd verdicts))
   in
   List.iter (fun (name, spec) -> check name spec) entries;
+  let work =
+    match Json.member_opt "work" baseline with
+    | Some (Json.Obj work) -> work
+    | _ -> failwith "bench gate: baseline has no work object"
+  in
+  List.iter (check_work ~failures (fresh_members "BENCH_work.json")) work;
   if !failures > 0 then begin
     Printf.printf "[gate: %d regression(s) against %s]\n" !failures
       baseline_path;
     exit 1
   end
-  else Printf.printf "[gate: %d entries within budget]\n\n" (List.length entries)
+  else
+    Printf.printf "[gate: %d entries within budget, %d work kernels exact]\n\n"
+      (List.length entries) (List.length work)

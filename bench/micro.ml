@@ -4,7 +4,8 @@
 
    Besides printing, the section writes every estimate to
    BENCH_micro.json (name -> ns/run) in the current directory, so the
-   perf trajectory of the hot paths is tracked across PRs. *)
+   perf trajectory of the hot paths is tracked across PRs, and the
+   untimed work counts of the simulator kernels to BENCH_work.json. *)
 
 open Bechamel
 open Toolkit
@@ -197,36 +198,37 @@ let equiv_handler_pair_test =
        (Staged.stage (fun () ->
             ignore (Abg_analysis.Equiv.decide rel a b))))
 
+let simulate_1s_reno () =
+  let cfg =
+    Abg_netsim.Config.make ~duration:1.0 ~bandwidth_mbps:10.0 ~rtt_ms:50.0 ()
+  in
+  let cca = Abg_cca.Reno.create ~mss:1448.0 () in
+  ignore (Abg_netsim.Sim.run cfg cca)
+
 let simulate_test =
-  Test.make ~name:"table3: simulate-1s-reno"
-    (Staged.stage (fun () ->
-         let cfg =
-           Abg_netsim.Config.make ~duration:1.0 ~bandwidth_mbps:10.0
-             ~rtt_ms:50.0 ()
-         in
-         let cca = Abg_cca.Reno.create ~mss:1448.0 () in
-         ignore (Abg_netsim.Sim.run cfg cca)))
+  Test.make ~name:"table3: simulate-1s-reno" (Staged.stage simulate_1s_reno)
 
 (* The extended-scenario kernel the fuzzer runs: ACK jitter (a normal
    draw per ACK), one on-off cross flow and reordering, so every event
    lane and the RNG sit on the measured path. *)
+let simulate_6s_extended () =
+  let cfg =
+    {
+      (Abg_netsim.Config.make ~duration:6.0 ~bandwidth_mbps:10.0 ~rtt_ms:50.0
+         ~ack_jitter:0.001 ~seed:7 ())
+      with
+      Abg_netsim.Config.cross =
+        [ Abg_netsim.Config.On_off { rate_bps = 3e6; on_s = 0.5; off_s = 0.5 } ];
+      reorder_prob = 0.01;
+      reorder_delay = 0.004;
+    }
+  in
+  let cca = Abg_cca.Reno.create ~mss:1448.0 () in
+  ignore (Abg_netsim.Sim.run cfg cca)
+
 let simulate_extended_test =
   Test.make ~name:"netsim: simulate-6s-extended"
-    (Staged.stage (fun () ->
-         let cfg =
-           {
-             (Abg_netsim.Config.make ~duration:6.0 ~bandwidth_mbps:10.0
-                ~rtt_ms:50.0 ~ack_jitter:0.001 ~seed:7 ())
-             with
-             Abg_netsim.Config.cross =
-               [ Abg_netsim.Config.On_off
-                   { rate_bps = 3e6; on_s = 0.5; off_s = 0.5 } ];
-             reorder_prob = 0.01;
-             reorder_delay = 0.004;
-           }
-         in
-         let cca = Abg_cca.Reno.create ~mss:1448.0 () in
-         ignore (Abg_netsim.Sim.run cfg cca)))
+    (Staged.stage simulate_6s_extended)
 
 (* Whole-suite collection: simulate and derive. *)
 let collect_suite_test =
@@ -446,7 +448,7 @@ let fuzz_generation_test =
    reno and cubic simulated for 6 s on a fixed scenario with a bandwidth
    step, an on-off cross flow, outages, reordering and ACK jitter, then
    DTW over the two observed windows. *)
-let fuzz_divergence_eval_test =
+let divergence_eval_6s =
   lazy
     (let genome =
        [| 10.0; 50.0; 1.0; 0.001; 1.0; 0.5; 0.5; 0.3; 0.5; 1.0; 0.2; 50.0;
@@ -457,8 +459,44 @@ let fuzz_divergence_eval_test =
        { Abg_fuzz.Fitness.kind = Abg_fuzz.Fitness.Divergence; cca = "reno";
          cca_b = Some "cubic"; handler = None }
      in
-     Test.make ~name:"fuzz: divergence-eval-6s"
-       (Staged.stage (fun () -> ignore (Abg_fuzz.Fitness.evaluate spec cfg))))
+     fun () -> ignore (Abg_fuzz.Fitness.evaluate spec cfg))
+
+let fuzz_divergence_eval_test =
+  lazy
+    (Test.make ~name:"fuzz: divergence-eval-6s"
+       (Staged.stage (Lazy.force divergence_eval_6s)))
+
+(* The untimed pass: the exact work of one op of each simulator kernel,
+   minor words allocated and [sim.events] processed. Unlike a wall time,
+   both hold on every host for one compiler and build profile, so
+   bench/gate.ml compares them exactly. Each kernel runs once first, so
+   a first call's one-time allocations stay out of the count. *)
+let work_ops = 4
+
+let work_kernels () =
+  [ ("table3: simulate-1s-reno", simulate_1s_reno);
+    ("netsim: simulate-6s-extended", simulate_6s_extended);
+    ("fuzz: divergence-eval-6s", Lazy.force divergence_eval_6s) ]
+
+let measure_work (name, op) =
+  let events = Abg_obs.Obs.Counter.make "sim.events" in
+  op ();
+  let events0 = Abg_obs.Obs.Counter.value events in
+  let words0 = Gc.minor_words () in
+  for _ = 1 to work_ops do
+    op ()
+  done;
+  let words = (Gc.minor_words () -. words0) /. float_of_int work_ops in
+  let events =
+    float_of_int (Abg_obs.Obs.Counter.value events - events0)
+    /. float_of_int work_ops
+  in
+  Printf.printf "%-36s %12.0f minor words/op %8.0f sim events/op\n%!" name
+    words events;
+  ( name,
+    Abg_util.Json.Obj
+      [ ("minor_words_per_op", Abg_util.Json.Num words);
+        ("sim_events_per_op", Abg_util.Json.Num events) ] )
 
 let run () =
   Runs.heading "Micro-benchmarks (Bechamel, monotonic clock)";
@@ -492,8 +530,10 @@ let run () =
       (fun () -> List.concat_map measure tests)
   in
   Runs.write_estimates "BENCH_micro.json" rows;
+  let work = List.map measure_work (work_kernels ()) in
+  Runs.write_json "BENCH_work.json" (Abg_util.Json.Obj work);
   Printf.printf
-    "[micro: wrote %d estimates to BENCH_micro.json, run metadata to \
-     BENCH_micro.meta.json]\n"
-    (List.length rows);
+    "[micro: wrote %d estimates to BENCH_micro.json, %d work counts to \
+     BENCH_work.json, run metadata to BENCH_micro.meta.json]\n"
+    (List.length rows) (List.length work);
   print_newline ()

@@ -1177,8 +1177,10 @@ let fuzz_gene_table genome =
 
 (* The §3.2 grid baseline a divergence champion must beat: the same
    fitness evaluated on every testbed_grid scenario (full 25-point
-   grid), at the fuzz evaluation duration. *)
-let fuzz_grid_baseline spec =
+   grid), at the fuzz evaluation duration, on the generation map's
+   domains. Results come back by index, so the first maximum wins as in
+   a sequential fold. *)
+let fuzz_grid_baseline ?num_domains spec =
   let bspec =
     {
       Abg_fuzz.Fitness.kind = spec.fz_fitness;
@@ -1187,14 +1189,20 @@ let fuzz_grid_baseline spec =
       handler = None;
     }
   in
-  Abg_netsim.Config.testbed_grid ~duration:spec.fz_duration ~n:25 ()
-  |> List.map (fun cfg -> (cfg, Abg_fuzz.Fitness.evaluate bspec cfg))
-  |> List.fold_left
-       (fun acc (cfg, v) ->
-         match acc with
-         | Some (_, best) when best >= v -> acc
-         | _ -> Some (cfg, v))
-       None
+  let grid =
+    Array.of_list
+      (Abg_netsim.Config.testbed_grid ~duration:spec.fz_duration ~n:25 ())
+  in
+  let values =
+    Abg_parallel.Pool.map ?num_domains (Abg_fuzz.Fitness.evaluate bspec) grid
+  in
+  Array.fold_left
+    (fun acc (cfg, v) ->
+      match acc with
+      | Some (_, best) when best >= v -> acc
+      | _ -> Some (cfg, v))
+    None
+    (Array.combine grid values)
 
 (* Counterexample refinement: append the champion scenario to the
    synthesis trace suite and re-run synthesis — the loop the paper's
@@ -1214,7 +1222,7 @@ let fuzz_refine spec champion_cfg =
   Abg_core.Synthesis.run_configs ~config ~configs ~name:spec.fz_cca
     (find_cca spec.fz_cca)
 
-let fuzz_report_doc spec (result : Abg_fuzz.Search.result) =
+let fuzz_report_doc ?num_domains spec (result : Abg_fuzz.Search.result) =
   let open Json in
   let champion_cfg = fuzz_champion_config spec result.Abg_fuzz.Search.champion in
   let generations =
@@ -1245,7 +1253,7 @@ let fuzz_report_doc spec (result : Abg_fuzz.Search.result) =
   let extras =
     match spec.fz_fitness with
     | Abg_fuzz.Fitness.Divergence -> (
-        match fuzz_grid_baseline spec with
+        match fuzz_grid_baseline ?num_domains spec with
         | None -> []
         | Some (grid_cfg, grid_max) ->
             [
@@ -1421,7 +1429,7 @@ let fuzz_json_arg =
 
 let fuzz_finish ~dir ?num_domains ~verbose ~json spec =
   let result = fuzz_drive ~dir ?num_domains ~verbose spec in
-  let doc = fuzz_report_doc spec result in
+  let doc = fuzz_report_doc ?num_domains spec result in
   if json then print_endline (Json.to_string doc)
   else print_string (fuzz_render_text spec result doc)
 

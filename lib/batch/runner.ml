@@ -241,7 +241,7 @@ let perform_fuzz_eval ~settings (job : Job.t) ~fitness ~cca_b ~handler =
       handler
   in
   let spec = { Abg_fuzz.Fitness.kind; cca = job.Job.cca; cca_b; handler } in
-  (* The one in-process fan-out: 1.6x fuzz evaluations/s on two CPUs. *)
+  (* A generation's fan-out: 1.6x fuzz evaluations/s on two CPUs. *)
   let values =
     Abg_parallel.Pool.map ?num_domains:settings.num_domains
       (Abg_fuzz.Fitness.evaluate spec)

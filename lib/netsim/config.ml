@@ -313,11 +313,8 @@ let digest cfg =
       cfg.outage_rate cfg.outage_duration cfg.reorder_prob cfg.reorder_delay
       (qdisc_to_string cfg.qdisc)
 
-(** [of_digest s] parses a {!digest} rendering back into a config — the
-    inverse the batch orchestrator uses to deserialize job grids. The hex
-    float notation makes the round trip lossless:
-    [of_digest (digest cfg) = Some cfg] for every [cfg]. *)
-let of_digest s =
+(* A {!digest} rendering's fields, read back unchecked. *)
+let parse_digest s =
   match String.split_on_char '|' s with
   | bandwidth_bps :: rtt_prop :: queue_capacity :: mss :: duration :: seed
     :: loss_rate :: ack_jitter :: rest -> (
@@ -353,6 +350,38 @@ let of_digest s =
         | _ -> None
       with Failure _ -> None)
   | _ -> None
+
+(* What the simulator's exactness rests on: every float finite (a NaN
+   time would break the monotone first-send times that
+   {!Sim.Scoreboard} searches), a positive bandwidth, RTT and MSS, and an
+   integral MSS, for which the pipe counted in segments times the MSS
+   equals a walk's sum of one MSS per segment. *)
+let simulable cfg =
+  let finite = Float.is_finite in
+  List.for_all finite
+    [ cfg.bandwidth_bps; cfg.rtt_prop; cfg.mss; cfg.duration; cfg.loss_rate;
+      cfg.ack_jitter; cfg.outage_rate; cfg.outage_duration; cfg.reorder_prob;
+      cfg.reorder_delay ]
+  && List.for_all (fun (t, bps) -> finite t && finite bps) cfg.bandwidth_steps
+  && List.for_all
+       (function
+         | Constant { rate_bps } -> finite rate_bps
+         | On_off { rate_bps; on_s; off_s } ->
+             finite rate_bps && finite on_s && finite off_s)
+       cfg.cross
+  && (match cfg.qdisc with Droptail -> true | Red { max_p; _ } -> finite max_p)
+  && cfg.bandwidth_bps > 0.0 && cfg.rtt_prop > 0.0 && cfg.mss > 0.0
+  && Float.is_integer cfg.mss
+
+(** [of_digest s] parses a {!digest} rendering back into a config — the
+    inverse the batch orchestrator uses to deserialize job grids. The hex
+    float notation makes the round trip lossless:
+    [of_digest (digest cfg) = Some cfg] for every [cfg] the simulator
+    runs exactly. It is [None] for a config with a non-finite float, a
+    bandwidth, RTT or MSS at or below 0, or a fractional MSS. *)
+let of_digest s =
+  Option.bind (parse_digest s) (fun cfg ->
+      if simulable cfg then Some cfg else None)
 
 let describe cfg =
   let base =

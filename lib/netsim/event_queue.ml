@@ -84,7 +84,7 @@ let grow l =
     an arbitrary float riding along with the payload (pass 0.0 when
     unused). Raises [Invalid_argument] if [time] is below the time of the
     lane's newest queued event. *)
-let push q ~lane ~time ~aux payload =
+let[@inline] push q ~lane ~time ~aux payload =
   let l = q.lanes.(lane) in
   let mask = Array.length l.times - 1 in
   if l.len > 0 && time < l.times.((l.head + l.len - 1) land mask) then
@@ -101,7 +101,7 @@ let push q ~lane ~time ~aux payload =
   if q.size > q.peak then q.peak <- q.size
 
 (* Does lane [a]'s head order strictly before lane [b]'s? Both non-empty. *)
-let before a b =
+let[@inline] before a b =
   let ta = a.times.(a.head) and tb = b.times.(b.head) in
   ta < tb || (ta = tb && a.ids.(a.head) < b.ids.(b.head))
 

@@ -16,14 +16,17 @@
 
     Every event stream the simulator emits is already in time order, so
     the event queue merges one FIFO lane per stream (see the lane list
-    below) instead of sifting a heap. The floats the loop writes live in
+    below) instead of sifting a heap. Recovery scores the flight on an
+    incremental scoreboard ({!Scoreboard}) rather than walking every
+    outstanding segment on every ACK. The floats the loop writes live in
     one all-float record, stored unboxed, and the per-ACK observation
     record is allocated once per run and mutated in place. What the loop
-    still allocates, about 13 minor words per event on Reno's reference
-    scenarios (release profile), is the boxing of floats that cross calls
-    the compiler does not inline: the CCA closures' [~now ~acked ~rtt]
-    arguments and [cwnd ()] results, and event times handed to
-    {!Event_queue.push}. *)
+    still allocates, about 3.9 minor words per event on Reno's reference
+    scenarios (release profile), is the boxing of floats that cross the
+    CCA closures: their [~now ~acked ~rtt] arguments, their [cwnd ()]
+    results and the CCAs' own [float ref] state. The dev profile
+    compiles with [-opaque], so it inlines nothing across modules, and
+    also boxes every queue push and RNG draw (10.8 words per event). *)
 
 open Abg_util
 
@@ -70,6 +73,174 @@ let lane_ack = 2 (* payload = (cum lsl 1) lor sample_ok; aux = sent_at *)
 let lane_rto = 3 (* no payload; the timer state lives on the simulator *)
 let lane_cross = 4 (* + cross-flow index; next packet of that flow *)
 
+(** The sender's per-segment scoreboard (RFC 6675) over an oracle view of
+    the receiver, answering the recovery query without walking the
+    flight. The oracle stands in for SACK blocks: a SACK-enabled sender
+    knows which segments above snd_una arrived.
+
+    A segment is scored lost when it is unreceived and either carries
+    SACK evidence (it was never retransmitted and 3 segments above it
+    arrived: [seq <= rcv_high - 3], RFC 6675's DupThresh rule) or its
+    latest (re)transmission is older than a RACK-style reordering timer
+    ([now -. sent_at > rack]). The timer makes a re-dropped
+    retransmission recoverable without a full RTO per hole. The pipe
+    counts the unreceived segments that are not lost. {!query} answers
+    the pipe and the lowest lost
+    segment exactly as a walk over every outstanding segment would, in
+    time independent of the flight size:
+
+    - Both loss tests hold on a prefix of the never-retransmitted
+      segments. The evidence test is a bound on [seq]. First-send times
+      rise with [seq] (segments go out in order and the clock never runs
+      back), and [now -. t] falls as [t] rises, so the timer test holds
+      below a boundary that a binary search over [first_sent] finds.
+      [first_sent] is kept apart from [sent_at], which a retransmission
+      overwrites. So a never-retransmitted unreceived segment is lost
+      exactly when it lies below [bound], the larger of the two.
+    - [scan] is the lowest segment that is neither received nor
+      retransmitted. Both flags only ever turn on, so the cursor only
+      moves forward. It is the lowest lost segment of its kind when it
+      lies below [bound].
+    - The retransmitted segments not yet received are few (one
+      retransmission per ACK event, each dropped from the list once it
+      arrives); each is tested on its own timer.
+    - Above [bound], only segments up to [rcv_high] can have arrived, and
+      [bound >= rcv_high - 2] leaves at most three of them to check.
+
+    The pipe is a count of segments, so the simulator's pipe in bytes is
+    [float n *. mss]. A walk adds [mss] once per segment; for an integral
+    MSS every partial sum is an integer below 2{^53}, so both are exact
+    and equal. {!Config.of_digest} refuses a fractional MSS for that
+    reason, and a NaN time, which would break the binary search's
+    monotonicity. *)
+module Scoreboard = struct
+  type t = {
+    mutable first_sent : float array;  (** first transmission time per seq *)
+    mutable sent_at : float array;  (** latest (re)transmission time per seq *)
+    mutable retransmitted : bool array;
+    (* [received.(seq)] once segment [seq] has arrived (never cleared —
+       sequence numbers are not reused, so a flat flag array stands in for
+       an out-of-order table). Every seq below rcv_next is set. *)
+    mutable received : bool array;
+    mutable next_seq : int;  (** next new segment to send *)
+    mutable snd_una : int;  (** lowest unacknowledged sequence number *)
+    mutable rcv_next : int;  (** receiver's cumulative point *)
+    mutable rcv_high : int;  (** highest sequence number received *)
+    mutable scan : int;  (* lowest seq neither received nor retransmitted *)
+    (* Retransmitted segments not yet seen received, in [0, rtx_len). *)
+    mutable rtx : int array;
+    mutable rtx_len : int;
+    mutable hole : int;  (** lowest lost segment at the last {!query}, or -1 *)
+  }
+
+  let create () =
+    {
+      first_sent = Array.make 1024 0.0;
+      sent_at = Array.make 1024 0.0;
+      retransmitted = Array.make 1024 false;
+      received = Array.make 1024 false;
+      next_seq = 0;
+      snd_una = 0;
+      rcv_next = 0;
+      rcv_high = -1;
+      scan = 0;
+      rtx = Array.make 16 0;
+      rtx_len = 0;
+      hole = -1;
+    }
+
+  let grow a len fill =
+    let b = Array.make (Int.max (2 * Array.length a) (len + 1)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (** [send sb ~now] records the first transmission of the next new
+      segment at [now] and returns its sequence number. *)
+  let[@inline] send sb ~now =
+    let seq = sb.next_seq in
+    if seq >= Array.length sb.sent_at then begin
+      sb.first_sent <- grow sb.first_sent seq 0.0;
+      sb.sent_at <- grow sb.sent_at seq 0.0;
+      sb.retransmitted <- grow sb.retransmitted seq false;
+      sb.received <- grow sb.received seq false
+    end;
+    sb.first_sent.(seq) <- now;
+    sb.sent_at.(seq) <- now;
+    sb.next_seq <- seq + 1;
+    seq
+
+  (** [retransmit sb seq ~now] records a retransmission of the sent
+      segment [seq] at [now]. *)
+  let[@inline] retransmit sb seq ~now =
+    if not sb.retransmitted.(seq) then begin
+      sb.retransmitted.(seq) <- true;
+      if sb.rtx_len = Array.length sb.rtx then
+        sb.rtx <- grow sb.rtx sb.rtx_len 0;
+      sb.rtx.(sb.rtx_len) <- seq;
+      sb.rtx_len <- sb.rtx_len + 1
+    end;
+    sb.sent_at.(seq) <- now
+
+  (** [receive sb seq] marks the sent segment [seq] arrived at the
+      receiver. *)
+  let[@inline] receive sb seq =
+    if seq > sb.rcv_high then sb.rcv_high <- seq;
+    if seq >= sb.rcv_next && not sb.received.(seq) then begin
+      sb.received.(seq) <- true;
+      let len = Array.length sb.received in
+      while sb.rcv_next < len && sb.received.(sb.rcv_next) do
+        sb.rcv_next <- sb.rcv_next + 1
+      done
+    end
+
+  (** [ack sb cum] moves the sender's cumulative point to [cum], a
+      cumulative ACK the receiver sent ([snd_una <= cum <= rcv_next]). *)
+  let[@inline] ack sb cum =
+    sb.snd_una <- cum;
+    if sb.scan < cum then sb.scan <- cum
+
+  (** [query sb ~now ~srtt] scores the outstanding flight at [now] with
+      the RACK timer [1.25 srtt] (1 s before the first RTT sample). It
+      returns the pipe, in segments, and sets [sb.hole] to the lowest lost
+      segment, or -1 when none is lost. *)
+  let[@inline] query sb ~now ~srtt =
+    let rack = if srtt > 0.0 then 1.25 *. srtt else 1.0 in
+    let next = sb.next_seq in
+    while
+      sb.scan < next && (sb.received.(sb.scan) || sb.retransmitted.(sb.scan))
+    do
+      sb.scan <- sb.scan + 1
+    done;
+    let scan = sb.scan in
+    let lo = ref scan and hi = ref next in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if now -. sb.first_sent.(mid) > rack then lo := mid + 1 else hi := mid
+    done;
+    let bound = Int.max !lo (sb.rcv_high - 2) in
+    let pipe = ref (next - bound) in
+    for seq = bound to sb.rcv_high do
+      if sb.received.(seq) then decr pipe
+    done;
+    let hole = ref (if scan < bound then scan else -1) in
+    let kept = ref 0 in
+    for i = 0 to sb.rtx_len - 1 do
+      let seq = sb.rtx.(i) in
+      if not sb.received.(seq) then begin
+        sb.rtx.(!kept) <- seq;
+        incr kept;
+        if seq >= bound then decr pipe;
+        if now -. sb.sent_at.(seq) > rack then begin
+          if !hole < 0 || seq < !hole then hole := seq
+        end
+        else incr pipe
+      end
+    done;
+    sb.rtx_len <- !kept;
+    sb.hole <- !hole;
+    !pipe
+end
+
 (* Every float the event loop writes. An all-float record stores its
    fields unboxed, so a write allocates nothing; as fields of the mixed
    record [t] each write would box. *)
@@ -90,6 +261,7 @@ type clock = {
   mutable cur_serialize : float;
   mutable avg_queue : float;  (** RED's EWMA occupancy estimate *)
   mutable last_ack_arrival : float;  (** ACK-path FIFO ordering floor *)
+  rwnd : float;  (** {!Config.rwnd}, read by every window fill *)
 }
 
 type t = {
@@ -99,15 +271,12 @@ type t = {
   rng : Rng.t;
   obs : ack_observation;  (* reusable observation record, see above *)
   clk : clock;
+  (* Sequence numbers, per-segment send times and flags of both ends. *)
+  board : Scoreboard.t;
   (* Sender state. *)
-  mutable next_seq : int;
-  mutable snd_una : int;  (** lowest unacknowledged sequence number *)
   mutable dup_acks : int;
   mutable recovery_point : int;  (** next_seq at the last loss event *)
   mutable in_recovery : bool;
-  (* Per-segment send times, for RTT samples; grows with next_seq. *)
-  mutable sent_at : float array;
-  mutable retransmitted : bool array;
   (* Extended-scenario state (all inert for neutral configs). Pending
      bandwidth steps are consumed in time order by the event loop.
      Outages are a precomputed sorted [(start, end)] schedule from a
@@ -119,12 +288,6 @@ type t = {
   mutable outage_idx : int;
   mutable cross_delivered : int;
   mutable cross_dropped : int;
-  (* Receiver state: [received.(seq)] once segment [seq] has arrived
-     (never cleared — sequence numbers are not reused, so a flat flag
-     array replaces the former out-of-order hash table). *)
-  mutable received : bool array;
-  mutable rcv_next : int;
-  mutable rcv_high : int;  (** highest sequence number received *)
   (* Counters. *)
   mutable delivered : int;
   mutable drops : int;
@@ -178,17 +341,12 @@ let create cfg cca =
         cur_serialize = serialize_time cfg;
         avg_queue = 0.0;
         last_ack_arrival = 0.0;
+        rwnd = Config.rwnd cfg;
       };
-    next_seq = 0;
-    snd_una = 0;
+    board = Scoreboard.create ();
     dup_acks = 0;
     recovery_point = 0;
     in_recovery = false;
-    sent_at = Array.make 1024 0.0;
-    retransmitted = Array.make 1024 false;
-    received = Array.make 1024 false;
-    rcv_next = 0;
-    rcv_high = -1;
     delivered = 0;
     drops = 0;
     losses_detected = 0;
@@ -203,25 +361,17 @@ let create cfg cca =
     cross_dropped = 0;
   }
 
-let ensure_seq_capacity sim seq =
-  let len = Array.length sim.sent_at in
-  if seq >= len then begin
-    let new_len = Stdlib.max (2 * len) (seq + 1) in
-    let sent_at = Array.make new_len 0.0 in
-    Array.blit sim.sent_at 0 sent_at 0 len;
-    sim.sent_at <- sent_at;
-    let retransmitted = Array.make new_len false in
-    Array.blit sim.retransmitted 0 retransmitted 0 len;
-    sim.retransmitted <- retransmitted;
-    let received = Array.make new_len false in
-    Array.blit sim.received 0 received 0 len;
-    sim.received <- received
-  end
-
+(* The backlog in packets, rounded up. [int_of_float (Float.ceil x)]
+   without the libm call: below 2^52 a positive [x] truncates to its
+   floor, and from 2^52 up every float is an integer, where adding 1 to
+   the conversion would differ once it saturates at 2^62. *)
 let queue_length sim =
   let backlog = sim.clk.link_free -. sim.clk.now in
   if backlog <= 0.0 then 0
-  else int_of_float (Float.ceil (backlog /. sim.clk.cur_serialize))
+  else
+    let x = backlog /. sim.clk.cur_serialize in
+    let n = int_of_float x in
+    if x >= 0x1p52 || float_of_int n >= x then n else n + 1
 
 (* Fold every outage that has started by [now] into the link: the link
    serves nothing until the outage ends, so the free time is floored at
@@ -264,10 +414,9 @@ let queue_dropped sim =
       let p = red_drop_probability ~min_th ~max_th ~max_p sim.clk.avg_queue in
       p > 0.0 && Rng.float sim.rng < p
 
-(* Transmit segment [seq]: qdisc admission, serialization, delivery. *)
+(* Transmit segment [seq], its send time already on the scoreboard:
+   qdisc admission, serialization, delivery. *)
 let transmit sim seq =
-  ensure_seq_capacity sim seq;
-  sim.sent_at.(seq) <- sim.clk.now;
   let dropped =
     queue_dropped sim
     || (sim.cfg.Config.loss_rate > 0.0 && Rng.float sim.rng < sim.cfg.Config.loss_rate)
@@ -282,80 +431,57 @@ let transmit sim seq =
       ~aux:0.0 seq
   end
 
-let in_flight_bytes sim =
-  float_of_int (sim.next_seq - sim.snd_una) *. sim.cfg.Config.mss
+let[@inline] in_flight_bytes sim =
+  float_of_int (sim.board.Scoreboard.next_seq - sim.board.Scoreboard.snd_una)
+  *. sim.cfg.Config.mss
 
-(* Oracle view of the receiver, standing in for SACK blocks: the sender of
-   a real (SACK-enabled) stack knows which segments above snd_una arrived.
-   Every seq below rcv_next has its flag set (rcv_next only advances over
-   received segments), so one array read answers both cases. *)
-let is_received sim seq = sim.received.(seq)
-
-(* A segment is scored lost when it is unreceived and either carries SACK
-   evidence (>= 3 segments received above its first transmission, RFC
-   6675's DupThresh rule) or its latest (re)transmission is older than a
-   RACK-style reordering timer. The evidence/timer requirement prevents
-   spurious retransmission of segments merely still in transit, whose
-   ambiguous RTT samples would poison every delay-based CCA; the timer
-   makes re-dropped retransmissions recoverable without waiting for a
-   full RTO per hole. *)
-let scored_lost sim seq =
-  let evidence = (not sim.retransmitted.(seq)) && seq <= sim.rcv_high - 3 in
-  let rack_timeout = if sim.clk.srtt > 0.0 then 1.25 *. sim.clk.srtt else 1.0 in
-  evidence || sim.clk.now -. sim.sent_at.(seq) > rack_timeout
+let send_new sim = transmit sim (Scoreboard.send sim.board ~now:sim.clk.now)
 
 let retransmit_hole sim seq =
-  sim.retransmitted.(seq) <- true;
+  Scoreboard.retransmit sim.board seq ~now:sim.clk.now;
   transmit sim seq
 
 (* Transmission policy per RFC 6675 with a per-segment scoreboard:
    retransmissions of scored-lost segments take priority over new data,
    both gated on pipe < cwnd, where the pipe excludes received and
-   scored-lost segments. When [force_rtx] is set (one per incoming ACK
-   event during recovery, the spirit of proportional-rate reduction), the
-   first retransmission goes out even if the pipe has not yet drained
-   below the window. *)
-let fill_window ?(force_rtx = false) sim =
-  let window =
-    Float.min (sim.cca.Abg_cca.Cca_sig.cwnd ()) (Config.rwnd sim.cfg)
-  in
+   scored-lost segments (see {!Scoreboard} for the loss tests: SACK
+   evidence or a RACK-style timer, which keep segments merely still in
+   transit from being retransmitted, since their ambiguous RTT samples
+   would poison every delay-based CCA). When [force_rtx] is set (one per
+   incoming ACK event during recovery, the spirit of proportional-rate
+   reduction), the first retransmission goes out even if the pipe has not
+   yet drained below the window. *)
+let fill_window ~force_rtx sim =
+  let window = Float.min (sim.cca.Abg_cca.Cca_sig.cwnd ()) sim.clk.rwnd in
   let mss = sim.cfg.Config.mss in
-  (* One scoreboard pass: pipe size and the list of repairable holes. *)
-  let pipe = ref 0.0 in
-  let holes = ref [] in
-  if sim.in_recovery then begin
-    for seq = sim.next_seq - 1 downto sim.snd_una do
-      if not (is_received sim seq) then begin
-        if scored_lost sim seq then holes := seq :: !holes
-        else pipe := !pipe +. mss
-      end
-    done
-  end
-  else pipe := float_of_int (sim.next_seq - sim.snd_una) *. mss;
+  let board = sim.board in
   if sim.in_recovery then begin
     (* Packet conservation during recovery: one transmission per incoming
        ACK event, repairs first. Anything more re-floods the queue that
        just overflowed and stretches the episode; anything less lets the
        ACK clock die. New data is sent only once every hole is repaired
        or in flight. *)
-    let budget = ref (if force_rtx || !pipe +. mss <= window then 1 else 0) in
-    while !budget > 0 do
-      decr budget;
-      match !holes with
-      | seq :: rest ->
-          holes := rest;
-          retransmit_hole sim seq
-      | [] ->
-          transmit sim sim.next_seq;
-          sim.next_seq <- sim.next_seq + 1
-    done
+    let pipe =
+      float_of_int
+        (Scoreboard.query board ~now:sim.clk.now ~srtt:sim.clk.srtt)
+      *. mss
+    in
+    if force_rtx || pipe +. mss <= window then begin
+      let hole = board.Scoreboard.hole in
+      if hole >= 0 then retransmit_hole sim hole else send_new sim
+    end
   end
-  else
+  else begin
+    let pipe =
+      ref
+        (float_of_int (board.Scoreboard.next_seq - board.Scoreboard.snd_una)
+        *. mss)
+    in
     while !pipe +. mss <= window do
-      transmit sim sim.next_seq;
-      sim.next_seq <- sim.next_seq + 1;
+      send_new sim;
       pipe := !pipe +. mss
     done
+  end
 
 let rto sim =
   if sim.clk.srtt = 0.0 then 1.0
@@ -372,7 +498,8 @@ let arm_rto sim =
       ~aux:0.0 0
   end
 
-let update_rtt_estimators sim rtt =
+(* Inlined, so [rtt] is not boxed to pass it. *)
+let[@inline] update_rtt_estimators sim rtt =
   if sim.clk.srtt = 0.0 then begin
     sim.clk.srtt <- rtt;
     sim.clk.rttvar <- rtt /. 2.0
@@ -384,14 +511,8 @@ let update_rtt_estimators sim rtt =
 
 (* Receiver side: segment [seq] arrives; emit a cumulative ACK. *)
 let receive sim seq =
-  if seq > sim.rcv_high then sim.rcv_high <- seq;
-  if seq >= sim.rcv_next && not sim.received.(seq) then begin
-    sim.received.(seq) <- true;
-    let len = Array.length sim.received in
-    while sim.rcv_next < len && sim.received.(sim.rcv_next) do
-      sim.rcv_next <- sim.rcv_next + 1
-    done
-  end;
+  let board = sim.board in
+  Scoreboard.receive board seq;
   let jitter =
     if sim.cfg.Config.ack_jitter > 0.0 then
       Float.abs (Rng.normal sim.rng ~mean:0.0 ~stddev:sim.cfg.Config.ack_jitter)
@@ -404,8 +525,9 @@ let receive sim seq =
   in
   sim.clk.last_ack_arrival <- arrival;
   Event_queue.push sim.events ~lane:lane_ack ~time:arrival
-    ~aux:sim.sent_at.(seq)
-    ((sim.rcv_next lsl 1) lor if sim.retransmitted.(seq) then 0 else 1)
+    ~aux:board.Scoreboard.sent_at.(seq)
+    ((board.Scoreboard.rcv_next lsl 1)
+    lor if board.Scoreboard.retransmitted.(seq) then 0 else 1)
 
 let handle_loss sim observer =
   sim.losses_detected <- sim.losses_detected + 1;
@@ -415,21 +537,23 @@ let handle_loss sim observer =
      exit point to the raced-ahead next_seq, or the episode never ends. *)
   if not sim.in_recovery then begin
     sim.in_recovery <- true;
-    sim.recovery_point <- sim.next_seq
+    sim.recovery_point <- sim.board.Scoreboard.next_seq
   end;
   fill_window ~force_rtx:true sim
 
-let handle_ack sim observer ~cum ~sent_at ~sample_ok =
-  if cum > sim.snd_una then begin
-    let newly = cum - sim.snd_una in
-    sim.snd_una <- cum;
+(* The ACK's send timestamp is the aux float of the event just popped,
+   read here rather than passed, which would box it. *)
+let handle_ack sim observer ~cum ~sample_ok =
+  if cum > sim.board.Scoreboard.snd_una then begin
+    let newly = cum - sim.board.Scoreboard.snd_una in
+    Scoreboard.ack sim.board cum;
     sim.dup_acks <- 0;
     sim.delivered <- sim.delivered + newly;
     (* Karn: an RTT measured through a retransmitted segment is ambiguous;
        substitute the smoothed estimate so the CCA still sees a sane
        sample without polluting its min/max filters. *)
     let rtt =
-      if sample_ok then sim.clk.now -. sent_at
+      if sample_ok then sim.clk.now -. Event_queue.popped_aux sim.events
       else if sim.clk.srtt > 0.0 then sim.clk.srtt
       else sim.cfg.Config.rtt_prop
     in
@@ -528,7 +652,8 @@ let handle_rto sim observer =
     Event_queue.push sim.events ~lane:lane_rto ~time:sim.clk.rto_deadline
       ~aux:0.0 0
   end
-  else if sim.next_seq > sim.snd_una then begin
+  else if sim.board.Scoreboard.next_seq > sim.board.Scoreboard.snd_una then
+  begin
     (* After a timeout the RACK timer has expired for the whole
        outstanding flight, so handle_loss's scoreboard pass retransmits
        from the head. *)
@@ -575,7 +700,7 @@ let run ?(observer = null_observer) cfg cca =
       on_loss_obs = observer.on_loss_obs;
     }
   in
-  fill_window sim;
+  fill_window ~force_rtx:false sim;
   arm_rto sim;
   (* Cross flows start contending at t=0 (on-off flows begin in their
      on-window) and self-reschedule from then on. *)
@@ -601,7 +726,6 @@ let run ?(observer = null_observer) cfg cca =
         if lane = lane_deliver then handle_deliver sim payload
         else if lane = lane_ack then
           handle_ack sim counting_observer ~cum:(payload lsr 1)
-            ~sent_at:(Event_queue.popped_aux events)
             ~sample_ok:(payload land 1 = 1)
         else if lane = lane_held then receive sim payload
         else if lane = lane_rto then handle_rto sim counting_observer

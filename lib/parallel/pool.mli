@@ -1,6 +1,7 @@
 (** Parallel work distribution over OCaml 5 domains — the laptop-scale
-    substitute for the paper's Ray cluster (§5). Its one caller is a fuzz
-    generation, whose evaluations it fans out. Each parallel {!map}
+    substitute for the paper's Ray cluster (§5). It fans out the
+    evaluations of a fuzz generation and of the fuzz report's grid
+    baseline. Each parallel {!map}
     spawns its helper domains and joins them before it returns, so no
     domain outlives a map: an idle domain would stop for every minor GC
     of the caller. Participants (the calling domain and the helpers)

@@ -112,6 +112,18 @@ let claim_socket_path path =
       | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> Unix.unlink path)
   | _ -> refuse "exists and is not a socket"
 
+(* A bound TCP socket that does not listen yet refuses every connect. *)
+let bind_tcp port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  (try Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+   with Unix.Unix_error (e, _, _) ->
+     close_noerr fd;
+     raise
+       (Endpoint_in_use
+          (Printf.sprintf "127.0.0.1:%d: %s" port (Unix.error_message e))));
+  fd
+
 let listen_on = function
   | Unix_socket path ->
       claim_socket_path path;
@@ -120,14 +132,7 @@ let listen_on = function
       Unix.listen fd 128;
       fd
   | Tcp port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      (try Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-       with Unix.Unix_error (e, _, _) ->
-         close_noerr fd;
-         raise
-           (Endpoint_in_use
-              (Printf.sprintf "127.0.0.1:%d: %s" port (Unix.error_message e))));
+      let fd = bind_tcp port in
       Unix.listen fd 128;
       fd
 
@@ -208,17 +213,28 @@ let too_long engine c lineno =
 let run ?(config = default_config) () =
   install_signal_handlers ();
   let engine = Engine.create ~config:config.engine () in
-  (* A path in use is refused before the warm-up is paid for. The bind
-     still waits for it, so the socket file marks a warmed daemon, and
-     [listen_on] claims the path again against a daemon that started
-     meanwhile. *)
-  (match config.endpoint with
-  | Unix_socket path -> claim_socket_path path
-  | Tcp _ -> ());
+  (* An endpoint in use is refused before the warm-up is paid for. A TCP
+     port is bound now and listened on after it, so no client gets in
+     early. A socket path is only claimed now: the bind still waits, so
+     the socket file marks a warmed daemon, and [listen_on] claims the
+     path again against a daemon that started meanwhile. *)
+  let bound =
+    match config.endpoint with
+    | Unix_socket path ->
+        claim_socket_path path;
+        None
+    | Tcp port -> Some (bind_tcp port)
+  in
   (* Reference preparation simulates 52 flows; pay it before "listening"
      so no client's first classify absorbs it. *)
   Engine.warm_up engine;
-  let listener = listen_on config.endpoint in
+  let listener =
+    match bound with
+    | Some fd ->
+        Unix.listen fd 128;
+        fd
+    | None -> listen_on config.endpoint
+  in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
   config.log
     (Printf.sprintf "abagnale-serve listening on %s"

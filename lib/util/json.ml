@@ -207,7 +207,13 @@ let parse (s : string) : t =
   if !pos <> n then fail "trailing content";
   v
 
-let of_file path = parse (In_channel.with_open_bin path In_channel.input_all)
+(* An open error names the path, a read error (the path is a directory,
+   say) does not: it gets the path here. *)
+let of_file path =
+  parse
+    (In_channel.with_open_bin path (fun ic ->
+         try In_channel.input_all ic
+         with Sys_error msg -> raise (Sys_error (path ^ ": " ^ msg))))
 
 let naming path f =
   try f () with Malformed msg -> raise (Malformed (path ^ ": " ^ msg))

@@ -38,7 +38,7 @@ val parse : string -> t
     escape decodes to one byte when below 0x100 and to ['?'] otherwise. *)
 
 val of_file : string -> t
-(** [parse] the whole file. *)
+(** [parse] the whole file. A [Sys_error] it raises names [path]. *)
 
 val naming : string -> (unit -> 'a) -> 'a
 (** [naming path f] is [f ()], with ["path: "] put before the message of

@@ -48,8 +48,9 @@ let[@inline] next64 t =
   set64 t 24 (rotl s3 45);
   result
 
-(** [float t] is uniform in [0, 1). *)
-let float t =
+(** [float t] is uniform in [0, 1). Inlined, like {!normal}, so a draw
+    reaches its caller unboxed. *)
+let[@inline] float t =
   let bits = Int64.shift_right_logical (next64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
@@ -67,9 +68,13 @@ let int t n =
 (** [bool t] is a fair coin flip. *)
 let bool t = Int64.logand (next64 t) 1L = 1L
 
+(* [Stdlib.max 1e-12 u] typed at float: the polymorphic [max] would box
+   the draw and compare through [caml_greaterequal]. *)
+let[@inline] floor_draw u = if 1e-12 >= u then 1e-12 else u
+
 (** [normal t ~mean ~stddev] samples a Gaussian via Box–Muller. *)
-let normal t ~mean ~stddev =
-  let u1 = Stdlib.max 1e-12 (float t) in
+let[@inline] normal t ~mean ~stddev =
+  let u1 = floor_draw (float t) in
   let u2 = float t in
   let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
   mean +. (stddev *. z)
@@ -77,7 +82,7 @@ let normal t ~mean ~stddev =
 (** [exponential t ~rate] samples Exp(rate). Requires [rate > 0]. *)
 let exponential t ~rate =
   assert (rate > 0.0);
-  let u = Stdlib.max 1e-12 (float t) in
+  let u = floor_draw (float t) in
   -.log u /. rate
 
 (** [shuffle t a] permutes [a] in place (Fisher–Yates). *)

@@ -170,6 +170,129 @@ let prop_event_queue_lane_merge =
       let rec drain () = !pending = [] || (pop_matches () && drain ()) in
       List.fold_left step true ops && drain () && Event_queue.is_empty q)
 
+(* -- Scoreboard -- *)
+
+module Scoreboard = Sim.Scoreboard
+
+(* The recovery walk the simulator made before it kept a scoreboard,
+   kept as the oracle: every outstanding segment, from the newest down to
+   snd_una, is in the pipe unless it has arrived or is scored lost (SACK
+   evidence for a never-retransmitted segment, or a RACK timer on its
+   latest transmission). The pipe is summed one MSS at a time. *)
+let walk (sb : Scoreboard.t) ~now ~srtt ~mss =
+  let rack_timeout = if srtt > 0.0 then 1.25 *. srtt else 1.0 in
+  let pipe = ref 0.0 and holes = ref [] in
+  for seq = sb.Scoreboard.next_seq - 1 downto sb.Scoreboard.snd_una do
+    if not sb.Scoreboard.received.(seq) then begin
+      let evidence =
+        (not sb.Scoreboard.retransmitted.(seq))
+        && seq <= sb.Scoreboard.rcv_high - 3
+      in
+      if evidence || now -. sb.Scoreboard.sent_at.(seq) > rack_timeout then
+        holes := seq :: !holes
+      else pipe := !pipe +. mss
+    end
+  done;
+  (!pipe, match !holes with [] -> -1 | seq :: _ -> seq)
+
+(* Random histories as the simulator makes them: the clock only moves
+   forward (often by 0, so send times tie), new segments go out in order,
+   retransmissions repair unreceived outstanding segments, any sent
+   segment may arrive (again), and a cumulative ACK lands between snd_una
+   and the receiver's cumulative point. After every step, the query's
+   pipe and lowest hole must be the walk's. *)
+let prop_scoreboard_matches_walk =
+  QCheck.Test.make ~name:"scoreboard query = recovery walk" ~count:500
+    QCheck.(
+      list_of_size (Gen.int_range 0 400)
+        (triple (int_range 0 5) (int_range 0 1000) (int_range 0 4)))
+    (fun ops ->
+      let mss = 1448.0 in
+      let sb = Scoreboard.create () in
+      let now = ref 0.0 in
+      let srtts = [| 0.0; 0.01; 0.03; 0.08; 0.2 |] in
+      let pick_unreceived k =
+        let outstanding =
+          List.filter
+            (fun seq -> not sb.Scoreboard.received.(seq))
+            (List.init
+               (sb.Scoreboard.next_seq - sb.Scoreboard.snd_una)
+               (fun i -> sb.Scoreboard.snd_una + i))
+        in
+        match outstanding with
+        | [] -> None
+        | l -> Some (List.nth l (k mod List.length l))
+      in
+      List.for_all
+        (fun (kind, k, d) ->
+          now := !now +. (0.01 *. float_of_int (d land 3));
+          (match kind with
+          | 0 | 1 -> ignore (Scoreboard.send sb ~now:!now : int)
+          | 2 ->
+              Option.iter
+                (fun seq -> Scoreboard.retransmit sb seq ~now:!now)
+                (pick_unreceived k)
+          | 3 ->
+              if sb.Scoreboard.next_seq > 0 then
+                Scoreboard.receive sb (k mod sb.Scoreboard.next_seq)
+          | _ ->
+              let span = sb.Scoreboard.rcv_next - sb.Scoreboard.snd_una in
+              Scoreboard.ack sb (sb.Scoreboard.snd_una + (k mod (span + 1))));
+          let srtt = srtts.(d) in
+          let pipe, hole = walk sb ~now:!now ~srtt ~mss in
+          let n = Scoreboard.query sb ~now:!now ~srtt in
+          float_of_int n *. mss = pipe && sb.Scoreboard.hole = hole)
+        ops)
+
+(* Every ACK observation, loss time and stats field of 60 random extended
+   scenarios (1-4 s) under each of the 23 registered CCAs, folded into
+   one digest. The pinned value is the simulator's before the recovery
+   walk became a scoreboard and the event loop stopped boxing, so every
+   later change to the loop must leave every simulated byte alone. *)
+let test_sim_whole_run_digest () =
+  let rng = Abg_util.Rng.create 2024 in
+  let acc = Buffer.create 4096 in
+  for i = 0 to 59 do
+    let genome = Abg_fuzz.Genome.random rng in
+    let duration = Abg_util.Rng.uniform rng 1.0 4.0 in
+    let cfg = Abg_fuzz.Genome.to_config ~duration ~seed:(i + 1) genome in
+    List.iter
+      (fun (_, ctor) ->
+        let buf = Buffer.create 65536 in
+        let add x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+        let observer =
+          {
+            Sim.on_ack_obs =
+              (fun o ->
+                Buffer.add_char buf 'a';
+                add o.Sim.time;
+                add o.Sim.cwnd;
+                add o.Sim.in_flight;
+                add o.Sim.acked_bytes;
+                add o.Sim.rtt_sample);
+            on_loss_obs =
+              (fun ~time ->
+                Buffer.add_char buf 'l';
+                add time);
+          }
+        in
+        let s = Sim.run ~observer cfg (ctor ~mss:cfg.Config.mss ()) in
+        Buffer.add_char buf 's';
+        List.iter
+          (fun n -> Buffer.add_int64_le buf (Int64.of_int n))
+          [ s.Sim.acks_processed; s.Sim.packets_dropped; s.Sim.loss_events;
+            s.Sim.cross_dropped; s.Sim.events_processed; s.Sim.queue_peak ];
+        List.iter add
+          [ s.Sim.final_time; s.Sim.delivered_bytes;
+            s.Sim.cross_delivered_bytes ];
+        Buffer.add_string acc (Digest.string (Buffer.contents buf)))
+      Abg_cca.Registry.all
+  done;
+  Alcotest.(check int) "every registered CCA" 23
+    (List.length Abg_cca.Registry.all);
+  Alcotest.(check string) "whole-run digest" "8c4cb7ecc9a6360a1fb32dffa6b995c4"
+    (Digest.to_hex (Digest.string (Buffer.contents acc)))
+
 (* -- Config -- *)
 
 let test_config_bdp () =
@@ -300,6 +423,66 @@ let test_config_of_digest_roundtrip () =
   Alcotest.(check bool) "garbage rejected" true
     (Config.of_digest "not|a|config" = None)
 
+(* A digest that parses but describes a config the simulator does not run
+   exactly is refused: a non-finite float anywhere, a bandwidth, RTT or
+   MSS at or below 0, or a fractional MSS. *)
+let test_config_of_digest_refuses () =
+  let extended =
+    {
+      Config.default with
+      Config.bandwidth_steps = [ (1.5, 4e6) ];
+      cross = [ Config.On_off { rate_bps = 5e6; on_s = 1.0; off_s = 0.5 } ];
+      outage_rate = 0.2;
+      outage_duration = 0.15;
+      reorder_prob = 0.03;
+      reorder_delay = 0.02;
+      qdisc = Config.Red { min_th = 5; max_th = 15; max_p = 0.1 };
+    }
+  in
+  let refused name cfg =
+    Alcotest.(check bool) (name ^ " refused") true
+      (Config.of_digest (Config.digest cfg) = None)
+  in
+  List.iter
+    (fun x ->
+      let base = Config.default in
+      let ext = extended in
+      let on_off = Config.On_off { rate_bps = 5e6; on_s = x; off_s = 0.5 } in
+      List.iter
+        (fun (name, cfg) -> refused (Printf.sprintf "%s %h" name x) cfg)
+        [
+          ("bandwidth_bps", { base with Config.bandwidth_bps = x });
+          ("rtt_prop", { base with Config.rtt_prop = x });
+          ("mss", { base with Config.mss = x });
+          ("duration", { base with Config.duration = x });
+          ("loss_rate", { base with Config.loss_rate = x });
+          ("ack_jitter", { base with Config.ack_jitter = x });
+          ("step time", { ext with Config.bandwidth_steps = [ (x, 4e6) ] });
+          ("step rate", { ext with Config.bandwidth_steps = [ (1.5, x) ] });
+          ("cross rate",
+           { ext with Config.cross = [ Config.Constant { rate_bps = x } ] });
+          ("on-off", { ext with Config.cross = [ on_off ] });
+          ("outage_rate", { ext with Config.outage_rate = x });
+          ("outage_duration", { ext with Config.outage_duration = x });
+          ("reorder_prob", { ext with Config.reorder_prob = x });
+          ("reorder_delay", { ext with Config.reorder_delay = x });
+          ("max_p",
+           { ext with
+             Config.qdisc = Config.Red { min_th = 5; max_th = 15; max_p = x } });
+        ])
+    [ nan; infinity; neg_infinity ];
+  List.iter
+    (fun x ->
+      refused "bandwidth" { Config.default with Config.bandwidth_bps = x };
+      refused "rtt" { Config.default with Config.rtt_prop = x };
+      refused "mss" { Config.default with Config.mss = x })
+    [ 0.0; -0.0; -1.0 ];
+  refused "fractional mss" { Config.default with Config.mss = 1448.5 };
+  refused "extended fractional mss" { extended with Config.mss = 1448.5 };
+  Alcotest.(check bool) "integral mss kept" true
+    (Config.of_digest (Config.digest { extended with Config.mss = 1500.0 })
+    <> None)
+
 let test_config_rwnd () =
   let cfg = quick_config () in
   Alcotest.(check bool) "rwnd above capacity" true
@@ -417,11 +600,13 @@ let test_sim_jitter_does_not_stall () =
 
 (* The event loop's allocation budget. What it still allocates is the
    boxing of floats passed to and returned from calls the compiler does
-   not inline (the CCA closures, queue pushes); the simulator's own state
-   boxes nothing. Reno on the classifier reference scenarios measured
-   40.1 minor words per event before the RNG state, the clock floats and
-   the event queue were unboxed, and about 15 after under the dev
-   profile (13 under release). *)
+   not inline (the CCA closures, and under the dev profile every call
+   into another module); the simulator's own state boxes nothing. Reno on
+   the classifier reference scenarios measured 40.1 minor words per event
+   before the RNG state, the clock floats and the event queue were
+   unboxed, about 15 after under the dev profile (13 under release), and
+   10.8 (3.9) once recovery kept a scoreboard and queue pushes and RNG
+   draws inlined. *)
 let test_sim_allocation_budget () =
   let words = ref 0.0 and events = ref 0 in
   List.iter
@@ -547,6 +732,7 @@ let suites =
             prop_event_queue_reference_order;
             prop_event_queue_lane_merge;
           ] );
+    ("netsim.scoreboard", qcheck [ prop_scoreboard_matches_walk ]);
     ( "netsim.config",
       [
         Alcotest.test_case "bdp" `Quick test_config_bdp;
@@ -557,6 +743,8 @@ let suites =
           test_config_digest_covers_every_field;
         Alcotest.test_case "of_digest roundtrip" `Quick
           test_config_of_digest_roundtrip;
+        Alcotest.test_case "of_digest refuses what is not simulable" `Quick
+          test_config_of_digest_refuses;
         Alcotest.test_case "rwnd above capacity" `Quick test_config_rwnd;
       ] );
     ( "netsim.sim",
@@ -573,6 +761,8 @@ let suites =
         Alcotest.test_case "rtt floor" `Quick test_sim_rtt_at_least_propagation;
         Alcotest.test_case "jitter no stall" `Quick test_sim_jitter_does_not_stall;
         Alcotest.test_case "allocation budget" `Quick test_sim_allocation_budget;
+        Alcotest.test_case "whole-run digest pinned" `Quick
+          test_sim_whole_run_digest;
       ] );
     ( "netsim.extended",
       [

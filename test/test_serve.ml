@@ -776,7 +776,8 @@ let test_socket_path_not_a_socket () =
     (In_channel.with_open_bin path In_channel.input_all)
 
 (* A TCP port another socket listens on is refused naming the endpoint,
-   and the daemon's own socket is closed. *)
+   and the daemon's own socket is closed; the daemon refuses it before it
+   warms up, simulating no reference flow. *)
 let test_tcp_port_in_use () =
   let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close holder) @@ fun () ->
@@ -787,17 +788,33 @@ let test_tcp_port_in_use () =
     | Unix.ADDR_INET (_, port) -> port
     | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
   in
+  let expected =
+    Printf.sprintf "127.0.0.1:%d: %s" port (Unix.error_message Unix.EADDRINUSE)
+  in
   let before = open_fds () in
   (match Abg_serve.Daemon.listen_on (Abg_serve.Daemon.Tcp port) with
   | fd ->
       Unix.close fd;
       Alcotest.fail "listen_on took a port in use"
   | exception Abg_serve.Daemon.Endpoint_in_use m ->
-      Alcotest.(check string) "one line naming the endpoint"
-        (Printf.sprintf "127.0.0.1:%d: %s" port
-           (Unix.error_message Unix.EADDRINUSE))
-        m);
-  Alcotest.(check int) "no descriptor leaked" before (open_fds ())
+      Alcotest.(check string) "one line naming the endpoint" expected m);
+  Alcotest.(check int) "no descriptor leaked" before (open_fds ());
+  let runs = Abg_obs.Obs.Counter.make "sim.runs" in
+  let runs_before = Abg_obs.Obs.Counter.value runs in
+  let config =
+    {
+      Abg_serve.Daemon.default_config with
+      endpoint = Abg_serve.Daemon.Tcp port;
+      log = (fun _ -> ());
+    }
+  in
+  (match Abg_serve.Daemon.run ~config () with
+  | () -> Alcotest.fail "run served on a port in use"
+  | exception Abg_serve.Daemon.Endpoint_in_use m ->
+      Alcotest.(check string) "run names the endpoint" expected m);
+  Alcotest.(check int) "no reference simulated" runs_before
+    (Abg_obs.Obs.Counter.value runs);
+  Alcotest.(check int) "no descriptor leaked by run" before (open_fds ())
 
 (* Two domains log through one channel at once: every line reads back
    whole, each exactly once. *)
