@@ -252,8 +252,9 @@ let synth_traces_arg =
   let doc = "Trace files produced by `abagnale collect' (or use --cca)." in
   Arg.(value & pos_all non_dir_file [] & info [] ~docv:"TRACE" ~doc)
 
-(* The prune and simulation summary is read from ONE telemetry snapshot —
-   the same counters the refinement loop and the simulator rode on. *)
+(* The prune summary is the run's own ledger; the simulation line reads
+   the telemetry counters the simulator rode on, so it is printed only
+   when telemetry is on. *)
 let print_synth_summary (outcome : Abg_core.Synthesis.outcome) =
   Printf.printf "cca:       %s\n" outcome.Abg_core.Synthesis.cca_name;
   Printf.printf "dsl:       %s\n" outcome.Abg_core.Synthesis.dsl_name;
@@ -266,30 +267,20 @@ let print_synth_summary (outcome : Abg_core.Synthesis.outcome) =
     r.Abg_core.Refinement.total_sketches_scored
     r.Abg_core.Refinement.total_handlers_scored
     r.Abg_core.Refinement.buckets_initial;
-  let snap = Abg_obs.Obs.snapshot () in
-  let c name = Abg_obs.Report.find_counter snap name in
-  let prefix = "enum.pruned." in
-  let pruned =
-    List.filter_map
-      (fun (name, n) ->
-        if String.starts_with ~prefix name then
-          Some
-            ( String.sub name (String.length prefix)
-                (String.length name - String.length prefix),
-              n )
-        else None)
-      snap.Abg_obs.Obs.counters
-  in
+  let pruned = List.sort compare r.Abg_core.Refinement.pruned in
   let total_pruned = List.fold_left (fun acc (_, n) -> acc + n) 0 pruned in
-  let enumerated = total_pruned + c "enum.returned" in
+  let enumerated = r.Abg_core.Refinement.enumerated in
   Printf.printf "pruned:    %s (%.1f%% of %d enumerated sketches)\n"
     (String.concat ", "
        (List.map (fun (reason, n) -> Printf.sprintf "%s %d" reason n) pruned))
     (if enumerated = 0 then 0.0
      else 100.0 *. float_of_int total_pruned /. float_of_int enumerated)
     enumerated;
-  Printf.printf "cache:     %d simulations, %d sim events\n" (c "sim.runs")
-    (c "sim.events");
+  if Abg_obs.Obs.enabled () then begin
+    let c = Abg_obs.Report.find_counter (Abg_obs.Obs.snapshot ()) in
+    Printf.printf "cache:     %d simulations, %d sim events\n" (c "sim.runs")
+      (c "sim.events")
+  end;
   let st = r.Abg_core.Refinement.solver in
   Printf.printf
     "solver:    %d conflicts, %d propagations, %d learnts (%d live), %d DB \
@@ -450,7 +441,7 @@ let lint strict format names () =
               List.iter
                 (fun d ->
                   Printf.printf "  %s\n"
-                    (Fmt.str "%a" Abg_analysis.Lint.pp_diag d))
+                    (Format.asprintf "%a" Abg_analysis.Lint.pp_diag d))
                 diags)
         linted;
       Printf.printf "%d handler(s) linted: %d error(s), %d warning(s)\n"

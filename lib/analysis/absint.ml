@@ -9,16 +9,17 @@
    [Eval.num] can produce on any in-range environment; that containment
    is the soundness property qcheck exercises in test_analysis.ml.
 
-   On top of the interpreter sit the prune rules: a handler is dead on
-   arrival when its interval proves the replayed window can never differ
-   from the floor the evaluator would impose anyway (provably <= 0 or
-   provably non-finite, both of which [Eval.handler] maps to one MSS), or
-   when a subterm makes the whole sketch semantically equal to a sketch
-   the enumerator emits elsewhere at smaller size (a division whose
-   denominator is provably inside the safe-div guard, a conditional whose
-   guard is constant over the whole box). Pruning one of these never
-   loses behavior: the surviving space still contains an equivalent
-   handler. *)
+   On top of the interpreter sits the interval walk ([findings]), which
+   decides each prune rule once for the enumerator and for lint: a
+   handler is dead on arrival when its interval proves the replayed
+   window can never differ from the floor the evaluator would impose
+   anyway (provably <= 0 or provably non-finite, both of which
+   [Eval.handler] maps to one MSS), or when a subterm makes the whole
+   sketch semantically equal to a sketch the enumerator emits elsewhere
+   at smaller size (a division whose denominator is provably inside the
+   safe-div guard, a conditional whose guard is constant over the whole
+   box). Pruning one of these never loses behavior: the surviving space
+   still contains an equivalent handler. *)
 
 open Abg_util
 open Abg_dsl
@@ -124,60 +125,79 @@ let reason_name = function
   | Zero_denominator -> "zero-denominator"
   | Dead_guard -> "dead-guard"
 
-(* Near-zero divisor threshold of [Floatx.safe_div]. *)
-let div_eps = 1e-12
+type rule =
+  | Collapses_to_floor | Always_nonfinite | Unbounded_window | Possible_nan
+  | Zero_denominator | Possible_zero_denominator | Dead_guard of bool
 
-let provably_near_zero (i : Interval.t) =
-  (not i.Interval.nan) && i.Interval.hi < div_eps && i.Interval.lo > -.div_eps
+type finding = { rule : rule; expr : Expr.num; witness : Interval.t }
 
-(* First structural witness of a subterm-level dead pattern: a division
-   whose denominator the evaluator is guaranteed to guard to 0, or a
-   conditional whose guard is constant over the whole box. Either way the
-   expression is semantically equal to a strictly smaller one, which the
-   enumerator emits in some (possibly different) bucket. *)
-let rec dead_subterm box (e : Expr.num) : (reason * Interval.t) option =
-  let first a b = match a with Some _ -> a | None -> b () in
-  match e with
-  | Expr.Cwnd | Expr.Signal _ | Expr.Macro _ | Expr.Const _ | Expr.Hole _ ->
-      None
-  | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) ->
-      first (dead_subterm box a) (fun () -> dead_subterm box b)
-  | Expr.Div (a, b) ->
-      let di = num box b in
-      if provably_near_zero di then Some (Zero_denominator, di)
-      else
-        first (dead_subterm box a) (fun () -> dead_subterm box b)
-  | Expr.Ite (c, t, e) -> begin
-      match boolean box c with
-      | Interval.True | Interval.False ->
-          (* Witness: the interval of the guard's left-hand side, which
-             together with the right-hand side's proves the verdict. *)
-          let lhs =
-            match c with
-            | Expr.Lt (a, _) | Expr.Gt (a, _) | Expr.Mod_eq (a, _) -> num box a
-          in
-          Some (Dead_guard, lhs)
-      | Interval.Unknown ->
-          first (dead_bool box c) (fun () ->
-              first (dead_subterm box t) (fun () -> dead_subterm box e))
-    end
-  | Expr.Cube a | Expr.Cbrt a -> dead_subterm box a
+let prunes : rule -> reason option = function
+  | Collapses_to_floor -> Some Collapses_to_floor
+  | Always_nonfinite -> Some Always_nonfinite
+  | Zero_denominator -> Some Zero_denominator
+  | Dead_guard _ -> Some Dead_guard
+  | Unbounded_window | Possible_nan | Possible_zero_denominator -> None
 
-and dead_bool box (b : Expr.boolean) =
-  let first a b = match a with Some _ -> a | None -> b () in
-  match b with
-  | Expr.Lt (a, b) | Expr.Gt (a, b) | Expr.Mod_eq (a, b) ->
-      first (dead_subterm box a) (fun () -> dead_subterm box b)
+(* Lazy, so a client that stops at the first finding it acts on
+   computes nothing past it. *)
+let findings box (e : Expr.num) : finding Seq.t =
+  let eps = Floatx.div_eps in
+  let rec sub (e : Expr.num) () =
+    match e with
+    | Expr.Cwnd | Expr.Signal _ | Expr.Macro _ | Expr.Const _ | Expr.Hole _ ->
+        Seq.Nil
+    | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) ->
+        Seq.append (sub a) (sub b) ()
+    | Expr.Div (a, b) ->
+        let rest = Seq.append (sub a) (sub b) in
+        let di = num box b in
+        let found rule = Seq.Cons ({ rule; expr = e; witness = di }, rest) in
+        if (not di.Interval.nan) && di.Interval.hi < eps
+           && di.Interval.lo > -.eps
+        then found Zero_denominator
+        else if di.Interval.lo < eps && di.Interval.hi > -.eps then
+          found Possible_zero_denominator
+        else rest ()
+    | Expr.Ite (c, t, el) -> (
+        let x, y =
+          match c with
+          | Expr.Lt (x, y) | Expr.Gt (x, y) | Expr.Mod_eq (x, y) -> (x, y)
+        in
+        let rest =
+          Seq.append (sub x) (Seq.append (sub y) (Seq.append (sub t) (sub el)))
+        in
+        (* A decided guard's witness is its left-hand side's interval,
+           which together with the right-hand side's proves the verdict. *)
+        let dead truth =
+          let witness = num box x in
+          Seq.Cons ({ rule = Dead_guard truth; expr = e; witness }, rest)
+        in
+        match boolean box c with
+        | Interval.True -> dead true
+        | Interval.False -> dead false
+        | Interval.Unknown -> rest ())
+    | Expr.Cube a | Expr.Cbrt a -> sub a ()
+  in
+  fun () ->
+    let i = num box e in
+    let bound =
+      if i.Interval.hi <= 0.0 then [ Collapses_to_floor ]
+      else if i.Interval.lo = Float.infinity then [ Always_nonfinite ]
+      else if i.Interval.hi = Float.infinity then [ Unbounded_window ]
+      else []
+    in
+    let nan =
+      i.Interval.nan && i.Interval.lo <> Float.infinity && i.Interval.hi > 0.0
+    in
+    let window = if nan then bound @ [ Possible_nan ] else bound in
+    let found rule = { rule; expr = e; witness = i } in
+    Seq.append (List.to_seq (List.map found window)) (sub e) ()
 
-(** [prune box e] is [Some (reason, witness)] when the interval analysis
-    proves [e] dead on arrival: every environment in [box] (and every
-    hole filling from the pool) replays identically to a handler the
-    search retains anyway — the constant floor for [Collapses_to_floor]
-    and [Always_nonfinite] (cf. [Eval.handler]'s non-finite/minimum
-    guard), a strictly smaller equivalent sketch for [Zero_denominator]
-    and [Dead_guard]. *)
-let prune box (e : Expr.num) : (reason * Interval.t) option =
-  let i = num box e in
-  if i.Interval.hi <= 0.0 then Some (Collapses_to_floor, i)
-  else if i.Interval.lo = Float.infinity then Some (Always_nonfinite, i)
-  else dead_subterm box e
+(* The walk's first finding that proves [e] dead on arrival: the
+   constant floor for [Collapses_to_floor] and [Always_nonfinite] (cf.
+   [Eval.handler]'s non-finite/minimum guard), a strictly smaller
+   equivalent sketch for [Zero_denominator] and [Dead_guard]. *)
+let prune box (e : Expr.num) : (reason * finding) option =
+  Seq.find_map
+    (fun f -> Option.map (fun r -> (r, f)) (prunes f.rule))
+    (findings box e)

@@ -1,5 +1,7 @@
 (** Abstract interpretation of DSL expressions over the interval domain
-    of {!Abg_util.Interval}.
+    of {!Abg_util.Interval}, and the interval walk ({!findings}) that
+    decides every interval rule once for both of its clients: the
+    enumerator's dead-on-arrival stage ({!prune}) and [abagnale lint].
 
     Leaves are bounded by their physical contracts ({!Abg_dsl.Signal.range},
     the replay clamp on cwnd, the concretization pool for holes); transfer
@@ -36,28 +38,44 @@ val simplify : box -> Expr.num -> Expr.num
 
 val is_simplifiable : box -> Expr.num -> bool
 
-(** Why a sketch was proven dead on arrival. *)
+(** Why a sketch was proven dead on arrival: the {!rule}s that prune. *)
 type reason =
   | Collapses_to_floor
-      (** window provably <= 0 everywhere: replays as the constant
-          one-MSS floor ([Eval.handler] clamps from below) *)
   | Always_nonfinite
-      (** provably +inf everywhere: replays as the floor too
-          ([Eval.handler] maps non-finite to one MSS) *)
   | Zero_denominator
-      (** some division's denominator provably sits inside the
-          [Floatx.safe_div] guard: the quotient is identically 0 and a
-          strictly smaller equivalent sketch exists *)
   | Dead_guard
-      (** some conditional's guard is constant over the whole box: one
-          branch is unreachable *)
 
 val all_reasons : reason list
 val reason_name : reason -> string
 
-val prune : box -> Expr.num -> (reason * Interval.t) option
-(** [prune box e] is [Some (reason, witness)] when [e] is provably dead
-    on arrival; the witness interval is the fact that proves it (the
-    expression's own interval, a denominator's, or a dead guard's
-    left-hand side's). Sound: a pruned sketch replays identically to a
-    handler the search retains anyway. *)
+(** A finding of the interval walk. *)
+type rule =
+  | Collapses_to_floor
+      (** window provably <= 0 everywhere: replays as the constant
+          one-MSS floor ([Eval.handler] clamps from below) *)
+  | Always_nonfinite
+      (** provably +inf everywhere: the floor too (non-finite clamp) *)
+  | Unbounded_window  (** the window can overflow to non-finite *)
+  | Possible_nan  (** some input makes the window NaN *)
+  | Zero_denominator
+      (** a denominator provably inside the [Floatx.safe_div] guard: the
+          quotient is identically 0 *)
+  | Possible_zero_denominator  (** a denominator can enter that guard *)
+  | Dead_guard of bool
+      (** a guard constant (at this value) over the whole box: one branch
+          is unreachable *)
+
+(** [expr] is the handler for a window rule, else the division or the
+    conditional; [witness] is its interval, the denominator's, or the
+    guard's left-hand side's. *)
+type finding = { rule : rule; expr : Expr.num; witness : Interval.t }
+
+val findings : box -> Expr.num -> finding Seq.t
+(** The interval walk, lazily: the window rules ([Collapses_to_floor],
+    [Always_nonfinite] or [Unbounded_window], then [Possible_nan]), then
+    the subterm rules in pre-order, left operand first. *)
+
+val prune : box -> Expr.num -> (reason * finding) option
+(** The first finding that proves [e] dead on arrival, with its reason.
+    Sound: a pruned sketch replays identically to a handler the search
+    retains anyway. *)

@@ -40,6 +40,10 @@ val decide :
     the sampling stage (default 256), [icp_budget] the branch-and-prune
     sub-zone evaluations (default 512). *)
 
+val hole_fill : Relint.t -> int -> float
+(** The numeric engines' hole filling: every hole gets the midpoint of
+    the zone's hole interval, clamped to [[-1e6, 1e6]]. *)
+
 type validation = [ `Proved | `Sampled of int ]
 
 val validate_rewrite :

@@ -1,5 +1,7 @@
-(* Lint diagnostics for DSL handlers, built on the abstract interpreter
-   and the relational layer.
+(* Lint diagnostics for DSL handlers. The rules the search prunes on are
+   decided by two walks in this library, [Absint.findings] (the interval
+   rules) and [Relint.conditionals] (the relational ones), which the
+   enumerator's prune stages read too; lint only words their findings.
 
    Each rule reports (rule id, offending subexpression, reason, interval
    witness). Errors are handlers the search itself would prune as dead on
@@ -39,210 +41,131 @@ type diag = {
 let diag ?witness rule severity expr message =
   { rule; severity; expr; message; witness }
 
-let div_eps = 1e-12
+(* A decided guard's message: true makes the else-branch unreachable,
+   false the then-branch. *)
+let guard_message fmt truth =
+  if truth then Printf.sprintf fmt "true" "else"
+  else Printf.sprintf fmt "false" "then"
 
-let rec sub_diags box (e : Expr.num) acc =
-  match e with
-  | Expr.Cwnd | Expr.Signal _ | Expr.Macro _ | Expr.Const _ | Expr.Hole _ ->
-      acc
-  | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) ->
-      sub_diags box a (sub_diags box b acc)
-  | Expr.Div (a, b) ->
-      let di = Absint.num box b in
-      let acc =
-        if (not di.Interval.nan) && di.Interval.hi < div_eps
-           && di.Interval.lo > -.div_eps
-        then
-          diag ~witness:di "zero-denominator" Error e
-            "denominator is provably inside the safe-division guard; the \
-             quotient is identically 0"
-          :: acc
-        else if di.Interval.lo < div_eps && di.Interval.hi > -.div_eps then
-          diag ~witness:di "possible-zero-denominator" Warning e
-            "denominator can enter the safe-division guard, silently \
-             zeroing the quotient"
-          :: acc
-        else acc
-      in
-      sub_diags box a (sub_diags box b acc)
-  | Expr.Ite (c, t, el) ->
-      let acc =
-        match Absint.boolean box c with
-        | Interval.True ->
-            diag "dead-guard" Warning e
-              "guard is true over the whole input box; the else-branch is \
-               unreachable"
-            :: acc
-        | Interval.False ->
-            diag "dead-guard" Warning e
-              "guard is false over the whole input box; the then-branch \
-               is unreachable"
-            :: acc
-        | Interval.Unknown -> acc
-      in
-      let acc =
-        match c with
-        | Expr.Lt (a, b) | Expr.Gt (a, b) | Expr.Mod_eq (a, b) ->
-            sub_diags box a (sub_diags box b acc)
-      in
-      sub_diags box t (sub_diags box el acc)
-  | Expr.Cube a | Expr.Cbrt a -> sub_diags box a acc
+(* Severity and message of each interval finding. A decided guard's
+   witness interval (its left-hand side's) is not reported. *)
+let interval_diag (f : Absint.finding) =
+  let d = diag ~witness:f.Absint.witness in
+  let e = f.Absint.expr in
+  match f.Absint.rule with
+  | Absint.Collapses_to_floor ->
+      d "collapses-to-floor" Error e
+        "window is provably <= 0 everywhere; the handler replays as the \
+         constant one-MSS floor"
+  | Absint.Always_nonfinite ->
+      d "always-nonfinite" Error e
+        "window is provably non-finite everywhere; the handler replays as \
+         the constant one-MSS floor"
+  | Absint.Unbounded_window ->
+      d "unbounded-window" Warning e
+        "window can overflow to non-finite, which the evaluator maps to the \
+         one-MSS floor"
+  | Absint.Possible_nan ->
+      d "possible-nan" Warning e
+        "some input produces NaN, which the evaluator maps to the one-MSS \
+         floor"
+  | Absint.Zero_denominator ->
+      d "zero-denominator" Error e
+        "denominator is provably inside the safe-division guard; the \
+         quotient is identically 0"
+  | Absint.Possible_zero_denominator ->
+      d "possible-zero-denominator" Warning e
+        "denominator can enter the safe-division guard, silently zeroing \
+         the quotient"
+  | Absint.Dead_guard truth ->
+      diag "dead-guard" Warning e
+        (guard_message
+           "guard is %s over the whole input box; the %s-branch is \
+            unreachable"
+           truth)
 
 (* Replay cross-check for a relationally-decided guard: sample
    zone-consistent environments and confirm [Eval.boolean] agrees with
    the verdict on every one. The analysis is sound, so this can only
    fail on an analysis bug — in which case the diagnostic is suppressed
-   rather than reported as a false positive. Holes are filled with the
-   hole interval's midpoint for the replay. *)
-let replay_confirms rel (g : Expr.boolean) expected =
-  let fill =
-    let iv = Relint.hole rel in
-    let lo = Float.max iv.Interval.lo (-1e6)
-    and hi = Float.min iv.Interval.hi 1e6 in
-    let mid = lo +. ((hi -. lo) /. 2.0) in
-    fun _ -> mid
-  in
-  let g =
-    match g with
-    | Expr.Lt (a, b) -> Expr.Lt (Expr.fill a fill, Expr.fill b fill)
-    | Expr.Gt (a, b) -> Expr.Gt (Expr.fill a fill, Expr.fill b fill)
-    | Expr.Mod_eq (a, b) -> Expr.Mod_eq (Expr.fill a fill, Expr.fill b fill)
-  in
+   rather than reported as a false positive. Holes are filled as the
+   numeric engines of [Equiv] fill them. *)
+let replay_confirms zone g expected =
+  let g = Expr.fill_bool g (Equiv.hole_fill zone) in
   let rng = Rng.create 0x11A7 in
   let rec go k =
     k = 0
     ||
-    let env = Relint.sample_env rel rng in
+    let env = Relint.sample_env zone rng in
     Eval.boolean env g = expected && go (k - 1)
   in
   go 64
 
-(* The relational rules. [base] is the unrefined zone; [rel] carries the
-   assumptions of the enclosing guards. A guard already decided by the
-   interval domain is [sub_diags]'s dead-guard, not ours. *)
-let rec rel_diags box base rel (e : Expr.num) acc =
-  match e with
-  | Expr.Cwnd | Expr.Signal _ | Expr.Macro _ | Expr.Const _ | Expr.Hole _ ->
-      acc
-  | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) | Expr.Div (a, b) ->
-      rel_diags box base rel a (rel_diags box base rel b acc)
-  | Expr.Cube a | Expr.Cbrt a -> rel_diags box base rel a acc
-  | Expr.Ite (c, t, el) ->
-      let interval_verdict = Absint.boolean box c in
-      let base_verdict = Relint.boolean base c in
-      let ctx_verdict = Relint.boolean rel c in
-      let acc =
-        match (interval_verdict, base_verdict, ctx_verdict) with
-        | Interval.Unknown, (Interval.True | Interval.False), _
-          when replay_confirms base c (base_verdict = Interval.True) ->
-            let branch =
-              if base_verdict = Interval.True then "else" else "then"
-            in
-            diag ~witness:(Relint.guard_witness base c) "vacuous-guard"
-              Warning e
-              (Fmt.str
-                 "guard is %s for every physically-consistent environment \
-                  (a cross-signal relation the interval domain cannot \
-                  see); the %s-branch is unreachable"
-                 (if base_verdict = Interval.True then "true" else "false")
-                 branch)
-            :: acc
-        | Interval.Unknown, Interval.Unknown, (Interval.True | Interval.False)
-          when replay_confirms rel c (ctx_verdict = Interval.True) ->
-            diag ~witness:(Relint.guard_witness rel c) "guard-implied"
-              Warning e
-              (Fmt.str
-                 "guard is %s whenever this branch is reached (implied by \
-                  the enclosing guards); the %s-branch is unreachable here"
-                 (if ctx_verdict = Interval.True then "true" else "false")
-                 (if ctx_verdict = Interval.True then "else" else "then"))
-            :: acc
-        | _ -> acc
-      in
-      let acc =
-        (* Equal branches make the conditional redundant regardless of
-           the guard. Only worth deciding when the guard is open. *)
-        match ctx_verdict with
-        | Interval.Unknown -> begin
-            match Equiv.decide ~draws:64 ~icp_budget:64 rel t el with
-            | Equiv.Equal ->
-                diag "branch-equivalent" Info e
-                  "both branches are provably the same function; the \
-                   conditional is redundant"
-                :: acc
-            | Equiv.Distinct _ | Equiv.Unknown _ -> acc
-          end
-        | _ -> acc
-      in
-      let rel_t =
-        match Relint.assume rel c true with Some r -> r | None -> rel
-      in
-      let rel_f =
-        match Relint.assume rel c false with Some r -> r | None -> rel
-      in
-      let acc =
-        match c with
-        | Expr.Lt (a, b) | Expr.Gt (a, b) | Expr.Mod_eq (a, b) ->
-            rel_diags box base rel a (rel_diags box base rel b acc)
-      in
-      rel_diags box base rel_t t (rel_diags box base rel_f el acc)
+(* The relational diagnostics of one conditional: its relational prune
+   reason, once the replay confirms it on the zone that decides it (the
+   unrefined zone [base] for a vacuous guard, the context zone for an
+   implied one), then [branch-equivalent] when the guard is open. *)
+let relational_diags base (c : Relint.conditional) =
+  let decided =
+    let report zone verdict rule fmt =
+      let truth = verdict = Interval.True in
+      if replay_confirms zone c.Relint.guard truth then
+        [ diag ~witness:(Relint.guard_witness zone c.Relint.guard) rule Warning
+            c.Relint.expr (guard_message fmt truth) ]
+      else []
+    in
+    match Relint.reason c with
+    | Some Relint.Vacuous_guard ->
+        report base c.Relint.base "vacuous-guard"
+          "guard is %s for every physically-consistent environment (a \
+           cross-signal relation the interval domain cannot see); the \
+           %s-branch is unreachable"
+    | Some Relint.Guard_implied ->
+        report c.Relint.zone c.Relint.context "guard-implied"
+          "guard is %s whenever this branch is reached (implied by the \
+           enclosing guards); the %s-branch is unreachable here"
+    | None -> []
+  in
+  let equivalent =
+    (* Equal branches make the conditional redundant regardless of the
+       guard. Only worth deciding when the guard is open. *)
+    match (c.Relint.context, c.Relint.expr) with
+    | Interval.Unknown, Expr.Ite (_, t, el) -> (
+        match Equiv.decide ~draws:64 ~icp_budget:64 c.Relint.zone t el with
+        | Equiv.Equal ->
+            [ diag "branch-equivalent" Info c.Relint.expr
+                "both branches are provably the same function; the \
+                 conditional is redundant" ]
+        | Equiv.Distinct _ | Equiv.Unknown _ -> [])
+    | _ -> []
+  in
+  decided @ equivalent
 
-(** [check ?box e] is every diagnostic the analysis can prove about
-    handler [e], outermost rules first. *)
-let check ?box (e : Expr.num) : diag list =
-  let box = match box with Some b -> b | None -> Absint.default_box () in
-  let i = Absint.num box e in
-  let root = [] in
-  let root =
-    if i.Interval.hi <= 0.0 then
-      diag ~witness:i "collapses-to-floor" Error e
-        "window is provably <= 0 everywhere; the handler replays as the \
-         constant one-MSS floor"
-      :: root
-    else if i.Interval.lo = Float.infinity then
-      diag ~witness:i "always-nonfinite" Error e
-        "window is provably non-finite everywhere; the handler replays \
-         as the constant one-MSS floor"
-      :: root
-    else if i.Interval.hi = Float.infinity then
-      diag ~witness:i "unbounded-window" Warning e
-        "window can overflow to non-finite, which the evaluator maps to \
-         the one-MSS floor"
-      :: root
-    else root
-  in
-  let root =
-    if i.Interval.nan && i.Interval.lo <> Float.infinity && i.Interval.hi > 0.0
-    then
-      diag ~witness:i "possible-nan" Warning e
-        "some input produces NaN, which the evaluator maps to the \
-         one-MSS floor"
-      :: root
-    else root
-  in
-  let structural = List.rev (sub_diags box e []) in
+(** [check e] is every diagnostic the analysis can prove about handler
+    [e] over {!Absint.default_box}: the interval walk's findings, then
+    the conditional walk's, then the redundancy infos. *)
+let check (e : Expr.num) : diag list =
+  let box = Absint.default_box () in
+  let base = Relint.of_box box in
+  let interval = List.of_seq (Seq.map interval_diag (Absint.findings box e)) in
   let relational =
-    let rel = Relint.of_box box in
-    List.rev (rel_diags box rel rel e [])
+    List.concat_map (relational_diags base)
+      (List.of_seq (Relint.conditionals base e))
   in
-  let redundancy =
-    let simp =
-      if Absint.is_simplifiable box e then
-        [ diag "simplifiable" Info e
-            "rewriting strictly reduces the node count; an equivalent \
-             smaller handler exists" ]
-      else []
-    in
-    let canon =
-      if not (Expr.equal_num e (Canonical.normalize e)) then
-        [ diag "non-canonical" Info e
-            "operands of a commutative operator are not in canonical \
-             order" ]
-      else []
-    in
-    simp @ canon
+  let simplifiable =
+    if Absint.is_simplifiable box e then
+      [ diag "simplifiable" Info e
+          "rewriting strictly reduces the node count; an equivalent \
+           smaller handler exists" ]
+    else []
   in
-  List.rev root @ structural @ relational @ redundancy
+  let non_canonical =
+    if Expr.equal_num e (Canonical.normalize e) then []
+    else
+      [ diag "non-canonical" Info e
+          "operands of a commutative operator are not in canonical order" ]
+  in
+  interval @ relational @ simplifiable @ non_canonical
 
 (** Named degenerate handlers demonstrating every rule — living
     documentation for [abagnale lint], and fixtures for the tests and the
@@ -287,7 +210,7 @@ let pp_diag ppf d =
   let witness =
     match d.witness with
     | None -> ""
-    | Some w -> Fmt.str " (witness %a)" Interval.pp w
+    | Some w -> Format.asprintf " (witness %a)" Interval.pp w
   in
-  Fmt.pf ppf "%s[%s]: %s: %s%s" (severity_name d.severity) d.rule
+  Format.fprintf ppf "%s[%s]: %s: %s%s" (severity_name d.severity) d.rule
     (Pretty.num d.expr) d.message witness

@@ -1,5 +1,7 @@
-(** Lint diagnostics for DSL handlers, built on {!Absint} and the
-    relational layer ({!Relint}/{!Equiv}).
+(** Lint diagnostics for DSL handlers: each finding of the two walks the
+    enumerator's prune stages read ({!Absint.findings},
+    {!Relint.conditionals}) as a diagnostic, plus what only lint reports
+    (the replay confirmation below, [branch-equivalent], redundancy).
 
     Errors are handlers the search itself prunes as dead on arrival;
     warnings flag legal-but-suspicious behavior (silent overflow or NaN
@@ -33,11 +35,16 @@ type diag = {
   witness : Interval.t option;
 }
 
-val check : ?box:Absint.box -> Expr.num -> diag list
-(** Every diagnostic the analysis can prove about a handler, root rules
-    first, then structural (per-subterm) rules in syntactic order, then
-    relational rules, then redundancy infos. [box] defaults to
-    {!Absint.default_box}. *)
+val check : Expr.num -> diag list
+(** Every diagnostic the analysis can prove about a handler over
+    {!Absint.default_box}: the interval walk's findings, then the
+    conditional walk's (each in the walk's order), then redundancy. *)
+
+val replay_confirms : Relint.t -> Expr.boolean -> bool -> bool
+(** [replay_confirms zone g truth] — [Eval.boolean] gives [g] the value
+    [truth] on 64 environments sampled from [zone]: the check a
+    [vacuous-guard] or [guard-implied] verdict passes before {!check}
+    reports it. *)
 
 val showcase : (string * Expr.num) list
 (** Named degenerate handlers demonstrating every rule — living

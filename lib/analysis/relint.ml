@@ -54,7 +54,7 @@ let var_of_signal s =
 type t = {
   d : float array array;
       (** closed difference-bound matrix: [x_i - x_j <= d.(i).(j)] *)
-  hole : Interval.t;  (** range of constant holes, as in [Absint.box] *)
+  box : Absint.box;  (** the interval box the zone was seeded from *)
 }
 
 (* Floyd–Warshall closure. Entries are finite or +infinity; the seeds
@@ -83,7 +83,7 @@ let feasible d =
 let interval_of t i = Interval.v (-.t.d.(zero).(i)) t.d.(i).(zero)
 let cwnd_iv t = interval_of t var_cwnd
 let signal_iv t s = interval_of t (var_of_signal s)
-let hole t = t.hole
+let hole t = t.box.Absint.hole
 
 let of_box (box : Absint.box) =
   let d = Array.make_matrix nvars nvars Float.infinity in
@@ -105,7 +105,7 @@ let of_box (box : Absint.box) =
   d.(vr).(vmax) <- 0.0;
   d.(vmin).(vmax) <- 0.0;
   close d;
-  { d; hole = box.Absint.hole }
+  { d; box }
 
 let default () = of_box (Absint.default_box ())
 let for_dsl dsl = of_box (Absint.box_for dsl)
@@ -158,7 +158,7 @@ and num t (e : Expr.num) : Interval.t =
   | Expr.Signal s -> signal_iv t s
   | Expr.Macro m -> macro t m
   | Expr.Const c -> Interval.const c
-  | Expr.Hole _ -> t.hole
+  | Expr.Hole _ -> hole t
   | Expr.Add (a, b) -> Interval.add (num t a) (num t b)
   | Expr.Sub (a, b) -> diff t a b
   | Expr.Mul (a, b) -> Interval.mul (num t a) (num t b)
@@ -298,6 +298,64 @@ let sample_env t rng : Env.t =
     delay_gradient = draw rng (s Signal.Delay_gradient);
     wmax = draw rng (s Signal.Wmax);
   }
+
+(* -- The conditional walk -- *)
+
+type reason = Vacuous_guard | Guard_implied
+
+let all_reasons = [ Vacuous_guard; Guard_implied ]
+
+let reason_name = function
+  | Vacuous_guard -> "vacuous-guard"
+  | Guard_implied -> "guard-implied"
+
+type conditional = {
+  expr : Expr.num;
+  guard : Expr.boolean;
+  interval : Interval.verdict;
+  base : Interval.verdict;
+  context : Interval.verdict;
+  zone : t;
+}
+
+(* The conditional walk, where the enumerator and lint read the
+   relational dead-guard rules. *)
+let conditionals base (e : Expr.num) : conditional Seq.t =
+  let rec walk zone (e : Expr.num) () =
+    match e with
+    | Expr.Cwnd | Expr.Signal _ | Expr.Macro _ | Expr.Const _ | Expr.Hole _ ->
+        Seq.Nil
+    | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) | Expr.Div (a, b) ->
+        Seq.append (walk zone a) (walk zone b) ()
+    | Expr.Cube a | Expr.Cbrt a -> walk zone a ()
+    | Expr.Ite (guard, t, el) ->
+        let x, y =
+          match guard with
+          | Expr.Lt (x, y) | Expr.Gt (x, y) | Expr.Mod_eq (x, y) -> (x, y)
+        in
+        let under truth branch () =
+          let zone' = Option.value (assume zone guard truth) ~default:zone in
+          walk zone' branch ()
+        in
+        let interval = Absint.boolean zone.box guard in
+        let c =
+          { expr = e; guard; interval; base = boolean base guard;
+            context = boolean zone guard; zone }
+        in
+        let rest = Seq.append (under true t) (under false el) in
+        Seq.Cons (c, Seq.append (walk zone x) (Seq.append (walk zone y) rest))
+  in
+  walk base e
+
+(* A guard the box decides is [Absint]'s dead guard, not ours. *)
+let reason c =
+  match (c.interval, c.base, c.context) with
+  | Interval.Unknown, (Interval.True | Interval.False), _ -> Some Vacuous_guard
+  | Interval.Unknown, Interval.Unknown, (Interval.True | Interval.False) ->
+      Some Guard_implied
+  | _ -> None
+
+let prune base e = Seq.find_map reason (conditionals base e)
 
 (* -- Simplify integration -- *)
 

@@ -6,7 +6,11 @@
     Closes the relational half of the paper's §5.6 simplification gap:
     guards that are vacuous only because of a relation *between* signals
     (Student 5's conditional) are decided here, where {!Absint} must
-    answer Unknown.
+    answer Unknown. The conditional walk ({!conditionals}) carries every
+    conditional's interval, base-zone and context-zone verdicts, and
+    {!reason} decides the two relational dead-guard rules from them, once
+    for the enumerator's relational prune stage ({!prune}) and for
+    [abagnale lint].
 
     Compatibility contract: on expressions whose atoms carry no
     relational edge — every reno-DSL sketch — {!num} and {!boolean} are
@@ -27,7 +31,8 @@ type t
 
 val of_box : Absint.box -> t
 (** Seed the zone from an interval box (signal ranges, cwnd clamp, hole
-    interval) plus the built-in cross-signal invariants. *)
+    interval) plus the built-in cross-signal invariants. The zone keeps
+    the box, and every zone refined from it shares it. *)
 
 val default : unit -> t
 (** [of_box (Absint.default_box ())]. *)
@@ -78,3 +83,34 @@ val oracle : t -> Simplify.oracle
 
 val simplify : t -> Expr.num -> Expr.num
 (** [Simplify.simplify] under {!oracle} — sound simplification. *)
+
+(** {2 The conditional walk} *)
+
+(** Why the relational stage prunes a sketch: the box leaves a guard
+    Unknown, and the zone decides it outright or only under the
+    assumptions of the enclosing guards. *)
+type reason = Vacuous_guard | Guard_implied
+
+val all_reasons : reason list
+val reason_name : reason -> string
+
+type conditional = {
+  expr : Expr.num;  (** the conditional itself *)
+  guard : Expr.boolean;
+  interval : Interval.verdict;  (** {!Absint.boolean} over the box *)
+  base : Interval.verdict;  (** {!boolean} over the unrefined zone *)
+  context : Interval.verdict;  (** {!boolean} over [zone] *)
+  zone : t;  (** the unrefined zone under the enclosing guards' {!assume} *)
+}
+
+val conditionals : t -> Expr.num -> conditional Seq.t
+(** [conditionals base e] — every conditional of [e], lazily, in
+    pre-order: a conditional, then those in its guard's operands (in its
+    own zone), then those in its branches (under the guard assumed true,
+    then false; an empty refinement keeps the zone). *)
+
+val reason : conditional -> reason option
+
+val prune : t -> Expr.num -> reason option
+(** The first {!reason} of {!conditionals}. Sound: such a sketch
+    evaluates identically to a strictly smaller one on the zone. *)

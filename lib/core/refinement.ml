@@ -82,6 +82,8 @@ type result = {
           disabled. *)
   prune_rate : float;
       (** fraction of decoded sketches pruned before simulation *)
+  enumerated : int;
+      (** decoded sketches: those returned plus those [pruned] *)
   solver : Abg_sat.Solver.stats;
       (** search effort of the run's persistent SAT enumerator *)
 }
@@ -360,6 +362,9 @@ let run ?(config = default_config) ~(dsl : Catalog.t) segments =
   in
   let pruned = Abg_enum.Encode.prune_stats enc in
   let prune_rate = Abg_enum.Encode.prune_rate enc in
+  let enumerated =
+    fst (Abg_enum.Encode.stats enc) + Abg_enum.Encode.skipped enc
+  in
   match winner with
   | None -> None
   | Some best ->
@@ -381,6 +386,7 @@ let run ?(config = default_config) ~(dsl : Catalog.t) segments =
           buckets_initial;
           pruned;
           prune_rate;
+          enumerated;
           solver = Abg_enum.Encode.solver_stats enc;
         }
 

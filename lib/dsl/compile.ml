@@ -40,7 +40,7 @@ type staged_bool = B of bool | Fb of (Env.t -> bool)
 (* Floatx.safe_div, locally: a direct call to a small same-module function
    is inlined by the classic (non-flambda) inliner; Float.abs is the
    "%abs_float" primitive and free. Must mirror Floatx.safe_div exactly. *)
-let sdiv a b = if Float.abs b < 1e-12 then 0.0 else a /. b
+let sdiv a b = if Float.abs b < Abg_util.Floatx.div_eps then 0.0 else a /. b
 
 let signal_reader s : Env.t -> float =
   match s with
@@ -178,7 +178,9 @@ let rec stage (e : Expr.num) : staged =
       | K x, K y -> K (sdiv x y)
       | K x, F fb -> F (fun env -> sdiv x (fb env))
       (* A constant divisor's zero-guard is decided at compile time. *)
-      | F fa, K y -> if Float.abs y < 1e-12 then K 0.0 else F (fun env -> fa env /. y)
+      | F fa, K y ->
+          if Float.abs y < Abg_util.Floatx.div_eps then K 0.0
+          else F (fun env -> fa env /. y)
       | F fa, F fb -> F (fun env -> sdiv (fa env) (fb env)))
   | Expr.Ite (c, t, e) -> (
       match stage_bool c with

@@ -62,7 +62,7 @@ and equal_bool_mod_comm a b =
 
 (* Near-zero divisor threshold of [Floatx.safe_div]; the rewriter must
    mirror the evaluator exactly or rewriting would change semantics. *)
-let div_eps = 1e-12
+let div_eps = Abg_util.Floatx.div_eps
 
 (* The evaluator's tolerant divisibility threshold for [Mod_eq]. *)
 let mod_eps = 1e-9

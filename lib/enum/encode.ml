@@ -30,14 +30,16 @@
     refinement loop drops the bucket; a retired bucket stays closed.
     Post-decode, three pruning stages run before a sketch is handed to
     the scorer, each blocking-and-skipping the model: arithmetic
-    simplifiability (§4.1's sympy filter), the interval-domain
-    dead-on-arrival rules of {!Abg_analysis.Absint} (window provably
-    <= 0 or non-finite, provably-zero denominators, guards constant over
-    the whole input box), and relational dead-guard detection via
-    {!Abg_analysis.Relint} (guards decided by the zone domain — the
-    cross-signal relations of §5.6 — either outright or under the
-    assumptions of enclosing guards). The relational stage touches only
-    sketches containing a conditional, so an Ite-free DSL (reno)
+    simplifiability (§4.1's sympy filter), the interval walk of
+    {!Abg_analysis.Absint.prune} (window provably <= 0 or non-finite,
+    provably-zero denominators, guards constant over the whole input
+    box), and the conditional walk of {!Abg_analysis.Relint.prune}
+    (guards decided by the zone domain — the cross-signal relations of
+    §5.6 — either outright or under the assumptions of enclosing
+    guards). Each stage acts on its walk's first pruning finding. The
+    walks decide every dead-handler rule, and [abagnale lint] reads the
+    same walks, so no such rule is decided here. The conditional walk
+    finds nothing in an Ite-free sketch, so an Ite-free DSL (reno)
     enumerates bit-identically with it on. Returned sketches are in
     {!Abg_analysis.Canonical} form; per-reason counters are surfaced via
     {!prune_stats}. *)
@@ -53,18 +55,16 @@ let unit_limit = 2
 type reason =
   | Simplifiable
   | Dead of Abg_analysis.Absint.reason
-  | Vacuous_guard
-  | Guard_implied
+  | Relational of Abg_analysis.Relint.reason
 
 let reasons =
   (Simplifiable :: List.map (fun r -> Dead r) Abg_analysis.Absint.all_reasons)
-  @ [ Vacuous_guard; Guard_implied ]
+  @ List.map (fun r -> Relational r) Abg_analysis.Relint.all_reasons
 
 let reason_name = function
   | Simplifiable -> "simplifiable"
   | Dead r -> Abg_analysis.Absint.reason_name r
-  | Vacuous_guard -> "vacuous-guard"
-  | Guard_implied -> "guard-implied"
+  | Relational r -> Abg_analysis.Relint.reason_name r
 
 let slot r = Option.get (List.find_index (( = ) r) reasons)
 
@@ -88,13 +88,13 @@ type t = {
 
 (* Telemetry: process-wide prune/enumeration counters, incremented
    alongside the per-enumerator cells above. The per-enc integers are
-   semantic state (the solver's randomize seed is derived from them and
-   per-enc statistics feed §6.1 reporting); the obs counters are what
-   run-level aggregation — [Refinement.result.pruned], the [--telemetry]
-   report, the CI gate — derives from, as a snapshot delta. Enumeration
-   totals are deterministic: every enumerator runs sequentially on the
-   domain that owns it, and its model sequence depends only on the DSL
-   and its own counters. *)
+   semantic state (the solver's randomize seed is derived from them) and
+   the run's own ledger ([prune_stats], which [Refinement.result.pruned]
+   and [abagnale synth] read); the obs counters are the process-wide view
+   the [--telemetry] report and the CI gate read, and they count nothing
+   when telemetry is off. Enumeration totals are deterministic: every
+   enumerator runs sequentially on the domain that owns it, and its
+   model sequence depends only on the DSL and its own counters. *)
 let obs_returned = Abg_obs.Obs.Counter.make "enum.returned"
 let obs_sat = Abg_obs.Obs.Counter.make "enum.sat.sat"
 let obs_unsat = Abg_obs.Obs.Counter.make "enum.sat.unsat"
@@ -637,76 +637,6 @@ let assumptions_for_bucket enc ops =
 
 let skipped enc = Array.fold_left ( + ) 0 enc.pruned
 
-(* The relational prune stage only ever fires on conditionals; every
-   other sketch short-circuits here for free. *)
-let rec has_ite (e : Expr.num) =
-  match e with
-  | Expr.Cwnd | Expr.Signal _ | Expr.Macro _ | Expr.Const _ | Expr.Hole _ ->
-      false
-  | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) | Expr.Div (a, b) ->
-      has_ite a || has_ite b
-  | Expr.Cube a | Expr.Cbrt a -> has_ite a
-  | Expr.Ite _ -> true
-
-(* A guard the interval box leaves Unknown but the zone decides — either
-   unconditionally ([Vacuous_guard], Student 5's cross-signal relation)
-   or under the assumptions of its enclosing guards ([Guard_implied]).
-   Such a sketch evaluates identically to its folded, strictly smaller
-   form on every physically-consistent environment, so it is dead weight
-   exactly like [Absint]'s dead-guard rule — just one domain stronger. *)
-let relationally_dead box base (sketch : Expr.num) =
-  let rec go rel (e : Expr.num) =
-    match e with
-    | Expr.Cwnd | Expr.Signal _ | Expr.Macro _ | Expr.Const _ | Expr.Hole _
-      ->
-        None
-    | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) | Expr.Div (a, b)
-      -> begin
-        match go rel a with Some _ as r -> r | None -> go rel b
-      end
-    | Expr.Cube a | Expr.Cbrt a -> go rel a
-    | Expr.Ite (c, t, el) -> begin
-        match Abg_analysis.Absint.boolean box c with
-        | Interval.True | Interval.False ->
-            (* Absint's own dead-guard prune fires first; unreachable. *)
-            None
-        | Interval.Unknown -> begin
-            match Abg_analysis.Relint.boolean base c with
-            | Interval.True | Interval.False -> Some Vacuous_guard
-            | Interval.Unknown -> begin
-                match Abg_analysis.Relint.boolean rel c with
-                | Interval.True | Interval.False -> Some Guard_implied
-                | Interval.Unknown ->
-                    let guard_operands =
-                      match c with
-                      | Expr.Lt (a, b)
-                      | Expr.Gt (a, b)
-                      | Expr.Mod_eq (a, b) -> begin
-                          match go rel a with
-                          | Some _ as r -> r
-                          | None -> go rel b
-                        end
-                    in
-                    let under truth =
-                      match Abg_analysis.Relint.assume rel c truth with
-                      | Some r -> r
-                      | None -> rel
-                    in
-                    begin
-                      match guard_operands with
-                      | Some _ as r -> r
-                      | None -> begin
-                          match go (under true) t with
-                          | Some _ as r -> r
-                          | None -> go (under false) el
-                        end
-                    end
-              end
-          end
-      end
-  in
-  go base sketch
-
 (* Bucket-scoped enumeration state for one [next]/[next_raw] call: the
    assumption list (used_op pins plus the blocking group's selector) and
    the group new blocking clauses go into, or [None] when the bucket is
@@ -722,21 +652,18 @@ let bucket_context enc bucket =
         (group_for enc ops)
 
 (* The first prune reason that applies to a decoded sketch, or its
-   canonical form when none does. Simplifiability and the interval rules
-   read the sketch as decoded; the relational stage reads its canonical
-   form. *)
+   canonical form when none does. Simplifiability and the interval walk
+   read the sketch as decoded; the conditional walk reads its canonical
+   form. Each walk stops at its first pruning finding. *)
 let classify enc sketch =
   if Simplify.is_simplifiable sketch then Error Simplifiable
   else
     match Abg_analysis.Absint.prune enc.box sketch with
-    | Some (reason, _witness) -> Error (Dead reason)
+    | Some (reason, _finding) -> Error (Dead reason)
     | None -> (
         let canonical = Abg_analysis.Canonical.normalize sketch in
-        match
-          if has_ite canonical then relationally_dead enc.box enc.rel canonical
-          else None
-        with
-        | Some reason -> Error reason
+        match Abg_analysis.Relint.prune enc.rel canonical with
+        | Some reason -> Error (Relational reason)
         | None -> Ok canonical)
 
 (** [next ?bucket enc] returns the next not-yet-enumerated sketch
@@ -804,8 +731,8 @@ let check_bucket enc ops =
 let stats enc = (enc.enumerated, enc.pruned.(slot Simplifiable))
 
 (** Per-reason prune counters, in reporting order: the §4.1
-    simplifiability filter, each {!Abg_analysis.Absint.reason}, then the
-    relational stage's two. *)
+    simplifiability filter, each {!Abg_analysis.Absint.reason}, then
+    each {!Abg_analysis.Relint.reason}. *)
 let prune_stats enc =
   List.mapi (fun i r -> (reason_name r, enc.pruned.(i))) reasons
 

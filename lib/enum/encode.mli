@@ -18,12 +18,11 @@
     nothing more.
 
     Three pruning stages run post-decode, each blocking-and-skipping the
-    model: the §4.1 simplifiability filter, the interval-domain
-    dead-on-arrival rules of {!Abg_analysis.Absint}, and relational
-    dead-guard detection via {!Abg_analysis.Relint}
-    (["vacuous-guard"]/["guard-implied"]). The lex-leader circuit is the
-    only dedup; no table of returned sketches is kept. The relational
-    stage only touches sketches containing a conditional, so an Ite-free
+    model: the §4.1 simplifiability filter, then the first pruning
+    finding of each walk lint reports from ({!Abg_analysis.Absint.prune},
+    {!Abg_analysis.Relint.prune}). The lex-leader circuit is the only
+    dedup; no table of returned sketches is kept. The conditional walk
+    finds nothing in an Ite-free sketch, so an Ite-free
     DSL (reno) enumerates bit-identically with it on. *)
 
 open Abg_dsl
@@ -68,8 +67,8 @@ val stats : t -> int * int
 
 val prune_stats : t -> (string * int) list
 (** Per-reason prune counters, in reporting order: ["simplifiable"],
-    each {!Abg_analysis.Absint.reason_name}, then the relational stage's
-    ["vacuous-guard"] and ["guard-implied"]. *)
+    each {!Abg_analysis.Absint.reason_name}, then each
+    {!Abg_analysis.Relint.reason_name}. *)
 
 val skipped : t -> int
 (** Total decoded-but-pruned sketches (the sum of {!prune_stats}). *)

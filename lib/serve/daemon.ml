@@ -160,18 +160,6 @@ let flush_conn c =
 
 let ns_of_s s = s *. 1e9
 
-(* The command word, read in place: classify and close requests feed the
-   classify latency histogram, and a stats request gets the latency
-   line. [is_stats] accepts exactly the lines {!Protocol.parse} reads as
-   [Stats]. *)
-let is_classifying line =
-  String.starts_with ~prefix:"classify " line
-  || String.starts_with ~prefix:"close " line
-
-let is_stats line =
-  String.starts_with ~prefix:"stats" line
-  && (String.length line = 5 || line.[5] = ' ' || line = "stats\r")
-
 let latency_line () =
   let s = Abg_obs.Obs.Histogram.summary obs_classify_ns in
   Protocol.ok
@@ -187,17 +175,22 @@ let respond c responses =
       Buffer.add_char c.out '\n')
     responses
 
-(* Execute one request line against the engine, timed, and queue the
-   responses on the connection. *)
-let serve_line engine c line =
+(* Execute one request line against the engine, timed, and return its
+   responses. The request the parser read decides the rest: a classify
+   or close request feeds the classify latency histogram, and a stats
+   request gets the latency line. *)
+let answer engine line =
   let t0 = Unix.gettimeofday () in
-  let responses = Engine.handle_line engine line in
+  let request = Protocol.parse line in
+  let responses = Engine.handle engine request in
   let elapsed = ns_of_s (Unix.gettimeofday () -. t0) in
   Abg_obs.Obs.Histogram.observe obs_request_ns elapsed;
-  if is_classifying line then
-    Abg_obs.Obs.Histogram.observe obs_classify_ns elapsed;
-  respond c
-    (if is_stats line then responses @ [ latency_line () ] else responses)
+  match request with
+  | Ok (Protocol.Classify _ | Protocol.Close _) ->
+      Abg_obs.Obs.Histogram.observe obs_classify_ns elapsed;
+      responses
+  | Ok Protocol.Stats -> responses @ [ latency_line () ]
+  | Ok (Protocol.Open _ | Protocol.Obs _ | Protocol.Ping) | Error _ -> responses
 
 (* A request line longer than the framer keeps is answered once, by its
    1-based line number on the connection, and never executed. *)
@@ -281,12 +274,12 @@ let run ?(config = default_config) () =
         (* EOF: parse any unterminated tail, then hang up. Sessions are
            daemon-scoped, not connection-scoped — they survive. *)
         Abg_trace.Io.Lines.flush c.lines (fun _ line ->
-            serve_line engine c line);
+            respond c (answer engine line));
         drop c.fd
     | n ->
         Abg_trace.Io.Lines.feed ~too_long:(too_long engine c) c.lines
           (Bytes.sub_string buf 0 n)
-          (fun _ line -> serve_line engine c line)
+          (fun _ line -> respond c (answer engine line))
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error _ -> drop c.fd
   in

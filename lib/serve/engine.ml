@@ -171,22 +171,21 @@ let stats t =
          t.n_escalated t.n_errors);
   ]
 
-let handle_request t = function
-  | Protocol.Open sid -> open_session t sid
-  | Protocol.Obs (sid, payload) -> observe t sid payload
-  | Protocol.Classify sid -> classify t sid
-  | Protocol.Close sid -> close t sid
-  | Protocol.Stats -> stats t
-  | Protocol.Ping -> [ Protocol.ok "pong" ]
-
-(** [handle_line t line] — parse and execute one request line; the
-    response lines to send back, in order (empty for accepted [obs]
-    lines and blank input). *)
-let handle_line t line =
-  match Protocol.parse line with
+(** [handle t parsed] — execute one request line as {!Protocol.parse}
+    read it; the response lines to send back, in order (empty for
+    accepted [obs] lines and blank input). *)
+let handle t = function
   | Error "" -> []
   | Error msg -> error t msg
-  | Ok req -> handle_request t req
+  | Ok (Protocol.Open sid) -> open_session t sid
+  | Ok (Protocol.Obs (sid, payload)) -> observe t sid payload
+  | Ok (Protocol.Classify sid) -> classify t sid
+  | Ok (Protocol.Close sid) -> close t sid
+  | Ok Protocol.Stats -> stats t
+  | Ok Protocol.Ping -> [ Protocol.ok "pong" ]
+
+(** [handle_line t line] — parse and execute one request line. *)
+let handle_line t line = handle t (Protocol.parse line)
 
 (** [drain t] closes every remaining session in sid order (sorted, so
     shutdown output is deterministic regardless of hash layout) and

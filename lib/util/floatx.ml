@@ -8,10 +8,13 @@ let approx_equal ?(eps = 1e-9) a b =
 
 let clamp ~lo ~hi x = Float.max lo (Float.min hi x)
 
+(** The near-zero divisor threshold of [safe_div]. *)
+let div_eps = 1e-12
+
 (** [safe_div a b] avoids infinities: division by (near-)zero yields 0. The
     DSL evaluator uses this so that candidate handlers never poison a whole
     replay with a NaN from one degenerate sample. *)
-let safe_div a b = if Float.abs b < 1e-12 then 0.0 else a /. b
+let safe_div a b = if Float.abs b < div_eps then 0.0 else a /. b
 
 (** [cbrt x] is the real cube root, defined for negative inputs too. *)
 let cbrt x =

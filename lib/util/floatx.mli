@@ -5,6 +5,10 @@ val approx_equal : ?eps:float -> float -> float -> bool
 
 val clamp : lo:float -> hi:float -> float -> float
 
+val div_eps : float
+(** [1e-12]: a divisor [b] with [|b| < div_eps] makes {!safe_div} 0. The
+    analyses and the compiled evaluator read this one threshold. *)
+
 val safe_div : float -> float -> float
 (** Division by (near-)zero yields 0 — a degenerate candidate handler
     must score badly, not poison a replay with infinities. *)

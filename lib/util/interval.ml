@@ -90,9 +90,8 @@ let mul a b =
    NaN — covered by propagating [b.nan]. The denominator interval is
    split into its near-zero, positive and negative parts and the quotient
    sets are joined. *)
-let div_eps = 1e-12
-
 let safe_div a b =
+  let div_eps = Floatx.div_eps in
   let acc = ref None in
   let push lo hi nan =
     let piece = { lo; hi; nan } in
@@ -174,4 +173,4 @@ let mod_eq a b =
   else Unknown
 
 let pp ppf i =
-  Fmt.pf ppf "[%g, %g]%s" i.lo i.hi (if i.nan then " or NaN" else "")
+  Format.fprintf ppf "[%g, %g]%s" i.lo i.hi (if i.nan then " or NaN" else "")

@@ -640,6 +640,125 @@ let prop_validate_rewrite_accepts_sound =
       | Ok _ -> true
       | Error _ -> false)
 
+(* -- One walk per rule: lint reports what the prune stages act on -- *)
+
+(* Random conditional sketches over the vegas and cubic vocabularies, at
+   most four levels deep, in canonical form (the form the relational
+   stage reads). A constant slot is an open hole (the default box's hole
+   interval is every float) or a value of the default constant pool, 0
+   among them. The rtt-family signals and constants are drawn more often
+   and conditionals nest often, so that guards meet (vacuous and implied
+   guards need two of them to share an operand). *)
+let gen_conditional_sketch =
+  let open QCheck.Gen in
+  let comps =
+    List.sort_uniq Component.compare
+      (Catalog.vegas.Catalog.components @ Catalog.cubic.Catalog.components)
+  in
+  let of_sort sort =
+    List.filter
+      (fun k -> Component.arity k > 0 && Component.sort k = sort)
+      comps
+  in
+  let leaf =
+    frequency
+      (List.filter_map
+         (function
+           | Component.Leaf_cwnd -> Some (2, return Cwnd)
+           | Component.Leaf_signal
+               ((Signal.Rtt | Signal.Min_rtt | Signal.Max_rtt) as s) ->
+               Some (3, return (Signal s))
+           | Component.Leaf_signal s -> Some (1, return (Signal s))
+           | Component.Leaf_macro m -> Some (1, return (Macro m))
+           | Component.Leaf_const ->
+               Some
+                 ( 4,
+                   frequency
+                     [ (1, return (Hole 0));
+                       ( 3,
+                         oneofa Catalog.default_constants >|= fun v -> Const v
+                       ) ]
+                 )
+           | _ -> None)
+         comps)
+  in
+  (* [depth] counts the levels left, this node's included. *)
+  let rec num depth =
+    if depth <= 1 then leaf
+    else
+      let sub = num (depth - 1) in
+      frequency
+        [ (2, leaf);
+          (2, map3 (fun g t e -> Ite (g, t, e)) (guard (depth - 1)) sub sub);
+          ( 3,
+            oneofl (of_sort Component.Num) >>= function
+            | Component.Op_add -> map2 (fun a b -> Add (a, b)) sub sub
+            | Component.Op_sub -> map2 (fun a b -> Sub (a, b)) sub sub
+            | Component.Op_mul -> map2 (fun a b -> Mul (a, b)) sub sub
+            | Component.Op_div -> map2 (fun a b -> Div (a, b)) sub sub
+            | Component.Op_cube -> map (fun a -> Cube a) sub
+            | Component.Op_cbrt -> map (fun a -> Cbrt a) sub
+            | _ -> map3 (fun g t e -> Ite (g, t, e)) (guard (depth - 1)) sub sub
+          ) ]
+  and guard depth =
+    let sub = num (depth - 1) in
+    oneofl (of_sort Component.Bool) >>= function
+    | Component.Op_lt -> map2 (fun a b -> Lt (a, b)) sub sub
+    | Component.Op_gt -> map2 (fun a b -> Gt (a, b)) sub sub
+    | _ -> map2 (fun a b -> Mod_eq (a, b)) sub sub
+  in
+  map3 (fun g t e -> C.normalize (Ite (g, t, e))) (guard 3) (num 3) (num 3)
+
+let pruning_rules =
+  List.map A.reason_name A.all_reasons @ List.map R.reason_name R.all_reasons
+
+(* The first pruning rule lint reports is the reason the enumerator's
+   stages act on: [Absint.prune]'s, else the relational stage's, which
+   lint reports only where its replay confirms the verdict. A sketch
+   neither stage prunes gets no pruning diagnostic. *)
+let prop_lint_first_pruning_rule_is_the_prune =
+  QCheck.Test.make ~name:"lint's first pruning rule is the prune reason"
+    ~count:3000
+    (QCheck.make ~print:Pretty.num gen_conditional_sketch)
+    (fun e ->
+      let lint =
+        List.filter (fun d -> List.mem d.L.rule pruning_rules) (L.check e)
+      in
+      let first_is rule expr =
+        match lint with
+        | d :: _ -> d.L.rule = rule && Expr.equal_num d.L.expr expr
+        | [] -> false
+      in
+      match A.prune box e with
+      | Some (r, f) -> first_is (A.reason_name r) f.A.expr
+      | None -> (
+          match
+            Seq.find_map
+              (fun c -> Option.map (fun r -> (r, c)) (R.reason c))
+              (R.conditionals rel e)
+          with
+          | None -> R.prune rel e = None && lint = []
+          | Some (r, c) ->
+              let zone, verdict =
+                match r with
+                | R.Vacuous_guard -> (rel, c.R.base)
+                | R.Guard_implied -> (c.R.zone, c.R.context)
+              in
+              R.prune rel e = Some r
+              && ((not (L.replay_confirms zone c.R.guard (verdict = I.True)))
+                 || first_is (R.reason_name r) c.R.expr)))
+
+let test_lint_left_operand_first () =
+  let left = Div (Cwnd, Signal Signal.Delay_gradient)
+  and right = Div (Signal Signal.Mss, Signal Signal.Rtt_gradient) in
+  Alcotest.(check (list (pair string string)))
+    "pre-order, left operand first"
+    [ ("possible-zero-denominator", Pretty.num left);
+      ("possible-zero-denominator", Pretty.num right) ]
+    (List.map
+       (fun d -> (d.L.rule, Pretty.num d.L.expr))
+       (L.check (Add (left, right))))
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suites =
@@ -682,7 +801,10 @@ let suites =
         Alcotest.test_case "errors are exactly prunes" `Quick
           test_lint_errors_are_pruned;
         Alcotest.test_case "clean handler" `Quick test_lint_clean_handler;
-      ] );
+        Alcotest.test_case "left operand first" `Quick
+          test_lint_left_operand_first;
+      ]
+      @ qcheck [ prop_lint_first_pruning_rule_is_the_prune ] );
     ( "analysis.relint",
       qcheck
         [

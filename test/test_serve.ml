@@ -283,21 +283,65 @@ let oracle_parse line =
   end
 
 (* Lines built from command words, session-id-like tokens and the
-   separators the parser splits or rejects on; the daemon's [is_stats]
-   must pick out exactly the lines that parse as [Stats]. *)
-let prop_protocol_parse_matches_oracle =
+   separators the parser splits or rejects on. *)
+let arbitrary_request_line =
   let piece =
     QCheck.Gen.oneofl
       [ "obs"; "open"; "classify"; "close"; "stats"; "ping"; "s1"; "x"; "1.5";
         String.make 40 'w'; " "; " "; "\t"; "\r"; "\012"; "" ]
   in
+  QCheck.(make ~print:(Printf.sprintf "%S")
+            Gen.(map (String.concat "") (list_size (0 -- 6) piece)))
+
+let prop_protocol_parse_matches_oracle =
   QCheck.Test.make ~name:"Protocol.parse = split parser" ~count:5000
-    QCheck.(make ~print:(Printf.sprintf "%S")
-              Gen.(map (String.concat "") (list_size (0 -- 6) piece)))
+    arbitrary_request_line (fun line ->
+      Abg_serve.Protocol.parse line = oracle_parse line)
+
+(* The daemon acts on the request the parser read: only a parsed stats
+   request gets the latency line. *)
+let prop_latency_line_iff_stats =
+  let engine = Abg_serve.Engine.create () in
+  QCheck.Test.make ~name:"latency line iff a parsed stats" ~count:1000
+    arbitrary_request_line (fun line ->
+      let latency =
+        List.exists
+          (String.starts_with ~prefix:"ok latency ")
+          (Abg_serve.Daemon.answer engine line)
+      in
+      latency = (Abg_serve.Protocol.parse line = Ok Abg_serve.Protocol.Stats))
+
+(* Only a parsed classify or close request is timed into the classify
+   histogram: lines the parser rejects for their session id leave the
+   [classify_count] of the stats reply where it was, and a real classify
+   moves it. *)
+let test_daemon_classify_count () =
+  let before = Abg_obs.Obs.enabled () in
+  Abg_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Abg_obs.Obs.set_enabled before)
+  @@ fun () ->
+  let engine = Abg_serve.Engine.create () in
+  let answer = Abg_serve.Daemon.answer engine in
+  let classify_count () =
+    match List.rev (answer "stats") with
+    | latency :: _ ->
+        Scanf.sscanf latency "ok latency classify_count=%d" Fun.id
+    | [] -> Alcotest.fail "no reply to stats"
+  in
+  let n = classify_count () in
+  List.iter
     (fun line ->
-      Abg_serve.Protocol.parse line = oracle_parse line
-      && Abg_serve.Daemon.is_stats line
-         = (Abg_serve.Protocol.parse line = Ok Abg_serve.Protocol.Stats))
+      match answer line with
+      | [ reply ] ->
+          Alcotest.(check bool) (Printf.sprintf "%S is refused" line) true
+            (contains_sub ~sub:"missing or malformed session id" reply)
+      | other ->
+          Alcotest.failf "unexpected replies: %s" (String.concat "|" other))
+    [ "classify  s1"; "close  s1"; "classify \t" ];
+  Alcotest.(check int) "refused lines are not timed" n (classify_count ());
+  ignore (answer "open s1");
+  ignore (answer "classify s1");
+  Alcotest.(check int) "a parsed classify is" (n + 1) (classify_count ())
 
 (* -- Engine -- *)
 
@@ -885,8 +929,12 @@ let suites =
           test_engine_verdicts_deterministic;
         Alcotest.test_case "drain in sorted sid order" `Quick
           test_engine_drain_sorted;
+        Alcotest.test_case "classify count follows the parse" `Quick
+          test_daemon_classify_count;
       ]
-      @ qsuite [ prop_protocol_parse_matches_oracle ] );
+      @ qsuite
+          [ prop_protocol_parse_matches_oracle; prop_latency_line_iff_stats ]
+    );
     ( "serve-escalate",
       [
         Alcotest.test_case "dedupe + pending cap" `Quick
