@@ -9,10 +9,10 @@
    - max_ns: an absolute ceiling for targets the design commits to
      unconditionally (e.g. serve classify p99 < 10 ms).
 
-   The baseline's "work" section pins the simulator kernels' untimed
-   counts (minor words and sim events per op, from BENCH_work.json),
-   which hold on every host for one compiler and build profile: each
-   must equal its pinned value exactly.
+   The baseline's "work" section pins the DTW and simulator kernels'
+   untimed counts (minor words, and DTW cells or sim events, per op,
+   from BENCH_work.json), which hold on every host for one compiler and
+   build profile: each must equal its pinned value exactly.
 
    Exit 1 on any violation or missing fresh entry, so the CI job fails.
    Run it after the micro and serve sections:

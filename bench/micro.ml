@@ -17,19 +17,20 @@ let series n = Array.init n (fun i -> float_of_int (i mod 37) +. (0.3 *. float_o
 let series_offset n =
   Array.init n (fun i -> float_of_int ((i + 11) mod 29) +. (0.35 *. float_of_int i))
 
-let dtw_test =
-  let a = series 128 and b = series_offset 128 in
-  Test.make ~name:"table2/fig4: dtw-128"
-    (Staged.stage (fun () -> ignore (Abg_distance.Dtw.distance ~band:12 a b)))
+let dtw_a = series 128
+let dtw_b = series_offset 128
+let dtw_128 () = ignore (Abg_distance.Dtw.distance ~band:12 dtw_a dtw_b)
+
+let dtw_test = Test.make ~name:"table2/fig4: dtw-128" (Staged.stage dtw_128)
+
+(* Best-so-far threshold at a quarter of the true distance: the scan
+   abandons as soon as a row proves the candidate can't beat it. *)
+let dtw_128_cutoff =
+  let cutoff = 0.25 *. Abg_distance.Dtw.distance ~band:12 dtw_a dtw_b in
+  fun () -> ignore (Abg_distance.Dtw.distance ~band:12 ~cutoff dtw_a dtw_b)
 
 let dtw_cutoff_test =
-  let a = series 128 and b = series_offset 128 in
-  (* Best-so-far threshold at a quarter of the true distance: the scan
-     abandons as soon as a row proves the candidate can't beat it. *)
-  let cutoff = 0.25 *. Abg_distance.Dtw.distance ~band:12 a b in
-  Test.make ~name:"table2/fig4: dtw-128-cutoff"
-    (Staged.stage (fun () ->
-         ignore (Abg_distance.Dtw.distance ~band:12 ~cutoff a b)))
+  Test.make ~name:"table2/fig4: dtw-128-cutoff" (Staged.stage dtw_128_cutoff)
 
 let euclidean_test =
   let a = series 128 and b = series 128 in
@@ -160,10 +161,10 @@ let absint_prune_test =
 
 (* The relational stage the enumerator runs on every conditional
    sketch, the zone-domain guard check (the vacuous/implied walk, priced
-   on the Student-5 shape the interval domain cannot decide), and a full
-   [Equiv.decide] on a handler pair — the worst case of lint's
-   [branch-equivalent] rule and of [simplify --validate], structural
-   provers plus the SAT guard-skeleton pass. *)
+   on the Student-5 shape the interval domain cannot decide), and
+   [Equiv.proves_equal] on a handler pair — lint's [branch-equivalent]
+   check and the first step of [simplify --validate], priced on a pair
+   the relational normal form proves. *)
 let relint_guard_sketch =
   let open Abg_dsl.Expr in
   Ite
@@ -196,7 +197,7 @@ let equiv_handler_pair_test =
      and b = Add (Cwnd, Signal Abg_dsl.Signal.Mss) in
      Test.make ~name:"sec61: equiv-handler-pair"
        (Staged.stage (fun () ->
-            ignore (Abg_analysis.Equiv.decide rel a b))))
+            ignore (Abg_analysis.Equiv.proves_equal rel a b))))
 
 let simulate_1s_reno () =
   let cfg =
@@ -466,37 +467,44 @@ let fuzz_divergence_eval_test =
     (Test.make ~name:"fuzz: divergence-eval-6s"
        (Staged.stage (Lazy.force divergence_eval_6s)))
 
-(* The untimed pass: the exact work of one op of each simulator kernel,
-   minor words allocated and [sim.events] processed. Unlike a wall time,
+(* The untimed pass: the exact work of one op of each DTW and simulator
+   kernel, minor words allocated and the kernel's own deterministic
+   counter ([distance.dtw.cells] or [sim.events]). Unlike a wall time,
    both hold on every host for one compiler and build profile, so
    bench/gate.ml compares them exactly. Each kernel runs once first, so
    a first call's one-time allocations stay out of the count. *)
 let work_ops = 4
 
 let work_kernels () =
-  [ ("table3: simulate-1s-reno", simulate_1s_reno);
-    ("netsim: simulate-6s-extended", simulate_6s_extended);
-    ("fuzz: divergence-eval-6s", Lazy.force divergence_eval_6s) ]
+  [ ("table2/fig4: dtw-128", "distance.dtw.cells", dtw_128);
+    ("table2/fig4: dtw-128-cutoff", "distance.dtw.cells", dtw_128_cutoff);
+    ("table3: simulate-1s-reno", "sim.events", simulate_1s_reno);
+    ("netsim: simulate-6s-extended", "sim.events", simulate_6s_extended);
+    ("fuzz: divergence-eval-6s", "sim.events", Lazy.force divergence_eval_6s) ]
 
-let measure_work (name, op) =
-  let events = Abg_obs.Obs.Counter.make "sim.events" in
+(* The counter's per-op field: [sim.events] is [sim_events_per_op]. *)
+let per_op_field counter =
+  String.map (function '.' -> '_' | ch -> ch) counter ^ "_per_op"
+
+let measure_work (name, counter, op) =
+  let count = Abg_obs.Obs.Counter.make counter in
   op ();
-  let events0 = Abg_obs.Obs.Counter.value events in
+  let count0 = Abg_obs.Obs.Counter.value count in
   let words0 = Gc.minor_words () in
   for _ = 1 to work_ops do
     op ()
   done;
   let words = (Gc.minor_words () -. words0) /. float_of_int work_ops in
-  let events =
-    float_of_int (Abg_obs.Obs.Counter.value events - events0)
+  let count =
+    float_of_int (Abg_obs.Obs.Counter.value count - count0)
     /. float_of_int work_ops
   in
-  Printf.printf "%-36s %12.0f minor words/op %8.0f sim events/op\n%!" name
-    words events;
+  Printf.printf "%-36s %12.0f minor words/op %8.0f %s/op\n%!" name words
+    count counter;
   ( name,
     Abg_util.Json.Obj
       [ ("minor_words_per_op", Abg_util.Json.Num words);
-        ("sim_events_per_op", Abg_util.Json.Num events) ] )
+        (per_op_field counter, Abg_util.Json.Num count) ] )
 
 let run () =
   Runs.heading "Micro-benchmarks (Bechamel, monotonic clock)";

@@ -1,14 +1,12 @@
-(* Semantic equivalence of handler pairs: [equal | distinct (witness) |
-   unknown (budget)].
+(* Semantic equivalence of handler pairs, proved bit-exactly.
 
-   Three cooperating engines, in increasing cost order:
+   Two provers, in increasing cost order:
 
-   - a *bit-exact structural prover*: both sides are put in relational
-     normal form ([rnorm] — guards decidable under the zone are folded,
+   - a *structural prover*: both sides are put in relational normal
+     form ([rnorm] — guards decidable under the zone are folded,
      branches rewritten under the refining assumption of their dominating
      guard, equal branches collapsed) and compared under the commutative
-     canonical form. Success means the two evaluate bit-identically on
-     every environment of the zone.
+     canonical form.
 
    - a *SAT-backed guard-skeleton prover* (the in-house [Abg_sat]'s
      second client): the boolean skeleton over the distinct guard atoms
@@ -23,31 +21,17 @@
      holds only because differing branch *structure* selects identical
      expressions, which no normal form sees.
 
-   - a *refutation engine*: deterministic sampling over zone-consistent
-     environments, then an interval-constraint-propagation
-     branch-and-prune over the signal box — bisect the widest input
-     dimension, propagate [Relint] intervals of the difference a - b
-     through each half, and descend into sub-boxes until one proves the
-     difference sign-definite (0 outside the interval of a - b), whose
-     every point is then a witness. Every [Distinct] verdict carries a
-     concrete environment that has been replayed through [Eval] — a
-     witness is *never* trusted on interval evidence alone.
-
-   Holes: the structural provers treat holes as [Canonical] does
-   (interchangeable placeholders — the enumerator's own equivalence);
-   the numeric engines fill every hole with the midpoint of the zone's
-   hole interval. Its clients, lint's [branch-equivalent] rule and
-   [simplify --validate], pass hole-free handlers. *)
+   Either proof means the two sides evaluate bit-identically on every
+   environment of the zone. A failed proof says nothing: its clients,
+   lint's [branch-equivalent] rule and [validate_rewrite], act only on
+   proofs. Holes are interchangeable placeholders, as in [Canonical]
+   (the enumerator's own equivalence). *)
 
 open Abg_util
 open Abg_dsl
 
 let obs_checks = Abg_obs.Obs.Counter.make "analysis.equiv_checks"
 let obs_equal = Abg_obs.Obs.Counter.make "analysis.equiv_equal"
-let obs_distinct = Abg_obs.Obs.Counter.make "analysis.equiv_distinct"
-let obs_unknown = Abg_obs.Obs.Counter.make "analysis.equiv_unknown"
-
-type verdict = Equal | Distinct of Env.t | Unknown of string
 
 (* -- Relational normal form -- *)
 
@@ -124,18 +108,18 @@ let rec specialize truth (e : Expr.num) : Expr.num =
   | Expr.Ite (g, t, el) ->
       if truth g then specialize truth t else specialize truth el
 
-(* [sat_skeleton_equal rel a b] — [Some true] when every guard-truth
+(* [sat_skeleton_equal rel a b] — true when every guard-truth
    combination consistent with the zone specializes both sides to the
-   same canonical form; [None] when the skeleton is too large or the
-   model cap is hit (abstain). Soundness: for any concrete environment,
-   its exact atom-truth vector satisfies every clause below (unit
-   clauses and implications are derived from sound zone verdicts), so it
-   appears among the enumerated assignments, under which both sides
-   evaluate bit-identically to their specializations. *)
-let sat_skeleton_equal ?(atoms_max = 8) ?(models_max = 64) rel a b =
+   same canonical form; false on a mismatch, and (abstaining) when the
+   skeleton has more than 8 atoms or more than 64 models. Soundness: for
+   any concrete environment, its exact atom-truth vector satisfies every
+   clause below (unit clauses and implications are derived from sound
+   zone verdicts), so it appears among the enumerated assignments, under
+   which both sides evaluate bit-identically to their specializations. *)
+let sat_skeleton_equal rel a b =
   let atoms = List.rev (collect_atoms b (collect_atoms a [])) in
   let n = List.length atoms in
-  if n = 0 || n > atoms_max then None
+  if n = 0 || n > 8 then false
   else begin
     let atoms = Array.of_list atoms in
     let solver = Abg_sat.Solver.create () in
@@ -148,8 +132,8 @@ let sat_skeleton_equal ?(atoms_max = 8) ?(models_max = 64) rel a b =
         | Interval.False -> Abg_sat.Solver.add_clause solver [ -vars.(i) ]
         | Interval.Unknown -> ())
       atoms;
-    (* Pairwise implications: assume atom i at a truth value, re-decide
-       atom j on the refined zone. *)
+    (* Pairwise implications: assume atom i at a truth value, then take
+       atom j's verdict on the refined zone. *)
     for i = 0 to n - 1 do
       List.iter
         (fun truth_i ->
@@ -181,36 +165,26 @@ let sat_skeleton_equal ?(atoms_max = 8) ?(models_max = 64) rel a b =
       find 0
     in
     let rec loop k =
-      if k = 0 then None (* model cap: abstain *)
-      else begin
-        match Abg_sat.Solver.solve solver with
-        | Abg_sat.Solver.Unsat -> Some true
-        | Abg_sat.Solver.Sat model ->
-            let truth = truth_of model in
-            let ok =
-              Canonical.equal (specialize truth a) (specialize truth b)
-            in
-            if not ok then Some false
-            else begin
-              (* Block exactly this atom assignment. *)
-              let blocking =
-                Array.to_list
-                  (Array.map
-                     (fun v -> if model.(v) then -v else v)
-                     vars)
-              in
-              Abg_sat.Solver.add_clause solver blocking;
-              loop (k - 1)
-            end
-      end
+      k > 0
+      &&
+      match Abg_sat.Solver.solve solver with
+      | Abg_sat.Solver.Unsat -> true
+      | Abg_sat.Solver.Sat model ->
+          let truth = truth_of model in
+          Canonical.equal (specialize truth a) (specialize truth b)
+          && begin
+               (* Block exactly this atom assignment. *)
+               Abg_sat.Solver.add_clause solver
+                 (Array.to_list
+                    (Array.map (fun v -> if model.(v) then -v else v) vars));
+               loop (k - 1)
+             end
     in
-    loop models_max
+    loop 64
   end
 
-(* -- Numeric refutation -- *)
-
-(* Hole filling for the numeric engines: the midpoint of the zone's hole
-   interval (clamped finite). *)
+(* Hole filling for [validate_rewrite]'s sampling and lint's replay: the
+   midpoint of the zone's hole interval (clamped finite). *)
 let hole_fill rel =
   let iv = Relint.hole rel in
   let lo = Float.max iv.Interval.lo (-1e6)
@@ -218,133 +192,13 @@ let hole_fill rel =
   let mid = lo +. ((hi -. lo) /. 2.0) in
   fun (_ : int) -> mid
 
-let differs va vb = not (Float.equal va vb)
-
-(* [Some env] when the two sides evaluate to different raw values on a
-   zone-consistent sample — the Eval replay is the sampling itself. *)
-let sample_search ?(draws = 256) rel a b =
-  let rng = Rng.create 0x5EED5 in
-  let rec loop k =
-    if k = 0 then None
-    else begin
-      let env = Relint.sample_env rel rng in
-      if differs (Eval.num env a) (Eval.num env b) then Some env
-      else loop (k - 1)
-    end
-  in
-  loop draws
-
-(* Branch-and-prune: bisect input dimensions, propagate the interval of
-   a - b through each sub-zone, and when a sub-zone proves the
-   difference sign-definite, sample it and replay. The budget counts
-   sub-zone evaluations. *)
-let icp_search ?(budget = 512) rel a b =
-  let rng = Rng.create 0x1C9B2 in
-  let dims =
-    let sigs =
-      List.sort_uniq Signal.compare (Expr.signals a @ Expr.signals b)
-    in
-    `Cwnd :: List.map (fun s -> `Signal s) sigs
-  in
-  let iv_of rel = function
-    | `Cwnd -> Relint.cwnd_iv rel
-    | `Signal s -> Relint.signal_iv rel s
-  in
-  let refine rel dim iv =
-    match dim with
-    | `Cwnd -> Relint.refine_cwnd rel iv
-    | `Signal s -> Relint.refine_signal rel s iv
-  in
-  let width (iv : Interval.t) =
-    let lo = Float.max iv.Interval.lo (-1e12)
-    and hi = Float.min iv.Interval.hi 1e12 in
-    (hi -. lo) /. (1.0 +. Float.abs lo)
-  in
-  let spent = ref 0 in
-  let rec visit rel depth =
-    if !spent >= budget then None
-    else begin
-      incr spent;
-      let d = Interval.sub (Relint.num rel a) (Relint.num rel b) in
-      let sign_definite =
-        (not d.Interval.nan)
-        && (d.Interval.hi < 0.0 || d.Interval.lo > 0.0)
-      in
-      if sign_definite then begin
-        (* Every point of this sub-zone is a witness; replay to be sure. *)
-        let rec sample k =
-          if k = 0 then None
-          else begin
-            let env = Relint.sample_env rel rng in
-            if differs (Eval.num env a) (Eval.num env b) then Some env
-            else sample (k - 1)
-          end
-        in
-        sample 8
-      end
-      else if depth = 0 then None
-      else begin
-        (* Split the relatively-widest dimension. *)
-        let dim, iv =
-          List.fold_left
-            (fun (bd, biv) dm ->
-              let iv = iv_of rel dm in
-              if width iv > width biv then (dm, iv) else (bd, biv))
-            (`Cwnd, Relint.cwnd_iv rel)
-            dims
-        in
-        let lo = Float.max iv.Interval.lo (-1e12)
-        and hi = Float.min iv.Interval.hi 1e12 in
-        if hi -. lo <= 1e-9 *. (1.0 +. Float.abs lo) then None
-        else begin
-          let mid = lo +. ((hi -. lo) /. 2.0) in
-          let halves =
-            List.filter_map
-              (fun (l, h) -> refine rel dim (Interval.v ~nan:false l h))
-              [ (lo, mid); (mid, hi) ]
-          in
-          List.fold_left
-            (fun found half ->
-              match found with
-              | Some _ -> found
-              | None -> visit half (depth - 1))
-            None halves
-        end
-      end
-    end
-  in
-  visit rel 24
-
-(* -- Public verdicts -- *)
-
-let decide ?(draws = 256) ?(icp_budget = 512) rel a b =
+let proves_equal rel a b =
   Abg_obs.Obs.Counter.incr obs_checks;
-  let fill = hole_fill rel in
-  let filled e =
-    match Expr.holes e with [] -> e | _ -> Expr.fill e fill
+  let equal =
+    Canonical.equal (rnorm rel a) (rnorm rel b) || sat_skeleton_equal rel a b
   in
-  let verdict =
-    if Canonical.equal (rnorm rel a) (rnorm rel b) then Equal
-    else begin
-      match sat_skeleton_equal rel a b with
-      | Some true -> Equal
-      | _ -> begin
-          let a' = filled a and b' = filled b in
-          match sample_search ~draws rel a' b' with
-          | Some env -> Distinct env
-          | None -> begin
-              match icp_search ~budget:icp_budget rel a' b' with
-              | Some env -> Distinct env
-              | None -> Unknown "budget"
-            end
-        end
-    end
-  in
-  (match verdict with
-  | Equal -> Abg_obs.Obs.Counter.incr obs_equal
-  | Distinct _ -> Abg_obs.Obs.Counter.incr obs_distinct
-  | Unknown _ -> Abg_obs.Obs.Counter.incr obs_unknown);
-  verdict
+  if equal then Abg_obs.Obs.Counter.incr obs_equal;
+  equal
 
 (* -- Translation validation for Simplify -- *)
 
@@ -418,38 +272,31 @@ let audit env e =
 type validation = [ `Proved | `Sampled of int ]
 
 (* [validate_rewrite rel ~original ~rewritten] — translation validation
-   for the simplifier. [`Proved] is a bit-exact structural or SAT-path
-   proof; [`Sampled n] means [n] zone-consistent draws agreed within a
-   rounding tolerance scaled by the largest intermediate magnitude
-   (cancellation rules are algebraic identities, exact only up to
-   rounding of the cancelled intermediates). [Error env] carries a
-   replayed environment on which the two disagree beyond tolerance. *)
+   for the simplifier. [`Proved] is a {!proves_equal} proof; [`Sampled n]
+   means [n] zone-consistent draws agreed within a rounding tolerance
+   scaled by the largest intermediate magnitude (cancellation rules are
+   algebraic identities, exact only up to rounding of the cancelled
+   intermediates). [Error env] carries a replayed environment on which
+   the two disagree beyond tolerance. *)
 let validate_rewrite ?(draws = 512) rel ~original ~rewritten =
-  if Expr.equal_num original rewritten then Ok `Proved
-  else if Canonical.equal (rnorm rel original) (rnorm rel rewritten) then
-    Ok `Proved
+  if proves_equal rel original rewritten then Ok `Proved
   else begin
-    match sat_skeleton_equal rel original rewritten with
-    | Some true -> Ok `Proved
-    | _ ->
-        let fill = hole_fill rel in
-        let filled e =
-          match Expr.holes e with [] -> e | _ -> Expr.fill e fill
-        in
-        let o = filled original and r = filled rewritten in
-        let rng = Rng.create 0x7A11 in
-        let rec loop k sampled =
-          if k = 0 then Ok (`Sampled sampled)
-          else begin
-            let env = Relint.sample_env rel rng in
-            match (audit env o, audit env r) with
-            | Some m1, Some m2 ->
-                let va = Eval.num env o and vb = Eval.num env r in
-                let eps = 1e-9 *. (1.0 +. Float.max m1 m2) in
-                if Float.abs (va -. vb) <= eps then loop (k - 1) (sampled + 1)
-                else Error env
-            | _ -> loop (k - 1) sampled (* degenerate draw: no evidence *)
-          end
-        in
-        loop draws 0
+    let fill = hole_fill rel in
+    let filled e = match Expr.holes e with [] -> e | _ -> Expr.fill e fill in
+    let o = filled original and r = filled rewritten in
+    let rng = Rng.create 0x7A11 in
+    let rec loop k sampled =
+      if k = 0 then Ok (`Sampled sampled)
+      else begin
+        let env = Relint.sample_env rel rng in
+        match (audit env o, audit env r) with
+        | Some m1, Some m2 ->
+            let va = Eval.num env o and vb = Eval.num env r in
+            let eps = 1e-9 *. (1.0 +. Float.max m1 m2) in
+            if Float.abs (va -. vb) <= eps then loop (k - 1) (sampled + 1)
+            else Error env
+        | _ -> loop (k - 1) sampled (* degenerate draw: no evidence *)
+      end
+    in
+    loop draws 0
   end

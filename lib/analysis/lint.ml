@@ -84,12 +84,12 @@ let interval_diag (f : Absint.finding) =
             unreachable"
            truth)
 
-(* Replay cross-check for a relationally-decided guard: sample
-   zone-consistent environments and confirm [Eval.boolean] agrees with
-   the verdict on every one. The analysis is sound, so this can only
-   fail on an analysis bug — in which case the diagnostic is suppressed
-   rather than reported as a false positive. Holes are filled as the
-   numeric engines of [Equiv] fill them. *)
+(* Replay cross-check for a relationally-decided guard: [Eval.boolean]
+   gives the guard its verdict on 64 environments sampled from the
+   deciding zone. The analysis is sound and the samples satisfy every
+   edge of the zone, so this can only fail on an analysis bug — in which
+   case the diagnostic is suppressed rather than reported as a false
+   positive. Holes are filled as [Equiv.validate_rewrite] fills them. *)
 let replay_confirms zone g expected =
   let g = Expr.fill_bool g (Equiv.hole_fill zone) in
   let rng = Rng.create 0x11A7 in
@@ -130,13 +130,11 @@ let relational_diags base (c : Relint.conditional) =
     (* Equal branches make the conditional redundant regardless of the
        guard. Only worth deciding when the guard is open. *)
     match (c.Relint.context, c.Relint.expr) with
-    | Interval.Unknown, Expr.Ite (_, t, el) -> (
-        match Equiv.decide ~draws:64 ~icp_budget:64 c.Relint.zone t el with
-        | Equiv.Equal ->
-            [ diag "branch-equivalent" Info c.Relint.expr
-                "both branches are provably the same function; the \
-                 conditional is redundant" ]
-        | Equiv.Distinct _ | Equiv.Unknown _ -> [])
+    | Interval.Unknown, Expr.Ite (_, t, el)
+      when Equiv.proves_equal c.Relint.zone t el ->
+        [ diag "branch-equivalent" Info c.Relint.expr
+            "both branches are provably the same function; the \
+             conditional is redundant" ]
     | _ -> []
   in
   decided @ equivalent

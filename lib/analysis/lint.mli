@@ -18,7 +18,7 @@
     - [guard-implied] (warning): a nested guard is decided by the
       assumptions of its enclosing guards.
     - [branch-equivalent] (info): both branches of an open conditional
-      are provably the same function ({!Equiv.decide} = [Equal]). *)
+      are provably the same function ({!Equiv.proves_equal}). *)
 
 open Abg_util
 open Abg_dsl
@@ -39,12 +39,6 @@ val check : Expr.num -> diag list
 (** Every diagnostic the analysis can prove about a handler over
     {!Absint.default_box}: the interval walk's findings, then the
     conditional walk's (each in the walk's order), then redundancy. *)
-
-val replay_confirms : Relint.t -> Expr.boolean -> bool -> bool
-(** [replay_confirms zone g truth] — [Eval.boolean] gives [g] the value
-    [truth] on 64 environments sampled from [zone]: the check a
-    [vacuous-guard] or [guard-implied] verdict passes before {!check}
-    reports it. *)
 
 val showcase : (string * Expr.num) list
 (** Named degenerate handlers demonstrating every rule — living

@@ -243,60 +243,51 @@ let assume t (g : Expr.boolean) truth =
         if feasible t'.d then Some t' else None
       end
 
-(* Interval refinements for the branch-and-prune client ([Equiv]). *)
-let refine_var t i (iv : Interval.t) =
-  let t' = copy t in
-  tighten t'.d i zero iv.Interval.hi;
-  tighten t'.d zero i (-.iv.Interval.lo);
-  close t'.d;
-  if feasible t'.d then Some t' else None
-
-let refine_signal t s iv = refine_var t (var_of_signal s) iv
-let refine_cwnd t iv = refine_var t var_cwnd iv
-
 (* -- Deterministic sampling -- *)
 
-(* A draw inside an interval, log-uniform across wide positive ranges so
-   huge physical ranges (cwnd up to 1e12) still produce small values. *)
-let draw rng (iv : Interval.t) =
-  let lo = Float.max iv.Interval.lo (-1e12)
-  and hi = Float.min iv.Interval.hi 1e12 in
+(* A draw inside [lo, hi], log-uniform across wide positive ranges so
+   huge physical ranges (cwnd up to 1e12) still produce small values,
+   and clamped so that rounding never leaves the range. *)
+let draw rng lo hi =
+  let lo = Float.max lo (-1e12) and hi = Float.min hi 1e12 in
   if lo >= hi then lo
-  else if lo > 0.0 && hi /. lo > 1e4 then
-    Float.exp (Rng.uniform rng (Float.log lo) (Float.log hi))
-  else Rng.uniform rng lo hi
+  else begin
+    let x =
+      if lo > 0.0 && hi /. lo > 1e4 then
+        Float.exp (Rng.uniform rng (Float.log lo) (Float.log hi))
+      else Rng.uniform rng lo hi
+    in
+    Float.min hi (Float.max lo x)
+  end
 
-(* An environment consistent with the zone's interval bounds and the
-   rtt-ordering invariant (min-rtt <= rtt <= max-rtt). *)
+(* Variables are drawn in layout order, each inside its interval and
+   inside every edge to the variables already drawn. A closed zone
+   extends every partial assignment that satisfies it, so each draw's
+   range is non-empty and the environment satisfies every edge: the
+   interval bounds, the rtt ordering and whatever [assume] added. *)
 let sample_env t rng : Env.t =
-  let s x = signal_iv t x in
-  let rtt_iv = s Signal.Rtt in
-  let rtt = draw rng rtt_iv in
-  let min_iv = s Signal.Min_rtt in
-  let min_rtt =
-    draw rng
-      (Interval.v min_iv.Interval.lo
-         (Float.max min_iv.Interval.lo (Float.min min_iv.Interval.hi rtt)))
-  in
-  let max_iv = s Signal.Max_rtt in
-  let max_rtt =
-    draw rng
-      (Interval.v
-         (Float.min max_iv.Interval.hi (Float.max max_iv.Interval.lo rtt))
-         max_iv.Interval.hi)
-  in
+  let x = Array.make zero 0.0 in
+  for i = 0 to zero - 1 do
+    let lo = ref (-.t.d.(zero).(i)) and hi = ref t.d.(i).(zero) in
+    for j = 0 to i - 1 do
+      lo := Float.max !lo (x.(j) -. t.d.(j).(i));
+      hi := Float.min !hi (x.(j) +. t.d.(i).(j))
+    done;
+    x.(i) <- draw rng !lo !hi
+  done;
+  let s sg = x.(var_of_signal sg) in
   {
-    Env.cwnd = draw rng (cwnd_iv t);
-    mss = draw rng (s Signal.Mss);
-    acked_bytes = draw rng (s Signal.Acked_bytes);
-    time_since_loss = draw rng (s Signal.Time_since_loss);
-    rtt;
-    min_rtt;
-    max_rtt;
-    ack_rate = draw rng (s Signal.Ack_rate);
-    rtt_gradient = draw rng (s Signal.Rtt_gradient);
-    delay_gradient = draw rng (s Signal.Delay_gradient);
-    wmax = draw rng (s Signal.Wmax);
+    Env.cwnd = x.(var_cwnd);
+    mss = s Signal.Mss;
+    acked_bytes = s Signal.Acked_bytes;
+    time_since_loss = s Signal.Time_since_loss;
+    rtt = s Signal.Rtt;
+    min_rtt = s Signal.Min_rtt;
+    max_rtt = s Signal.Max_rtt;
+    ack_rate = s Signal.Ack_rate;
+    rtt_gradient = s Signal.Rtt_gradient;
+    delay_gradient = s Signal.Delay_gradient;
+    wmax = s Signal.Wmax;
   }
 
 (* -- The conditional walk -- *)

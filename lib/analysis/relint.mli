@@ -63,16 +63,13 @@ val assume : t -> Expr.boolean -> bool -> t option
     every environment of [t] satisfying the assumption). [None] when the
     refined zone is empty: no environment gives [g] that truth value. *)
 
-val refine_signal : t -> Signal.t -> Interval.t -> t option
-(** Intersect one signal's bounds (branch-and-prune splitting); [None]
-    when the zone becomes empty. *)
-
-val refine_cwnd : t -> Interval.t -> t option
-
 val sample_env : t -> Rng.t -> Env.t
-(** A deterministic environment sample consistent with the zone's
-    interval bounds and the rtt ordering invariant (log-uniform across
-    wide positive ranges). *)
+(** A deterministic environment sample inside the zone: the variables
+    are drawn in layout order (cwnd, then {!Abg_dsl.Signal.all}), each
+    inside its interval and inside every zone edge to the variables
+    already drawn, so the sample satisfies every edge — the rtt ordering
+    and every order an {!assume} added (log-uniform across wide positive
+    ranges). *)
 
 val oracle : t -> Simplify.oracle
 (** The sound rewrite oracle: subterm bounds from the zone, branch

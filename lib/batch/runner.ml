@@ -148,10 +148,11 @@ let perform_classify ~store (job : Job.t) =
   let traces =
     Abg_trace.Trace.collect_configs ~name:job.Job.cca ctor job.Job.configs
   in
-  let gordon = Abg_classifier.Gordon.classify traces in
+  let vector =
+    Abg_classifier.Features.to_vector (Abg_classifier.Features.extract traces)
+  in
+  let gordon = Abg_classifier.Gordon.classify_vector vector in
   let cc = Abg_classifier.Ccanalyzer.classify traces in
-  let features = Abg_classifier.Features.extract traces in
-  let vector = Abg_classifier.Features.to_vector features in
   let features_blob =
     Store.put store
       (String.concat "\n"

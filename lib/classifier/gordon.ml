@@ -93,10 +93,9 @@ let vector_distance a b =
   done;
   sqrt !acc
 
-(** [rank traces] — known CCAs ordered by feature distance to the query
-    traces, closest first. *)
-let rank traces =
-  let query = Features.to_vector (Features.extract traces) in
+(** [rank query] — known CCAs ordered by distance to the feature vector
+    [query] ({!Features.to_vector}), closest first. *)
+let rank query =
   Abg_parallel.Once.get references
   |> List.map (fun (name, r) -> (name, vector_distance query r.vector))
   |> List.sort (fun (_, a) (_, b) -> compare a b)
@@ -106,12 +105,17 @@ let rank traces =
 let match_threshold = 0.5
 let closest_report_threshold = 6.0
 
-(** [classify traces] — the Table 3 verdict for a suite of traces from one
-    (possibly unknown) CCA. *)
-let classify traces =
-  match rank traces with
+(** [classify_vector query] — the Table 3 verdict for a suite whose
+    feature vector is [query]. *)
+let classify_vector query =
+  match rank query with
   | [] -> Unknown None
   | (best, d) :: _ ->
       if d <= match_threshold then Known best
       else if d <= closest_report_threshold then Unknown (Some best)
       else Unknown None
+
+(** [classify traces] — the Table 3 verdict for a suite of traces from one
+    (possibly unknown) CCA. *)
+let classify traces =
+  classify_vector (Features.to_vector (Features.extract traces))

@@ -91,39 +91,3 @@ let distance ?band ?(cutoff = infinity) a b =
     end
     else !prev.(m)
   end
-
-(** [path a b] additionally returns the optimal warping path as (i, j)
-    index pairs — useful for visualizing which parts of two traces were
-    aligned. Quadratic memory; intended for inspection, not scoring. *)
-let path a b =
-  let n = Array.length a and m = Array.length b in
-  assert (n > 0 && m > 0);
-  let dp = Array.make_matrix (n + 1) (m + 1) infinity in
-  dp.(0).(0) <- 0.0;
-  for i = 1 to n do
-    for j = 1 to m do
-      let cost = Float.abs (a.(i - 1) -. b.(j - 1)) in
-      dp.(i).(j) <-
-        cost
-        +. Float.min dp.(i - 1).(j)
-             (Float.min dp.(i).(j - 1) dp.(i - 1).(j - 1))
-    done
-  done;
-  let rec walk i j acc =
-    if i = 1 && j = 1 then (i - 1, j - 1) :: acc
-    else begin
-      let candidates =
-        List.filter
-          (fun (i', j') -> i' >= 1 && j' >= 1)
-          [ (i - 1, j - 1); (i - 1, j); (i, j - 1) ]
-      in
-      let i', j' =
-        List.fold_left
-          (fun (bi, bj) (ci, cj) ->
-            if dp.(ci).(cj) < dp.(bi).(bj) then (ci, cj) else (bi, bj))
-          (List.hd candidates) (List.tl candidates)
-      in
-      walk i' j' ((i - 1, j - 1) :: acc)
-    end
-  in
-  (dp.(n).(m), walk n m [])

@@ -14,9 +14,3 @@ val distance : ?band:int -> ?cutoff:float -> float array -> float array -> float
     [infinity]. Whenever the true distance is at or below [cutoff], the
     result is exact — so folding with a best-so-far cutoff selects the
     same winner as cutoff-free scoring. *)
-
-val path : float array -> float array -> float * (int * int) list
-(** [path a b] is the exact distance together with the optimal warping
-    path as (i, j) index pairs from (0, 0) to (n-1, m-1). Quadratic
-    memory; intended for inspection rather than scoring. Requires both
-    series non-empty. *)

@@ -16,10 +16,10 @@
 
     {b A global disable that costs one branch.} With [set_enabled false]
     every record operation is a single load-and-branch no-op; spans do
-    not read the clock. The pipeline's *semantic* statistics (the prune
-    counters behind [Refinement.result.pruned]) ride on this layer, so
-    disabling telemetry also disables those — callers that need them
-    keep telemetry on (the default).
+    not read the clock. Results do not ride on this layer:
+    [Refinement.result.pruned] is the enumerator's own prune ledger, so a
+    seeded synth prints the same [pruned:] line with telemetry off (only
+    its [cache:] line reads telemetry).
 
     {b Determinism contract.} Counters registered without [~volatile]
     must count events whose totals are a pure function of the workload

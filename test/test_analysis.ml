@@ -494,45 +494,104 @@ let prop_relint_assume_sound =
           | Some r -> I.contains (R.num r e) (Eval.num env e))
         [ Lt (a, b); Gt (a, b) ])
 
+(* [env] is inside every interval of [zone] and keeps the rtt ordering. *)
+let in_zone zone env =
+  I.contains (R.cwnd_iv zone) env.Env.cwnd
+  && List.for_all
+       (fun s -> I.contains (R.signal_iv zone s) (Env.signal env s))
+       Signal.all
+  && env.Env.min_rtt <= env.Env.rtt
+  && env.Env.rtt <= env.Env.max_rtt
+
 let prop_relint_sample_env_in_zone =
   (* The replay cross-checks trust sample_env to stay inside the zone. *)
   QCheck.Test.make ~name:"Relint.sample_env satisfies the zone" ~count:500
     (QCheck.make QCheck.Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let rng = Abg_util.Rng.create seed in
-      let env = R.sample_env rel rng in
-      env.Env.min_rtt <= env.Env.rtt
-      && env.Env.rtt <= env.Env.max_rtt
-      && I.contains (R.signal_iv rel Signal.Rtt) env.Env.rtt
-      && I.contains (R.cwnd_iv rel) env.Env.cwnd)
+    (fun seed -> in_zone rel (R.sample_env rel (Abg_util.Rng.create seed)))
 
-let prop_equiv_distinct_witness =
-  (* Every Distinct verdict carries a replayed witness: the two sides
-     evaluate to different raw values on it. *)
-  QCheck.Test.make ~name:"Equiv.Distinct witnesses evaluate differently"
-    ~count:400
+let gen_var = QCheck.Gen.oneofl (Cwnd :: List.map (fun s -> Signal s) Signal.all)
+
+let prop_relint_sample_env_keeps_assumed_order =
+  (* An assumed order between two variables is a zone edge no interval
+     shows; lint's replay of a [guard-implied] verdict that rests on one
+     samples inside the zone only if every draw keeps it. *)
+  QCheck.Test.make ~name:"Relint.sample_env keeps an assumed order"
+    ~count:1000
     (QCheck.make
-       ~print:(fun (a, b) ->
-         Printf.sprintf "%s vs %s" (Pretty.num a) (Pretty.num b))
-       QCheck.Gen.(pair gen_expr gen_expr))
-    (fun (a, b) ->
-      match Q.decide ~draws:64 ~icp_budget:64 rel a b with
-      | Q.Distinct env ->
-          not (Float.equal (Eval.num env a) (Eval.num env b))
-      | Q.Equal | Q.Unknown _ -> true)
+       ~print:(fun (x, y, seed) ->
+         Printf.sprintf "%s <= %s, seed %d" (Pretty.num x) (Pretty.num y) seed)
+       QCheck.Gen.(triple gen_var gen_var (int_bound 1_000_000)))
+    (fun (x, y, seed) ->
+      match R.assume rel (Lt (x, y)) true with
+      | None -> true
+      | Some zone ->
+          let rng = Abg_util.Rng.create seed in
+          List.for_all
+            (fun _ ->
+              let env = R.sample_env zone rng in
+              in_zone zone env && Eval.num env x <= Eval.num env y)
+            (List.init 16 Fun.id))
 
 let prop_equiv_rnorm_bit_exact =
   (* The relational normal form promises bit-exact evaluation on every
-     zone environment — [Equiv.decide]'s first Equal proof rests on it. *)
+     zone environment — [Equiv.proves_equal]'s first proof rests on it. *)
   QCheck.Test.make ~name:"Equiv.rnorm preserves Eval bit-exactly on the zone"
     ~count:1000 arbitrary_expr_zone_env (fun (e, env) ->
       Float.equal (Eval.num env e) (Eval.num env (Q.rnorm rel e)))
 
+(* Every commutative node's operands swapped: the same function, bit for
+   bit, in another form. *)
+let rec commute = function
+  | Add (a, b) -> Add (commute b, commute a)
+  | Mul (a, b) -> Mul (commute b, commute a)
+  | Sub (a, b) -> Sub (commute a, commute b)
+  | Div (a, b) -> Div (commute a, commute b)
+  | Cube a -> Cube (commute a)
+  | Cbrt a -> Cbrt (commute a)
+  | Ite (g, t, e) -> Ite (g, commute t, commute e)
+  | (Cwnd | Signal _ | Macro _ | Const _ | Hole _) as e -> e
+
+(* Pairs built to be mostly provable: a commuted copy, a conditional whose
+   branches are commuted copies (the guard skeleton proves it where the
+   normal form cannot), a guard the zone decides (rtt < min-rtt is false
+   on it), and [Ite (Lt (x, y), a, x)] against [a], which differs
+   wherever x >= y unless [a] is [x]: a prover that accepts a guard
+   assignment whose specializations mismatch claims it, and the draws
+   refute the claim. *)
+let gen_equiv_pair =
+  let open QCheck.Gen in
+  gen_expr >>= fun a ->
+  oneof
+    [ return (a, commute a);
+      map2 (fun x y -> (Ite (Lt (x, y), a, commute a), a)) gen_expr gen_expr;
+      map
+        (fun t ->
+          (Ite (Lt (Signal Signal.Rtt, Signal Signal.Min_rtt), t, a), a))
+        gen_expr;
+      map2 (fun x y -> (Ite (Lt (x, y), a, x), a)) gen_var gen_var ]
+
+let prop_equiv_proof_is_bit_exact =
+  QCheck.Test.make ~name:"Equiv.proves_equal implies bit-equal Eval"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ((a, b), _) ->
+         Printf.sprintf "%s vs %s" (Pretty.num a) (Pretty.num b))
+       QCheck.Gen.(pair gen_equiv_pair (int_bound 1_000_000)))
+    (fun ((a, b), seed) ->
+      (not (Q.proves_equal rel a b))
+      ||
+      let rng = Abg_util.Rng.create seed in
+      List.for_all
+        (fun _ ->
+          let env = R.sample_env rel rng in
+          Float.equal (Eval.num env a) (Eval.num env b))
+        (List.init 64 Fun.id))
+
 let test_equiv_equal_matches_sampling () =
-  (* Differential testing of the Equal verdict across the catalog: for
-     every handler pair the prover calls Equal, 2000 zone-consistent
-     draws must agree bit-for-bit (and known-identical pairs must indeed
-     be proved Equal, so the check is not vacuous). *)
+  (* Differential testing of the proofs across the catalog: for every
+     handler pair the prover proves equal, 2000 zone-consistent draws
+     must agree bit-for-bit (and known-identical pairs must indeed be
+     proved, so the check is not vacuous). *)
   let handlers =
     List.map (fun (n, e) -> ("synthesized/" ^ n, e))
       Abg_core.Fine_tuned.synthesized
@@ -545,23 +604,16 @@ let test_equiv_equal_matches_sampling () =
     (fun i (ni, a) ->
       List.iteri
         (fun j (nj, b) ->
-          if j > i then
-            match Q.decide rel a b with
-            | Q.Equal ->
-                incr equal_pairs;
-                for _ = 1 to 2000 do
-                  let env = R.sample_env rel rng in
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s = %s on a zone draw" ni nj)
-                    true
-                    (Float.equal (Eval.num env a) (Eval.num env b))
-                done
-            | Q.Distinct env ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s <> %s witness replays" ni nj)
-                  true
-                  (not (Float.equal (Eval.num env a) (Eval.num env b)))
-            | Q.Unknown _ -> ())
+          if j > i && Q.proves_equal rel a b then begin
+            incr equal_pairs;
+            for _ = 1 to 2000 do
+              let env = R.sample_env rel rng in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s = %s on a zone draw" ni nj)
+                true
+                (Float.equal (Eval.num env a) (Eval.num env b))
+            done
+          end)
         handlers)
     handlers;
   (* reno/westwood duplicates across the two tables guarantee hits. *)
@@ -585,7 +637,7 @@ let test_equiv_student5 () =
         (R.boolean rel g = I.False)
   | _ -> Alcotest.fail "student5 should be a conditional");
   Alcotest.(check bool) "Equiv proves s5 = 2*mss" true
-    (Q.decide rel s5 two_mss = Q.Equal);
+    (Q.proves_equal rel s5 two_mss);
   Alcotest.(check bool) "lint flags vacuous-guard" true
     (List.exists (fun d -> d.L.rule = "vacuous-guard") (L.check s5))
 
@@ -713,8 +765,7 @@ let pruning_rules =
   List.map A.reason_name A.all_reasons @ List.map R.reason_name R.all_reasons
 
 (* The first pruning rule lint reports is the reason the enumerator's
-   stages act on: [Absint.prune]'s, else the relational stage's, which
-   lint reports only where its replay confirms the verdict. A sketch
+   stages act on: [Absint.prune]'s, else the relational stage's. A sketch
    neither stage prunes gets no pruning diagnostic. *)
 let prop_lint_first_pruning_rule_is_the_prune =
   QCheck.Test.make ~name:"lint's first pruning rule is the prune reason"
@@ -739,14 +790,7 @@ let prop_lint_first_pruning_rule_is_the_prune =
           with
           | None -> R.prune rel e = None && lint = []
           | Some (r, c) ->
-              let zone, verdict =
-                match r with
-                | R.Vacuous_guard -> (rel, c.R.base)
-                | R.Guard_implied -> (c.R.zone, c.R.context)
-              in
-              R.prune rel e = Some r
-              && ((not (L.replay_confirms zone c.R.guard (verdict = I.True)))
-                 || first_is (R.reason_name r) c.R.expr)))
+              R.prune rel e = Some r && first_is (R.reason_name r) c.R.expr))
 
 let test_lint_left_operand_first () =
   let left = Div (Cwnd, Signal Signal.Delay_gradient)
@@ -810,6 +854,7 @@ let suites =
         [
           prop_relint_sound; prop_relint_boolean_sound;
           prop_relint_assume_sound; prop_relint_sample_env_in_zone;
+          prop_relint_sample_env_keeps_assumed_order;
         ] );
     ( "analysis.equiv",
       [
@@ -818,7 +863,7 @@ let suites =
         Alcotest.test_case "student5 is the vacuous conditional" `Quick
           test_equiv_student5;
       ]
-      @ qcheck [ prop_equiv_distinct_witness; prop_equiv_rnorm_bit_exact ] );
+      @ qcheck [ prop_equiv_proof_is_bit_exact; prop_equiv_rnorm_bit_exact ] );
     ( "analysis.sound-simplify",
       [
         Alcotest.test_case "guard-adjacent cancellation" `Quick

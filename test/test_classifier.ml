@@ -141,8 +141,11 @@ let test_features_decrease_regression () =
     (float_of_int (Array.length tr.Abg_trace.Trace.loss_times) /. span)
     f.Abg_classifier.Features.loss_rate
 
+let vector traces =
+  Abg_classifier.Features.to_vector (Abg_classifier.Features.extract traces)
+
 let test_gordon_rank_nonempty () =
-  let ranked = Abg_classifier.Gordon.rank (traces "reno") in
+  let ranked = Abg_classifier.Gordon.rank (vector (traces "reno")) in
   Alcotest.(check int) "all known CCAs ranked"
     (List.length Abg_classifier.Gordon.known_set)
     (List.length ranked);
@@ -154,7 +157,7 @@ let test_gordon_self_identification () =
      known CCA should be the right family (exact identity for reno/bbr). *)
   List.iter
     (fun (name, acceptable) ->
-      match Abg_classifier.Gordon.rank (traces name) with
+      match Abg_classifier.Gordon.rank (vector (traces name)) with
       | (best, _) :: _ ->
           Alcotest.(check bool)
             (Printf.sprintf "%s -> %s acceptable" name best)

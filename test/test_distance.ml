@@ -30,15 +30,6 @@ let test_dtw_empty () =
   Alcotest.(check bool) "empty = inf" true
     (Abg_distance.Dtw.distance [||] [| 1.0 |] = infinity)
 
-let test_dtw_path_endpoints () =
-  let a = [| 1.0; 2.0; 3.0 |] and b = [| 1.0; 3.0 |] in
-  let d, path = Abg_distance.Dtw.path a b in
-  Alcotest.(check bool) "distance consistent" true
-    (Abg_util.Floatx.approx_equal d (Abg_distance.Dtw.distance a b));
-  Alcotest.(check (pair int int)) "starts at origin" (0, 0) (List.hd path);
-  Alcotest.(check (pair int int)) "ends at corner" (2, 1)
-    (List.nth path (List.length path - 1))
-
 let test_euclidean_known () =
   check_close "3-4-5" 5.0
     (Abg_distance.Pointwise.euclidean [| 0.0; 0.0 |] [| 3.0; 4.0 |])
@@ -311,7 +302,6 @@ let suites =
         Alcotest.test_case "shift tolerance" `Quick test_dtw_shift_tolerance;
         Alcotest.test_case "band wide = exact" `Quick test_dtw_band_matches_full_when_wide;
         Alcotest.test_case "empty" `Quick test_dtw_empty;
-        Alcotest.test_case "path endpoints" `Quick test_dtw_path_endpoints;
       ]
       @ qcheck
           [ prop_dtw_nonnegative; prop_dtw_le_manhattan;
